@@ -32,10 +32,15 @@ from unimig.document.model import (
     Property,
 )
 from unimig.errors import MigrationError
-from unimig.source import SourceCursor, SourceSession, read_entity_all
+from unimig.source import (
+    KEY_SEPARATOR,
+    SourceCursor,
+    SourceSession,
+    fmt_id,
+    read_entity_all,
+    record_id,
+)
 from unimig.trace import TraceStore, doc_path, id_segments
-
-KEY_SEPARATOR = "#"
 
 
 @dataclass
@@ -107,14 +112,8 @@ class _Step:
     sub: list["_Step"] = field(default_factory=list)
 
 
-def _fmt_id(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _derived_key(cursor: SourceCursor) -> str:
-    return KEY_SEPARATOR.join(_fmt_id(v) for v in cursor.id_values())
+    return KEY_SEPARATOR.join(fmt_id(v) for v in cursor.id_values())
 
 
 def compile_plan(t2: TraceStore, te: DocumentType) -> tuple[str, list[_Step]]:
@@ -217,28 +216,16 @@ def _execute(steps: list[_Step], cursor: SourceCursor, collection: str) -> dict:
         elif kind == "side_ref":
             # The associative row itself stores this side's identifier.
             columns = cursor.session.side_columns(step.us_owner, step.us_feature)
-            values = [cursor.raw_value(c) for c in columns]
-            if any(v is None for v in values):
+            values = tuple(cursor.raw_value(c) for c in columns)
+            if None in values:
                 continue
-            doc[step.name] = (values[0] if len(values) == 1
-                              else KEY_SEPARATOR.join(_fmt_id(v) for v in values))
+            doc[step.name] = record_id(values)
         elif kind == "ref_forward":
-            related = cursor.related_by_name(step.us_feature)
-            try:
-                if related.has_data():
-                    doc[step.name] = _record_id(related)
-            finally:
-                related.close()
+            ids = cursor.related_ids(step.us_feature)
+            if ids:
+                doc[step.name] = ids[0]
         elif kind == "ref_reverse":
-            related = cursor.related_by_name(step.us_feature)
-            values: list[object] = []
-            try:
-                while related.has_data():
-                    values.append(_record_id(related))
-                    related.advance()
-            finally:
-                related.close()
-            doc[step.name] = values
+            doc[step.name] = cursor.related_ids(step.us_feature)
         elif kind == "embedded":
             children = cursor.related_by_name(step.us_feature)
             try:
@@ -255,13 +242,6 @@ def _execute(steps: list[_Step], cursor: SourceCursor, collection: str) -> dict:
         else:
             raise MigrationError(f"unknown plan step {kind!r}")
     return doc
-
-
-def _record_id(cursor: SourceCursor) -> object:
-    values = cursor.id_values()
-    if len(values) == 1:
-        return values[0]
-    return KEY_SEPARATOR.join(_fmt_id(v) for v in values)
 
 
 # --- writing --------------------------------------------------------------------

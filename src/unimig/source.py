@@ -15,22 +15,34 @@ Iteration idiom::
         ... cursor_value(cursor, attr) ...
         cursor_advance(cursor)
 
-Full-table cursors stream straight off the file. Related lookups go through
-lazily built per-table hash indexes that map join-key values to row byte
-offsets, so only one parent record and one child batch are materialized at
-a time; the session counts live records (``peak_live_records``) to make
-that property testable.
+Opening a source checks every file once: the header, the field count of
+each record, and that no record spans lines. Full-table cursors then
+stream straight off the file. Each related feature is resolved once per
+session to the file it reaches and the join columns of the lookup.
+
+* Reference identifiers (``related_ids``) come from a covering index that
+  maps typed join-key values to the identifiers of the matching rows, so
+  a reference reads no row of the table it points at.
+* Related records (``related``) go through a hash index from join-key
+  values to row numbers; the rows are read by byte offset through one
+  open handle per table, which the session closes. Only one parent record
+  and one child batch are materialized at a time; the session counts live
+  records (``peak_live_records``) to make that property testable.
+
+Integers are range-checked against their declared SQL type as rows are
+read; a value that does not convert names its file, row and column.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from unimig.errors import SourceError
-from unimig.relational.model import FKey, RelationalSchema, Table
+from unimig.relational.model import FKey, RelationalSchema, SqlType, Table, fk_in_pk
 from unimig.trace import (
     AGGREGATE_CHILD,
     REF_FORWARD,
@@ -42,8 +54,28 @@ from unimig.trace import (
 from unimig.transforms.typemap import rel_to_us_type
 from unimig.uschema.model import Aggregate, Attribute, Key, Reference, SchemaType
 
+#: Joins the components of a composite identifier in migrated documents.
+KEY_SEPARATOR = "#"
+
 _TRUE = {"true", "t", "1", "yes"}
 _FALSE = {"false", "f", "0", "no"}
+
+_INT_RANGES = {"SMALLINT": 16, "INT": 32, "BIGINT": 64}
+
+
+def fmt_id(value: object) -> str:
+    """One identifier component as text."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def record_id(values: tuple) -> object:
+    """The identifier a document stores for a row with key ``values``: the
+    bare value of a single-column key, else the ``#``-joined components."""
+    if len(values) == 1:
+        return values[0]
+    return KEY_SEPARATOR.join(fmt_id(v) for v in values)
 
 
 def _bool(text: str) -> bool:
@@ -55,9 +87,23 @@ def _bool(text: str) -> bool:
     raise SourceError(f"cannot read boolean value {text!r}")
 
 
-def _converter(kind: str) -> Callable[[str], object]:
-    if kind == "Integer":
-        return int
+def _ranged_int(base: str) -> Callable[[str], int]:
+    bits = _INT_RANGES[base]
+    low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if low <= value <= high:
+            return value
+        raise SourceError(f"{value} is out of {base} range [{low}, {high}]")
+
+    return convert
+
+
+def _converter(datatype: SqlType) -> Callable[[str], object]:
+    if datatype.base in _INT_RANGES:
+        return _ranged_int(datatype.base)
+    kind = rel_to_us_type(datatype).kind
     if kind in ("Double", "Decimal"):
         return float
     if kind == "Boolean":
@@ -66,50 +112,113 @@ def _converter(kind: str) -> Callable[[str], object]:
 
 
 class _TableFile:
-    """One CSV file: schema-aware parsing, row counting, offset and hash
-    indexes built on demand."""
+    """One CSV file: validation and row counting at open, schema-aware
+    parsing, and the offset, row-number and covering id indexes built on
+    demand."""
 
     def __init__(self, session: "SourceSession", table: Table, path: Path):
         self.session = session
         self.table = table
         self.path = path
         self.columns = [c.name for c in table.columns]
-        self.converters = [_converter(rel_to_us_type(c.datatype).kind)
-                           for c in table.columns]
+        self.converters = [_converter(c.datatype) for c in table.columns]
         self.row_count = self._validate_and_count()
         self._offsets: list[int] | None = None
         self._indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
+        self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
+        self._handle: BinaryIO | None = None
+
+    # -- reading -----------------------------------------------------------------
 
     def _validate_and_count(self) -> int:
         with open(self.path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise SourceError(f"{self.path.name}: missing header row") from None
-            if header != self.columns:
+                header = next(reader, None)
+                if header is None:
+                    raise SourceError(f"{self.path.name}: missing header row")
+                if header != self.columns:
+                    raise SourceError(
+                        f"{self.path.name}: header {header} does not match "
+                        f"columns {self.columns} of table {self.table.name!r}")
+                widths = Counter(map(len, reader))
+            except csv.Error as exc:
                 raise SourceError(
-                    f"{self.path.name}: header {header} does not match columns "
-                    f"{self.columns} of table {self.table.name!r}")
-            return sum(1 for _ in reader)
+                    f"{self.path.name} (line {reader.line_num}): {exc}") from exc
+            count = sum(widths.values())
+            # One record per line, each with one field per column; the
+            # record-by-record pass runs only to name the culprit.
+            if widths.keys() - {len(self.columns)} or reader.line_num != count + 1:
+                self._find_malformed_record()
+            return count
 
-    def parse(self, row: list[str], where: str) -> dict[str, object]:
-        if len(row) != len(self.columns):
-            raise SourceError(
-                f"{self.path.name} ({where}): expected {len(self.columns)} "
+    def _find_malformed_record(self) -> None:
+        with open(self.path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            line = 1
+            for n, row in enumerate(reader):
+                if reader.line_num != line + 1:
+                    raise SourceError(
+                        f"{self.path.name} (row {n + 1}): a quoted field holds a "
+                        f"line break (lines {line + 1}-{reader.line_num}); fields "
+                        "must not contain line breaks")
+                line = reader.line_num
+                if len(row) != len(self.columns):
+                    raise SourceError(self._width_message(row, n))
+        raise SourceError(f"{self.path.name}: records and lines disagree")
+
+    def _width_message(self, row: list[str], n: int) -> str:
+        return (f"{self.path.name} (row {n + 1}): expected {len(self.columns)} "
                 f"fields, found {len(row)}")
-        record: dict[str, object] = {}
+
+    def _rows(self) -> Iterator[tuple[int, list[str]]]:
+        """Numbered raw records, each checked for its field count."""
+        width = len(self.columns)
+        with open(self.path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            for n, row in enumerate(reader):
+                if len(row) != width:
+                    raise SourceError(self._width_message(row, n))
+                yield n, row
+
+    def _cell_error(self, row: list[str], n: int, exc: Exception) -> SourceError:
         for name, convert, cell in zip(self.columns, self.converters, row):
-            record[name] = None if cell == "" else convert(cell)
+            if cell != "":
+                try:
+                    convert(cell)
+                except (ValueError, SourceError) as err:
+                    return SourceError(
+                        f"{self.path.name} (row {n + 1}), column {name!r}: {err}")
+        return SourceError(f"{self.path.name} (row {n + 1}): {exc}")
+
+    def parse(self, row: list[str], n: int) -> dict[str, object]:
+        """Typed record of data row ``n`` (0-based)."""
+        if len(row) != len(self.columns):
+            raise SourceError(self._width_message(row, n))
+        try:
+            record = {name: None if cell == "" else convert(cell)
+                      for name, convert, cell
+                      in zip(self.columns, self.converters, row)}
+        except (ValueError, SourceError) as exc:
+            raise self._cell_error(row, n, exc) from exc
         self.session._record_born()
         return record
 
     def stream(self) -> Iterable[dict[str, object]]:
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            for i, row in enumerate(reader):
-                yield self.parse(row, f"row {i + 1}")
+        for n, row in self._rows():
+            yield self.parse(row, n)
+
+    def _typed(self, columns: tuple[str, ...] | list[str]
+               ) -> Callable[[list[str]], tuple]:
+        """Function from a raw row to the typed values of ``columns``."""
+        picks = [(self.columns.index(c), self.converters[self.columns.index(c)])
+                 for c in columns]
+        return lambda row: tuple(None if row[p] == "" else convert(row[p])
+                                 for p, convert in picks)
+
+    # -- indexes -------------------------------------------------------------------
 
     def offsets(self) -> list[int]:
         if self._offsets is None:
@@ -119,36 +228,86 @@ class _TableFile:
                 for line in handle:
                     out.append(pos)
                     pos += len(line)
+            if len(out) != self.row_count:
+                raise SourceError(
+                    f"{self.path.name}: {len(out)} lines for {self.row_count} "
+                    "records; lines must end with a line feed")
             self._offsets = out
         return self._offsets
 
     def index_on(self, columns: tuple[str, ...]) -> dict[tuple, list[int]]:
         """Hash index: typed values of ``columns`` -> row numbers."""
-        if columns not in self._indexes:
-            positions = [self.columns.index(c) for c in columns]
-            converts = [self.converters[p] for p in positions]
-            index: dict[tuple, list[int]] = {}
-            with open(self.path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                next(reader)
-                for i, row in enumerate(reader):
-                    key = tuple(
-                        None if row[p] == "" else convert(row[p])
-                        for p, convert in zip(positions, converts))
-                    index.setdefault(key, []).append(i)
+        index = self._indexes.get(columns)
+        if index is None:
+            key_of = self._typed(columns)
+            index = {}
+            for n, row in self._rows():
+                try:
+                    key = key_of(row)
+                except (ValueError, SourceError) as exc:
+                    raise self._cell_error(row, n, exc) from exc
+                index.setdefault(key, []).append(n)
             self._indexes[columns] = index
-        return self._indexes[columns]
+        return index
+
+    def ids_on(self, columns: tuple[str, ...]) -> dict[tuple, list]:
+        """Covering index: typed values of ``columns`` -> identifiers
+        (``record_id``) of the matching rows, in primary key order. Rows
+        with a NULL in ``columns`` are left out."""
+        index = self._id_indexes.get(columns)
+        if index is None:
+            pk = self.table.primary_key()
+            if pk is None:
+                raise SourceError(f"table {self.table.name!r} has no primary key")
+            key_of, pk_of = self._typed(columns), self._typed(pk.columns)
+            groups: dict[tuple, list] = {}
+            for n, row in self._rows():
+                try:
+                    key, pk_values = key_of(row), pk_of(row)
+                except (ValueError, SourceError) as exc:
+                    raise self._cell_error(row, n, exc) from exc
+                if None not in key:
+                    groups.setdefault(key, []).append(pk_values)
+            for pks in groups.values():
+                pks.sort()  # as key tuples: (1, 9) before (1, 10)
+                pks[:] = map(record_id, pks)
+            index = self._id_indexes[columns] = groups
+        return index
+
+    # -- random access -------------------------------------------------------------
 
     def fetch(self, row_numbers: list[int]) -> list[dict[str, object]]:
+        if not row_numbers:
+            return []
         offsets = self.offsets()
-        records = []
-        with open(self.path, "rb") as handle:
-            for n in row_numbers:
-                handle.seek(offsets[n])
-                line = handle.readline().decode("utf-8")
-                row = next(csv.reader(io.StringIO(line)))
-                records.append(self.parse(row, f"row {n + 1}"))
-        return records
+        if self._handle is None:
+            self._handle = open(self.path, "rb")
+        handle = self._handle
+        lines = []
+        for n in row_numbers:
+            handle.seek(offsets[n])
+            lines.append(handle.readline().decode("utf-8"))
+        return [self.parse(row, n)
+                for n, row in zip(row_numbers, csv.reader(lines))]
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+@dataclass(frozen=True)
+class _Link:
+    """A related feature resolved against the schema: it reaches the rows of
+    ``file`` whose ``index`` columns equal the current record's ``probe``
+    columns, ordered by ``order`` when read as records."""
+
+    role: str
+    type_name: str
+    file: _TableFile
+    probe: tuple[str, ...]
+    index: tuple[str, ...]
+    order: tuple[str, ...]
 
 
 class SourceSession:
@@ -169,6 +328,8 @@ class SourceSession:
         self._attr_to_column: dict[tuple[str, str], tuple[str, str]] = {}
         self._key_to_rkey: dict[tuple[str, str], tuple[str, str]] = {}
         self._feature_links: dict[tuple[str, str], tuple[str, str | None, str]] = {}
+        self._links: dict[tuple[str, str], _Link] = {}
+        self._sides: dict[tuple[str, str], list[str]] = {}
         self._scan_trace()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -219,16 +380,53 @@ class SourceSession:
     def side_columns(self, owner_type: str, ref_name: str) -> list[str]:
         """Columns of the foreign key behind one side of a relationship type,
         i.e. where an associative row stores that side's identifier."""
-        hit = self._feature_links.get((owner_type, ref_name))
-        if hit is None or hit[2] != REL_TYPE_SIDE:
+        columns = self._sides.get((owner_type, ref_name))
+        if columns is None:
+            hit = self._feature_links.get((owner_type, ref_name))
+            if hit is None or hit[2] != REL_TYPE_SIDE:
+                raise SourceError(
+                    f"{owner_type}.{ref_name} is not a relationship side")
+            table_name, fk_name, _ = hit
+            fk = _fk(self.schema.table(table_name), fk_name)
+            columns = self._sides[(owner_type, ref_name)] = list(fk.columns)
+        return columns
+
+    def link(self, type_name: str, table: Table, feature_name: str) -> _Link:
+        """Feature ``feature_name`` of ``type_name`` (stored in ``table``)
+        resolved to the rows it reaches; computed once per session."""
+        link = self._links.get((type_name, feature_name))
+        if link is None:
+            link = self._links[(type_name, feature_name)] = self._resolve(
+                type_name, table, feature_name)
+        return link
+
+    def _resolve(self, type_name: str, table: Table, feature_name: str) -> _Link:
+        hit = self._feature_links.get((type_name, feature_name))
+        if hit is None:
             raise SourceError(
-                f"{owner_type}.{ref_name} is not a relationship side")
-        table_name, fk_name, _ = hit
-        table = self.schema.table(table_name)
-        for fk in table.fkeys:
-            if fk.constraint_name == fk_name:
-                return list(fk.columns)
-        raise SourceError(f"table {table_name!r} has no foreign key {fk_name!r}")
+                f"feature {type_name}.{feature_name} carries no data-access "
+                "role in the trace")
+        table_name, fk_name, role = hit
+        holder = self.schema.table(table_name)
+        if role == REL_TYPE_SIDE:
+            fk = _filter_side(holder, fk_name, table.name,
+                              f"{type_name}.{feature_name}")
+        else:
+            fk = _fk(holder, fk_name)
+        if role == REF_FORWARD:
+            # the holder's foreign key columns point at the target's key
+            reached = self.schema.table(fk.ref_table)
+            probe, index, order = fk.columns, fk.ref_columns, []
+        else:
+            # rows of the holder whose foreign key points at this record
+            reached, probe, index = holder, fk.ref_columns, fk.columns
+            pk = holder.primary_key()
+            order = list(pk.columns) if pk else []
+            if role != REF_REVERSE:
+                order = [c for c in order if c not in fk.columns]
+        return _Link(role, self._table_to_type.get(reached.name, reached.name),
+                     self._files[reached.name], tuple(probe), tuple(index),
+                     tuple(order))
 
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
@@ -236,6 +434,32 @@ class SourceSession:
     def close(self) -> None:
         self.open = False
         self.live_records = 0
+        for file in self._files.values():
+            file.close()
+
+
+def _fk(table: Table, fk_name: str | None) -> FKey:
+    for fk in table.fkeys:
+        if fk.constraint_name == fk_name:
+            return fk
+    raise SourceError(f"table {table.name!r} has no foreign key {fk_name!r}")
+
+
+def _filter_side(assoc: Table, fk_name: str | None, from_table: str,
+                 feature: str) -> FKey:
+    """The identifying foreign key of associative table ``assoc`` that
+    selects its rows for a record of ``from_table``: the one that is not
+    the side ``fk_name`` itself, or for a self-relationship the one that
+    points at ``from_table``."""
+    identifying = [fk for fk in assoc.fkeys if fk_in_pk(assoc, fk)]
+    others = [fk for fk in identifying if fk.constraint_name != fk_name]
+    if len(others) == 1:
+        return others[0]
+    mine = [fk for fk in others if fk.ref_table == from_table]
+    if len(mine) != 1:
+        raise SourceError(
+            f"cannot pick the filtering side of {assoc.name!r} for {feature}")
+    return mine[0]
 
 
 def open_source(root: Path | str, schema: RelationalSchema,
@@ -367,106 +591,39 @@ class SourceCursor:
     def related(self, feature: Reference | Aggregate) -> "SourceCursor":
         return self.related_by_name(feature.name)
 
-    def related_by_name(self, feature_name: str) -> "SourceCursor":
+    def _probe(self, feature_name: str) -> tuple[_Link, tuple | None]:
+        """The resolved feature and the current record's join-key values,
+        or None when one of them is NULL (a NULL joins nothing)."""
         self.session._check_open()
         record = self.record()
-        hit = self.session._feature_links.get((self.type_name, feature_name))
-        if hit is None:
+        link = self.session.link(self.type_name, self.table, feature_name)
+        probe = tuple(record[c] for c in link.probe)
+        return link, None if None in probe else probe
+
+    def related_by_name(self, feature_name: str) -> "SourceCursor":
+        """Cursor over the records a related feature reaches from the
+        current record: aggregate children and relationship rows in key
+        order, reverse references in primary key order, a forward
+        reference's target (zero or one)."""
+        link, probe = self._probe(feature_name)
+        rows = [] if probe is None else link.file.index_on(link.index).get(probe, [])
+        records = link.file.fetch(rows)
+        if link.order:
+            records.sort(key=lambda r: tuple(r[c] for c in link.order))
+        return SourceCursor(self.session, link.type_name, link.file.table,
+                            records, preloaded=len(records))
+
+    def related_ids(self, feature_name: str) -> list:
+        """Identifiers (``record_id``) of the rows a forward or reverse
+        reference reaches from the current record, in primary key order,
+        read from a covering index without parsing those rows."""
+        link, probe = self._probe(feature_name)
+        if link.role not in (REF_FORWARD, REF_REVERSE):
             raise SourceError(
-                f"feature {self.type_name}.{feature_name} carries no data-access "
-                "role in the trace")
-        table_name, fk_name, role = hit
-        if role == AGGREGATE_CHILD:
-            return self._aggregate_children(table_name, fk_name, record)
-        if role == REF_FORWARD:
-            return self._forward(table_name, fk_name, record)
-        if role == REF_REVERSE:
-            return self._reverse(table_name, fk_name, record)
-        if role == REL_TYPE_SIDE:
-            return self._relationship_side(feature_name, table_name, fk_name, record)
-        raise SourceError(f"unsupported trace role {role!r}")
-
-    # -- the four related shapes -------------------------------------------------
-
-    def _fk(self, table: Table, fk_name: str | None) -> FKey:
-        for fk in table.fkeys:
-            if fk.constraint_name == fk_name:
-                return fk
-        raise SourceError(f"table {table.name!r} has no foreign key {fk_name!r}")
-
-    def _batch(self, type_name: str, table: Table, file: _TableFile,
-               rows: list[int], order_columns: list[str]) -> "SourceCursor":
-        records = file.fetch(rows)
-        if order_columns:
-            records.sort(key=lambda r: tuple(r[c] for c in order_columns))
-        return SourceCursor(self.session, type_name, table, records,
-                            preloaded=len(records))
-
-    def _type_of(self, table_name: str) -> str:
-        return self.session._table_to_type.get(table_name, table_name)
-
-    def _aggregate_children(self, table_name: str, fk_name: str | None,
-                            record: dict[str, object]) -> "SourceCursor":
-        child_table = self.session.schema.table(table_name)
-        child_file = self.session.file_for(table_name)
-        fk = self._fk(child_table, fk_name)
-        probe = tuple(record[c] for c in fk.ref_columns)
-        rows = child_file.index_on(tuple(fk.columns)).get(probe, [])
-        pk = child_table.primary_key()
-        remainder = [c for c in (pk.columns if pk else []) if c not in fk.columns]
-        return self._batch(self._type_of(table_name), child_table, child_file,
-                           rows, remainder)
-
-    def _forward(self, table_name: str, fk_name: str | None,
-                 record: dict[str, object]) -> "SourceCursor":
-        owner_table = self.session.schema.table(table_name)
-        fk = self._fk(owner_table, fk_name)
-        target_table = self.session.schema.table(fk.ref_table)
-        target_file = self.session.file_for(fk.ref_table)
-        probe = tuple(record[c] for c in fk.columns)
-        if any(v is None for v in probe):
-            rows: list[int] = []
-        else:
-            rows = target_file.index_on(tuple(fk.ref_columns)).get(probe, [])
-        return self._batch(self._type_of(fk.ref_table), target_table,
-                           target_file, rows, [])
-
-    def _reverse(self, table_name: str, fk_name: str | None,
-                 record: dict[str, object]) -> "SourceCursor":
-        owner_table = self.session.schema.table(table_name)
-        owner_file = self.session.file_for(table_name)
-        fk = self._fk(owner_table, fk_name)
-        probe = tuple(record[c] for c in fk.ref_columns)
-        rows = owner_file.index_on(tuple(fk.columns)).get(probe, [])
-        pk = owner_table.primary_key()
-        return self._batch(self._type_of(table_name), owner_table, owner_file,
-                           rows, list(pk.columns) if pk else [])
-
-    def _relationship_side(self, feature_name: str, table_name: str,
-                           fk_name: str | None,
-                           record: dict[str, object]) -> "SourceCursor":
-        assoc_table = self.session.schema.table(table_name)
-        assoc_file = self.session.file_for(table_name)
-        from unimig.relational.model import fk_in_pk
-
-        identifying = [fk for fk in assoc_table.fkeys if fk_in_pk(assoc_table, fk)]
-        others = [fk for fk in identifying if fk.constraint_name != fk_name]
-        if len(others) == 1:
-            filter_fk = others[0]
-        else:
-            mine = [fk for fk in others if fk.ref_table == self.table.name]
-            if len(mine) != 1:
-                raise SourceError(
-                    f"cannot pick the filtering side of {table_name!r} for "
-                    f"{self.type_name}.{feature_name}")
-            filter_fk = mine[0]
-        probe = tuple(record[c] for c in filter_fk.ref_columns)
-        rows = assoc_file.index_on(tuple(filter_fk.columns)).get(probe, [])
-        pk = assoc_table.primary_key()
-        remainder = [c for c in (pk.columns if pk else [])
-                     if c not in filter_fk.columns]
-        return self._batch(self._type_of(table_name), assoc_table, assoc_file,
-                           rows, remainder)
+                f"feature {self.type_name}.{feature_name} is not a reference")
+        if probe is None:
+            return []
+        return list(link.file.ids_on(link.index).get(probe, ()))
 
 
 def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> SourceCursor:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 from util import FIXTURES
 
@@ -112,3 +113,22 @@ def test_domain_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert dispatch(["inject", "/nonexistent/schema.sql"]) == 1
+
+
+def test_migrate_rejects_out_of_range_smallint(tmp_path, capsys, northwind_schema):
+    # Northwind declares order_id SMALLINT, which ends at 32767
+    source = tmp_path / "northwind"
+    source.mkdir()
+    shutil.copy(FIXTURES / "northwind" / "schema.sql", source / "schema.sql")
+    for table in northwind_schema.tables:
+        columns = [c.name for c in table.columns]
+        text = ",".join(columns) + "\n"
+        if table.name == "orders":
+            text += ",".join("40000" if c == "order_id" else "" for c in columns)
+            text += "\n"
+        (source / f"{table.name}.csv").write_text(text)
+    code = dispatch(["migrate", "--source", str(source),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert ("orders.csv (row 1), column 'order_id': 40000 is out of "
+            "SMALLINT range") in capsys.readouterr().err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import csv
 import json
 import shutil
 from collections import Counter
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import unimig.source
 from unimig.errors import MigrationError
 from unimig.migrator import (
     MigrationConfig,
@@ -131,6 +134,16 @@ def test_report_totals_are_sums(mini, tmp_path):
     assert report.throughput_rows_per_s > 0
 
 
+def test_manifest_counts_each_source_row_once(mini, tmp_path):
+    report, _ = run_migration(mini, tmp_path / "out")
+    csv_rows = 0
+    for path in mini["root"].glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            csv_rows += sum(1 for _ in csv.reader(handle)) - 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["report"]["totals"]["rows"] == report.total_rows == csv_rows
+
+
 def test_manifest_written(mini, tmp_path):
     run_migration(mini, tmp_path / "out")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -173,7 +186,8 @@ def test_partial_output_removed_on_failure(mini, tmp_path):
     broken_root = tmp_path / "broken"
     shutil.copytree(mini["root"], broken_root)
     lines = (broken_root / "listening.csv").read_text().splitlines()
-    lines[2] = "u001,s002"  # wrong field count
+    # a value that only reading the row rejects: plays_count beyond INT
+    lines[2] = "u001,s002,3000000000,paused"
     (broken_root / "listening.csv").write_text("\n".join(lines) + "\n")
     session = open_source(broken_root, mini["schema"], mini["step1"].trace)
     out = tmp_path / "out"
@@ -202,3 +216,74 @@ def test_family_memory_stays_bounded(mini, tmp_path):
 def test_s_scale_memory_bound(s_migration):
     # one parent record plus one child batch at a time, never a whole table
     assert s_migration["peak"] <= 64
+
+
+def migrate_tiny(tmp_path, ddl: str, files: dict[str, str]) -> dict:
+    """Migrate a dataset given as DDL text and CSV texts; documents by
+    collection."""
+    schema = parse_ddl(ddl)
+    step1 = rel_to_uschema(schema)
+    step2 = uschema_to_document(step1.target)
+    root = tmp_path / "tiny"
+    root.mkdir()
+    (root / "schema.sql").write_text(ddl)
+    for name, text in files.items():
+        (root / f"{name}.csv").write_text(text)
+    session = open_source(root, schema, step1.trace)
+    migrate(step2.target, step1.trace, step2.trace, session, tmp_path / "out")
+    return {te.name: read_jsonl(tmp_path / "out" / f"{te.name}.jsonl")
+            for te in step2.target.documents}
+
+
+def test_null_and_dangling_forward_references_omitted(tmp_path):
+    docs = migrate_tiny(
+        tmp_path,
+        "CREATE TABLE target (id INT PRIMARY KEY, v INT);"
+        "CREATE TABLE holder (id INT PRIMARY KEY, t_id INT, UNIQUE (t_id),"
+        "  FOREIGN KEY (t_id) REFERENCES target (id));",
+        {"target": "id,v\n1,10\n", "holder": "id,t_id\n1,\n2,1\n3,99\n"})
+    # the reference to target is named id_1: holder already has an id field
+    assert docs["holder"] == [{"id": 1}, {"id": 2, "id_1": 1}, {"id": 3}]
+
+
+def test_reverse_ids_follow_composite_key_tuple_order(tmp_path):
+    docs = migrate_tiny(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (a INT, b INT, parent_id INT, PRIMARY KEY (a, b),"
+        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        {"parent": "id\n1\n2\n",
+         "child": "a,b,parent_id\n1,10,1\n1,9,1\n2,1,1\n3,3,\n"})
+    # (1, 9) < (1, 10) as key tuples, although "1#10" < "1#9" as text
+    assert docs["parent"] == [{"id": 1, "childs": ["1#9", "1#10", "2#1"]},
+                              {"id": 2, "childs": []}]
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("fails", [False, True])
+def test_table_handles_closed_after_migrate(mini, tmp_path, monkeypatch, fails):
+    root = mini["root"]
+    if fails:
+        root = tmp_path / "broken"
+        shutil.copytree(mini["root"], root)
+        lines = (root / "listening.csv").read_text().splitlines()
+        lines[2] = "u001,s002,3000000000,paused"
+        (root / "listening.csv").write_text("\n".join(lines) + "\n")
+    opened = []
+
+    def spy(*args, **kwargs):
+        handle = builtins.open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(unimig.source, "open", spy, raising=False)
+    session = open_source(root, mini["schema"], mini["step1"].trace)
+    try:
+        migrate(mini["step2"].target, mini["step1"].trace, mini["step2"].trace,
+                session, tmp_path / "out")
+    except MigrationError:
+        assert fails
+    else:
+        assert not fails
+    assert any(h.mode == "rb" for h in opened)  # a fetch handle was used
+    assert all(h.closed for h in opened)

@@ -15,7 +15,9 @@ from unimig.source import (
     cursor_value,
     open_source,
     read_entity_all,
+    record_id,
 )
+from unimig.trace import REF_FORWARD, REF_REVERSE
 from unimig.transforms import rel_to_uschema
 
 
@@ -68,6 +70,63 @@ def test_empty_tables_open_with_zero_counts(mini, tmp_path):
     assert all(f.row_count == 0 for f in session._files.values())
     cursor = read_entity_all(session, "app_user")
     assert cursor.has_data() is False
+
+
+def _replace_line(root, table, n, text):
+    lines = (root / f"{table}.csv").read_text().splitlines()
+    lines[n] = text
+    (root / f"{table}.csv").write_text("\n".join(lines) + "\n")
+
+
+# playlist rows are fetched as aggregate children, app_user rows only streamed
+@pytest.mark.parametrize("table,row,line", [
+    ("playlist", 1, 'p001,u001,"indi\n90s",2026-08-26 18:20:00'),
+    ("app_user", 2, 'u002,"Bob\nSmith",false,2025-03-01 10:00:00'),
+])
+def test_line_break_in_field_rejected_at_open(mini, tmp_path, table, row, line):
+    broken = tmp_path / "linebreak"
+    shutil.copytree(mini["root"], broken)
+    _replace_line(broken, table, row, line)
+    with pytest.raises(SourceError,
+                       match=rf"{table}\.csv \(row {row}\): .*line break"):
+        open_source(broken, mini["schema"], mini["result"].trace)
+
+
+@pytest.mark.parametrize("line,found", [
+    ("u001,s002,3", 3),
+    ("u001,s002,3,paused,extra", 5),
+])
+def test_short_or_long_row_rejected_at_open(mini, tmp_path, line, found):
+    broken = tmp_path / "width"
+    shutil.copytree(mini["root"], broken)
+    _replace_line(broken, "listening", 2, line)
+    with pytest.raises(SourceError, match=rf"listening\.csv \(row 2\): "
+                                          rf"expected 4 fields, found {found}"):
+        open_source(broken, mini["schema"], mini["result"].trace)
+
+
+def test_unreadable_csv_record_rejected_at_open(mini, tmp_path):
+    broken = tmp_path / "huge"
+    shutil.copytree(mini["root"], broken)
+    _replace_line(broken, "musical_style", 2, "st0002," + "x" * 200_000)
+    with pytest.raises(SourceError,
+                       match=r"musical_style\.csv \(line 3\): field larger"):
+        open_source(broken, mini["schema"], mini["result"].trace)
+
+
+def test_fetch_needs_line_feed_terminated_rows(mini, tmp_path):
+    # csv accepts bare carriage returns as line ends; the byte offsets of
+    # fetched rows count line feeds
+    broken = tmp_path / "cr"
+    shutil.copytree(mini["root"], broken)
+    text = (broken / "playlist.csv").read_text()
+    (broken / "playlist.csv").write_text(text.replace("\n", "\r"))
+    session = open_source(broken, mini["schema"], mini["result"].trace)
+    user = mini["result"].target.entity("app_user")
+    users = read_entity_all(session, user)
+    with pytest.raises(SourceError, match=r"playlist\.csv: .*line feed"):
+        cursor_related(users, user.feature("playlists"))
+    close(session)
 
 
 def test_schema_disagreement_rejected(mini, tmp_path, music_schema):
@@ -155,6 +214,29 @@ def test_forward_reference_with_null_fk_is_empty(mini, tmp_path):
     cursor_advance(cursor)
     related = cursor_related(cursor, holder.feature("target"))
     assert related.raw_value("v") == 10
+    close(session)
+
+
+def test_related_ids_match_related_records(session, mini):
+    references = [key for key, (_, _, role) in session._feature_links.items()
+                  if role in (REF_FORWARD, REF_REVERSE)]
+    assert references  # playlist_song.song, most_recent_song.song
+    for type_name, feature in references:
+        cursor = read_entity_all(session, type_name)
+        while cursor.has_data():
+            related = cursor.related_by_name(feature)
+            via_records = []
+            while related.has_data():
+                via_records.append(record_id(related.id_values()))
+                cursor_advance(related)
+            assert cursor.related_ids(feature) == via_records
+            cursor_advance(cursor)
+
+
+def test_related_ids_reject_non_references(session, mini):
+    users = read_entity_all(session, "app_user")
+    with pytest.raises(SourceError, match="not a reference"):
+        users.related_ids("playlists")
 
 
 def test_relationship_side_exposes_opposite_ids(session, mini):
@@ -202,6 +284,7 @@ def test_reverse_reference_direction(mini, tmp_path, music_schema, music_step1):
         found.append(songs.raw_value("song_id"))
         cursor_advance(songs)
     assert found == ["s1", "s2"]
+    close(session)
 
 
 def test_related_matches_naive_scan_oracle(session, mini):
@@ -274,4 +357,44 @@ def test_streaming_keeps_live_records_bounded(s_dataset):
         cursor_advance(cursor)
     assert n == 200_000
     assert session.peak_live_records <= 4
+    close(session)
+
+
+def _tiny_source(tmp_path, ddl, files):
+    schema = parse_ddl(ddl)
+    result = rel_to_uschema(schema)
+    root = tmp_path / "tiny"
+    root.mkdir()
+    (root / "schema.sql").write_text(ddl)
+    for name, text in files.items():
+        (root / f"{name}.csv").write_text(text)
+    return open_source(root, schema, result.trace)
+
+
+def test_integers_checked_against_declared_range(tmp_path):
+    session = _tiny_source(
+        tmp_path,
+        "CREATE TABLE t (id SMALLINT PRIMARY KEY, n INT, big BIGINT);",
+        {"t": ("id,n,big\n"
+               "32767,-2147483648,9223372036854775807\n"
+               "-32769,0,0\n")})
+    cursor = read_entity_all(session, "t")
+    assert cursor.record() == {"id": 32767, "n": -2147483648,
+                               "big": 9223372036854775807}
+    with pytest.raises(SourceError, match=r"t\.csv \(row 2\), column 'id': "
+                                          r"-32769 is out of SMALLINT range"):
+        cursor_advance(cursor)
+    close(session)
+
+
+def test_null_key_joins_nothing(tmp_path):
+    session = _tiny_source(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY, code INT, UNIQUE (code));"
+        "CREATE TABLE child (id INT PRIMARY KEY, parent_code INT,"
+        "  FOREIGN KEY (parent_code) REFERENCES parent (code));",
+        {"parent": "id,code\n1,\n", "child": "id,parent_code\n7,\n"})
+    parents = read_entity_all(session, "parent")
+    assert parents.related_ids("childs") == []
+    assert parents.related_by_name("childs").has_data() is False
     close(session)
