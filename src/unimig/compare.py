@@ -1,13 +1,14 @@
 """Round-trip orchestration, structural schema matching, and preservation
 metrics.
 
-Tables of the original and reconstructed schemas are paired by
-maximum-weight bipartite matching. The weight of a candidate pair is the
-Jaccard similarity of their column multisets over (name, type-class) pairs,
-plus 1.0 when the table names are equal, so a name match carries as much
-weight as a fully identical column set. Pairs assigned at zero weight are
-discarded. Within a matched pair, columns match by name first, then
-leftovers by type class in declaration order.
+Tables of the original and reconstructed schemas are paired by an exact
+maximum-weight assignment: the Hungarian method (Kuhn 1955) in the
+shortest-augmenting-path form of Crouse (IEEE TAES 2016). The weight of a
+candidate pair is the Jaccard similarity of their column multisets over
+(name, type-class) pairs, plus 1.0 when the table names are equal, so a
+name match carries as much weight as a fully identical column set. Pairs
+assigned at zero weight are discarded. Within a matched pair, columns
+match by name first, then leftovers by type class in declaration order.
 
 Because the matcher is a reconstruction choice, only direction-level claims
 (what degrades, what stays perfect) are meaningful for categories other
@@ -16,10 +17,8 @@ than entities; entity precision/recall are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from unimig.document.schema_json import docschema_to_dict
 from unimig.errors import ModelError
@@ -101,15 +100,65 @@ def _table_similarity(a: Table, b: Table) -> float:
     return bonus + _jaccard(_column_items(a), _column_items(b))
 
 
+def max_weight_assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Exact maximum-weight assignment of a rectangular matrix: one
+    (row, column) pair for each row or column of the smaller side, sorted
+    by row.
+
+    Rows are added one at a time, each along a shortest augmenting path
+    over reduced costs kept non-negative by the dual potentials ``u`` and
+    ``v``. Columns are scanned from the last to the first and equal costs
+    prefer an unassigned column; this fixes which of several optimal
+    pairings comes out (a constant matrix gives the identity).
+    """
+    transpose = bool(weights) and len(weights) > len(weights[0])
+    rows = zip(*weights) if transpose else weights
+    cost = [[-w for w in row] for row in rows]
+    n_cols = len(cost[0]) if cost else 0
+    u, v = [0.0] * len(cost), [0.0] * n_cols
+    col4row, row4col = [-1] * len(cost), [-1] * n_cols
+    for start in range(len(cost)):
+        dist, path = [math.inf] * n_cols, [-1] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        cols_seen = []
+        i, low, sink = start, 0.0, -1
+        while sink < 0:
+            best, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                reduced = low + cost[i][j] - u[i] - v[j]
+                if reduced < dist[j]:
+                    path[j], dist[j] = i, reduced
+                if dist[j] < best or (dist[j] == best and row4col[j] < 0):
+                    best, index = dist[j], k
+            low, j = best, remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols_seen.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[start] += low
+        for j in cols_seen:
+            if j != sink:
+                u[row4col[j]] += low - dist[j]
+            v[j] -= low - dist[j]
+        j = sink
+        while j >= 0:  # flip the path back to its start row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    if transpose:
+        return sorted((r, c) for c, r in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
 def _match_tables(original: RelationalSchema,
                   reconstructed: RelationalSchema) -> list[tuple[Table, Table]]:
-    if not original.tables or not reconstructed.tables:
-        return []
-    weights = np.array([[_table_similarity(a, b) for b in reconstructed.tables]
-                        for a in original.tables])
-    rows, cols = linear_sum_assignment(weights, maximize=True)
+    weights = [[_table_similarity(a, b) for b in reconstructed.tables]
+               for a in original.tables]
     return [(original.tables[i], reconstructed.tables[j])
-            for i, j in zip(rows, cols) if weights[i, j] > 0.0]
+            for i, j in max_weight_assignment(weights) if weights[i][j] > 0.0]
 
 
 def _match_columns(a: Table, b: Table) -> list[tuple[str, str]]:

@@ -8,8 +8,7 @@ components with ``#``, references as stored identifiers, embedded objects
 by recursing over aggregate cursors. NULL values leave their property out
 of the document. Documents are buffered and appended in batches, one
 ``<collection>.jsonl`` per collection plus a ``manifest.json``; a failed
-collection's partial file is removed. In STREAM mode documents go to an
-in-process sink instead of files.
+collection's partial file is removed.
 
 Property resolution is compiled once per collection into a plan, so the
 per-record path does no trace lookups.
@@ -21,7 +20,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from unimig.document.model import (
     DocReference,
@@ -46,16 +44,10 @@ from unimig.trace import TraceStore, doc_path, id_segments
 @dataclass
 class MigrationConfig:
     batch_size: int = 1000
-    mode: str = "FILES"  # FILES | STREAM
-    null_policy: str = "OMIT"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise MigrationError("batch size must be >= 1")
-        if self.mode not in ("FILES", "STREAM"):
-            raise MigrationError(f"unknown mode {self.mode!r}")
-        if self.null_policy != "OMIT":
-            raise MigrationError("only the OMIT null policy is supported")
 
 
 @dataclass
@@ -265,25 +257,18 @@ def write_batch(target_dir: Path | str, collection: str, docs: list[dict],
 # --- the pipeline ----------------------------------------------------------------
 
 def migrate(target_schema: DocumentSchema, t1: TraceStore, t2: TraceStore,
-            source: SourceSession, target_dir: Path | str | None,
+            source: SourceSession, target_dir: Path | str,
             config: MigrationConfig | None = None,
-            sink: Callable[[str, dict], None] | None = None,
             trace_refs: dict[str, str] | None = None) -> MigrationReport:
-    """Migrate every collection of ``target_schema`` from ``source``.
+    """Migrate every collection of ``target_schema`` from ``source`` into
+    ``target_dir``.
 
     ``t1`` must be the trace the session was opened with. The session is
-    closed when migration finishes, successfully or not. In STREAM mode
-    ``sink(collection, document)`` receives every document and no files are
-    written.
+    closed when migration finishes, successfully or not.
     """
     config = config or MigrationConfig()
-    if config.mode == "STREAM" and sink is None:
-        raise MigrationError("STREAM mode needs a sink")
-    if config.mode == "FILES":
-        if target_dir is None:
-            raise MigrationError("FILES mode needs a target directory")
-        target_dir = Path(target_dir)
-        target_dir.mkdir(parents=True, exist_ok=True)
+    target_dir = Path(target_dir)
+    target_dir.mkdir(parents=True, exist_ok=True)
 
     report = MigrationReport()
     try:
@@ -293,49 +278,34 @@ def migrate(target_schema: DocumentSchema, t1: TraceStore, t2: TraceStore,
             started = time.monotonic()
             rows_before = source.records_read
             ue_name, steps = compile_plan(t2, te)
-            if config.mode == "FILES":
-                out_path = Path(target_dir) / f"{te.name}.jsonl"
-                out_path.unlink(missing_ok=True)
+            out_path = target_dir / f"{te.name}.jsonl"
+            out_path.unlink(missing_ok=True)
             cursor = read_entity_all(source, ue_name)
             buffer: list[dict] = []
             try:
-                if config.mode == "FILES":
-                    write_batch(target_dir, te.name, [], config)  # touch file
+                write_batch(target_dir, te.name, [], config)  # touch file
                 while cursor.has_data():
                     buffer.append(_execute(steps, cursor, te.name))
                     if len(buffer) >= config.batch_size:
-                        stats.docs_written += _flush(
-                            buffer, te.name, target_dir, config, sink)
+                        stats.docs_written += write_batch(
+                            target_dir, te.name, buffer, config)
+                        buffer.clear()
                     cursor.advance()
                 if buffer:
-                    stats.docs_written += _flush(
-                        buffer, te.name, target_dir, config, sink)
+                    stats.docs_written += write_batch(
+                        target_dir, te.name, buffer, config)
             except Exception as exc:
-                if config.mode == "FILES":
-                    (Path(target_dir) / f"{te.name}.jsonl").unlink(missing_ok=True)
+                out_path.unlink(missing_ok=True)
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
             finally:
                 cursor.close()
             stats.rows_read = source.records_read - rows_before
             stats.elapsed_ms = (time.monotonic() - started) * 1000.0
-        if config.mode == "FILES":
-            _write_manifest(Path(target_dir), report, config, trace_refs or {})
+        _write_manifest(target_dir, report, config, trace_refs or {})
         return report
     finally:
         source.close()
-
-
-def _flush(buffer: list[dict], collection: str, target_dir, config,
-           sink) -> int:
-    if config.mode == "FILES":
-        written = write_batch(target_dir, collection, buffer, config)
-    else:
-        for doc in buffer:
-            sink(collection, doc)
-        written = len(buffer)
-    buffer.clear()
-    return written
 
 
 def _write_manifest(target_dir: Path, report: MigrationReport,
@@ -343,8 +313,9 @@ def _write_manifest(target_dir: Path, report: MigrationReport,
     manifest = {
         "collections": {name: s.docs_written
                         for name, s in report.per_entity.items()},
-        "config": {"batchSize": config.batch_size, "mode": config.mode,
-                   "nullPolicy": config.null_policy},
+        # Files are the only target and NULLs are always omitted.
+        "config": {"batchSize": config.batch_size, "mode": "FILES",
+                   "nullPolicy": "OMIT"},
         "traces": trace_refs,
         "report": report.to_dict(),
     }

@@ -16,9 +16,10 @@ Iteration idiom::
         cursor_advance(cursor)
 
 Opening a source checks every file once: the header, the field count of
-each record, and that no record spans lines. Full-table cursors then
-stream straight off the file. Each related feature is resolved once per
-session to the file it reaches and the join columns of the lookup.
+each record, that no record spans lines, and that every line ends with a
+line feed. Full-table cursors then stream straight off the file. Each
+related feature is resolved once per session to the file it reaches and
+the join columns of the lookup.
 
 * Reference identifiers (``related_ids``) come from a covering index that
   maps typed join-key values to the identifiers of the matching rows, so
@@ -150,6 +151,13 @@ class _TableFile:
             # record-by-record pass runs only to name the culprit.
             if widths.keys() - {len(self.columns)} or reader.line_num != count + 1:
                 self._find_malformed_record()
+            # csv also ends lines at a bare carriage return, but rows are
+            # fetched by the byte offsets of line feeds.
+            seen = handle.newlines
+            if "\r" in (seen if isinstance(seen, tuple) else (seen,)):
+                raise SourceError(
+                    f"{self.path.name}: a line ends with a bare carriage "
+                    "return; lines must end with a line feed")
             return count
 
     def _find_malformed_record(self) -> None:
@@ -228,10 +236,6 @@ class _TableFile:
                 for line in handle:
                     out.append(pos)
                     pos += len(line)
-            if len(out) != self.row_count:
-                raise SourceError(
-                    f"{self.path.name}: {len(out)} lines for {self.row_count} "
-                    "records; lines must end with a line feed")
             self._offsets = out
         return self._offsets
 

@@ -7,20 +7,10 @@ strings widen to VARCHAR(255) and doubles to NUMERIC(38).
 
 from __future__ import annotations
 
-import enum
-
 from unimig.document.model import DocType
 from unimig.errors import TransformError
 from unimig.relational.model import SqlType
 from unimig.uschema.model import USDataType
-
-
-class TypeMapDirection(enum.Enum):
-    REL_TO_US = "REL_TO_US"
-    US_TO_DOC = "US_TO_DOC"
-    DOC_TO_US = "DOC_TO_US"
-    US_TO_REL = "US_TO_REL"
-
 
 _REL_TO_US = {
     "CHAR": "String", "VARCHAR": "String", "TEXT": "String",
@@ -67,19 +57,3 @@ def us_to_rel_type(dt: USDataType) -> SqlType:
     if dt.kind == "Decimal":
         return SqlType("NUMERIC", precision=dt.precision, scale=dt.scale)
     raise TransformError(f"no relational type for {dt.kind!r}")
-
-
-def type_map(direction: TypeMapDirection, dt):
-    """Map a datatype across a direction; total on each direction's domain."""
-    try:
-        if direction is TypeMapDirection.REL_TO_US:
-            return rel_to_us_type(dt)
-        if direction is TypeMapDirection.US_TO_DOC:
-            return us_to_doc_type(dt)
-        if direction is TypeMapDirection.DOC_TO_US:
-            return doc_to_us_type(dt)
-        if direction is TypeMapDirection.US_TO_REL:
-            return us_to_rel_type(dt)
-    except (KeyError, AttributeError) as exc:
-        raise TransformError(f"unknown datatype {dt!r} for {direction.value}") from exc
-    raise TransformError(f"unknown direction {direction!r}")

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from util import FIXTURES
 
+import unimig
 from unimig.cli import dispatch, load_model
 
 MUSIC_SQL = str(FIXTURES / "music_streaming" / "schema.sql")
@@ -132,3 +137,13 @@ def test_migrate_rejects_out_of_range_smallint(tmp_path, capsys, northwind_schem
     assert code == 1
     assert ("orders.csv (row 1), column 'order_id': 40000 is out of "
             "SMALLINT range") in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_numeric_packages():
+    src = str(Path(unimig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, unimig.cli; print(sorted({m.split('.')[0] for m in "
+             "sys.modules} & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

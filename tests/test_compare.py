@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import random
 
 import pytest
 
-from util import FIXTURES
+from util import FIXTURES, random_schema
 
-from unimig.compare import compare_schemas, diff_models, run_roundtrip
+from unimig import compare
+from unimig.compare import (
+    compare_schemas,
+    diff_models,
+    max_weight_assignment,
+    run_roundtrip,
+)
 from unimig.datagen import DATASET_DDL
 from unimig.document.schema_json import parse_docschema
 from unimig.relational.ddl import parse_ddl
@@ -58,6 +66,102 @@ def test_renamed_table_still_matches_structurally():
     report = compare_schemas(a, b)
     assert report["Entities"].f1 == 1.0
     assert report.table_pairs == [("playlist", "playlists")]
+
+
+def test_one_empty_side_matches_nothing(music_schema):
+    for a, b in [(music_schema, RelationalSchema("e")),
+                 (RelationalSchema("e"), music_schema)]:
+        report = compare_schemas(a, b)
+        entities = report["Entities"]
+        assert report.table_pairs == [] and entities.tp == 0
+        assert entities.fn + entities.fp == len(music_schema.tables)
+
+
+# --- table assignment -----------------------------------------------------------
+
+def _best_total(weights):
+    """Brute force: the largest total over every assignment of the smaller
+    side into the larger one."""
+    n = len(weights)
+    m = len(weights[0]) if weights else 0
+    if n <= m:
+        return max(sum(weights[i][j] for i, j in enumerate(cols))
+                   for cols in itertools.permutations(range(m), n))
+    return max(sum(weights[i][j] for j, i in enumerate(rows))
+               for rows in itertools.permutations(range(n), m))
+
+
+def _random_matrices(rng):
+    yield []
+    yield [[], [], []]
+    yield [[2.0]]
+    for _ in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.2:  # 1 x m or n x 1
+            n, m = (1, m) if rng.random() < 0.5 else (n, 1)
+        if rng.random() < 0.5:  # small integers: many ties
+            weights = [[float(rng.randint(0, 2)) for _ in range(m)]
+                       for _ in range(n)]
+        else:
+            weights = [[rng.randint(0, 12) / 6 for _ in range(m)]
+                       for _ in range(n)]
+        if n and m and rng.random() < 0.3:
+            weights[rng.randrange(n)] = [0.0] * m
+        if n and m and rng.random() < 0.3:
+            zero_col = rng.randrange(m)
+            for row in weights:
+                row[zero_col] = 0.0
+        yield weights
+
+
+def test_assignment_is_optimal_against_brute_force():
+    for weights in _random_matrices(random.Random(1955)):
+        pairs = max_weight_assignment(weights)
+        n = len(weights)
+        m = len(weights[0]) if weights else 0
+        assert len(pairs) == min(n, m)
+        assert pairs == sorted(pairs)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        assert all(0 <= i < n and 0 <= j < m for i, j in pairs)
+        total = sum(weights[i][j] for i, j in pairs)
+        assert total == pytest.approx(_best_total(weights), abs=1e-9)
+
+
+def test_zero_weight_pairs_are_dropped():
+    a = parse_ddl("CREATE TABLE t (x INT); CREATE TABLE u (y BOOLEAN);")
+    b = parse_ddl("CREATE TABLE t (x INT); CREATE TABLE v (z DATE);")
+    report = compare_schemas(a, b)
+    assert report.table_pairs == [("t", "t")]
+    assert (report["Entities"].fn, report["Entities"].fp) == (1, 1)
+
+
+def _scipy_assignment(weights):
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    if not weights or not weights[0]:
+        return []
+    rows, cols = linear_sum_assignment(np.array(weights), maximize=True)
+    return [(int(i), int(j)) for i, j in zip(rows, cols)]
+
+
+def test_assignment_matches_scipy(monkeypatch):
+    pytest.importorskip("scipy")
+    schemas = [parse_ddl((FIXTURES / f / "schema.sql").read_text())
+               for f in ("music_streaming", "northwind")]
+    rng = random.Random(20240601)  # the schemas of acceptance criterion 5
+    schemas.extend(random_schema(rng) for _ in range(50))
+    ours = [run_roundtrip(schema).report for schema in schemas]
+    monkeypatch.setattr(compare, "max_weight_assignment", _scipy_assignment)
+    theirs = [run_roundtrip(schema).report for schema in schemas]
+    for schema, a, b in zip(schemas, ours, theirs):
+        assert a.table_pairs == b.table_pairs, schema.name
+        assert a.to_dict() == b.to_dict(), schema.name
+    for weights in _random_matrices(random.Random(2016)):
+        expected = _scipy_assignment(weights)
+        got = max_weight_assignment(weights)
+        assert sum(weights[i][j] for i, j in got) == pytest.approx(
+            sum(weights[i][j] for i, j in expected), abs=1e-9)
 
 
 def test_roundtrip_music_entity_row(music_schema):

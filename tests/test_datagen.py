@@ -41,7 +41,8 @@ def test_generated_counts_match(s_dataset):
     assert manifest["counts"] == expected_counts("S")
     assert manifest["scale"] == "S" and manifest["seed"] == 42
     # file row counts agree with the manifest
-    rows = sum(1 for _ in open(s_dataset / "listening.csv")) - 1
+    with open(s_dataset / "listening.csv") as handle:
+        rows = sum(1 for _ in handle) - 1
     assert rows == 50_000
 
 

@@ -148,21 +148,8 @@ def test_manifest_written(mini, tmp_path):
     run_migration(mini, tmp_path / "out")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["collections"]["listening"] == 3
-    assert manifest["config"]["batchSize"] == 1000
-    assert manifest["config"]["nullPolicy"] == "OMIT"
-
-
-def test_stream_mode_delivers_same_documents(mini, tmp_path):
-    run_migration(mini, tmp_path / "files")
-    collected: dict[str, list[dict]] = {}
-    session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
-    migrate(mini["step2"].target, mini["step1"].trace, mini["step2"].trace,
-            session, None, MigrationConfig(mode="STREAM"),
-            sink=lambda name, doc: collected.setdefault(name, []).append(doc))
-    for name in collected:
-        from_files = read_jsonl(tmp_path / "files" / f"{name}.jsonl")
-        assert collected[name] == from_files
-    assert not (tmp_path / "files" / "app_user.jsonl.tmp").exists()
+    assert manifest["config"] == {"batchSize": 1000, "mode": "FILES",
+                                  "nullPolicy": "OMIT"}
 
 
 def test_write_batch_contract(tmp_path):
@@ -202,10 +189,6 @@ def test_partial_output_removed_on_failure(mini, tmp_path):
 def test_invalid_config_rejected():
     with pytest.raises(MigrationError):
         MigrationConfig(batch_size=0)
-    with pytest.raises(MigrationError):
-        MigrationConfig(mode="TELEPATHY")
-    with pytest.raises(MigrationError):
-        MigrationConfig(null_policy="KEEP")
 
 
 def test_family_memory_stays_bounded(mini, tmp_path):

@@ -3,12 +3,15 @@ from __future__ import annotations
 import pytest
 
 from unimig.document.model import DocType
-from unimig.errors import TransformError
+from unimig.errors import ModelError
 from unimig.relational.model import SqlType
-from unimig.transforms.typemap import TypeMapDirection, type_map
+from unimig.transforms.typemap import (
+    doc_to_us_type,
+    rel_to_us_type,
+    us_to_doc_type,
+    us_to_rel_type,
+)
 from unimig.uschema.model import USDataType
-
-D = TypeMapDirection
 
 
 @pytest.mark.parametrize("sql,expected", [
@@ -25,13 +28,13 @@ D = TypeMapDirection
     (SqlType("REAL"), "Double"),
 ])
 def test_relational_to_pivot(sql, expected):
-    assert type_map(D.REL_TO_US, sql) == USDataType(expected)
+    assert rel_to_us_type(sql) == USDataType(expected)
 
 
 def test_relational_decimal_keeps_parameters():
-    assert type_map(D.REL_TO_US, SqlType("DECIMAL", precision=4, scale=2)) == \
+    assert rel_to_us_type(SqlType("DECIMAL", precision=4, scale=2)) == \
         USDataType("Decimal", 4, 2)
-    assert type_map(D.REL_TO_US, SqlType("NUMERIC", precision=10, scale=0)) == \
+    assert rel_to_us_type(SqlType("NUMERIC", precision=10, scale=0)) == \
         USDataType("Decimal", 10, 0)
 
 
@@ -44,7 +47,7 @@ def test_relational_decimal_keeps_parameters():
     (USDataType("Date"), "STRING"),
 ])
 def test_pivot_to_document(us, expected):
-    assert type_map(D.US_TO_DOC, us) == DocType(expected)
+    assert us_to_doc_type(us) == DocType(expected)
 
 
 @pytest.mark.parametrize("doc,expected", [
@@ -54,7 +57,7 @@ def test_pivot_to_document(us, expected):
     (DocType("DOUBLE"), "Double"),
 ])
 def test_document_to_pivot(doc, expected):
-    assert type_map(D.DOC_TO_US, doc) == USDataType(expected)
+    assert doc_to_us_type(doc) == USDataType(expected)
 
 
 @pytest.mark.parametrize("us,expected", [
@@ -66,9 +69,12 @@ def test_document_to_pivot(doc, expected):
     (USDataType("Date"), "VARCHAR(255)"),
 ])
 def test_pivot_to_relational(us, expected):
-    assert str(type_map(D.US_TO_REL, us)) == expected
+    assert str(us_to_rel_type(us)) == expected
 
 
 def test_unknown_datatype_rejected():
-    with pytest.raises(TransformError, match="unknown datatype"):
-        type_map(D.US_TO_DOC, object())
+    # unknown kinds never reach the mappings: the type constructors refuse them
+    with pytest.raises(ModelError, match="unknown data type kind"):
+        USDataType("Blob")
+    with pytest.raises(ModelError, match="unknown document primitive"):
+        DocType("BLOB")
