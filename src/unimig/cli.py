@@ -20,7 +20,7 @@ from unimig.document.model import DocumentSchema
 from unimig.document.schema_json import parse_docschema, print_docschema
 from unimig.errors import MigrationError
 from unimig.evolution import apply_changes, parse_orion
-from unimig.migrator import MigrationConfig, migrate
+from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
 from unimig.source import open_source
@@ -154,9 +154,7 @@ def _cmd_migrate(args) -> int:
     step2 = uschema_to_document(step1.target)
     out_dir = Path(args.out)
     session = open_source(source_dir, schema, step1.trace)
-    config = MigrationConfig(batch_size=args.batch)
-    report = migrate(step2.target, step1.trace, step2.trace, session, out_dir,
-                     config,
+    report = migrate(step2.target, step2.trace, session, out_dir,
                      trace_refs={"t1": "t1.trace.json", "t2": "t2.trace.json"})
     _write_atomic(out_dir / "t1.trace.json", save_trace(step1.trace))
     _write_atomic(out_dir / "t2.trace.json", save_trace(step2.trace))
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="migrate a dataset directory to JSON lines")
     p.add_argument("--source", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="target directory")
-    p.add_argument("--batch", type=int, default=1000)
     p.add_argument("--source-url", help="reserved; live sources are not supported")
     p.add_argument("--target-url", help="reserved; live targets are not supported")
     p.set_defaults(run=_cmd_migrate)

@@ -6,9 +6,9 @@ and every record is transformed into a document value tree: fields from
 attribute values, keys verbatim or derived by joining the source key
 components with ``#``, references as stored identifiers, embedded objects
 by recursing over aggregate cursors. NULL values leave their property out
-of the document. Documents are buffered and appended in batches, one
-``<collection>.jsonl`` per collection plus a ``manifest.json``; a failed
-collection's partial file is removed.
+of the document. Each document is written as soon as it is built, through
+one open ``<collection>.jsonl`` per collection, plus a ``manifest.json``; a
+failed collection's partial file is removed.
 
 Property resolution is compiled once per collection into a plan, so the
 per-record path does no trace lookups.
@@ -20,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from unimig.document.model import (
     DocReference,
@@ -39,15 +40,6 @@ from unimig.source import (
     record_id,
 )
 from unimig.trace import TraceStore, doc_path, id_segments
-
-
-@dataclass
-class MigrationConfig:
-    batch_size: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise MigrationError("batch size must be >= 1")
 
 
 @dataclass
@@ -238,35 +230,27 @@ def _execute(steps: list[_Step], cursor: SourceCursor, collection: str) -> dict:
 
 # --- writing --------------------------------------------------------------------
 
-def write_batch(target_dir: Path | str, collection: str, docs: list[dict],
-                config: MigrationConfig) -> int:
-    """Append up to one batch of documents to ``<collection>.jsonl``."""
-    if len(docs) > config.batch_size:
-        raise MigrationError(
-            f"batch of {len(docs)} exceeds configured size {config.batch_size}")
-    path = Path(target_dir) / f"{collection}.jsonl"
-    with open(path, "a", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(json.dumps(doc, ensure_ascii=False,
-                                    separators=(",", ":")))
-            handle.write("\n")
-        handle.flush()
+def write_batch(handle: TextIO, docs: list[dict]) -> int:
+    """Write documents to an open text handle, one compact JSON line each;
+    returns how many were written."""
+    for doc in docs:
+        handle.write(json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
+        handle.write("\n")
     return len(docs)
 
 
 # --- the pipeline ----------------------------------------------------------------
 
-def migrate(target_schema: DocumentSchema, t1: TraceStore, t2: TraceStore,
+def migrate(target_schema: DocumentSchema, t2: TraceStore,
             source: SourceSession, target_dir: Path | str,
-            config: MigrationConfig | None = None,
             trace_refs: dict[str, str] | None = None) -> MigrationReport:
     """Migrate every collection of ``target_schema`` from ``source`` into
     ``target_dir``.
 
-    ``t1`` must be the trace the session was opened with. The session is
-    closed when migration finishes, successfully or not.
+    The session carries the forward trace it was opened with; ``t2`` is the
+    trace from the pivot model to ``target_schema``. The session is closed
+    when migration finishes, successfully or not.
     """
-    config = config or MigrationConfig()
     target_dir = Path(target_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
 
@@ -279,21 +263,13 @@ def migrate(target_schema: DocumentSchema, t1: TraceStore, t2: TraceStore,
             rows_before = source.records_read
             ue_name, steps = compile_plan(t2, te)
             out_path = target_dir / f"{te.name}.jsonl"
-            out_path.unlink(missing_ok=True)
             cursor = read_entity_all(source, ue_name)
-            buffer: list[dict] = []
             try:
-                write_batch(target_dir, te.name, [], config)  # touch file
-                while cursor.has_data():
-                    buffer.append(_execute(steps, cursor, te.name))
-                    if len(buffer) >= config.batch_size:
+                with open(out_path, "w", encoding="utf-8") as out:
+                    while cursor.has_data():
                         stats.docs_written += write_batch(
-                            target_dir, te.name, buffer, config)
-                        buffer.clear()
-                    cursor.advance()
-                if buffer:
-                    stats.docs_written += write_batch(
-                        target_dir, te.name, buffer, config)
+                            out, [_execute(steps, cursor, te.name)])
+                        cursor.advance()
             except Exception as exc:
                 out_path.unlink(missing_ok=True)
                 raise MigrationError(
@@ -302,20 +278,19 @@ def migrate(target_schema: DocumentSchema, t1: TraceStore, t2: TraceStore,
                 cursor.close()
             stats.rows_read = source.records_read - rows_before
             stats.elapsed_ms = (time.monotonic() - started) * 1000.0
-        _write_manifest(target_dir, report, config, trace_refs or {})
+        _write_manifest(target_dir, report, trace_refs or {})
         return report
     finally:
         source.close()
 
 
 def _write_manifest(target_dir: Path, report: MigrationReport,
-                    config: MigrationConfig, trace_refs: dict[str, str]) -> None:
+                    trace_refs: dict[str, str]) -> None:
     manifest = {
         "collections": {name: s.docs_written
                         for name, s in report.per_entity.items()},
         # Files are the only target and NULLs are always omitted.
-        "config": {"batchSize": config.batch_size, "mode": "FILES",
-                   "nullPolicy": "OMIT"},
+        "config": {"mode": "FILES", "nullPolicy": "OMIT"},
         "traces": trace_refs,
         "report": report.to_dict(),
     }

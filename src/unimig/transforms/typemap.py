@@ -2,7 +2,7 @@
 
 The document model only knows four scalar kinds, so both date-like and
 decimal relational types lose precision on the way in; going back out,
-strings widen to VARCHAR(255) and doubles to NUMERIC(38).
+strings widen to VARCHAR(255) and doubles stay DOUBLE.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def us_to_rel_type(dt: USDataType) -> SqlType:
     if dt.kind == "Boolean":
         return SqlType("BOOLEAN")
     if dt.kind == "Double":
-        return SqlType("NUMERIC", precision=38, scale=0)
+        return SqlType("DOUBLE")
     if dt.kind == "Decimal":
         return SqlType("NUMERIC", precision=dt.precision, scale=dt.scale)
     raise TransformError(f"no relational type for {dt.kind!r}")

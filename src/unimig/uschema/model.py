@@ -202,11 +202,6 @@ class USchemaModel:
         )
 
 
-def bound_str(lower: int, upper: int) -> str:
-    hi = "*" if upper == UNBOUNDED else str(upper)
-    return f"{lower}..{hi}"
-
-
 # --- JSON form -------------------------------------------------------------
 #
 # Plain dict round-trip used by the CLI to persist pivot models between

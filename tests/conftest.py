@@ -49,7 +49,7 @@ def s_dataset(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def s_migration(s_dataset, tmp_path_factory):
     """S-scale migration output, shared by conservation and oracle tests."""
-    from unimig.migrator import MigrationConfig, migrate
+    from unimig.migrator import migrate
     from unimig.source import open_source
 
     schema = parse_ddl((s_dataset / "schema.sql").read_text())
@@ -57,7 +57,6 @@ def s_migration(s_dataset, tmp_path_factory):
     step2 = uschema_to_document(step1.target)
     out = tmp_path_factory.mktemp("migrated") / "s"
     session = open_source(s_dataset, schema, step1.trace)
-    report = migrate(step2.target, step1.trace, step2.trace, session, out,
-                     MigrationConfig(batch_size=1000))
+    report = migrate(step2.target, step2.trace, session, out)
     return {"out": out, "report": report, "schema": schema,
             "step1": step1, "step2": step2, "peak": session.peak_live_records}

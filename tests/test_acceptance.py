@@ -23,7 +23,7 @@ from unimig.datagen import ScaleSpec, generate_dataset
 from unimig.document.schema_json import parse_docschema, print_docschema
 from unimig.errors import EvolutionError
 from unimig.evolution import DeleteFeature, apply_changes, parse_orion
-from unimig.migrator import MigrationConfig, migrate
+from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import fk_in_pk, is_mn, is_weak
 from unimig.source import open_source
@@ -153,8 +153,7 @@ def test_criterion_3_conservation_and_throughput(s_dataset, s_migration,
     step1 = rel_to_uschema(schema)
     step2 = uschema_to_document(step1.target)
     session = open_source(m_dir / "data", schema, step1.trace)
-    m_report = migrate(step2.target, step1.trace, step2.trace, session,
-                       m_dir / "out", MigrationConfig(batch_size=1000))
+    m_report = migrate(step2.target, step2.trace, session, m_dir / "out")
     tp_s = report.throughput_rows_per_s
     tp_m = m_report.throughput_rows_per_s
     throughput_ok = 0.5 * tp_s <= tp_m <= 1.5 * tp_s

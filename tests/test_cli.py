@@ -80,8 +80,7 @@ def test_roundtrip_markdown_report(tmp_path):
 def test_migrate_mini_dataset(tmp_path, capsys):
     source = str(FIXTURES / "music_streaming" / "mini_data")
     out = tmp_path / "migrated"
-    assert dispatch(["migrate", "--source", source, "--out", str(out),
-                     "--batch", "2"]) == 0
+    assert dispatch(["migrate", "--source", source, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["collections"] == {
         "app_user": 2, "song": 3, "musical_style": 2,

@@ -2,21 +2,17 @@ from __future__ import annotations
 
 import builtins
 import csv
+import io
 import json
 import shutil
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import unimig.migrator
 import unimig.source
 from unimig.errors import MigrationError
-from unimig.migrator import (
-    MigrationConfig,
-    migrate,
-    transform_instance,
-    write_batch,
-)
+from unimig.migrator import migrate, transform_instance, write_batch
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source, read_entity_all
 from unimig.transforms import rel_to_uschema, uschema_to_document
@@ -31,11 +27,9 @@ def mini(mini_root):
             "step1": step1, "step2": step2}
 
 
-def run_migration(mini, out: Path, batch_size: int = 1000):
+def run_migration(mini, out: Path):
     session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
-    report = migrate(mini["step2"].target, mini["step1"].trace,
-                     mini["step2"].trace, session, out,
-                     MigrationConfig(batch_size=batch_size))
+    report = migrate(mini["step2"].target, mini["step2"].trace, session, out)
     return report, session
 
 
@@ -116,15 +110,6 @@ def test_keys_present_and_unique(mini, tmp_path):
         assert len(set(keys)) == len(keys)
 
 
-def test_batch_size_does_not_change_content(mini, tmp_path):
-    run_migration(mini, tmp_path / "one", batch_size=1)
-    run_migration(mini, tmp_path / "big", batch_size=1000)
-    for name in ("app_user", "listening", "song", "song_style"):
-        one = read_jsonl(tmp_path / "one" / f"{name}.jsonl")
-        big = read_jsonl(tmp_path / "big" / f"{name}.jsonl")
-        assert Counter(map(json.dumps, one)) == Counter(map(json.dumps, big))
-
-
 def test_report_totals_are_sums(mini, tmp_path):
     report, _ = run_migration(mini, tmp_path / "out")
     assert report.total_docs == sum(
@@ -148,25 +133,36 @@ def test_manifest_written(mini, tmp_path):
     run_migration(mini, tmp_path / "out")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["collections"]["listening"] == 3
-    assert manifest["config"] == {"batchSize": 1000, "mode": "FILES",
-                                  "nullPolicy": "OMIT"}
+    assert manifest["config"] == {"mode": "FILES", "nullPolicy": "OMIT"}
 
 
-def test_write_batch_contract(tmp_path):
-    config = MigrationConfig(batch_size=1000)
-    assert write_batch(tmp_path, "c", [], config) == 0
-    assert (tmp_path / "c.jsonl").read_text() == ""
-    assert write_batch(tmp_path, "c", [{"a": 1}] * 1000, config) == 1000
-    assert write_batch(tmp_path, "c", [{"a": 2}] * 500, config) == 500
-    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1500
-    with pytest.raises(MigrationError, match="exceeds"):
-        write_batch(tmp_path, "c", [{}] * 1001, config)
+def test_write_batch_contract():
+    handle = io.StringIO()
+    assert write_batch(handle, []) == 0
+    assert handle.getvalue() == ""
+    docs = [{"a": 1, "b": [1, 2]}, {"name": "Zoë", "tag": "ñ"}, {}]
+    assert write_batch(handle, docs) == 3
+    assert handle.getvalue() == (
+        '{"a":1,"b":[1,2]}\n{"name":"Zoë","tag":"ñ"}\n{}\n')
 
 
-def test_batching_arithmetic(mini, tmp_path):
-    # 3 listening rows with batch 2 -> two appends (2 + 1)
-    report, _ = run_migration(mini, tmp_path / "out", batch_size=2)
-    assert report.per_entity["listening"].docs_written == 3
+def test_empty_tables_give_empty_collections(mini, tmp_path):
+    root = tmp_path / "empty"
+    root.mkdir()
+    shutil.copy(mini["root"] / "schema.sql", root)
+    for path in mini["root"].glob("*.csv"):
+        header = path.read_text().splitlines()[0]
+        (root / path.name).write_text(header + "\n")
+    session = open_source(root, mini["schema"], mini["step1"].trace)
+    out = tmp_path / "out"
+    report = migrate(mini["step2"].target, mini["step2"].trace, session, out)
+    names = [te.name for te in mini["step2"].target.documents]
+    for name in names:
+        assert (out / f"{name}.jsonl").read_bytes() == b""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["collections"] == dict.fromkeys(names, 0)
+    assert manifest["report"]["totals"]["docs"] == report.total_docs == 0
+    assert manifest["report"]["totals"]["rows"] == 0
 
 
 def test_partial_output_removed_on_failure(mini, tmp_path):
@@ -179,16 +175,10 @@ def test_partial_output_removed_on_failure(mini, tmp_path):
     session = open_source(broken_root, mini["schema"], mini["step1"].trace)
     out = tmp_path / "out"
     with pytest.raises(MigrationError, match="listening"):
-        migrate(mini["step2"].target, mini["step1"].trace, mini["step2"].trace,
-                session, out, MigrationConfig())
+        migrate(mini["step2"].target, mini["step2"].trace, session, out)
     assert not (out / "listening.jsonl").exists()
     assert (out / "app_user.jsonl").exists()  # earlier collection completed
     assert session.open is False  # closed even on error
-
-
-def test_invalid_config_rejected():
-    with pytest.raises(MigrationError):
-        MigrationConfig(batch_size=0)
 
 
 def test_family_memory_stays_bounded(mini, tmp_path):
@@ -213,7 +203,7 @@ def migrate_tiny(tmp_path, ddl: str, files: dict[str, str]) -> dict:
     for name, text in files.items():
         (root / f"{name}.csv").write_text(text)
     session = open_source(root, schema, step1.trace)
-    migrate(step2.target, step1.trace, step2.trace, session, tmp_path / "out")
+    migrate(step2.target, step2.trace, session, tmp_path / "out")
     return {te.name: read_jsonl(tmp_path / "out" / f"{te.name}.jsonl")
             for te in step2.target.documents}
 
@@ -260,13 +250,15 @@ def test_table_handles_closed_after_migrate(mini, tmp_path, monkeypatch, fails):
         return handle
 
     monkeypatch.setattr(unimig.source, "open", spy, raising=False)
+    monkeypatch.setattr(unimig.migrator, "open", spy, raising=False)
     session = open_source(root, mini["schema"], mini["step1"].trace)
     try:
-        migrate(mini["step2"].target, mini["step1"].trace, mini["step2"].trace,
-                session, tmp_path / "out")
+        migrate(mini["step2"].target, mini["step2"].trace, session,
+                tmp_path / "out")
     except MigrationError:
         assert fails
     else:
         assert not fails
     assert any(h.mode == "rb" for h in opened)  # a fetch handle was used
+    assert any(h.mode == "w" for h in opened)  # an output handle was used
     assert all(h.closed for h in opened)

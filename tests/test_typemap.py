@@ -64,7 +64,7 @@ def test_document_to_pivot(doc, expected):
     (USDataType("String"), "VARCHAR(255)"),
     (USDataType("Integer"), "INT"),
     (USDataType("Boolean"), "BOOLEAN"),
-    (USDataType("Double"), "NUMERIC(38,0)"),
+    (USDataType("Double"), "DOUBLE"),
     (USDataType("Decimal", 4, 2), "NUMERIC(4,2)"),
     (USDataType("Date"), "VARCHAR(255)"),
 ])
