@@ -1,17 +1,18 @@
 """Trace-driven instance migration into JSON-lines collections.
 
-For each collection of the target schema, the pivot-side origin is looked
-up backward through the second trace, a cursor is opened over the source,
-and every record is transformed into a document value tree: fields from
-attribute values, keys verbatim or derived by joining the source key
-components with ``#``, references as stored identifiers, embedded objects
-by recursing over aggregate cursors. NULL values leave their property out
-of the document. Each document is written as soon as it is built, through
-one open ``<collection>.jsonl`` per collection, plus a ``manifest.json``; a
-failed collection's partial file is removed.
-
-Property resolution is compiled once per collection into a plan, so the
-per-record path does no trace lookups.
+``compile_plan`` resolves the pivot-side origin of a collection and of each
+of its properties backward through the second trace. ``migrate`` compiles
+that plan once per collection, against the source session, into a function
+over typed CSV rows that reads columns by position: fields are attribute
+values, keys are verbatim or derived by joining the source key components
+with ``#``, references are identifiers from a covering index, and embedded
+objects are child rows read through the run index of the child file, built
+recursively. A NULL value leaves its property out of the document and is
+counted (``nullsOmitted``), as is a forward reference whose target row is
+missing (``danglingRefs``); a NULL key fails. Each document is written as
+soon as it is built, through one open ``<collection>.jsonl`` per
+collection, plus a ``manifest.json``; a failed collection's partial file
+is removed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
+from operator import itemgetter
+from typing import Callable, TextIO
 
 from unimig.document.model import (
     DocReference,
@@ -30,14 +32,15 @@ from unimig.document.model import (
     Field,
     Property,
 )
-from unimig.errors import MigrationError
+from unimig.errors import MigrationError, SourceError
+from unimig.relational.model import Table
 from unimig.source import (
     KEY_SEPARATOR,
-    SourceCursor,
     SourceSession,
+    _Link,
+    _TableFile,
     fmt_id,
-    read_entity_all,
-    record_id,
+    read_entity_all,  # noqa: F401  (the cursor entry point, re-exported)
 )
 from unimig.trace import TraceStore, doc_path, id_segments
 
@@ -47,6 +50,8 @@ class EntityStats:
     rows_read: int = 0
     docs_written: int = 0
     elapsed_ms: float = 0.0
+    nulls_omitted: int = 0  # properties left out because their value is NULL
+    dangling_refs: int = 0  # forward references whose target row is missing
 
 
 @dataclass
@@ -74,7 +79,9 @@ class MigrationReport:
         return {
             "perEntity": {
                 name: {"rowsRead": s.rows_read, "docsWritten": s.docs_written,
-                       "elapsedMs": round(s.elapsed_ms, 3)}
+                       "elapsedMs": round(s.elapsed_ms, 3),
+                       "nullsOmitted": s.nulls_omitted,
+                       "danglingRefs": s.dangling_refs}
                 for name, s in self.per_entity.items()
             },
             "totals": {"rows": self.total_rows, "docs": self.total_docs,
@@ -94,10 +101,6 @@ class _Step:
     primitive: str = "STRING"
     many: bool = False
     sub: list["_Step"] = field(default_factory=list)
-
-
-def _derived_key(cursor: SourceCursor) -> str:
-    return KEY_SEPARATOR.join(fmt_id(v) for v in cursor.id_values())
 
 
 def compile_plan(t2: TraceStore, te: DocumentType) -> tuple[str, list[_Step]]:
@@ -171,61 +174,142 @@ def _compile_property(t2: TraceStore, prop: Property, prop_path: str,
                  many=prop.is_many, sub=sub)
 
 
-def transform_instance(t2: TraceStore, cursor: SourceCursor,
-                       te: DocumentType) -> dict:
-    """One source record into a document value tree for collection ``te``."""
-    _, steps = compile_plan(t2, te)
-    return _execute(steps, cursor, te.name)
+# --- the executor ----------------------------------------------------------------
+
+# A part adds one property to ``doc`` from a typed row; a build function
+# turns a typed row, numbered ``n`` in its file, into a document.
+_Part = Callable[[list, dict], None]
+_Build = Callable[[list, int], dict]
 
 
-def _execute(steps: list[_Step], cursor: SourceCursor, collection: str) -> dict:
-    doc: dict[str, object] = {}
+class _NullKey(MigrationError):
+    """A key property is NULL; the build function adds the file and row."""
+
+
+def _id_of(file: _TableFile, columns: list[str],
+           text: bool = False) -> Callable[[list], object]:
+    """Function from a typed row to the identifier its values in
+    ``columns`` form, as ``record_id`` does or, with ``text``, always as
+    ``#``-joined text; None when one of the values is NULL."""
+    if len(columns) == 1 and not text:
+        return itemgetter(file.columns.index(columns[0]))
+    get = file.getter(columns)
+    strings = all(file.converters[file.columns.index(c)] is str for c in columns)
+    join = KEY_SEPARATOR.join if strings else (
+        lambda values: KEY_SEPARATOR.join(map(fmt_id, values)))
+    return lambda row: None if None in (v := get(row)) else join(v)
+
+
+def _compile_rows(session: SourceSession, type_name: str, table: Table,
+                  steps: list[_Step], stats: EntityStats, path: str) -> _Build:
+    """Compile ``steps`` into a function over typed rows of ``table``, which
+    stores ``type_name``, for the documents at ``path``: column positions,
+    trace resolution and the indexes to probe are fixed here, once per
+    collection."""
+    file = session.file_for(table.name)
+    parts: list[_Part] = []
     for step in steps:
-        kind = step.kind
-        if kind == "attr":
-            value = cursor.attr_value(step.us_feature)
-            if value is None:
-                continue
-            if step.primitive == "DOUBLE" and not isinstance(value, float):
-                value = float(value)
-            doc[step.name] = value
-        elif kind == "key_attr":
-            value = cursor.attr_value(step.us_feature)
-            if value is None:
-                raise MigrationError(
-                    f"NULL key value for {collection}.{step.name}")
-            doc[step.name] = value
+        name, kind = step.name, step.kind
+        null_key = f"NULL key value for {path}.{name}"
+        if kind in ("attr", "key_attr"):
+            column = session.column_of(type_name, table, step.us_feature)
+            p = file.columns.index(column)
+            to_float = (step.primitive == "DOUBLE"
+                        and file.converters[p] is not float)
+            parts.append(_value_part(
+                name, itemgetter(p), stats, to_float,
+                f"column {column!r}: {null_key}" if kind == "key_attr" else None))
         elif kind == "key_derived":
-            doc[step.name] = _derived_key(cursor)
+            pk = table.primary_key()
+            if pk is None:
+                raise SourceError(f"table {table.name!r} has no primary key")
+            parts.append(_value_part(name, _id_of(file, pk.columns, text=True),
+                                     stats, null_key=f"columns {pk.columns}: "
+                                                     f"{null_key}"))
         elif kind == "side_ref":
-            # The associative row itself stores this side's identifier.
-            columns = cursor.session.side_columns(step.us_owner, step.us_feature)
-            values = tuple(cursor.raw_value(c) for c in columns)
-            if None in values:
-                continue
-            doc[step.name] = record_id(values)
-        elif kind == "ref_forward":
-            ids = cursor.related_ids(step.us_feature)
-            if ids:
-                doc[step.name] = ids[0]
-        elif kind == "ref_reverse":
-            doc[step.name] = cursor.related_ids(step.us_feature)
-        elif kind == "embedded":
-            children = cursor.related_by_name(step.us_feature)
-            try:
-                if step.many:
-                    items = []
-                    while children.has_data():
-                        items.append(_execute(step.sub, children, collection))
-                        children.advance()
-                    doc[step.name] = items
-                elif children.has_data():
-                    doc[step.name] = _execute(step.sub, children, collection)
-            finally:
-                children.close()
+            # the associative row itself stores this side's identifier
+            columns = session.side_columns(step.us_owner, step.us_feature)
+            parts.append(_value_part(name, _id_of(file, columns), stats))
+        elif kind in ("ref_forward", "ref_reverse"):
+            link = session.link(type_name, table, step.us_feature)
+            parts.append(_ref_part(name, kind == "ref_forward",
+                                   link.file.ids_on(link.index),
+                                   file.getter(link.probe), stats))
+        else:  # embedded
+            link = session.link(type_name, table, step.us_feature)
+            build = _compile_rows(session, link.type_name, link.file.table,
+                                  step.sub, stats, f"{path}.{name}")
+            parts.append(_embedded_part(name, step.many, link, session,
+                                        file.getter(link.probe), build))
+
+    def build(row: list, n: int) -> dict:
+        doc: dict[str, object] = {}
+        try:
+            for part in parts:
+                part(row, doc)
+        except _NullKey as exc:
+            raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
+        return doc
+
+    return build
+
+
+def _value_part(name: str, value_of: Callable[[list], object],
+                stats: EntityStats, to_float: bool = False,
+                null_key: str | None = None) -> _Part:
+    """A NULL value leaves the property out, or with ``null_key`` (a key
+    property) fails."""
+    def value(row: list, doc: dict) -> None:
+        v = value_of(row)
+        if v is not None:
+            doc[name] = float(v) if to_float else v
+        elif null_key is None:
+            stats.nulls_omitted += 1
         else:
-            raise MigrationError(f"unknown plan step {kind!r}")
-    return doc
+            raise _NullKey(null_key)
+
+    return value
+
+
+def _ref_part(name: str, forward: bool, index: dict[tuple, list],
+              probe_of: Callable[[list], tuple], stats: EntityStats) -> _Part:
+    """Identifiers from a covering index: the first for a forward
+    reference (left out when NULL or dangling), all for a reverse one."""
+    def ref(row: list, doc: dict) -> None:
+        probe = probe_of(row)
+        ids = None if None in probe else index.get(probe)  # NULL joins nothing
+        if not forward:
+            doc[name] = list(ids) if ids else []
+        elif ids:
+            doc[name] = ids[0]
+        elif None in probe:
+            stats.nulls_omitted += 1
+        else:
+            stats.dangling_refs += 1
+
+    return ref
+
+
+def _embedded_part(name: str, many: bool, link: _Link, session: SourceSession,
+                   probe_of: Callable[[list], tuple], build: _Build) -> _Part:
+    """Child rows read through the run index of the child file, in key
+    order; the session counts them as live while they are built."""
+    child, runs = link.file, link.file.runs_on(link.index)
+    order_of = child.getter(link.order) if link.order else None
+
+    def embedded(row: list, doc: dict) -> None:
+        probe = probe_of(row)
+        group = [] if None in probe else child.read(runs.get(probe, ()))
+        if order_of is not None:
+            group.sort(key=lambda item: order_of(item[1]))
+        session._records_born(len(group))
+        if many:
+            doc[name] = [build(r, m) for m, r in group]
+        elif group:
+            doc[name] = build(group[0][1], group[0][0])
+        session._records_released(len(group))
+
+    return embedded
 
 
 # --- writing --------------------------------------------------------------------
@@ -263,19 +347,19 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             rows_before = source.records_read
             ue_name, steps = compile_plan(t2, te)
             out_path = target_dir / f"{te.name}.jsonl"
-            cursor = read_entity_all(source, ue_name)
             try:
+                table = source.table_for(ue_name)
+                build = _compile_rows(source, ue_name, table, steps, stats,
+                                      te.name)
                 with open(out_path, "w", encoding="utf-8") as out:
-                    while cursor.has_data():
-                        stats.docs_written += write_batch(
-                            out, [_execute(steps, cursor, te.name)])
-                        cursor.advance()
+                    for n, row in source.file_for(table.name).typed_rows():
+                        source._records_born(1)
+                        stats.docs_written += write_batch(out, [build(row, n)])
+                        source._records_released(1)
             except Exception as exc:
                 out_path.unlink(missing_ok=True)
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
-            finally:
-                cursor.close()
             stats.rows_read = source.records_read - rows_before
             stats.elapsed_ms = (time.monotonic() - started) * 1000.0
         _write_manifest(target_dir, report, trace_refs or {})

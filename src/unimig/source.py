@@ -2,36 +2,35 @@
 
 A source dataset is a directory holding ``schema.sql`` plus one
 ``<table>.csv`` per table (UTF-8, header row naming the columns in table
-order, empty field = NULL; fields must not contain line breaks). Cursors
-expose pivot-model features — attributes, keys, references, aggregates —
-and resolve them against concrete tables and foreign keys through the
-trace recorded by the forward transformation, so callers never mention
-tables or joins.
+order, empty field = NULL; fields must not contain line breaks). Opening a
+source checks every file once: the header, the field count of each record,
+that no record spans lines, and that every line ends with a line feed.
 
-Iteration idiom::
+Rows come from ``csv.reader`` and are typed by column position
+(``_TableFile.typed``): every non-string cell is converted, integers are
+range-checked against their declared SQL type, and a value that does not
+convert names its file, row and column. Joins probe two indexes by typed
+key, each built in one streaming pass on first use:
+
+* the run index (``runs_on``) maps a key to the runs of consecutive rows
+  holding it, as (byte offset, first row, row count). A group of rows is
+  read with one seek per run through one open handle per table, which the
+  session closes. A file clustered by the key has one run per key.
+* the covering id index (``ids_on``) maps a key to the identifiers of the
+  matching rows, so a reference reads no row of the table it points at.
+
+The migrator compiles its executor over these. Cursors serve the same rows
+as pivot-model features (attributes, keys, references, aggregates),
+resolved against tables and foreign keys through the forward trace, so
+callers never mention tables or joins::
 
     cursor = read_entity_all(session, entity)
     while cursor.has_data():
         ... cursor_value(cursor, attr) ...
         cursor_advance(cursor)
 
-Opening a source checks every file once: the header, the field count of
-each record, that no record spans lines, and that every line ends with a
-line feed. Full-table cursors then stream straight off the file. Each
-related feature is resolved once per session to the file it reaches and
-the join columns of the lookup.
-
-* Reference identifiers (``related_ids``) come from a covering index that
-  maps typed join-key values to the identifiers of the matching rows, so
-  a reference reads no row of the table it points at.
-* Related records (``related``) go through a hash index from join-key
-  values to row numbers; the rows are read by byte offset through one
-  open handle per table, which the session closes. Only one parent record
-  and one child batch are materialized at a time; the session counts live
-  records (``peak_live_records``) to make that property testable.
-
-Integers are range-checked against their declared SQL type as rows are
-read; a value that does not convert names its file, row and column.
+The session counts the records read and the most held at once
+(``peak_live_records``).
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -114,8 +115,7 @@ def _converter(datatype: SqlType) -> Callable[[str], object]:
 
 class _TableFile:
     """One CSV file: validation and row counting at open, schema-aware
-    parsing, and the offset, row-number and covering id indexes built on
-    demand."""
+    parsing, and the run and covering id indexes built on demand."""
 
     def __init__(self, session: "SourceSession", table: Table, path: Path):
         self.session = session
@@ -123,9 +123,11 @@ class _TableFile:
         self.path = path
         self.columns = [c.name for c in table.columns]
         self.converters = [_converter(c.datatype) for c in table.columns]
+        # only non-string cells need converting; "" is NULL in every column
+        self._typed_columns = [(p, convert) for p, convert
+                               in enumerate(self.converters) if convert is not str]
         self.row_count = self._validate_and_count()
-        self._offsets: list[int] | None = None
-        self._indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
+        self._runs: dict[tuple[str, ...], dict[tuple, list[list[int]]]] = {}
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
         self._handle: BinaryIO | None = None
 
@@ -151,8 +153,8 @@ class _TableFile:
             # record-by-record pass runs only to name the culprit.
             if widths.keys() - {len(self.columns)} or reader.line_num != count + 1:
                 self._find_malformed_record()
-            # csv also ends lines at a bare carriage return, but rows are
-            # fetched by the byte offsets of line feeds.
+            # csv also ends lines at a bare carriage return, but runs of rows
+            # are read by the byte offsets of line feeds.
             seen = handle.newlines
             if "\r" in (seen if isinstance(seen, tuple) else (seen,)):
                 raise SourceError(
@@ -180,79 +182,82 @@ class _TableFile:
         return (f"{self.path.name} (row {n + 1}): expected {len(self.columns)} "
                 f"fields, found {len(row)}")
 
-    def _rows(self) -> Iterator[tuple[int, list[str]]]:
-        """Numbered raw records, each checked for its field count."""
-        width = len(self.columns)
+    def typed(self, row: list[str], n: int) -> list:
+        """Raw data row ``n`` (0-based) as typed values in column order, None
+        for NULL; every non-string cell is converted."""
+        if len(row) != len(self.columns):
+            raise SourceError(self._width_message(row, n))
+        try:
+            for p, convert in self._typed_columns:
+                cell = row[p]
+                row[p] = convert(cell) if cell else None
+        except (ValueError, SourceError) as exc:
+            raise SourceError(f"{self.path.name} (row {n + 1}), column "
+                              f"{self.columns[p]!r}: {exc}") from exc
+        if "" in row:
+            return [None if value == "" else value for value in row]
+        return row
+
+    def typed_rows(self) -> Iterator[tuple[int, list]]:
+        """Every data row in file order, numbered and typed."""
         with open(self.path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             next(reader)
             for n, row in enumerate(reader):
-                if len(row) != width:
-                    raise SourceError(self._width_message(row, n))
-                yield n, row
+                yield n, self.typed(row, n)
 
-    def _cell_error(self, row: list[str], n: int, exc: Exception) -> SourceError:
-        for name, convert, cell in zip(self.columns, self.converters, row):
-            if cell != "":
-                try:
-                    convert(cell)
-                except (ValueError, SourceError) as err:
-                    return SourceError(
-                        f"{self.path.name} (row {n + 1}), column {name!r}: {err}")
-        return SourceError(f"{self.path.name} (row {n + 1}): {exc}")
-
-    def parse(self, row: list[str], n: int) -> dict[str, object]:
-        """Typed record of data row ``n`` (0-based)."""
-        if len(row) != len(self.columns):
-            raise SourceError(self._width_message(row, n))
-        try:
-            record = {name: None if cell == "" else convert(cell)
-                      for name, convert, cell
-                      in zip(self.columns, self.converters, row)}
-        except (ValueError, SourceError) as exc:
-            raise self._cell_error(row, n, exc) from exc
-        self.session._record_born()
-        return record
-
-    def stream(self) -> Iterable[dict[str, object]]:
-        for n, row in self._rows():
-            yield self.parse(row, n)
-
-    def _typed(self, columns: tuple[str, ...] | list[str]
-               ) -> Callable[[list[str]], tuple]:
-        """Function from a raw row to the typed values of ``columns``."""
-        picks = [(self.columns.index(c), self.converters[self.columns.index(c)])
-                 for c in columns]
-        return lambda row: tuple(None if row[p] == "" else convert(row[p])
-                                 for p, convert in picks)
+    def getter(self, columns: Iterable[str]) -> Callable[[list], tuple]:
+        """Function from a row to the tuple of its values in ``columns``."""
+        positions = [self.columns.index(c) for c in columns]
+        if len(positions) == 1:
+            return lambda row, p=positions[0]: (row[p],)
+        return itemgetter(*positions)
 
     # -- indexes -------------------------------------------------------------------
 
-    def offsets(self) -> list[int]:
-        if self._offsets is None:
-            out: list[int] = []
-            with open(self.path, "rb") as handle:
-                pos = len(handle.readline())
-                for line in handle:
-                    out.append(pos)
-                    pos += len(line)
-            self._offsets = out
-        return self._offsets
+    def runs_on(self, columns: tuple[str, ...]) -> dict[tuple, list[list[int]]]:
+        """Run index: typed values of ``columns`` -> the runs of consecutive
+        rows holding them, each ``[byte offset, first row, row count]``, in
+        file order. A file clustered by ``columns`` has one run per key.
+        Rows with a NULL in ``columns`` are left out."""
+        index = self._runs.get(columns)
+        if index is not None:
+            return index
+        key_of, index = self.getter(columns), {}
+        last: tuple | None = None
+        with open(self.path, "rb") as handle:
+            start = [len(handle.readline())]
 
-    def index_on(self, columns: tuple[str, ...]) -> dict[tuple, list[int]]:
-        """Hash index: typed values of ``columns`` -> row numbers."""
-        index = self._indexes.get(columns)
-        if index is None:
-            key_of = self._typed(columns)
-            index = {}
-            for n, row in self._rows():
-                try:
-                    key = key_of(row)
-                except (ValueError, SourceError) as exc:
-                    raise self._cell_error(row, n, exc) from exc
-                index.setdefault(key, []).append(n)
-            self._indexes[columns] = index
+            def lines() -> Iterator[str]:
+                # a record is one line (checked at open), so csv asks for
+                # the next line only once the current row is handled
+                for line in handle:
+                    yield line.decode("utf-8")
+                    start[0] += len(line)
+
+            for n, row in enumerate(csv.reader(lines())):
+                key = key_of(self.typed(row, n))
+                if key != last:
+                    last, run = key, [start[0], n, 0]
+                    if None not in key:
+                        index.setdefault(key, []).append(run)
+                run[2] += 1
+        self._runs[columns] = index
         return index
+
+    def read(self, runs: Iterable[list[int]]) -> list[tuple[int, list]]:
+        """Numbered typed rows of ``runs``: one seek per run and one line
+        read per row, through one open handle that the session closes."""
+        if self._handle is None:
+            self._handle = open(self.path, "rb")
+        handle = self._handle
+        out = []
+        for offset, first, count in runs:
+            handle.seek(offset)
+            lines = map(bytes.decode, islice(handle, count))
+            for n, row in enumerate(csv.reader(lines), first):
+                out.append((n, self.typed(row, n)))
+        return out
 
     def ids_on(self, columns: tuple[str, ...]) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
@@ -263,36 +268,17 @@ class _TableFile:
             pk = self.table.primary_key()
             if pk is None:
                 raise SourceError(f"table {self.table.name!r} has no primary key")
-            key_of, pk_of = self._typed(columns), self._typed(pk.columns)
+            key_of, pk_of = self.getter(columns), self.getter(pk.columns)
             groups: dict[tuple, list] = {}
-            for n, row in self._rows():
-                try:
-                    key, pk_values = key_of(row), pk_of(row)
-                except (ValueError, SourceError) as exc:
-                    raise self._cell_error(row, n, exc) from exc
+            for _, row in self.typed_rows():
+                key = key_of(row)
                 if None not in key:
-                    groups.setdefault(key, []).append(pk_values)
+                    groups.setdefault(key, []).append(pk_of(row))
             for pks in groups.values():
                 pks.sort()  # as key tuples: (1, 9) before (1, 10)
                 pks[:] = map(record_id, pks)
             index = self._id_indexes[columns] = groups
         return index
-
-    # -- random access -------------------------------------------------------------
-
-    def fetch(self, row_numbers: list[int]) -> list[dict[str, object]]:
-        if not row_numbers:
-            return []
-        offsets = self.offsets()
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        handle = self._handle
-        lines = []
-        for n in row_numbers:
-            handle.seek(offsets[n])
-            lines.append(handle.readline().decode("utf-8"))
-        return [self.parse(row, n)
-                for n, row in zip(row_numbers, csv.reader(lines))]
 
     def close(self) -> None:
         if self._handle is not None:
@@ -338,9 +324,9 @@ class SourceSession:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record_born(self) -> None:
-        self.live_records += 1
-        self.records_read += 1
+    def _records_born(self, n: int) -> None:
+        self.live_records += n
+        self.records_read += n
         if self.live_records > self.peak_live_records:
             self.peak_live_records = self.live_records
 
@@ -380,6 +366,16 @@ class SourceSession:
         if table_name is None:
             raise SourceError(f"no table traces to schema type {type_name!r}")
         return self.schema.table(table_name)
+
+    def column_of(self, type_name: str, table: Table, attr_name: str) -> str:
+        """Column of ``table`` that stores attribute ``attr_name`` of
+        ``type_name``."""
+        hit = self._attr_to_column.get((type_name, attr_name))
+        if hit is None or hit[0] != table.name:
+            raise SourceError(
+                f"attribute {attr_name!r} does not belong to {type_name!r} "
+                "(or is reference-owned)")
+        return hit[1]
 
     def side_columns(self, owner_type: str, ref_name: str) -> list[str]:
         """Columns of the foreign key behind one side of a relationship type,
@@ -508,7 +504,6 @@ class SourceCursor:
         self.session = session
         self.type_name = type_name
         self.table = table
-        self.position = -1
         self._iter = iter(records)
         self._current: dict[str, object] | None = None
         self._preloaded = preloaded
@@ -527,7 +522,8 @@ class SourceCursor:
                 self._preloaded -= 1
         try:
             self._current = next(self._iter)
-            self.position += 1
+            if self._preloaded is None:  # streamed: read just now
+                self.session._records_born(1)
         except StopIteration:
             self._current = None
         return self._current is not None
@@ -566,12 +562,7 @@ class SourceCursor:
     def attr_value(self, name: str) -> object:
         self.session._check_open()
         record = self.record()
-        hit = self.session._attr_to_column.get((self.type_name, name))
-        if hit is None or hit[0] != self.table.name:
-            raise SourceError(
-                f"attribute {name!r} does not belong to {self.type_name!r} "
-                "(or is reference-owned)")
-        return record[hit[1]]
+        return record[self.session.column_of(self.type_name, self.table, name)]
 
     def key_value(self, name: str) -> object:
         self.session._check_open()
@@ -610,10 +601,13 @@ class SourceCursor:
         order, reverse references in primary key order, a forward
         reference's target (zero or one)."""
         link, probe = self._probe(feature_name)
-        rows = [] if probe is None else link.file.index_on(link.index).get(probe, [])
-        records = link.file.fetch(rows)
+        file = link.file
+        runs = () if probe is None else file.runs_on(link.index).get(probe, ())
+        rows = [row for _, row in file.read(runs)]
         if link.order:
-            records.sort(key=lambda r: tuple(r[c] for c in link.order))
+            rows.sort(key=file.getter(link.order))
+        records = [dict(zip(file.columns, row)) for row in rows]
+        self.session._records_born(len(records))
         return SourceCursor(self.session, link.type_name, link.file.table,
                             records, preloaded=len(records))
 
@@ -636,7 +630,9 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
     session._check_open()
     name = schema_type if isinstance(schema_type, str) else schema_type.name
     table = session.table_for(name)
-    return SourceCursor(session, name, table, session.file_for(table.name).stream())
+    file = session.file_for(table.name)
+    records = (dict(zip(file.columns, row)) for _, row in file.typed_rows())
+    return SourceCursor(session, name, table, records)
 
 
 def cursor_value(cursor: SourceCursor, feature: Attribute | Key) -> object:

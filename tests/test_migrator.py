@@ -12,9 +12,9 @@ import pytest
 import unimig.migrator
 import unimig.source
 from unimig.errors import MigrationError
-from unimig.migrator import migrate, transform_instance, write_batch
+from unimig.migrator import migrate, write_batch
 from unimig.relational.ddl import parse_ddl
-from unimig.source import open_source, read_entity_all
+from unimig.source import open_source
 from unimig.transforms import rel_to_uschema, uschema_to_document
 
 
@@ -62,10 +62,20 @@ EXPECTED_U001 = {
 }
 
 
+EXPECTED_U002 = {
+    "user_id": "u002",
+    "name": "Bob",
+    "is_premium": False,
+    "register_date": "2025-03-01 10:00:00",
+    "playlists": [],
+    "most_recent_songs": [{"position_idx": 1, "song_id": "s054"}],
+}
+
+
 def test_user_document_matches_expected_shape(mini, tmp_path):
     report, _ = run_migration(mini, tmp_path / "out")
     docs = read_jsonl(tmp_path / "out" / "app_user.jsonl")
-    assert docs[0] == EXPECTED_U001
+    assert docs == [EXPECTED_U001, EXPECTED_U002]
 
 
 def test_listening_documents(mini, tmp_path):
@@ -77,15 +87,6 @@ def test_listening_documents(mini, tmp_path):
     # the NULL status row only carries key + mandatory fields
     assert docs[2] == {"listening_id": "u002#s054", "user_id": "u002",
                        "song_id": "s054", "plays_count": 1}
-
-
-def test_transform_instance_directly(mini):
-    session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
-    te = mini["step2"].target.document("app_user")
-    cursor = read_entity_all(session, "app_user")
-    doc = transform_instance(mini["step2"].trace, cursor, te)
-    assert doc == EXPECTED_U001
-    session.close()
 
 
 def test_conservation_on_mini(mini, tmp_path):
@@ -181,6 +182,48 @@ def test_partial_output_removed_on_failure(mini, tmp_path):
     assert session.open is False  # closed even on error
 
 
+@pytest.mark.parametrize("table,row,line,message", [
+    # a composite key is derived from its components
+    ("listening", 1, ",s007,7,completed",
+     r"listening\.csv \(row 1\), columns \['user_id', 'song_id'\]: NULL key "
+     r"value for listening\.listening_id"),
+    ("song", 1, ",Creep,3.59,Radiohead,120",
+     r"song\.csv \(row 1\), column 'song_id': NULL key value for "
+     r"song\.song_id"),
+    # an embedded child, in a run of rows that starts after the first row
+    ("most_recent_song", 3, "u002,,s054",
+     r"most_recent_song\.csv \(row 3\), column 'position_idx': NULL key "
+     r"value for app_user\.most_recent_songs\.position_idx"),
+], ids=["derived", "attribute", "embedded"])
+def test_null_key_value_names_file_and_row(mini, tmp_path, table, row, line,
+                                           message):
+    broken_root = tmp_path / "broken"
+    shutil.copytree(mini["root"], broken_root)
+    lines = (broken_root / f"{table}.csv").read_text().splitlines()
+    lines[row] = line
+    (broken_root / f"{table}.csv").write_text("\n".join(lines) + "\n")
+    session = open_source(broken_root, mini["schema"], mini["step1"].trace)
+    out = tmp_path / "out"
+    with pytest.raises(MigrationError, match=message):
+        migrate(mini["step2"].target, mini["step2"].trace, session, out)
+    assert not (out / f"{table}.jsonl").exists()
+
+
+def test_bad_cell_of_nested_child_names_child_file(mini, tmp_path):
+    broken_root = tmp_path / "broken"
+    shutil.copytree(mini["root"], broken_root)
+    lines = (broken_root / "playlist_song.csv").read_text().splitlines()
+    lines[3] = "p002,u001,3000000000,s054"  # beyond INT, two levels down
+    (broken_root / "playlist_song.csv").write_text("\n".join(lines) + "\n")
+    session = open_source(broken_root, mini["schema"], mini["step1"].trace)
+    out = tmp_path / "out"
+    with pytest.raises(MigrationError,
+                       match=r"'app_user': playlist_song\.csv \(row 3\), "
+                             r"column 'position_idx': 3000000000 is out of INT"):
+        migrate(mini["step2"].target, mini["step2"].trace, session, out)
+    assert not (out / "app_user.jsonl").exists()
+
+
 def test_family_memory_stays_bounded(mini, tmp_path):
     report, session = run_migration(mini, tmp_path / "out")
     assert session.peak_live_records <= 16
@@ -217,6 +260,36 @@ def test_null_and_dangling_forward_references_omitted(tmp_path):
         {"target": "id,v\n1,10\n", "holder": "id,t_id\n1,\n2,1\n3,99\n"})
     # the reference to target is named id_1: holder already has an id field
     assert docs["holder"] == [{"id": 1}, {"id": 2, "id_1": 1}, {"id": 3}]
+
+
+def test_dropped_values_are_counted(tmp_path):
+    docs = migrate_tiny(
+        tmp_path,
+        "CREATE TABLE target (id INT PRIMARY KEY, v INT);"
+        "CREATE TABLE holder (id INT PRIMARY KEY, t_id INT, note VARCHAR(9),"
+        "  UNIQUE (t_id), FOREIGN KEY (t_id) REFERENCES target (id));",
+        {"target": "id,v\n1,\n2,20\n",
+         "holder": "id,t_id,note\n1,,\n2,1,x\n3,99,\n"})
+    assert docs["holder"] == [{"id": 1}, {"id": 2, "id_1": 1, "note": "x"},
+                              {"id": 3}]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    counts = {name: (entry["nullsOmitted"], entry["danglingRefs"])
+              for name, entry in manifest["report"]["perEntity"].items()}
+    # target: one NULL v; holder: a NULL t_id, two NULL notes, and 99
+    # points at no target row
+    assert counts == {"target": (1, 0), "holder": (3, 1)}
+
+
+def test_typed_cell_checked_when_not_emitted(tmp_path):
+    # holder.t_id is only probed: the document stores the target's id
+    with pytest.raises(MigrationError, match=r"holder\.csv \(row 2\), column "
+                                             r"'t_id': invalid literal"):
+        migrate_tiny(
+            tmp_path,
+            "CREATE TABLE target (id INT PRIMARY KEY);"
+            "CREATE TABLE holder (id INT PRIMARY KEY, t_id INT, UNIQUE (t_id),"
+            "  FOREIGN KEY (t_id) REFERENCES target (id));",
+            {"target": "id\n1\n", "holder": "id,t_id\n1,1\n2,x\n"})
 
 
 def test_reverse_ids_follow_composite_key_tuple_order(tmp_path):
@@ -259,6 +332,6 @@ def test_table_handles_closed_after_migrate(mini, tmp_path, monkeypatch, fails):
         assert fails
     else:
         assert not fails
-    assert any(h.mode == "rb" for h in opened)  # a fetch handle was used
+    assert any(h.mode == "rb" for h in opened)  # runs of rows were read
     assert any(h.mode == "w" for h in opened)  # an output handle was used
     assert all(h.closed for h in opened)

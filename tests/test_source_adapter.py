@@ -78,7 +78,8 @@ def _replace_line(root, table, n, text):
     (root / f"{table}.csv").write_text("\n".join(lines) + "\n")
 
 
-# playlist rows are fetched as aggregate children, app_user rows only streamed
+# playlist rows are read by runs as aggregate children, app_user rows
+# only streamed
 @pytest.mark.parametrize("table,row,line", [
     ("playlist", 1, 'p001,u001,"indi\n90s",2026-08-26 18:20:00'),
     ("app_user", 2, 'u002,"Bob\nSmith",false,2025-03-01 10:00:00'),
@@ -116,9 +117,10 @@ def test_unreadable_csv_record_rejected_at_open(mini, tmp_path):
 
 
 def test_bare_carriage_returns_rejected_at_open(mini, tmp_path):
-    # csv also ends lines at a bare carriage return, but fetched rows are
-    # found by the byte offsets of line feeds. A fetched table with CR line
-    # ends and a streamed one with a single CR both fail before migration.
+    # csv also ends lines at a bare carriage return, but runs of rows are
+    # found by the byte offsets of line feeds. A table read by runs with CR
+    # line ends and a streamed one with a single CR both fail before
+    # migration.
     rewrites = {"playlist": lambda text: text.replace("\n", "\r"),
                 "app_user": lambda text: text.replace(":30\n", ":30\r")}
     for table, rewrite in rewrites.items():
@@ -399,4 +401,26 @@ def test_null_key_joins_nothing(tmp_path):
     parents = read_entity_all(session, "parent")
     assert parents.related_ids("childs") == []
     assert parents.related_by_name("childs").has_data() is False
+    close(session)
+
+
+def test_run_index_reads_unclustered_rows(tmp_path):
+    session = _tiny_source(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (parent_id INT, pos INT, note VARCHAR(9),"
+        "  PRIMARY KEY (parent_id, pos),"
+        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        {"parent": "id\n1\n2\n",
+         "child": "parent_id,pos,note\n1,2,b\n1,1,a\n2,1,x\n1,3,c\n"})
+    runs = session.file_for("child").runs_on(("parent_id",))
+    # [byte offset, first row, row count]: two runs for parent 1, one for 2
+    assert runs == {(1,): [[19, 0, 2], [37, 3, 1]], (2,): [[31, 2, 1]]}
+    parents = read_entity_all(session, "parent")
+    children = parents.related_by_name("childs")
+    seen = []
+    while children.has_data():
+        seen.append(children.raw_value("note"))
+        cursor_advance(children)
+    assert seen == ["a", "b", "c"]  # key order across both runs
     close(session)

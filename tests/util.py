@@ -95,11 +95,16 @@ def random_table(rng: random.Random, name: str = "t0") -> Table:
     return table
 
 
-def random_schema(rng: random.Random, max_tables: int = 6) -> RelationalSchema:
+def random_schema(rng: random.Random, max_tables: int = 6,
+                  for_data: bool = False) -> RelationalSchema:
     """Valid schemas for transform round-trip properties: every table has a
     primary key, foreign keys reuse the referenced key's column names (the
     common convention), weak tables keep a local discriminator column, and
     references only point backwards, so aggregation chains stay acyclic.
+
+    ``for_data`` adds shapes that only data tests need: INT identifier
+    columns, associative tables with both sides on one table and tables
+    holding a nullable reference to themselves.
     """
     schema = RelationalSchema("gen")
     associative: set[str] = set()
@@ -108,8 +113,10 @@ def random_schema(rng: random.Random, max_tables: int = 6) -> RelationalSchema:
         name = f"t{index}"
         table = Table(name)
         pk_col = f"{name}_id"
-        table.columns.append(Column(pk_col, SqlType("CHAR", length=8),
-                                    nullable=False))
+        pk_type = SqlType("CHAR", length=8)
+        if for_data and rng.random() < 0.4:
+            pk_type = SqlType("INT")
+        table.columns.append(Column(pk_col, pk_type, nullable=False))
         for i in range(rng.randint(1, 3)):
             table.columns.append(Column(f"{name}_a{i}", rng.choice(_TYPES),
                                         nullable=rng.random() < 0.5))
@@ -135,6 +142,8 @@ def random_schema(rng: random.Random, max_tables: int = 6) -> RelationalSchema:
             # associative: two identifying foreign keys
             associative.add(name)
             left, right = rng.sample(candidates, 2)
+            if for_data and rng.random() < 0.3:
+                right = left
             pk_cols = []
             for side, parent in enumerate((left, right)):
                 parent_pk = parent.primary_key().columns
@@ -162,6 +171,11 @@ def random_schema(rng: random.Random, max_tables: int = 6) -> RelationalSchema:
             if rng.random() < 0.3:
                 table.keys.append(RKey(f"{name}_uk1", is_pk=False,
                                        columns=list(fk_cols)))
+        if for_data and pk_cols == [pk_col] and rng.random() < 0.3:
+            own = f"{name}_parent"
+            table.columns.append(Column(own, _copy_type(table.column(pk_col)),
+                                        nullable=True))
+            table.fkeys.append(FKey(f"{name}_fks", [own], name, [pk_col]))
         table.keys.insert(0, RKey(f"{name}_pk", is_pk=True, columns=pk_cols))
         schema.tables.append(table)
     return schema
