@@ -12,7 +12,7 @@ import pytest
 import unimig.migrator
 import unimig.source
 from unimig.errors import MigrationError
-from unimig.migrator import migrate, write_batch
+from unimig.migrator import EntityStats, compile_plan, migrate, write_batch
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source
 from unimig.transforms import rel_to_uschema, uschema_to_document
@@ -76,6 +76,20 @@ def test_user_document_matches_expected_shape(mini, tmp_path):
     report, _ = run_migration(mini, tmp_path / "out")
     docs = read_jsonl(tmp_path / "out" / "app_user.jsonl")
     assert docs == [EXPECTED_U001, EXPECTED_U002]
+
+
+def test_transform_instance_directly(mini):
+    # one source row through the executor compiled for its collection,
+    # without writing any file
+    session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
+    te = mini["step2"].target.document("app_user")
+    ue_name, steps = compile_plan(mini["step2"].trace, te)
+    table = session.table_for(ue_name)
+    build = unimig.migrator._compile_rows(session, ue_name, table, steps,
+                                          EntityStats(), te.name)
+    n, row = next(iter(session.file_for(table.name).typed_rows()))
+    assert build(row, n) == EXPECTED_U001
+    session.close()
 
 
 def test_listening_documents(mini, tmp_path):
