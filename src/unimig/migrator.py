@@ -2,17 +2,16 @@
 
 ``compile_plan`` resolves the pivot-side origin of a collection and of each
 of its properties backward through the second trace. ``migrate`` compiles
-that plan once per collection, against the source session, into a function
-over typed CSV rows that reads columns by position: fields are attribute
-values, keys are verbatim or derived by joining the source key components
-with ``#``, references are identifiers from a covering index, and embedded
-objects are child rows read through the run index of the child file, built
-recursively. A NULL value leaves its property out of the document and is
-counted (``nullsOmitted``), as is a forward reference whose target row is
-missing (``danglingRefs``); a NULL key fails. Each document is written as
-soon as it is built, through one open ``<collection>.jsonl`` per
-collection, plus a ``manifest.json``; a failed collection's partial file
-is removed.
+that plan once per collection into a function over typed CSV rows that
+reads columns by position: fields are attribute values, keys are verbatim
+or ``#``-joined source key components, references are identifiers from a
+covering index, and embedded objects are child rows read through the run
+index of the child file, built recursively. A NULL value leaves its
+property out and is counted (``nullsOmitted``), as is a forward reference
+whose target row is missing (``danglingRefs``); a NULL key fails. Each
+document is written as soon as it is built, through one open
+``<collection>.jsonl`` per collection, plus a ``manifest.json``; a failed
+collection's partial file is removed.
 """
 
 from __future__ import annotations
@@ -194,10 +193,8 @@ def _id_of(file: _TableFile, columns: list[str],
     if len(columns) == 1 and not text:
         return itemgetter(file.columns.index(columns[0]))
     get = file.getter(columns)
-    strings = all(file.converters[file.columns.index(c)] is str for c in columns)
-    join = KEY_SEPARATOR.join if strings else (
-        lambda values: KEY_SEPARATOR.join(map(fmt_id, values)))
-    return lambda row: None if None in (v := get(row)) else join(v)
+    return lambda row: (None if None in (v := get(row))
+                        else KEY_SEPARATOR.join(map(fmt_id, v)))
 
 
 def _compile_rows(session: SourceSession, type_name: str, table: Table,
@@ -223,9 +220,8 @@ def _compile_rows(session: SourceSession, type_name: str, table: Table,
             pk = table.primary_key()
             if pk is None:
                 raise SourceError(f"table {table.name!r} has no primary key")
-            parts.append(_value_part(name, _id_of(file, pk.columns, text=True),
-                                     stats, null_key=f"columns {pk.columns}: "
-                                                     f"{null_key}"))
+            parts.append(_value_part(name, _id_of(file, pk.columns, text=True), stats,
+                                     null_key=f"columns {pk.columns}: {null_key}"))
         elif kind == "side_ref":
             # the associative row itself stores this side's identifier
             columns = session.side_columns(step.us_owner, step.us_feature)
@@ -294,14 +290,8 @@ def _embedded_part(name: str, many: bool, link: _Link, session: SourceSession,
                    probe_of: Callable[[list], tuple], build: _Build) -> _Part:
     """Child rows read through the run index of the child file, in key
     order; the session counts them as live while they are built."""
-    child, runs = link.file, link.file.runs_on(link.index)
-    order_of = child.getter(link.order) if link.order else None
-
     def embedded(row: list, doc: dict) -> None:
-        probe = probe_of(row)
-        group = [] if None in probe else child.read(runs.get(probe, ()))
-        if order_of is not None:
-            group.sort(key=lambda item: order_of(item[1]))
+        group = link.group(probe_of(row))
         session._records_born(len(group))
         if many:
             doc[name] = [build(r, m) for m, r in group]

@@ -10,14 +10,13 @@ Rows come from ``csv.reader`` and are typed by column position
 (``_TableFile.typed``): every non-string cell is converted, integers are
 range-checked against their declared SQL type, and a value that does not
 convert names its file, row and column. Joins probe two indexes by typed
-key, each built in one streaming pass on first use:
-
-* the run index (``runs_on``) maps a key to the runs of consecutive rows
-  holding it, as (byte offset, first row, row count). A group of rows is
-  read with one seek per run through one open handle per table, which the
-  session closes. A file clustered by the key has one run per key.
-* the covering id index (``ids_on``) maps a key to the identifiers of the
-  matching rows, so a reference reads no row of the table it points at.
+key, each built in one streaming pass on first use. The run index
+(``runs_on``) maps a key to the runs of consecutive rows holding it, as
+(byte offset, first row, row count); a group is read with one seek per run
+(one run per key in a file clustered by it) through one handle per table,
+which the session closes. The covering id index (``ids_on``) maps a key to
+the identifiers of the matching rows, so a reference reads no row of the
+table it points at.
 
 The migrator compiles its executor over these. Cursors serve the same rows
 as pivot-model features (attributes, keys, references, aggregates),
@@ -211,20 +210,22 @@ class _TableFile:
         positions = [self.columns.index(c) for c in columns]
         if len(positions) == 1:
             return lambda row, p=positions[0]: (row[p],)
-        return itemgetter(*positions)
+        return itemgetter(*positions) if positions else lambda row: ()
 
     # -- indexes -------------------------------------------------------------------
 
-    def runs_on(self, columns: tuple[str, ...]) -> dict[tuple, list[list[int]]]:
+    def runs_on(self, columns: tuple[str, ...],
+                order: tuple[str, ...] = ()) -> dict[tuple, list[list[int]]]:
         """Run index: typed values of ``columns`` -> the runs of consecutive
         rows holding them, each ``[byte offset, first row, row count]``, in
         file order. A file clustered by ``columns`` has one run per key.
-        Rows with a NULL in ``columns`` are left out."""
-        index = self._runs.get(columns)
+        Rows with a NULL in ``columns`` are left out; a NULL in one of the
+        ``order`` columns, which groups are sorted by, fails."""
+        index = self._runs.get((columns, order))
         if index is not None:
             return index
-        key_of, index = self.getter(columns), {}
-        last: tuple | None = None
+        key_of, order_of = self.getter(columns), self.getter(order)
+        index, last = {}, None
         with open(self.path, "rb") as handle:
             start = [len(handle.readline())]
 
@@ -236,21 +237,25 @@ class _TableFile:
                     start[0] += len(line)
 
             for n, row in enumerate(csv.reader(lines())):
-                key = key_of(self.typed(row, n))
+                row = self.typed(row, n)
+                if None in (values := order_of(row)):
+                    column = order[values.index(None)]
+                    raise SourceError(
+                        f"{self.path.name} (row {n + 1}), column {column!r}: "
+                        f"NULL key value for {self.table.name}.{column}")
+                key = key_of(row)
                 if key != last:
                     last, run = key, [start[0], n, 0]
                     if None not in key:
                         index.setdefault(key, []).append(run)
                 run[2] += 1
-        self._runs[columns] = index
+        self._runs[(columns, order)] = index
         return index
 
     def read(self, runs: Iterable[list[int]]) -> list[tuple[int, list]]:
         """Numbered typed rows of ``runs``: one seek per run and one line
         read per row, through one open handle that the session closes."""
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        handle = self._handle
+        handle = self._handle = self._handle or open(self.path, "rb")
         out = []
         for offset, first, count in runs:
             handle.seek(offset)
@@ -298,6 +303,17 @@ class _Link:
     probe: tuple[str, ...]
     index: tuple[str, ...]
     order: tuple[str, ...]
+    order_of: Callable[[list], tuple]
+
+    def group(self, probe: tuple) -> list[tuple[int, list]]:
+        """Numbered typed rows reached from a record whose probe columns
+        hold ``probe`` (none if it holds a NULL), read through the run
+        index and sorted by ``order``."""
+        order_of, index = self.order_of, self.file.runs_on(self.index, self.order)
+        rows = self.file.read(() if None in probe else index.get(probe, ()))
+        if self.order:
+            rows.sort(key=lambda item: order_of(item[1]))
+        return rows
 
 
 class SourceSession:
@@ -424,9 +440,10 @@ class SourceSession:
             order = list(pk.columns) if pk else []
             if role != REF_REVERSE:
                 order = [c for c in order if c not in fk.columns]
+        file = self._files[reached.name]
         return _Link(role, self._table_to_type.get(reached.name, reached.name),
-                     self._files[reached.name], tuple(probe), tuple(index),
-                     tuple(order))
+                     file, tuple(probe), tuple(index), tuple(order),
+                     file.getter(order))
 
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
@@ -586,14 +603,12 @@ class SourceCursor:
     def related(self, feature: Reference | Aggregate) -> "SourceCursor":
         return self.related_by_name(feature.name)
 
-    def _probe(self, feature_name: str) -> tuple[_Link, tuple | None]:
-        """The resolved feature and the current record's join-key values,
-        or None when one of them is NULL (a NULL joins nothing)."""
+    def _probe(self, feature_name: str) -> tuple[_Link, tuple]:
+        """The resolved feature and the current record's join-key values."""
         self.session._check_open()
         record = self.record()
         link = self.session.link(self.type_name, self.table, feature_name)
-        probe = tuple(record[c] for c in link.probe)
-        return link, None if None in probe else probe
+        return link, tuple(record[c] for c in link.probe)
 
     def related_by_name(self, feature_name: str) -> "SourceCursor":
         """Cursor over the records a related feature reaches from the
@@ -601,12 +616,8 @@ class SourceCursor:
         order, reverse references in primary key order, a forward
         reference's target (zero or one)."""
         link, probe = self._probe(feature_name)
-        file = link.file
-        runs = () if probe is None else file.runs_on(link.index).get(probe, ())
-        rows = [row for _, row in file.read(runs)]
-        if link.order:
-            rows.sort(key=file.getter(link.order))
-        records = [dict(zip(file.columns, row)) for row in rows]
+        columns = link.file.columns
+        records = [dict(zip(columns, row)) for _, row in link.group(probe)]
         self.session._records_born(len(records))
         return SourceCursor(self.session, link.type_name, link.file.table,
                             records, preloaded=len(records))
@@ -619,9 +630,8 @@ class SourceCursor:
         if link.role not in (REF_FORWARD, REF_REVERSE):
             raise SourceError(
                 f"feature {self.type_name}.{feature_name} is not a reference")
-        if probe is None:
-            return []
-        return list(link.file.ids_on(link.index).get(probe, ()))
+        ids = () if None in probe else link.file.ids_on(link.index).get(probe, ())
+        return list(ids)  # a NULL joins nothing
 
 
 def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> SourceCursor:

@@ -207,8 +207,13 @@ def test_partial_output_removed_on_failure(mini, tmp_path):
     # an embedded child, in a run of rows that starts after the first row
     ("most_recent_song", 3, "u002,,s054",
      r"most_recent_song\.csv \(row 3\), column 'position_idx': NULL key "
-     r"value for app_user\.most_recent_songs\.position_idx"),
-], ids=["derived", "attribute", "embedded"])
+     r"value for most_recent_song\.position_idx"),
+    # an embedded child with a sibling: the NULL order value is named
+    # before the group is sorted
+    ("most_recent_song", 1, "u001,,s007",
+     r"most_recent_song\.csv \(row 1\), column 'position_idx': NULL key "
+     r"value for most_recent_song\.position_idx"),
+], ids=["derived", "attribute", "embedded", "embedded-sibling"])
 def test_null_key_value_names_file_and_row(mini, tmp_path, table, row, line,
                                            message):
     broken_root = tmp_path / "broken"

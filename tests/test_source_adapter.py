@@ -424,3 +424,18 @@ def test_run_index_reads_unclustered_rows(tmp_path):
         cursor_advance(children)
     assert seen == ["a", "b", "c"]  # key order across both runs
     close(session)
+
+
+def test_null_order_value_names_child_row(tmp_path):
+    session = _tiny_source(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (parent_id INT, pos INT, note VARCHAR(9),"
+        "  PRIMARY KEY (parent_id, pos),"
+        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        {"parent": "id\n1\n", "child": "parent_id,pos,note\n1,2,b\n1,,a\n"})
+    parents = read_entity_all(session, "parent")
+    with pytest.raises(SourceError, match=r"child\.csv \(row 2\), column 'pos': "
+                                          r"NULL key value for child\.pos"):
+        parents.related_by_name("childs")
+    close(session)
