@@ -2,22 +2,31 @@
 
 ``compile_plan`` resolves the pivot-side origin of a collection and of each
 of its properties backward through the second trace. ``migrate`` compiles
-that plan once per collection into a function over typed CSV rows that
-reads columns by position: fields are attribute values, keys are verbatim
-or ``#``-joined source key components, references are identifiers from a
-covering index, and embedded objects are child rows read through the run
-index of the child file, built recursively. A NULL value leaves its
-property out and is counted (``nullsOmitted``), as is a forward reference
-whose target row is missing (``danglingRefs``); a NULL key fails. Each
-document is written as soon as it is built, through one open
-``<collection>.jsonl`` per collection, plus a ``manifest.json``; a failed
-collection's partial file is removed.
+that plan once per collection into a function from a typed CSV row to the
+JSON text of its document, reading columns by position: fields are
+attribute values, keys are verbatim or ``#``-joined source key components,
+references are identifiers from a covering index, and embedded objects are
+child rows read through the run index of the child file, built
+recursively. Each property appends a ``"<name>":<value>`` fragment whose
+name is encoded at compile time and whose value encoder is picked there
+from the column's type, so the text is byte for byte what ``json.dumps``
+(compact, ``ensure_ascii=False``) writes for the same document.
+
+Every collection is compiled before any runs, which plans the indexes they
+probe; each file's indexes are then built in one pass, before the first
+collection that needs them. A NULL value leaves its property out and is
+counted (``nullsOmitted``), as is a forward reference whose target row is
+missing (``danglingRefs``); a NULL key fails. Documents are written in
+small batches through one open ``<collection>.jsonl`` per collection
+(``write_batch``), plus a ``manifest.json``; a failed collection's partial
+file is removed.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from json.encoder import encode_basestring
 from dataclasses import dataclass, field
 from pathlib import Path
 from operator import itemgetter
@@ -175,10 +184,29 @@ def _compile_property(t2: TraceStore, prop: Property, prop_path: str,
 
 # --- the executor ----------------------------------------------------------------
 
-# A part adds one property to ``doc`` from a typed row; a build function
-# turns a typed row, numbered ``n`` in its file, into a document.
-_Part = Callable[[list, dict], None]
-_Build = Callable[[list, int], dict]
+# A part appends one ``"<name>":<value>`` JSON fragment, or none, from a
+# typed row; a build function turns a typed row, numbered ``n`` in its
+# file, into the JSON text of one document.
+_Part = Callable[[list, list], None]
+_Build = Callable[[list, int], str]
+_Encode = Callable[[object], str]
+# A value property: name prefix, value of a row, encoder, and the message
+# for a NULL key (None where a NULL only leaves the property out).
+_Value = tuple[str, Callable[[list], object], _Encode, str | None]
+
+#: JSON text of a value by its type, as ``json.dumps`` writes it; a
+#: non-finite float never reaches the encoder (the source rejects it).
+_ENCODERS: dict[type, _Encode] = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _float_text(value: object) -> str:
+    """An integer column's value in a DOUBLE property."""
+    return float.__repr__(float(value))
 
 
 class _NullKey(MigrationError):
@@ -186,98 +214,130 @@ class _NullKey(MigrationError):
 
 
 def _id_of(file: _TableFile, columns: list[str],
-           text: bool = False) -> Callable[[list], object]:
+           text: bool = False) -> tuple[Callable[[list], object], _Encode]:
     """Function from a typed row to the identifier its values in
     ``columns`` form, as ``record_id`` does or, with ``text``, always as
-    ``#``-joined text; None when one of the values is NULL."""
+    ``#``-joined text (None when one of the values is NULL); and the
+    encoder of that identifier."""
     if len(columns) == 1 and not text:
-        return itemgetter(file.columns.index(columns[0]))
+        p = file.columns.index(columns[0])
+        return itemgetter(p), _ENCODERS[file.types[p]]
     get = file.getter(columns)
-    return lambda row: (None if None in (v := get(row))
-                        else KEY_SEPARATOR.join(map(fmt_id, v)))
+    return (lambda row: (None if None in (v := get(row))
+                         else KEY_SEPARATOR.join(map(fmt_id, v))),
+            encode_basestring)
+
+
+def _id_encoder(file: _TableFile) -> _Encode:
+    """Encoder of the identifiers (``record_id``) of ``file``'s rows."""
+    return _id_of(file, file.table.primary_key().columns)[1]
 
 
 def _compile_rows(session: SourceSession, type_name: str, table: Table,
-                  steps: list[_Step], stats: EntityStats, path: str) -> _Build:
+                  steps: list[_Step], stats: EntityStats, path: str,
+                  indexed: list[_TableFile]) -> _Build:
     """Compile ``steps`` into a function over typed rows of ``table``, which
     stores ``type_name``, for the documents at ``path``: column positions,
-    trace resolution and the indexes to probe are fixed here, once per
-    collection."""
+    value encoders, trace resolution and the indexes to probe are fixed
+    here, once per collection. The indexes are only planned; the files
+    that must build them before the function runs are appended to
+    ``indexed``, in the order the steps probe them."""
     file = session.file_for(table.name)
     parts: list[_Part] = []
+    values: list[_Value] | None = None  # of the value part last added
     for step in steps:
-        name, kind = step.name, step.kind
-        null_key = f"NULL key value for {path}.{name}"
-        if kind in ("attr", "key_attr"):
-            column = session.column_of(type_name, table, step.us_feature)
-            p = file.columns.index(column)
-            to_float = (step.primitive == "DOUBLE"
-                        and file.converters[p] is not float)
-            parts.append(_value_part(
-                name, itemgetter(p), stats, to_float,
-                f"column {column!r}: {null_key}" if kind == "key_attr" else None))
-        elif kind == "key_derived":
-            pk = table.primary_key()
-            if pk is None:
-                raise SourceError(f"table {table.name!r} has no primary key")
-            parts.append(_value_part(name, _id_of(file, pk.columns, text=True), stats,
-                                     null_key=f"columns {pk.columns}: {null_key}"))
-        elif kind == "side_ref":
-            # the associative row itself stores this side's identifier
-            columns = session.side_columns(step.us_owner, step.us_feature)
-            parts.append(_value_part(name, _id_of(file, columns), stats))
-        elif kind in ("ref_forward", "ref_reverse"):
-            link = session.link(type_name, table, step.us_feature)
-            parts.append(_ref_part(name, kind == "ref_forward",
-                                   link.file.ids_on(link.index),
-                                   file.getter(link.probe), stats))
-        else:  # embedded
-            link = session.link(type_name, table, step.us_feature)
+        prefix = encode_basestring(step.name) + ":"
+        value = _value_of(session, type_name, table, step, prefix, path)
+        if value is not None:
+            if values is None:  # consecutive values share one part
+                values = []
+                parts.append(_values_part(values, stats))
+            values.append(value)
+            continue
+        values = None
+        link = session.link(type_name, table, step.us_feature)
+        indexed.append(link.file)
+        if step.kind == "embedded":
+            link.file.runs_on(link.index, link.order, build=False)
             build = _compile_rows(session, link.type_name, link.file.table,
-                                  step.sub, stats, f"{path}.{name}")
-            parts.append(_embedded_part(name, step.many, link, session,
+                                  step.sub, stats, f"{path}.{step.name}",
+                                  indexed)
+            parts.append(_embedded_part(prefix, step.many, link, session,
                                         file.getter(link.probe), build))
+        else:
+            ids = link.file.ids_on(link.index, build=False)  # needs a key
+            parts.append(_ref_part(prefix, step.kind == "ref_forward", ids,
+                                   file.getter(link.probe),
+                                   _id_encoder(link.file), stats))
 
-    def build(row: list, n: int) -> dict:
-        doc: dict[str, object] = {}
+    def build(row: list, n: int) -> str:
+        out: list[str] = []
         try:
             for part in parts:
-                part(row, doc)
+                part(row, out)
         except _NullKey as exc:
             raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
-        return doc
+        return "{" + ",".join(out) + "}"
 
     return build
 
 
-def _value_part(name: str, value_of: Callable[[list], object],
-                stats: EntityStats, to_float: bool = False,
-                null_key: str | None = None) -> _Part:
-    """A NULL value leaves the property out, or with ``null_key`` (a key
+def _value_of(session: SourceSession, type_name: str, table: Table,
+              step: _Step, prefix: str, path: str) -> _Value | None:
+    """How a property that holds a value of the row (an attribute, a key
+    or a relationship side) reads and encodes it; None for a reference or
+    an embedded object."""
+    file = session.file_for(table.name)
+    null_key = f"NULL key value for {path}.{step.name}"
+    if step.kind == "key_derived":
+        pk = table.primary_key()
+        if pk is None:
+            raise SourceError(f"table {table.name!r} has no primary key")
+        return (prefix, *_id_of(file, pk.columns, text=True),
+                f"columns {pk.columns}: {null_key}")
+    if step.kind == "side_ref":
+        # the associative row itself stores this side's identifier
+        columns = session.side_columns(step.us_owner, step.us_feature)
+        return (prefix, *_id_of(file, columns), None)
+    if step.kind not in ("attr", "key_attr"):
+        return None
+    column = session.column_of(type_name, table, step.us_feature)
+    p = file.columns.index(column)
+    encode = (_float_text if step.primitive == "DOUBLE"
+              and file.types[p] is not float else _ENCODERS[file.types[p]])
+    return (prefix, itemgetter(p), encode,
+            f"column {column!r}: {null_key}" if step.kind == "key_attr" else None)
+
+
+def _values_part(values: list[_Value], stats: EntityStats) -> _Part:
+    """Properties that hold a value of the row, in order. A NULL value
+    leaves its property out, or with a ``null_key`` message (a key
     property) fails."""
-    def value(row: list, doc: dict) -> None:
-        v = value_of(row)
-        if v is not None:
-            doc[name] = float(v) if to_float else v
-        elif null_key is None:
-            stats.nulls_omitted += 1
-        else:
-            raise _NullKey(null_key)
+    def part(row: list, out: list) -> None:
+        for prefix, value_of, encode, null_key in values:
+            v = value_of(row)
+            if v is not None:
+                out.append(prefix + encode(v))
+            elif null_key is None:
+                stats.nulls_omitted += 1
+            else:
+                raise _NullKey(null_key)
 
-    return value
+    return part
 
 
-def _ref_part(name: str, forward: bool, index: dict[tuple, list],
-              probe_of: Callable[[list], tuple], stats: EntityStats) -> _Part:
+def _ref_part(prefix: str, forward: bool, index: dict[tuple, list],
+              probe_of: Callable[[list], tuple], encode: _Encode,
+              stats: EntityStats) -> _Part:
     """Identifiers from a covering index: the first for a forward
     reference (left out when NULL or dangling), all for a reverse one."""
-    def ref(row: list, doc: dict) -> None:
+    def ref(row: list, out: list) -> None:
         probe = probe_of(row)
         ids = None if None in probe else index.get(probe)  # NULL joins nothing
         if not forward:
-            doc[name] = list(ids) if ids else []
+            out.append(prefix + "[" + ",".join(map(encode, ids or ())) + "]")
         elif ids:
-            doc[name] = ids[0]
+            out.append(prefix + encode(ids[0]))
         elif None in probe:
             stats.nulls_omitted += 1
         else:
@@ -286,17 +346,17 @@ def _ref_part(name: str, forward: bool, index: dict[tuple, list],
     return ref
 
 
-def _embedded_part(name: str, many: bool, link: _Link, session: SourceSession,
+def _embedded_part(prefix: str, many: bool, link: _Link, session: SourceSession,
                    probe_of: Callable[[list], tuple], build: _Build) -> _Part:
     """Child rows read through the run index of the child file, in key
     order; the session counts them as live while they are built."""
-    def embedded(row: list, doc: dict) -> None:
+    def embedded(row: list, out: list) -> None:
         group = link.group(probe_of(row))
         session._records_born(len(group))
         if many:
-            doc[name] = [build(r, m) for m, r in group]
+            out.append(prefix + "[" + ",".join([build(r, m) for m, r in group]) + "]")
         elif group:
-            doc[name] = build(group[0][1], group[0][0])
+            out.append(prefix + build(group[0][1], group[0][0]))
         session._records_released(len(group))
 
     return embedded
@@ -304,13 +364,17 @@ def _embedded_part(name: str, many: bool, link: _Link, session: SourceSession,
 
 # --- writing --------------------------------------------------------------------
 
-def write_batch(handle: TextIO, docs: list[dict]) -> int:
-    """Write documents to an open text handle, one compact JSON line each;
-    returns how many were written."""
-    for doc in docs:
-        handle.write(json.dumps(doc, ensure_ascii=False, separators=(",", ":")))
+#: Characters of encoded documents collected before one write.
+_BATCH_CHARS = 1 << 16
+
+
+def write_batch(handle: TextIO, lines: list[str]) -> int:
+    """Write encoded documents to an open text handle, one JSON text per
+    line; returns how many were written."""
+    if lines:
+        handle.write("\n".join(lines))
         handle.write("\n")
-    return len(docs)
+    return len(lines)
 
 
 # --- the pipeline ----------------------------------------------------------------
@@ -321,37 +385,59 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
     """Migrate every collection of ``target_schema`` from ``source`` into
     ``target_dir``.
 
-    The session carries the forward trace it was opened with; ``t2`` is the
-    trace from the pivot model to ``target_schema``. The session is closed
-    when migration finishes, successfully or not.
+    Every collection is compiled first, which plans the indexes they
+    probe; a file's planned indexes are then built in one pass before the
+    first collection that needs them runs. The session carries the forward
+    trace it was opened with; ``t2`` is the trace from the pivot model to
+    ``target_schema``. The session is closed when migration finishes,
+    successfully or not.
     """
     target_dir = Path(target_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
 
     report = MigrationReport()
     try:
+        compiled = []
         for te in target_schema.documents:
-            stats = EntityStats()
-            report.per_entity[te.name] = stats
+            stats = report.per_entity[te.name] = EntityStats()
+            started = time.monotonic()
+            try:
+                ue_name, steps = compile_plan(t2, te)
+                table = source.table_for(ue_name)
+                indexed: list[_TableFile] = []
+                build = _compile_rows(source, ue_name, table, steps, stats,
+                                      te.name, indexed)
+            except Exception as exc:
+                raise MigrationError(
+                    f"while migrating collection {te.name!r}: {exc}") from exc
+            stats.elapsed_ms = (time.monotonic() - started) * 1000.0
+            compiled.append((te.name, stats, source.file_for(table.name),
+                             build, indexed))
+        for name, stats, file, build, indexed in compiled:
             started = time.monotonic()
             rows_before = source.records_read
-            ue_name, steps = compile_plan(t2, te)
-            out_path = target_dir / f"{te.name}.jsonl"
+            out_path = target_dir / f"{name}.jsonl"
             try:
-                table = source.table_for(ue_name)
-                build = _compile_rows(source, ue_name, table, steps, stats,
-                                      te.name)
+                for needed in indexed:
+                    needed.build_indexes()
                 with open(out_path, "w", encoding="utf-8") as out:
-                    for n, row in source.file_for(table.name).typed_rows():
+                    lines: list[str] = []
+                    size = 0
+                    for n, row in file.typed_rows():
                         source._records_born(1)
-                        stats.docs_written += write_batch(out, [build(row, n)])
+                        lines.append(line := build(row, n))
                         source._records_released(1)
+                        size += len(line)
+                        if size >= _BATCH_CHARS:
+                            stats.docs_written += write_batch(out, lines)
+                            lines, size = [], 0
+                    stats.docs_written += write_batch(out, lines)
             except Exception as exc:
                 out_path.unlink(missing_ok=True)
                 raise MigrationError(
-                    f"while migrating collection {te.name!r}: {exc}") from exc
+                    f"while migrating collection {name!r}: {exc}") from exc
             stats.rows_read = source.records_read - rows_before
-            stats.elapsed_ms = (time.monotonic() - started) * 1000.0
+            stats.elapsed_ms += (time.monotonic() - started) * 1000.0
         _write_manifest(target_dir, report, trace_refs or {})
         return report
     finally:

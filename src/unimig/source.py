@@ -8,15 +8,20 @@ that no record spans lines, and that every line ends with a line feed.
 
 Rows come from ``csv.reader`` and are typed by column position
 (``_TableFile.typed``): every non-string cell is converted, integers are
-range-checked against their declared SQL type, and a value that does not
-convert names its file, row and column. Joins probe two indexes by typed
-key, each built in one streaming pass on first use. The run index
-(``runs_on``) maps a key to the runs of consecutive rows holding it, as
-(byte offset, first row, row count); a group is read with one seek per run
-(one run per key in a file clustered by it) through one handle per table,
-which the session closes. The covering id index (``ids_on``) maps a key to
-the identifiers of the matching rows, so a reference reads no row of the
-table it points at.
+range-checked against their declared SQL type, a float must be finite, and
+a value that does not convert names its file, row and column. Joins probe
+two indexes by typed key. The run index (``runs_on``) maps a key to the
+runs of consecutive rows holding it, stored flat as (byte offset, first
+row, row count) triples in one ``array`` per key; a group is read with one
+seek per run (one run per key in a file clustered by it) through one
+handle per table, which the session closes. The covering id index
+(``ids_on``) maps a key to the identifiers of the matching rows, so a
+reference reads no row of the table it points at. Indexes can be planned
+before they are used (``build=False``): ``build_indexes`` then fills every
+planned index of a file in one streaming pass that types each row once,
+and fails, naming file, row and column, on a NULL primary key value (which
+a covering index would store) or a NULL order value (which child groups
+are sorted by).
 
 The migrator compiles its executor over these. Cursors serve the same rows
 as pivot-model features (attributes, keys, references, aggregates),
@@ -35,6 +40,7 @@ The session counts the records read and the most held at once
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -62,6 +68,11 @@ _TRUE = {"true", "t", "1", "yes"}
 _FALSE = {"false", "f", "0", "no"}
 
 _INT_RANGES = {"SMALLINT": 16, "INT": 32, "BIGINT": 64}
+
+#: A run index: typed key -> flat (byte offset, first row, row count) triples.
+_Runs = dict[tuple, array]
+#: One step of an index pass, given each typed row, its number and offset.
+_Fill = Callable[[list, int, int], None]
 
 
 def fmt_id(value: object) -> str:
@@ -101,33 +112,44 @@ def _ranged_int(base: str) -> Callable[[str], int]:
     return convert
 
 
-def _converter(datatype: SqlType) -> Callable[[str], object]:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if value - value == 0.0:  # inf - inf and nan - nan are nan
+        return value
+    raise SourceError(f"{text!r} is not a finite number")
+
+
+def _converter(datatype: SqlType) -> tuple[Callable[[str], object], type]:
+    """Converter of one column's non-NULL cells, and the type of its values."""
     if datatype.base in _INT_RANGES:
-        return _ranged_int(datatype.base)
+        return _ranged_int(datatype.base), int
     kind = rel_to_us_type(datatype).kind
     if kind in ("Double", "Decimal"):
-        return float
+        return _finite_float, float
     if kind == "Boolean":
-        return _bool
-    return str  # String, Date
+        return _bool, bool
+    return str, str  # String, Date
 
 
 class _TableFile:
     """One CSV file: validation and row counting at open, schema-aware
-    parsing, and the run and covering id indexes built on demand."""
+    parsing, and the run and covering id indexes, planned on demand and
+    built together in one pass."""
 
     def __init__(self, session: "SourceSession", table: Table, path: Path):
         self.session = session
         self.table = table
         self.path = path
         self.columns = [c.name for c in table.columns]
-        self.converters = [_converter(c.datatype) for c in table.columns]
+        converters, self.types = zip(*(_converter(c.datatype)
+                                       for c in table.columns))
         # only non-string cells need converting; "" is NULL in every column
         self._typed_columns = [(p, convert) for p, convert
-                               in enumerate(self.converters) if convert is not str]
+                               in enumerate(converters) if convert is not str]
         self.row_count = self._validate_and_count()
-        self._runs: dict[tuple[str, ...], dict[tuple, list[list[int]]]] = {}
+        self._runs: dict[tuple[tuple[str, ...], tuple[str, ...]], _Runs] = {}
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
+        self._unbuilt: list[tuple[str, tuple]] = []  # planned, not yet filled
         self._handle: BinaryIO | None = None
 
     # -- reading -----------------------------------------------------------------
@@ -214,18 +236,55 @@ class _TableFile:
 
     # -- indexes -------------------------------------------------------------------
 
-    def runs_on(self, columns: tuple[str, ...],
-                order: tuple[str, ...] = ()) -> dict[tuple, list[list[int]]]:
+    def runs_on(self, columns: tuple[str, ...], order: tuple[str, ...] = (),
+                build: bool = True) -> _Runs:
         """Run index: typed values of ``columns`` -> the runs of consecutive
-        rows holding them, each ``[byte offset, first row, row count]``, in
-        file order. A file clustered by ``columns`` has one run per key.
-        Rows with a NULL in ``columns`` are left out; a NULL in one of the
-        ``order`` columns, which groups are sorted by, fails."""
-        index = self._runs.get((columns, order))
-        if index is not None:
-            return index
-        key_of, order_of = self.getter(columns), self.getter(order)
-        index, last = {}, None
+        rows holding them, as flat ``(byte offset, first row, row count)``
+        triples in file order. A file clustered by ``columns`` has one run
+        per key. Rows with a NULL in ``columns`` are left out; a NULL in one
+        of the ``order`` columns, which groups are sorted by, fails. With
+        ``build`` false the index is only planned: it stays empty until
+        ``build_indexes`` fills it together with the file's other indexes."""
+        return self._index(self._runs, "runs", (columns, order), build)
+
+    def ids_on(self, columns: tuple[str, ...], build: bool = True) -> dict[tuple, list]:
+        """Covering index: typed values of ``columns`` -> identifiers
+        (``record_id``) of the matching rows, in primary key order. Rows
+        with a NULL in ``columns`` are left out; a NULL primary key value
+        fails. ``build`` is as for ``runs_on``."""
+        if self.table.primary_key() is None:
+            raise SourceError(f"table {self.table.name!r} has no primary key")
+        return self._index(self._id_indexes, "ids", columns, build)
+
+    def _index(self, indexes: dict, kind: str, key: tuple, build: bool) -> dict:
+        index = indexes.get(key)
+        if index is None:
+            index = indexes[key] = {}
+            self._unbuilt.append((kind, key))
+        if build:
+            self.build_indexes()
+        return index
+
+    def build_indexes(self) -> None:
+        """Fill every planned index that is still empty in one pass over the
+        file, typing each row once and checking the key columns the indexes
+        rely on: the primary key for covering indexes, the order columns
+        for run indexes."""
+        if not self._unbuilt:
+            return
+        required: dict[str, None] = {}
+        fills, finishes = [], []
+        for kind, key in self._unbuilt:
+            if kind == "ids":
+                required.update(dict.fromkeys(self.table.primary_key().columns))
+                fill, finish = self._ids_fill(key)
+                finishes.append(finish)
+            else:
+                required.update(dict.fromkeys(key[1]))
+                fill = self._runs_fill(*key)
+            fills.append(fill)
+        if required:
+            fills.insert(0, self._key_check(tuple(required)))
         with open(self.path, "rb") as handle:
             start = [len(handle.readline())]
 
@@ -238,52 +297,84 @@ class _TableFile:
 
             for n, row in enumerate(csv.reader(lines())):
                 row = self.typed(row, n)
-                if None in (values := order_of(row)):
-                    column = order[values.index(None)]
-                    raise SourceError(
-                        f"{self.path.name} (row {n + 1}), column {column!r}: "
-                        f"NULL key value for {self.table.name}.{column}")
-                key = key_of(row)
-                if key != last:
-                    last, run = key, [start[0], n, 0]
-                    if None not in key:
-                        index.setdefault(key, []).append(run)
-                run[2] += 1
-        self._runs[(columns, order)] = index
-        return index
+                for fill in fills:
+                    fill(row, n, start[0])
+        for finish in finishes:
+            finish()
+        self._unbuilt.clear()
 
-    def read(self, runs: Iterable[list[int]]) -> list[tuple[int, list]]:
-        """Numbered typed rows of ``runs``: one seek per run and one line
-        read per row, through one open handle that the session closes."""
+    def _key_check(self, columns: tuple[str, ...]) -> _Fill:
+        """Fill step that fails on a NULL in ``columns``, naming the row."""
+        values_of = self.getter(columns)
+
+        def check(row: list, n: int, offset: int) -> None:
+            if None in (values := values_of(row)):
+                column = columns[values.index(None)]
+                raise SourceError(
+                    f"{self.path.name} (row {n + 1}), column {column!r}: "
+                    f"NULL key value for {self.table.name}.{column}")
+
+        return check
+
+    def _runs_fill(self, columns: tuple[str, ...], order: tuple[str, ...]) -> _Fill:
+        index, key_of = self._runs[(columns, order)], self.getter(columns)
+        index.clear()  # a failed earlier pass may have left part of it
+        last: tuple | None = None
+        runs = array("q")
+
+        def fill(row: list, n: int, offset: int) -> None:
+            nonlocal last, runs
+            key = key_of(row)
+            if key == last:
+                runs[-1] += 1
+                return
+            last = key
+            if None in key:  # a NULL joins nothing: count into a throwaway
+                runs = array("q", (offset, n, 1))
+            elif (runs := index.get(key)) is None:
+                runs = index[key] = array("q", (offset, n, 1))
+            else:
+                runs.extend((offset, n, 1))
+
+        return fill
+
+    def _ids_fill(self, columns: tuple[str, ...]) -> tuple[_Fill, Callable[[], None]]:
+        groups, key_of = self._id_indexes[columns], self.getter(columns)
+        groups.clear()
+        pk = self.table.primary_key().columns
+        # a single-column key is held bare: it sorts and reads the same
+        pk_of = (itemgetter(self.columns.index(pk[0])) if len(pk) == 1
+                 else self.getter(pk))
+
+        def fill(row: list, n: int, offset: int) -> None:
+            key = key_of(row)
+            if None not in key:
+                if (pks := groups.get(key)) is None:
+                    groups[key] = [pk_of(row)]
+                else:
+                    pks.append(pk_of(row))
+
+        def finish() -> None:
+            for pks in groups.values():
+                pks.sort()  # as key tuples: (1, 9) before (1, 10)
+                if len(pk) > 1:
+                    pks[:] = map(record_id, pks)
+
+        return fill, finish
+
+    def read(self, runs: Iterable[int]) -> list[tuple[int, list]]:
+        """Numbered typed rows of ``runs`` (flat triples as ``runs_on``
+        stores them): one seek per run and one line read per row, through
+        one open handle that the session closes."""
         handle = self._handle = self._handle or open(self.path, "rb")
         out = []
-        for offset, first, count in runs:
+        triples = iter(runs)
+        for offset, first, count in zip(triples, triples, triples):
             handle.seek(offset)
             lines = map(bytes.decode, islice(handle, count))
             for n, row in enumerate(csv.reader(lines), first):
                 out.append((n, self.typed(row, n)))
         return out
-
-    def ids_on(self, columns: tuple[str, ...]) -> dict[tuple, list]:
-        """Covering index: typed values of ``columns`` -> identifiers
-        (``record_id``) of the matching rows, in primary key order. Rows
-        with a NULL in ``columns`` are left out."""
-        index = self._id_indexes.get(columns)
-        if index is None:
-            pk = self.table.primary_key()
-            if pk is None:
-                raise SourceError(f"table {self.table.name!r} has no primary key")
-            key_of, pk_of = self.getter(columns), self.getter(pk.columns)
-            groups: dict[tuple, list] = {}
-            for _, row in self.typed_rows():
-                key = key_of(row)
-                if None not in key:
-                    groups.setdefault(key, []).append(pk_of(row))
-            for pks in groups.values():
-                pks.sort()  # as key tuples: (1, 9) before (1, 10)
-                pks[:] = map(record_id, pks)
-            index = self._id_indexes[columns] = groups
-        return index
 
     def close(self) -> None:
         if self._handle is not None:

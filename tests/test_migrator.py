@@ -85,10 +85,13 @@ def test_transform_instance_directly(mini):
     te = mini["step2"].target.document("app_user")
     ue_name, steps = compile_plan(mini["step2"].trace, te)
     table = session.table_for(ue_name)
+    indexed = []
     build = unimig.migrator._compile_rows(session, ue_name, table, steps,
-                                          EntityStats(), te.name)
+                                          EntityStats(), te.name, indexed)
+    for file in indexed:  # the run indexes of the embedded children
+        file.build_indexes()
     n, row = next(iter(session.file_for(table.name).typed_rows()))
-    assert build(row, n) == EXPECTED_U001
+    assert json.loads(build(row, n)) == EXPECTED_U001
     session.close()
 
 
@@ -155,10 +158,12 @@ def test_write_batch_contract():
     handle = io.StringIO()
     assert write_batch(handle, []) == 0
     assert handle.getvalue() == ""
-    docs = [{"a": 1, "b": [1, 2]}, {"name": "Zoë", "tag": "ñ"}, {}]
-    assert write_batch(handle, docs) == 3
-    assert handle.getvalue() == (
-        '{"a":1,"b":[1,2]}\n{"name":"Zoë","tag":"ñ"}\n{}\n')
+    lines = ['{"a":1,"b":[1,2]}', '{"name":"Zoë","tag":"ñ"}', "{}"]
+    assert write_batch(handle, lines) == 3
+    written = handle.getvalue()
+    assert written == "".join(line + "\n" for line in lines)
+    assert [json.loads(line) for line in written.splitlines()] == [
+        {"a": 1, "b": [1, 2]}, {"name": "Zoë", "tag": "ñ"}, {}]
 
 
 def test_empty_tables_give_empty_collections(mini, tmp_path):
@@ -322,6 +327,46 @@ def test_reverse_ids_follow_composite_key_tuple_order(tmp_path):
     # (1, 9) < (1, 10) as key tuples, although "1#10" < "1#9" as text
     assert docs["parent"] == [{"id": 1, "childs": ["1#9", "1#10", "2#1"]},
                               {"id": 2, "childs": []}]
+
+
+@pytest.mark.parametrize("sql_type", ["REAL", "DOUBLE", "DECIMAL(9,2)"])
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_non_finite_float_names_file_row_and_column(tmp_path, sql_type, cell):
+    # json.dumps would write NaN or Infinity, which strict JSON rejects
+    with pytest.raises(MigrationError,
+                       match=rf"t\.csv \(row 2\), column 'x': '{cell}' is not "
+                             r"a finite number"):
+        migrate_tiny(tmp_path,
+                     f"CREATE TABLE t (id INT PRIMARY KEY, x {sql_type}, y INT);",
+                     {"t": f"id,x,y\n1,1.5,3\n2,{cell},4\n"})
+    assert not (tmp_path / "out" / "t.jsonl").exists()
+
+
+_CHILD_OF_PARENT = (
+    "CREATE TABLE parent (id INT PRIMARY KEY);"
+    "CREATE TABLE child ({key}, parent_id INT,"
+    "  FOREIGN KEY (parent_id) REFERENCES parent (id));")
+
+
+@pytest.mark.parametrize("key,rows,row,column", [
+    # a composite key sorted with a NULL component among its siblings
+    ("a INT, b INT, PRIMARY KEY (a, b)", "a,b,parent_id\n1,,1\n1,9,1\n",
+     1, "b"),
+    # a composite key that would be written as "None#3"
+    ("a INT, b INT, PRIMARY KEY (a, b)", "a,b,parent_id\n1,9,1\n,3,2\n",
+     2, "a"),
+    # a single-column key that would be written as null
+    ("id INT PRIMARY KEY", "id,parent_id\n4,1\n,1\n", 2, "id"),
+], ids=["composite-sorted", "composite-text", "single"])
+def test_null_key_in_covering_index_names_row(tmp_path, key, rows, row, column):
+    # parent.childs reads child's identifiers from the covering index,
+    # which is built before the parent collection is written
+    with pytest.raises(MigrationError,
+                       match=rf"'parent': child\.csv \(row {row}\), column "
+                             rf"'{column}': NULL key value for child\.{column}"):
+        migrate_tiny(tmp_path, _CHILD_OF_PARENT.format(key=key),
+                     {"parent": "id\n1\n2\n", "child": rows})
+    assert not (tmp_path / "out" / "parent.jsonl").exists()
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning")

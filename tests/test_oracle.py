@@ -267,7 +267,12 @@ def test_migration_matches_naive_rebuild(seed):
                 encoding="utf-8").splitlines()
             got = [json.loads(line) for line in lines]
             oracle.nulls = oracle.dangling = 0
-            assert got == oracle.collection(te), te.name
+            expected = oracle.collection(te)
+            assert got == expected, te.name
+            # byte for byte what json.dumps writes for the same documents
+            assert lines == [json.dumps(doc, ensure_ascii=False,
+                                        separators=(",", ":"))
+                             for doc in expected], te.name
             stats = report.per_entity[te.name]
             assert (stats.nulls_omitted, stats.dangling_refs) == (
                 oracle.nulls, oracle.dangling), te.name

@@ -51,6 +51,46 @@ S_SEED_42 = {
         "0f336b904e25b0bb8eebaf70679b7956b0e46d296ee1f88a568ce3b4025e65b2",
 }
 
+# fixtures/northwind/data_1x: bench/northwind_gen.generate(out, 1, 11), with
+# REAL values, quoted fields, non-ASCII text, NULL-heavy columns and reverse
+# references to integer keys
+NORTHWIND_1X = {
+    "categories.jsonl":
+        "0f6a22d030e790b1747ebe35862a932c31749c3fa4ae0f56246349659947dd0b",
+    "customer_customer_demo.jsonl":
+        "49c24093792110a620a6b70c189246fd393226797af1fa31ad94f42eac93b30a",
+    "customer_demographics.jsonl":
+        "33acb6859b6da43e30f0ca69d037ff9ec82cfbd2c7a32e500096bea0c40475ec",
+    "customers.jsonl":
+        "5f360f4c6259c85c95d9a4be1004fdb7f3978f362f8230b4e12464552c95dd11",
+    "employee_territories.jsonl":
+        "a66e55a707bfa81da65126ab80e08f2383d176cc2d7feb93ce47abf587b4eaaa",
+    "employees.jsonl":
+        "04fdb22f4732686af18aadfceb10a8b2e0e4d6e2a68e3c0ade69fb4322401fb5",
+    "order_details.jsonl":
+        "081560a685f1be594fac5355fd08804aa0edd09f1a49b2a5be2b63c3156d48bc",
+    "orders.jsonl":
+        "fa45d6116c0ecdc0ee2d38d999b5811b7a86f9b7a267d987161c96e8ba7a3ffb",
+    "products.jsonl":
+        "8b445b52206158329e47ede043b540c3fe9cb3a1d7ceb4dd42afdc9991b2f05b",
+    "region.jsonl":
+        "d1543570ca64a47a23e0a67bb9a68d4ce500e6347a611a4e5dfeddef1d752893",
+    "shippers.jsonl":
+        "6229b1a5ce89398efb9e84feaed1bb99f852e243098557edb8ef0723f37ffa9e",
+    "suppliers.jsonl":
+        "9a69008113ec568f09f44ac3b3c983859f5deb1c4820cd3f75ab5acc531931cf",
+    "t1.trace.json":
+        "2df5eb3bf15e91b4563ddc3a9c1b3a69bf30dc9d79c77ba3571e7c6cb5b9fe29",
+    "t2.trace.json":
+        "df9130eaa4781f500f8b000a9390ae5ddf4d776d77967cd8d189f08527783bd2",
+    "target.docschema.json":
+        "ab77bd9691125889f6dc70e7b0114f652e24d38a784537f86548df712bab2698",
+    "territories.jsonl":
+        "b11721f4d7d9492b2efc55d6f163c704dd9f77c9a8f351335364757abf41a174",
+    "us_states.jsonl":
+        "3d5d2425433aefaf99bd78c2897de46f0582edab5660629442ad6aff2a62a8ea",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -63,6 +103,15 @@ def test_mini_output_bytes(tmp_path):
     got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())
            if p.name != "manifest.json"}
     assert got == MINI
+
+
+def test_northwind_output_bytes(tmp_path):
+    out = tmp_path / "out"
+    source = FIXTURES / "northwind" / "data_1x"
+    assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0
+    got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())
+           if p.name != "manifest.json"}
+    assert got == NORTHWIND_1X
 
 
 def test_s_output_bytes(s_migration):

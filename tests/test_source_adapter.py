@@ -414,8 +414,10 @@ def test_run_index_reads_unclustered_rows(tmp_path):
         {"parent": "id\n1\n2\n",
          "child": "parent_id,pos,note\n1,2,b\n1,1,a\n2,1,x\n1,3,c\n"})
     runs = session.file_for("child").runs_on(("parent_id",))
-    # [byte offset, first row, row count]: two runs for parent 1, one for 2
-    assert runs == {(1,): [[19, 0, 2], [37, 3, 1]], (2,): [[31, 2, 1]]}
+    # flat (byte offset, first row, row count) triples: two runs for
+    # parent 1, one for 2
+    assert {key: list(triples) for key, triples in runs.items()} == {
+        (1,): [19, 0, 2, 37, 3, 1], (2,): [31, 2, 1]}
     parents = read_entity_all(session, "parent")
     children = parents.related_by_name("childs")
     seen = []
