@@ -13,13 +13,14 @@ from the column's type, so the text is byte for byte what ``json.dumps``
 (compact, ``ensure_ascii=False``) writes for the same document.
 
 Every collection is compiled before any runs, which plans the indexes they
-probe; each file's indexes are then built in one pass, before the first
-collection that needs them. A NULL value leaves its property out and is
-counted (``nullsOmitted``), as is a forward reference whose target row is
-missing (``danglingRefs``); a NULL key fails. Documents are written in
-small batches through one open ``<collection>.jsonl`` per collection
-(``write_batch``), plus a ``manifest.json``; a failed collection's partial
-file is removed.
+probe; each file's planned indexes are then built in one pass, before any
+collection is written, so a bad cell or NULL key value an index relies on
+fails before any output. The report's total ``elapsedMs`` includes that
+pass. A NULL value leaves its property out and is counted
+(``nullsOmitted``), as is a forward reference whose target row is missing
+(``danglingRefs``); a NULL key fails. Each document is written as one line
+through one open ``<collection>.jsonl`` per collection (``write_batch``),
+plus a ``manifest.json``; a failed collection's partial file is removed.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class EntityStats:
 @dataclass
 class MigrationReport:
     per_entity: dict[str, EntityStats] = field(default_factory=dict)
+    index_ms: float = 0.0  # the pass that builds every planned index
 
     @property
     def total_rows(self) -> int:
@@ -76,7 +78,7 @@ class MigrationReport:
 
     @property
     def total_elapsed_ms(self) -> float:
-        return sum(s.elapsed_ms for s in self.per_entity.values())
+        return self.index_ms + sum(s.elapsed_ms for s in self.per_entity.values())
 
     @property
     def throughput_rows_per_s(self) -> float:
@@ -190,9 +192,6 @@ def _compile_property(t2: TraceStore, prop: Property, prop_path: str,
 _Part = Callable[[list, list], None]
 _Build = Callable[[list, int], str]
 _Encode = Callable[[object], str]
-# A value property: name prefix, value of a row, encoder, and the message
-# for a NULL key (None where a NULL only leaves the property out).
-_Value = tuple[str, Callable[[list], object], _Encode, str | None]
 
 #: JSON text of a value by its type, as ``json.dumps`` writes it; a
 #: non-finite float never reaches the encoder (the source rejects it).
@@ -234,41 +233,50 @@ def _id_encoder(file: _TableFile) -> _Encode:
 
 
 def _compile_rows(session: SourceSession, type_name: str, table: Table,
-                  steps: list[_Step], stats: EntityStats, path: str,
-                  indexed: list[_TableFile]) -> _Build:
+                  steps: list[_Step], stats: EntityStats, path: str) -> _Build:
     """Compile ``steps`` into a function over typed rows of ``table``, which
     stores ``type_name``, for the documents at ``path``: column positions,
     value encoders, trace resolution and the indexes to probe are fixed
-    here, once per collection. The indexes are only planned; the files
-    that must build them before the function runs are appended to
-    ``indexed``, in the order the steps probe them."""
+    here, once per collection. The indexes are only planned; the session
+    must build them (``build_indexes``) before the function runs."""
     file = session.file_for(table.name)
+    collection = f"collection {path.partition('.')[0]!r}"
     parts: list[_Part] = []
-    values: list[_Value] | None = None  # of the value part last added
     for step in steps:
+        kind = step.kind
         prefix = encode_basestring(step.name) + ":"
-        value = _value_of(session, type_name, table, step, prefix, path)
-        if value is not None:
-            if values is None:  # consecutive values share one part
-                values = []
-                parts.append(_values_part(values, stats))
-            values.append(value)
-            continue
-        values = None
-        link = session.link(type_name, table, step.us_feature)
-        indexed.append(link.file)
-        if step.kind == "embedded":
-            link.file.runs_on(link.index, link.order, build=False)
-            build = _compile_rows(session, link.type_name, link.file.table,
-                                  step.sub, stats, f"{path}.{step.name}",
-                                  indexed)
-            parts.append(_embedded_part(prefix, step.many, link, session,
-                                        file.getter(link.probe), build))
-        else:
-            ids = link.file.ids_on(link.index, build=False)  # needs a key
-            parts.append(_ref_part(prefix, step.kind == "ref_forward", ids,
+        null_key = f"NULL key value for {path}.{step.name}"
+        if kind in ("attr", "key_attr"):
+            column = session.column_of(type_name, table, step.us_feature)
+            p = file.columns.index(column)
+            encode = (_float_text if step.primitive == "DOUBLE"
+                      and file.types[p] is not float else _ENCODERS[file.types[p]])
+            parts.append(_value_part(
+                prefix, itemgetter(p), encode, stats,
+                f"column {column!r}: {null_key}" if kind == "key_attr" else None))
+        elif kind == "key_derived":
+            pk = table.primary_key()
+            if pk is None:
+                raise SourceError(f"table {table.name!r} has no primary key")
+            parts.append(_value_part(prefix, *_id_of(file, pk.columns, text=True),
+                                     stats, f"columns {pk.columns}: {null_key}"))
+        elif kind == "side_ref":
+            # the associative row itself stores this side's identifier
+            columns = session.side_columns(step.us_owner, step.us_feature)
+            parts.append(_value_part(prefix, *_id_of(file, columns), stats))
+        elif kind in ("ref_forward", "ref_reverse"):
+            link = session.link(type_name, table, step.us_feature)
+            parts.append(_ref_part(prefix, kind == "ref_forward",
+                                   link.file.ids_on(link.index, plan_for=collection),
                                    file.getter(link.probe),
                                    _id_encoder(link.file), stats))
+        else:  # embedded
+            link = session.link(type_name, table, step.us_feature)
+            link.file.runs_on(link.index, link.order, plan_for=collection)
+            build = _compile_rows(session, link.type_name, link.file.table,
+                                  step.sub, stats, f"{path}.{step.name}")
+            parts.append(_embedded_part(prefix, step.many, link, session,
+                                        file.getter(link.probe), build))
 
     def build(row: list, n: int) -> str:
         out: list[str] = []
@@ -282,48 +290,21 @@ def _compile_rows(session: SourceSession, type_name: str, table: Table,
     return build
 
 
-def _value_of(session: SourceSession, type_name: str, table: Table,
-              step: _Step, prefix: str, path: str) -> _Value | None:
-    """How a property that holds a value of the row (an attribute, a key
-    or a relationship side) reads and encodes it; None for a reference or
-    an embedded object."""
-    file = session.file_for(table.name)
-    null_key = f"NULL key value for {path}.{step.name}"
-    if step.kind == "key_derived":
-        pk = table.primary_key()
-        if pk is None:
-            raise SourceError(f"table {table.name!r} has no primary key")
-        return (prefix, *_id_of(file, pk.columns, text=True),
-                f"columns {pk.columns}: {null_key}")
-    if step.kind == "side_ref":
-        # the associative row itself stores this side's identifier
-        columns = session.side_columns(step.us_owner, step.us_feature)
-        return (prefix, *_id_of(file, columns), None)
-    if step.kind not in ("attr", "key_attr"):
-        return None
-    column = session.column_of(type_name, table, step.us_feature)
-    p = file.columns.index(column)
-    encode = (_float_text if step.primitive == "DOUBLE"
-              and file.types[p] is not float else _ENCODERS[file.types[p]])
-    return (prefix, itemgetter(p), encode,
-            f"column {column!r}: {null_key}" if step.kind == "key_attr" else None)
+def _value_part(prefix: str, value_of: Callable[[list], object],
+                encode: _Encode, stats: EntityStats,
+                null_key: str | None = None) -> _Part:
+    """A value of the row. A NULL value leaves the property out, or with
+    ``null_key`` (a key property) fails."""
+    def value(row: list, out: list) -> None:
+        v = value_of(row)
+        if v is not None:
+            out.append(prefix + encode(v))
+        elif null_key is None:
+            stats.nulls_omitted += 1
+        else:
+            raise _NullKey(null_key)
 
-
-def _values_part(values: list[_Value], stats: EntityStats) -> _Part:
-    """Properties that hold a value of the row, in order. A NULL value
-    leaves its property out, or with a ``null_key`` message (a key
-    property) fails."""
-    def part(row: list, out: list) -> None:
-        for prefix, value_of, encode, null_key in values:
-            v = value_of(row)
-            if v is not None:
-                out.append(prefix + encode(v))
-            elif null_key is None:
-                stats.nulls_omitted += 1
-            else:
-                raise _NullKey(null_key)
-
-    return part
+    return value
 
 
 def _ref_part(prefix: str, forward: bool, index: dict[tuple, list],
@@ -364,16 +345,11 @@ def _embedded_part(prefix: str, many: bool, link: _Link, session: SourceSession,
 
 # --- writing --------------------------------------------------------------------
 
-#: Characters of encoded documents collected before one write.
-_BATCH_CHARS = 1 << 16
-
-
 def write_batch(handle: TextIO, lines: list[str]) -> int:
     """Write encoded documents to an open text handle, one JSON text per
     line; returns how many were written."""
     if lines:
-        handle.write("\n".join(lines))
-        handle.write("\n")
+        handle.write("\n".join(lines) + "\n")
     return len(lines)
 
 
@@ -386,11 +362,11 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
     ``target_dir``.
 
     Every collection is compiled first, which plans the indexes they
-    probe; a file's planned indexes are then built in one pass before the
-    first collection that needs them runs. The session carries the forward
-    trace it was opened with; ``t2`` is the trace from the pivot model to
-    ``target_schema``. The session is closed when migration finishes,
-    successfully or not.
+    probe; the session then builds each file's planned indexes in one
+    pass, before any collection is written. The session carries the
+    forward trace it was opened with; ``t2`` is the trace from the pivot
+    model to ``target_schema``. The session is closed when migration
+    finishes, successfully or not.
     """
     target_dir = Path(target_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
@@ -404,34 +380,26 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             try:
                 ue_name, steps = compile_plan(t2, te)
                 table = source.table_for(ue_name)
-                indexed: list[_TableFile] = []
                 build = _compile_rows(source, ue_name, table, steps, stats,
-                                      te.name, indexed)
+                                      te.name)
             except Exception as exc:
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
             stats.elapsed_ms = (time.monotonic() - started) * 1000.0
-            compiled.append((te.name, stats, source.file_for(table.name),
-                             build, indexed))
-        for name, stats, file, build, indexed in compiled:
+            compiled.append((te.name, stats, source.file_for(table.name), build))
+        started = time.monotonic()
+        source.build_indexes()
+        report.index_ms = (time.monotonic() - started) * 1000.0
+        for name, stats, file, build in compiled:
             started = time.monotonic()
             rows_before = source.records_read
             out_path = target_dir / f"{name}.jsonl"
             try:
-                for needed in indexed:
-                    needed.build_indexes()
                 with open(out_path, "w", encoding="utf-8") as out:
-                    lines: list[str] = []
-                    size = 0
                     for n, row in file.typed_rows():
                         source._records_born(1)
-                        lines.append(line := build(row, n))
+                        stats.docs_written += write_batch(out, [build(row, n)])
                         source._records_released(1)
-                        size += len(line)
-                        if size >= _BATCH_CHARS:
-                            stats.docs_written += write_batch(out, lines)
-                            lines, size = [], 0
-                    stats.docs_written += write_batch(out, lines)
             except Exception as exc:
                 out_path.unlink(missing_ok=True)
                 raise MigrationError(

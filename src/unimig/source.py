@@ -17,11 +17,12 @@ seek per run (one run per key in a file clustered by it) through one
 handle per table, which the session closes. The covering id index
 (``ids_on``) maps a key to the identifiers of the matching rows, so a
 reference reads no row of the table it points at. Indexes can be planned
-before they are used (``build=False``): ``build_indexes`` then fills every
-planned index of a file in one streaming pass that types each row once,
-and fails, naming file, row and column, on a NULL primary key value (which
-a covering index would store) or a NULL order value (which child groups
-are sorted by).
+before they are used (``plan_for`` names what needs them): the session's
+``build_indexes`` then fills every planned index of each file in one
+streaming pass that types each row once, and fails, naming file, row and
+column and what the indexes were planned for, on a bad cell, a NULL
+primary key value (which a covering index would store) or a NULL order
+value (which child groups are sorted by).
 
 The migrator compiles its executor over these. Cursors serve the same rows
 as pivot-model features (attributes, keys, references, aggregates),
@@ -150,6 +151,7 @@ class _TableFile:
         self._runs: dict[tuple[tuple[str, ...], tuple[str, ...]], _Runs] = {}
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
         self._unbuilt: list[tuple[str, tuple]] = []  # planned, not yet filled
+        self._planned_for: dict[str, None] = {}  # who planned them, in order
         self._handle: BinaryIO | None = None
 
     # -- reading -----------------------------------------------------------------
@@ -237,39 +239,46 @@ class _TableFile:
     # -- indexes -------------------------------------------------------------------
 
     def runs_on(self, columns: tuple[str, ...], order: tuple[str, ...] = (),
-                build: bool = True) -> _Runs:
+                plan_for: str | None = None) -> _Runs:
         """Run index: typed values of ``columns`` -> the runs of consecutive
         rows holding them, as flat ``(byte offset, first row, row count)``
         triples in file order. A file clustered by ``columns`` has one run
         per key. Rows with a NULL in ``columns`` are left out; a NULL in one
         of the ``order`` columns, which groups are sorted by, fails. With
-        ``build`` false the index is only planned: it stays empty until
-        ``build_indexes`` fills it together with the file's other indexes."""
-        return self._index(self._runs, "runs", (columns, order), build)
+        ``plan_for``, which names what needs it, the index is only planned:
+        it stays empty until ``build_indexes`` fills it together with the
+        file's other indexes."""
+        return self._index(self._runs, "runs", (columns, order), plan_for)
 
-    def ids_on(self, columns: tuple[str, ...], build: bool = True) -> dict[tuple, list]:
+    def ids_on(self, columns: tuple[str, ...],
+               plan_for: str | None = None) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
         (``record_id``) of the matching rows, in primary key order. Rows
         with a NULL in ``columns`` are left out; a NULL primary key value
-        fails. ``build`` is as for ``runs_on``."""
+        fails. ``plan_for`` is as for ``runs_on``."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
-        return self._index(self._id_indexes, "ids", columns, build)
+        return self._index(self._id_indexes, "ids", columns, plan_for)
 
-    def _index(self, indexes: dict, kind: str, key: tuple, build: bool) -> dict:
+    def _index(self, indexes: dict, kind: str, key: tuple,
+               plan_for: str | None) -> dict:
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = {}
             self._unbuilt.append((kind, key))
-        if build:
+        if plan_for is None:
             self.build_indexes()
+        else:
+            self._planned_for[plan_for] = None
         return index
 
     def build_indexes(self) -> None:
         """Fill every planned index that is still empty in one pass over the
         file, typing each row once and checking the key columns the indexes
         rely on: the primary key for covering indexes, the order columns
-        for run indexes."""
+        for run indexes. A failed pass names what the indexes were planned
+        for."""
+        planned_for, self._planned_for = ", ".join(self._planned_for), {}
         if not self._unbuilt:
             return
         required: dict[str, None] = {}
@@ -295,10 +304,16 @@ class _TableFile:
                     yield line.decode("utf-8")
                     start[0] += len(line)
 
-            for n, row in enumerate(csv.reader(lines())):
-                row = self.typed(row, n)
-                for fill in fills:
-                    fill(row, n, start[0])
+            try:
+                for n, row in enumerate(csv.reader(lines())):
+                    row = self.typed(row, n)
+                    for fill in fills:
+                        fill(row, n, start[0])
+            except SourceError as exc:
+                if planned_for:
+                    raise SourceError(
+                        f"while indexing for {planned_for}: {exc}") from exc
+                raise
         for finish in finishes:
             finish()
         self._unbuilt.clear()
@@ -341,10 +356,10 @@ class _TableFile:
     def _ids_fill(self, columns: tuple[str, ...]) -> tuple[_Fill, Callable[[], None]]:
         groups, key_of = self._id_indexes[columns], self.getter(columns)
         groups.clear()
-        pk = self.table.primary_key().columns
-        # a single-column key is held bare: it sorts and reads the same
-        pk_of = (itemgetter(self.columns.index(pk[0])) if len(pk) == 1
-                 else self.getter(pk))
+        pk = [self.columns.index(c) for c in self.table.primary_key().columns]
+        # a single-column key is held as its bare value, which is its
+        # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
+        pk_of = itemgetter(*pk)
 
         def fill(row: list, n: int, offset: int) -> None:
             key = key_of(row)
@@ -538,6 +553,12 @@ class SourceSession:
 
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
+
+    def build_indexes(self) -> None:
+        """Fill every planned index, one pass per file; a file with nothing
+        planned is not read."""
+        for file in self._files.values():
+            file.build_indexes()
 
     def close(self) -> None:
         self.open = False

@@ -85,11 +85,9 @@ def test_transform_instance_directly(mini):
     te = mini["step2"].target.document("app_user")
     ue_name, steps = compile_plan(mini["step2"].trace, te)
     table = session.table_for(ue_name)
-    indexed = []
     build = unimig.migrator._compile_rows(session, ue_name, table, steps,
-                                          EntityStats(), te.name, indexed)
-    for file in indexed:  # the run indexes of the embedded children
-        file.build_indexes()
+                                          EntityStats(), te.name)
+    session.build_indexes()  # the run indexes of the embedded children
     n, row = next(iter(session.file_for(table.name).typed_rows()))
     assert json.loads(build(row, n)) == EXPECTED_U001
     session.close()
@@ -134,6 +132,9 @@ def test_report_totals_are_sums(mini, tmp_path):
         s.docs_written for s in report.per_entity.values())
     assert report.total_rows == sum(
         s.rows_read for s in report.per_entity.values())
+    # the one index pass is timed apart from the collections
+    assert report.total_elapsed_ms == pytest.approx(report.index_ms + sum(
+        s.elapsed_ms for s in report.per_entity.values()))
     assert report.throughput_rows_per_s > 0
 
 
@@ -360,13 +361,31 @@ _CHILD_OF_PARENT = (
 ], ids=["composite-sorted", "composite-text", "single"])
 def test_null_key_in_covering_index_names_row(tmp_path, key, rows, row, column):
     # parent.childs reads child's identifiers from the covering index,
-    # which is built before the parent collection is written
+    # which is built before any collection is written
     with pytest.raises(MigrationError,
-                       match=rf"'parent': child\.csv \(row {row}\), column "
-                             rf"'{column}': NULL key value for child\.{column}"):
+                       match=rf"while indexing for collection 'parent': child\.csv \(row "
+                             rf"{row}\), column '{column}': NULL key value for "
+                             rf"child\.{column}"):
         migrate_tiny(tmp_path, _CHILD_OF_PARENT.format(key=key),
                      {"parent": "id\n1\n2\n", "child": rows})
-    assert not (tmp_path / "out" / "parent.jsonl").exists()
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_null_order_value_of_later_collection_fails_before_output(tmp_path):
+    # only q, the second collection, embeds item ordered by pos; p comes
+    # first and needs no index, yet nothing is written
+    with pytest.raises(MigrationError,
+                       match=r"while indexing for collection 'q': item\.csv \(row 1\), "
+                             r"column 'pos': NULL key value for item\.pos"):
+        migrate_tiny(
+            tmp_path,
+            "CREATE TABLE p (id INT PRIMARY KEY);"
+            "CREATE TABLE q (id INT PRIMARY KEY);"
+            "CREATE TABLE item (q_id INT, pos INT, p_id INT,"
+            "  PRIMARY KEY (q_id, pos), FOREIGN KEY (q_id) REFERENCES q (id),"
+            "  FOREIGN KEY (p_id) REFERENCES p (id));",
+            {"p": "id\n1\n", "q": "id\n1\n", "item": "q_id,pos,p_id\n1,,1\n1,1,1\n"})
+    assert not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning")
