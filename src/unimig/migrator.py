@@ -1,16 +1,17 @@
 """Trace-driven instance migration into JSON-lines collections.
 
-``compile_plan`` resolves the pivot-side origin of a collection and of each
-of its properties backward through the second trace. ``migrate`` compiles
-that plan once per collection into a function from a typed CSV row to the
-JSON text of its document, reading columns by position: fields are
-attribute values, keys are verbatim or ``#``-joined source key components,
-references are identifiers from a covering index, and embedded objects are
-child rows read through the run index of the child file, built
-recursively. Each property appends a ``"<name>":<value>`` fragment whose
-name is encoded at compile time and whose value encoder is picked there
-from the column's type, so the text is byte for byte what ``json.dumps``
-(compact, ``ensure_ascii=False``) writes for the same document.
+``compile_plan`` compiles a collection in one walk over its properties:
+each is looked up backward through the second trace to its pivot feature,
+which the source session resolves through the forward trace to columns or
+to the indexes to probe. The result is a function from a typed CSV row to
+the JSON text of its document, reading columns by position: fields are
+attribute values, keys are verbatim or ``#``-joined source key components
+(a text component holding ``#`` fails), references are identifiers from a
+covering index, and embedded objects are child rows read through the run
+index of the child file, compiled recursively. Each property appends a
+``"<name>":<value>`` fragment whose name is encoded at compile time and
+whose value encoder is picked there from the column's type, so the text is
+byte for byte what ``json.dumps`` (compact, ``ensure_ascii=False``) writes.
 
 Every collection is compiled before any runs, which plans the indexes they
 probe; each file's planned indexes are then built in one pass, before any
@@ -42,7 +43,6 @@ from unimig.document.model import (
     Property,
 )
 from unimig.errors import MigrationError, SourceError
-from unimig.relational.model import Table
 from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
@@ -50,6 +50,7 @@ from unimig.source import (
     _TableFile,
     fmt_id,
     read_entity_all,  # noqa: F401  (the cursor entry point, re-exported)
+    separator_message,
 )
 from unimig.trace import TraceStore, doc_path, id_segments
 
@@ -100,90 +101,6 @@ class MigrationReport:
         }
 
 
-# --- property plans -----------------------------------------------------------
-
-@dataclass
-class _Step:
-    kind: str  # attr | key_attr | key_derived | ref_forward | ref_reverse | side_ref | embedded
-    name: str  # document property name
-    us_feature: str = ""  # feature name on the pivot side
-    us_owner: str = ""  # entity type holding the feature (side references)
-    primitive: str = "STRING"
-    many: bool = False
-    sub: list["_Step"] = field(default_factory=list)
-
-
-def compile_plan(t2: TraceStore, te: DocumentType) -> tuple[str, list[_Step]]:
-    """Resolve the pivot origin of a collection and of each of its
-    properties; returns (pivot type name, steps)."""
-    origin_links = t2.lookup(f"doc:{te.name}", "backward")
-    origin = next((l for l in origin_links if l.rule in ("R2", "R7")), None)
-    if origin is None:
-        raise MigrationError(
-            f"collection {te.name!r} has no pivot origin in the trace")
-    ue_name = id_segments(origin.sources[0])[0]
-    steps = _compile_properties(t2, te.properties, [(te.name, False)])
-    return ue_name, steps
-
-
-def _compile_properties(t2: TraceStore, properties: list[Property],
-                        path: list[tuple[str, bool]]) -> list[_Step]:
-    steps: list[_Step] = []
-    for prop in properties:
-        prop_path = doc_path(path + [(prop.name, isinstance(prop, Embedded))])
-        links = t2.lookup(prop_path, "backward")
-        if not links:
-            raise MigrationError(f"property {prop_path} has no trace origin")
-        step = _compile_property(t2, prop, prop_path, links, path)
-        steps.append(step)
-    return steps
-
-
-def _compile_property(t2: TraceStore, prop: Property, prop_path: str,
-                      links, path) -> _Step:
-    by_rule = {}
-    for link in links:
-        by_rule.setdefault(link.rule, link)
-
-    if isinstance(prop, Field):
-        if prop.is_key:
-            r3 = by_rule.get("R3")
-            if r3 is not None:
-                return _Step("key_attr", prop.name,
-                             us_feature=id_segments(r3.sources[0])[1],
-                             primitive=prop.type.primitive)
-            return _Step("key_derived", prop.name)
-        r3 = by_rule.get("R3")
-        if r3 is None:
-            raise MigrationError(f"field {prop_path} lacks an attribute origin")
-        return _Step("attr", prop.name,
-                     us_feature=id_segments(r3.sources[0])[1],
-                     primitive=prop.type.primitive)
-
-    if isinstance(prop, DocReference):
-        r5 = by_rule.get("R5")
-        if r5 is not None:
-            kind = "ref_reverse" if prop.type.array else "ref_forward"
-            return _Step(kind, prop.name,
-                         us_feature=id_segments(r5.sources[0])[1],
-                         many=prop.type.array)
-        r7 = by_rule.get("R7")
-        if r7 is None:
-            raise MigrationError(f"reference {prop_path} lacks a trace origin")
-        owner, ref_name = id_segments(r7.sources[0])[:2]
-        return _Step("side_ref", prop.name, us_feature=ref_name, us_owner=owner)
-
-    assert isinstance(prop, Embedded)
-    r6 = by_rule.get("R6")
-    if r6 is None:
-        raise MigrationError(f"embedded {prop_path} lacks an aggregate origin")
-    sub = _compile_properties(t2, prop.aggregates,
-                              path + [(prop.name, True)])
-    return _Step("embedded", prop.name,
-                 us_feature=id_segments(r6.sources[0])[1],
-                 many=prop.is_many, sub=sub)
-
-
 # --- the executor ----------------------------------------------------------------
 
 # A part appends one ``"<name>":<value>`` JSON fragment, or none, from a
@@ -208,74 +125,106 @@ def _float_text(value: object) -> str:
     return float.__repr__(float(value))
 
 
-class _NullKey(MigrationError):
-    """A key property is NULL; the build function adds the file and row."""
+class _BadKey(MigrationError):
+    """A NULL or colliding key value; the build function adds file and row."""
 
 
 def _id_of(file: _TableFile, columns: list[str],
            text: bool = False) -> tuple[Callable[[list], object], _Encode]:
     """Function from a typed row to the identifier its values in
     ``columns`` form, as ``record_id`` does or, with ``text``, always as
-    ``#``-joined text (None when one of the values is NULL); and the
-    encoder of that identifier."""
+    ``#``-joined text (None when one of the values is NULL), failing on a
+    text component that holds ``#``; and the encoder of that identifier."""
     if len(columns) == 1 and not text:
         p = file.columns.index(columns[0])
         return itemgetter(p), _ENCODERS[file.types[p]]
     get = file.getter(columns)
-    return (lambda row: (None if None in (v := get(row))
-                         else KEY_SEPARATOR.join(map(fmt_id, v))),
-            encode_basestring)
+    check = len(columns) > 1 and str in get(file.types)  # a text component
+
+    def id_of(row: list) -> str | None:
+        if None in (values := get(row)):
+            return None
+        joined = KEY_SEPARATOR.join(map(fmt_id, values))
+        if check and joined.count(KEY_SEPARATOR) >= len(values):
+            raise _BadKey(separator_message(columns, values))
+        return joined
+
+    return id_of, encode_basestring
 
 
-def _id_encoder(file: _TableFile) -> _Encode:
-    """Encoder of the identifiers (``record_id``) of ``file``'s rows."""
-    return _id_of(file, file.table.primary_key().columns)[1]
+def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
+                 stats: EntityStats) -> tuple[_TableFile, _Build]:
+    """Compile collection ``te``: the file its documents come from, and a
+    function from a typed row of that file to the JSON text of one."""
+    origin = next((l for l in t2.lookup(f"doc:{te.name}", "backward")
+                   if l.rule in ("R2", "R7")), None)
+    if origin is None:
+        raise MigrationError(
+            f"collection {te.name!r} has no pivot origin in the trace")
+    type_name = id_segments(origin.sources[0])[0]
+    file = session.file_for(session.table_for(type_name).name)
+    return file, _compile_rows(session, t2, type_name, file, te.properties,
+                               stats, [(te.name, False)])
 
 
-def _compile_rows(session: SourceSession, type_name: str, table: Table,
-                  steps: list[_Step], stats: EntityStats, path: str) -> _Build:
-    """Compile ``steps`` into a function over typed rows of ``table``, which
-    stores ``type_name``, for the documents at ``path``: column positions,
-    value encoders, trace resolution and the indexes to probe are fixed
-    here, once per collection. The indexes are only planned; the session
-    must build them (``build_indexes``) before the function runs."""
-    file = session.file_for(table.name)
-    collection = f"collection {path.partition('.')[0]!r}"
+def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
+                  file: _TableFile, properties: list[Property],
+                  stats: EntityStats, path: list[tuple[str, bool]]) -> _Build:
+    """Compile ``properties`` at document ``path`` into a function over
+    typed rows of ``file``, whose table stores ``type_name``: column positions,
+    value encoders and the indexes to probe are fixed here, once per
+    collection. The indexes are only planned; the session must build them
+    (``build_indexes``) before the function runs."""
+    table, collection = file.table, f"collection {path[0][0]!r}"
     parts: list[_Part] = []
-    for step in steps:
-        kind = step.kind
-        prefix = encode_basestring(step.name) + ":"
-        null_key = f"NULL key value for {path}.{step.name}"
-        if kind in ("attr", "key_attr"):
-            column = session.column_of(type_name, table, step.us_feature)
-            p = file.columns.index(column)
-            encode = (_float_text if step.primitive == "DOUBLE"
-                      and file.types[p] is not float else _ENCODERS[file.types[p]])
-            parts.append(_value_part(
-                prefix, itemgetter(p), encode, stats,
-                f"column {column!r}: {null_key}" if kind == "key_attr" else None))
-        elif kind == "key_derived":
+    for prop in properties:
+        here = doc_path(path + [(prop.name, isinstance(prop, Embedded))])
+        links = t2.lookup(here, "backward")
+        if not links:
+            raise MigrationError(f"property {here} has no trace origin")
+        # the first source of the first link of each rule
+        by_rule = {l.rule: id_segments(l.sources[0]) for l in reversed(links)}
+        prefix = encode_basestring(prop.name) + ":"
+        label = ".".join([name for name, _ in path] + [prop.name])
+        if isinstance(prop, Field) and prop.is_key and "R3" not in by_rule:
+            # a derived key: the #-joined components of the primary key
             pk = table.primary_key()
             if pk is None:
                 raise SourceError(f"table {table.name!r} has no primary key")
-            parts.append(_value_part(prefix, *_id_of(file, pk.columns, text=True),
-                                     stats, f"columns {pk.columns}: {null_key}"))
-        elif kind == "side_ref":
+            parts.append(_value_part(
+                prefix, *_id_of(file, pk.columns, text=True), stats,
+                f"columns {pk.columns}: NULL key value for {label}"))
+        elif isinstance(prop, Field):
+            if "R3" not in by_rule:
+                raise MigrationError(f"field {here} lacks an attribute origin")
+            column = session.column_of(type_name, table, by_rule["R3"][1])
+            p = file.columns.index(column)
+            encode = (_float_text if prop.type.primitive == "DOUBLE"
+                      and file.types[p] is not float else _ENCODERS[file.types[p]])
+            parts.append(_value_part(
+                prefix, itemgetter(p), encode, stats,
+                f"column {column!r}: NULL key value for {label}"
+                if prop.is_key else None))
+        elif isinstance(prop, DocReference) and "R5" in by_rule:
+            link = session.link(type_name, table, by_rule["R5"][1])
+            ids = link.file.ids_on(link.index, plan_for=collection)
+            encode = _id_of(link.file, link.file.table.primary_key().columns)[1]
+            parts.append(_ref_part(prefix, not prop.type.array, ids,
+                                   file.getter(link.probe), encode, stats))
+        elif isinstance(prop, DocReference):
+            if "R7" not in by_rule:
+                raise MigrationError(f"reference {here} lacks a trace origin")
             # the associative row itself stores this side's identifier
-            columns = session.side_columns(step.us_owner, step.us_feature)
+            columns = session.side_columns(*by_rule["R7"][:2])
             parts.append(_value_part(prefix, *_id_of(file, columns), stats))
-        elif kind in ("ref_forward", "ref_reverse"):
-            link = session.link(type_name, table, step.us_feature)
-            parts.append(_ref_part(prefix, kind == "ref_forward",
-                                   link.file.ids_on(link.index, plan_for=collection),
-                                   file.getter(link.probe),
-                                   _id_encoder(link.file), stats))
-        else:  # embedded
-            link = session.link(type_name, table, step.us_feature)
+        else:
+            if "R6" not in by_rule:
+                raise MigrationError(f"embedded {here} lacks an aggregate origin")
+            link = session.link(type_name, table, by_rule["R6"][1])
             link.file.runs_on(link.index, link.order, plan_for=collection)
-            build = _compile_rows(session, link.type_name, link.file.table,
-                                  step.sub, stats, f"{path}.{step.name}")
-            parts.append(_embedded_part(prefix, step.many, link, session,
+            build = _compile_rows(session, t2, link.type_name, link.file,
+                                  prop.aggregates, stats, path + [(prop.name, True)])
+            parts.append(_embedded_part(prefix, prop.is_many, link, session,
                                         file.getter(link.probe), build))
 
     def build(row: list, n: int) -> str:
@@ -283,7 +232,7 @@ def _compile_rows(session: SourceSession, type_name: str, table: Table,
         try:
             for part in parts:
                 part(row, out)
-        except _NullKey as exc:
+        except _BadKey as exc:
             raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
         return "{" + ",".join(out) + "}"
 
@@ -302,7 +251,7 @@ def _value_part(prefix: str, value_of: Callable[[list], object],
         elif null_key is None:
             stats.nulls_omitted += 1
         else:
-            raise _NullKey(null_key)
+            raise _BadKey(null_key)
 
     return value
 
@@ -378,15 +327,12 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             stats = report.per_entity[te.name] = EntityStats()
             started = time.monotonic()
             try:
-                ue_name, steps = compile_plan(t2, te)
-                table = source.table_for(ue_name)
-                build = _compile_rows(source, ue_name, table, steps, stats,
-                                      te.name)
+                file, build = compile_plan(source, t2, te, stats)
             except Exception as exc:
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
             stats.elapsed_ms = (time.monotonic() - started) * 1000.0
-            compiled.append((te.name, stats, source.file_for(table.name), build))
+            compiled.append((te.name, stats, file, build))
         started = time.monotonic()
         source.build_indexes()
         report.index_ms = (time.monotonic() - started) * 1000.0

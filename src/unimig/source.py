@@ -7,7 +7,9 @@ source checks every file once: the header, the field count of each record,
 that no record spans lines, and that every line ends with a line feed.
 
 Rows come from ``csv.reader`` and are typed by column position
-(``_TableFile.typed``): every non-string cell is converted, integers are
+(``_TableFile.typed``): every non-string cell is converted, a numeric cell
+must be ASCII with no digit-group ``_`` or surrounding whitespace (which
+``int`` and ``float`` accept and SQL loaders do not), integers are
 range-checked against their declared SQL type, a float must be finite, and
 a value that does not convert names its file, row and column. Joins probe
 two indexes by typed key. The run index (``runs_on``) maps a key to the
@@ -21,13 +23,15 @@ before they are used (``plan_for`` names what needs them): the session's
 ``build_indexes`` then fills every planned index of each file in one
 streaming pass that types each row once, and fails, naming file, row and
 column and what the indexes were planned for, on a bad cell, a NULL
-primary key value (which a covering index would store) or a NULL order
-value (which child groups are sorted by).
+primary key value (which a covering index would store), a text component of
+a composite primary key holding ``#`` (two stored identifiers could
+collide) or a NULL order value (which child groups are sorted by).
 
-The migrator compiles its executor over these. Cursors serve the same rows
-as pivot-model features (attributes, keys, references, aggregates),
-resolved against tables and foreign keys through the forward trace, so
-callers never mention tables or joins::
+The session resolves pivot-model features (attributes, keys, references,
+aggregates) to tables, columns and foreign keys by looking them up in the
+forward trace on each call; the migrator does so once per collection, when
+it compiles its executor over these files. Cursors serve the same rows as
+features, so callers never mention tables or joins::
 
     cursor = read_entity_all(session, entity)
     while cursor.has_data():
@@ -70,6 +74,10 @@ _FALSE = {"false", "f", "0", "no"}
 
 _INT_RANGES = {"SMALLINT": 16, "INT": 32, "BIGINT": 64}
 
+#: Roles, by rule, of the forward-trace links that give a feature data access.
+_ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")} | {
+    rule: (REF_FORWARD, REF_REVERSE) for rule in ("R7.1", "R7.2")}
+
 #: A run index: typed key -> flat (byte offset, first row, row count) triples.
 _Runs = dict[tuple, array]
 #: One step of an index pass, given each typed row, its number and offset.
@@ -91,6 +99,15 @@ def record_id(values: tuple) -> object:
     return KEY_SEPARATOR.join(fmt_id(v) for v in values)
 
 
+def separator_message(columns: list[str], values: tuple) -> str:
+    """Names the first of ``values``, components of one identifier, that
+    holds the separator, so that two identifiers could collide."""
+    column, value = next((c, v) for c, v in zip(columns, values)
+                         if isinstance(v, str) and KEY_SEPARATOR in v)
+    return (f"column {column!r}: key value {value!r} holds the identifier "
+            f"separator {KEY_SEPARATOR!r}")
+
+
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in _TRUE:
@@ -105,6 +122,8 @@ def _ranged_int(base: str) -> Callable[[str], int]:
     low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
 
     def convert(text: str) -> int:
+        if "_" in text or not text.isascii() or text.strip() != text:
+            raise ValueError(f"invalid literal for int() with base 10: {text!r}")
         value = int(text)
         if low <= value <= high:
             return value
@@ -114,6 +133,8 @@ def _ranged_int(base: str) -> Callable[[str], int]:
 
 
 def _finite_float(text: str) -> float:
+    if "_" in text or not text.isascii() or text.strip() != text:
+        raise ValueError(f"could not convert string to float: {text!r}")
     value = float(text)
     if value - value == 0.0:  # inf - inf and nan - nan are nan
         return value
@@ -137,8 +158,7 @@ class _TableFile:
     parsing, and the run and covering id indexes, planned on demand and
     built together in one pass."""
 
-    def __init__(self, session: "SourceSession", table: Table, path: Path):
-        self.session = session
+    def __init__(self, table: Table, path: Path):
         self.table = table
         self.path = path
         self.columns = [c.name for c in table.columns]
@@ -282,10 +302,15 @@ class _TableFile:
         if not self._unbuilt:
             return
         required: dict[str, None] = {}
+        joined: list[str] = []  # text components of #-joined identifiers
         fills, finishes = [], []
         for kind, key in self._unbuilt:
             if kind == "ids":
-                required.update(dict.fromkeys(self.table.primary_key().columns))
+                pk = self.table.primary_key().columns
+                required.update(dict.fromkeys(pk))
+                if len(pk) > 1:
+                    joined = [c for c in pk
+                              if self.types[self.columns.index(c)] is str]
                 fill, finish = self._ids_fill(key)
                 finishes.append(finish)
             else:
@@ -293,7 +318,7 @@ class _TableFile:
                 fill = self._runs_fill(*key)
             fills.append(fill)
         if required:
-            fills.insert(0, self._key_check(tuple(required)))
+            fills.insert(0, self._key_check(tuple(required), joined))
         with open(self.path, "rb") as handle:
             start = [len(handle.readline())]
 
@@ -318,9 +343,11 @@ class _TableFile:
             finish()
         self._unbuilt.clear()
 
-    def _key_check(self, columns: tuple[str, ...]) -> _Fill:
-        """Fill step that fails on a NULL in ``columns``, naming the row."""
-        values_of = self.getter(columns)
+    def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
+        """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
+        value of ``joined`` (text components of ``#``-joined identifiers),
+        naming the row."""
+        values_of, texts_of = self.getter(columns), self.getter(joined)
 
         def check(row: list, n: int, offset: int) -> None:
             if None in (values := values_of(row)):
@@ -328,6 +355,10 @@ class _TableFile:
                 raise SourceError(
                     f"{self.path.name} (row {n + 1}), column {column!r}: "
                     f"NULL key value for {self.table.name}.{column}")
+            if joined and KEY_SEPARATOR in "".join(texts := texts_of(row)):
+                raise SourceError(
+                    f"{self.path.name} (row {n + 1}), "
+                    + separator_message(joined, texts))
 
         return check
 
@@ -435,14 +466,6 @@ class SourceSession:
         self.peak_live_records = 0
         self.records_read = 0
         self._files: dict[str, _TableFile] = {}
-        self._type_to_table: dict[str, str] = {}
-        self._table_to_type: dict[str, str] = {}
-        self._attr_to_column: dict[tuple[str, str], tuple[str, str]] = {}
-        self._key_to_rkey: dict[tuple[str, str], tuple[str, str]] = {}
-        self._feature_links: dict[tuple[str, str], tuple[str, str | None, str]] = {}
-        self._links: dict[tuple[str, str], _Link] = {}
-        self._sides: dict[tuple[str, str], list[str]] = {}
-        self._scan_trace()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -461,30 +484,18 @@ class SourceSession:
 
     # -- trace resolution ------------------------------------------------------
 
-    def _scan_trace(self) -> None:
-        for link in self.t1.links:
-            src = id_segments(link.sources[0])
-            tgt = id_segments(link.targets[0])
-            if link.rule == "R2":
-                self._type_to_table[tgt[0]] = src[0]
-                self._table_to_type[src[0]] = tgt[0]
-            elif link.rule == "R3":
-                self._attr_to_column[(tgt[0], tgt[1])] = (src[0], src[1])
-            elif link.rule == "R4":
-                self._key_to_rkey[(tgt[0], tgt[1])] = (src[0], src[1])
-            elif link.rule in ("R5", "R6") and link.role in (
-                    AGGREGATE_CHILD, REL_TYPE_SIDE):
-                table, fk = id_segments(link.sources[0])[0], None
-                if len(link.sources) > 1:
-                    fk = id_segments(link.sources[1])[1]
-                self._feature_links[(tgt[0], tgt[1])] = (table, fk, link.role)
-            elif link.rule in ("R7.1", "R7.2") and link.role in (
-                    REF_FORWARD, REF_REVERSE):
-                table, fk = src[0], src[1]
-                self._feature_links[(tgt[0], tgt[1])] = (table, fk, link.role)
+    def _traced(self, element: str, rule: str,
+                direction: str = "backward") -> list[str | None]:
+        """Path segments of the other end of the first ``rule`` link of the
+        forward trace that holds ``element``, or ``[None]``."""
+        for link in self.t1.lookup(element, direction):
+            if link.rule == rule:
+                ends = link.sources if direction == "backward" else link.targets
+                return id_segments(ends[0])
+        return [None]
 
     def table_for(self, type_name: str) -> Table:
-        table_name = self._type_to_table.get(type_name)
+        table_name = self._traced(f"us:{type_name}", "R2")[0]
         if table_name is None:
             raise SourceError(f"no table traces to schema type {type_name!r}")
         return self.schema.table(table_name)
@@ -492,44 +503,40 @@ class SourceSession:
     def column_of(self, type_name: str, table: Table, attr_name: str) -> str:
         """Column of ``table`` that stores attribute ``attr_name`` of
         ``type_name``."""
-        hit = self._attr_to_column.get((type_name, attr_name))
-        if hit is None or hit[0] != table.name:
+        source = self._traced(f"us:{type_name}.{attr_name}", "R3")
+        if source[0] != table.name:
             raise SourceError(
                 f"attribute {attr_name!r} does not belong to {type_name!r} "
                 "(or is reference-owned)")
-        return hit[1]
+        return source[1]
+
+    def _access(self, type_name: str, feature_name: str
+                ) -> tuple[str, Table, str | None] | None:
+        """Role, holding table and foreign key name of the link that gives
+        feature ``feature_name`` of ``type_name`` its data access."""
+        for link in self.t1.lookup(f"us:{type_name}.{feature_name}", "backward"):
+            if link.role in _ACCESS_ROLES.get(link.rule, ()):
+                table_name, *fk_name = id_segments(link.sources[-1])
+                return link.role, self.schema.table(table_name), (*fk_name, None)[0]
+        return None
 
     def side_columns(self, owner_type: str, ref_name: str) -> list[str]:
         """Columns of the foreign key behind one side of a relationship type,
         i.e. where an associative row stores that side's identifier."""
-        columns = self._sides.get((owner_type, ref_name))
-        if columns is None:
-            hit = self._feature_links.get((owner_type, ref_name))
-            if hit is None or hit[2] != REL_TYPE_SIDE:
-                raise SourceError(
-                    f"{owner_type}.{ref_name} is not a relationship side")
-            table_name, fk_name, _ = hit
-            fk = _fk(self.schema.table(table_name), fk_name)
-            columns = self._sides[(owner_type, ref_name)] = list(fk.columns)
-        return columns
+        access = self._access(owner_type, ref_name)
+        if access is None or access[0] != REL_TYPE_SIDE:
+            raise SourceError(f"{owner_type}.{ref_name} is not a relationship side")
+        return list(_fk(access[1], access[2]).columns)
 
     def link(self, type_name: str, table: Table, feature_name: str) -> _Link:
         """Feature ``feature_name`` of ``type_name`` (stored in ``table``)
-        resolved to the rows it reaches; computed once per session."""
-        link = self._links.get((type_name, feature_name))
-        if link is None:
-            link = self._links[(type_name, feature_name)] = self._resolve(
-                type_name, table, feature_name)
-        return link
-
-    def _resolve(self, type_name: str, table: Table, feature_name: str) -> _Link:
-        hit = self._feature_links.get((type_name, feature_name))
-        if hit is None:
+        resolved to the rows it reaches."""
+        access = self._access(type_name, feature_name)
+        if access is None:
             raise SourceError(
                 f"feature {type_name}.{feature_name} carries no data-access "
                 "role in the trace")
-        table_name, fk_name, role = hit
-        holder = self.schema.table(table_name)
+        role, holder, fk_name = access
         if role == REL_TYPE_SIDE:
             fk = _filter_side(holder, fk_name, table.name,
                               f"{type_name}.{feature_name}")
@@ -547,9 +554,9 @@ class SourceSession:
             if role != REF_REVERSE:
                 order = [c for c in order if c not in fk.columns]
         file = self._files[reached.name]
-        return _Link(role, self._table_to_type.get(reached.name, reached.name),
-                     file, tuple(probe), tuple(index), tuple(order),
-                     file.getter(order))
+        stored = self._traced(f"rel:{reached.name}", "R2", "forward")[0]
+        return _Link(role, stored or reached.name, file, tuple(probe),
+                     tuple(index), tuple(order), file.getter(order))
 
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
@@ -614,7 +621,7 @@ def open_source(root: Path | str, schema: RelationalSchema,
         if not path.exists():
             session.close()
             raise SourceError(f"missing data file for table {table.name!r}: {path}")
-        session._files[table.name] = _TableFile(session, table, path)
+        session._files[table.name] = _TableFile(table, path)
     return session
 
 
@@ -696,11 +703,11 @@ class SourceCursor:
     def key_value(self, name: str) -> object:
         self.session._check_open()
         record = self.record()
-        hit = self.session._key_to_rkey.get((self.type_name, name))
-        if hit is None or hit[0] != self.table.name:
+        source = self.session._traced(f"us:{self.type_name}.{name}", "R4")
+        if source[0] != self.table.name:
             raise SourceError(
                 f"key {name!r} does not belong to {self.type_name!r}")
-        rkey = self.table.key(hit[1])
+        rkey = self.table.key(source[1])
         values = tuple(record[c] for c in rkey.columns)
         return values[0] if len(values) == 1 else values
 

@@ -146,3 +146,23 @@ def test_cli_import_loads_no_numeric_packages():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_traced_benchmark_launcher_runs_a_migration(tmp_path):
+    # the benchmark's traced mode wraps migrator and cursor functions by
+    # name; a renamed or broken one would fail its --trace 1 runs
+    src = str(Path(unimig.__file__).resolve().parents[1])
+    launcher = Path(src).parent / "bench" / "launch.py"
+    mini = FIXTURES / "music_streaming" / "mini_data"
+    stamps = tmp_path / "stamps.json"
+    done = subprocess.run(
+        [sys.executable, str(launcher), "trace", str(stamps), "--", "migrate",
+         "--source", str(mini), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(stamps.read_text())
+    calls = {name: counts[0] for name, counts in result["layers"].items()}
+    assert calls["compile_plan"] >= 1 and calls["write_batch"] >= 1
+    rows = sum(len(path.read_text().splitlines()) - 1
+               for path in mini.glob("*.csv"))
+    assert result["records_read"] == rows == 22

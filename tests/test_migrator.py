@@ -11,6 +11,7 @@ import pytest
 
 import unimig.migrator
 import unimig.source
+import unimig.trace
 from unimig.errors import MigrationError
 from unimig.migrator import EntityStats, compile_plan, migrate, write_batch
 from unimig.relational.ddl import parse_ddl
@@ -83,12 +84,9 @@ def test_transform_instance_directly(mini):
     # without writing any file
     session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
     te = mini["step2"].target.document("app_user")
-    ue_name, steps = compile_plan(mini["step2"].trace, te)
-    table = session.table_for(ue_name)
-    build = unimig.migrator._compile_rows(session, ue_name, table, steps,
-                                          EntityStats(), te.name)
+    file, build = compile_plan(session, mini["step2"].trace, te, EntityStats())
     session.build_indexes()  # the run indexes of the embedded children
-    n, row = next(iter(session.file_for(table.name).typed_rows()))
+    n, row = next(iter(file.typed_rows()))
     assert json.loads(build(row, n)) == EXPECTED_U001
     session.close()
 
@@ -418,3 +416,177 @@ def test_table_handles_closed_after_migrate(mini, tmp_path, monkeypatch, fails):
     assert any(h.mode == "rb" for h in opened)  # runs of rows were read
     assert any(h.mode == "w" for h in opened)  # an output handle was used
     assert all(h.closed for h in opened)
+
+
+def _break(store, element: str, rule: str, action: str):
+    """Unsealed copy of ``store`` without the ``rule`` link that has
+    ``element`` among its targets, or with that link's rule renamed."""
+    broken = store.copy()
+    hit = next(i for i, link in enumerate(broken.links)
+               if element in link.targets and link.rule == rule)
+    if action == "drop":
+        broken.remove_links({hit})
+    else:
+        broken.links[hit].rule = rule + "-renamed"
+    return broken
+
+
+@pytest.mark.parametrize("trace,element,rule,action,collection,message", [
+    ("t2", "doc:song", "R2", "drop", "song",
+     "collection 'song' has no pivot origin in the trace"),
+    ("t2", "doc:song.title", "R3", "drop", "song",
+     "property doc:song.title has no trace origin"),
+    ("t2", "doc:song.title", "R3", "rename", "song",
+     "field doc:song.title lacks an attribute origin"),
+    ("t2", "doc:app_user.playlists/playlist_songs.song_id", "R5", "rename",
+     "app_user", "reference doc:app_user.playlists/playlist_songs.song_id "
+     "lacks a trace origin"),
+    ("t2", "doc:app_user.most_recent_songs", "R6", "rename", "app_user",
+     "embedded doc:app_user.most_recent_songs lacks an aggregate origin"),
+    ("t1", "us:song", "R2", "drop", "song",
+     "no table traces to schema type 'song'"),
+    ("t1", "us:song.title", "R3", "drop", "song",
+     "attribute 'title' does not belong to 'song' (or is reference-owned)"),
+    ("t1", "us:app_user.most_recent_songs", "R5", "drop", "app_user",
+     "feature app_user.most_recent_songs carries no data-access role in "
+     "the trace"),
+    ("t1", "us:playlist_song.song", "R7.1", "drop", "app_user",
+     "feature playlist_song.song carries no data-access role in the trace"),
+    ("t1", "us:song.listening_user", "R6", "drop", "listening",
+     "song.listening_user is not a relationship side"),
+], ids=["collection-origin", "field", "field-r3", "reference", "embedded",
+        "type-r2", "attribute-r3", "aggregate-role", "reference-role",
+        "side-role"])
+def test_unresolvable_trace_fails_before_output(mini, tmp_path, trace, element,
+                                                rule, action, collection,
+                                                message):
+    t1, t2 = mini["step1"].trace, mini["step2"].trace
+    if trace == "t1":
+        t1 = _break(t1, element, rule, action)
+    else:
+        t2 = _break(t2, element, rule, action)
+    session = open_source(mini["root"], mini["schema"], t1)
+    out = tmp_path / "out"
+    with pytest.raises(MigrationError) as failure:
+        migrate(mini["step2"].target, t2, session, out)
+    assert str(failure.value) == (
+        f"while migrating collection {collection!r}: {message}")
+    assert not list(out.glob("*.jsonl"))
+
+
+def test_traces_resolved_per_collection_not_per_row(mini, tmp_path,
+                                                    monkeypatch):
+    repeated = tmp_path / "repeated"
+    shutil.copytree(mini["root"], repeated)
+    for path in repeated.glob("*.csv"):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + rows * 5) + "\n")
+    lookup = unimig.trace.TraceStore.lookup
+    counts = []
+
+    def counted(self, element_id, direction):
+        counts[-1] += 1
+        return lookup(self, element_id, direction)
+
+    monkeypatch.setattr(unimig.trace.TraceStore, "lookup", counted)
+    for n, root in enumerate([mini["root"], repeated]):
+        counts.append(0)
+        session = open_source(root, mini["schema"], mini["step1"].trace)
+        report = migrate(mini["step2"].target, mini["step2"].trace, session,
+                         tmp_path / f"out{n}")
+        assert report.total_docs == 14 * 5 ** n
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("sql_type,cell,value", [
+    # int() and float() take these; an SQL loader does not
+    ("INT", "1_000", None),
+    ("REAL", "2_5.5", None),
+    ("SMALLINT", " 7 ", None),
+    ("BIGINT", "３", None),  # a fullwidth 3
+    ("INT", "7\t", None),
+    ("DOUBLE", " 1.5", None),
+    ("DECIMAL(9,2)", "٣.5", None),  # an Arabic-Indic 3
+    # and what both read alike
+    ("INT", "-5", -5),
+    ("INT", "+5", 5),
+    ("BIGINT", "007", 7),
+    ("REAL", "-5", -5.0),
+    ("REAL", "+5", 5.0),
+    ("REAL", "1e5", 100000.0),
+    ("DOUBLE", ".5", 0.5),
+    ("DECIMAL(9,2)", "5.", 5.0),
+    ("REAL", "-2.5E-3", -0.0025),
+])
+def test_numeric_cells_read_as_sql_loaders_read_them(tmp_path, sql_type, cell,
+                                                    value):
+    ddl = f"CREATE TABLE t (id INT PRIMARY KEY, x {sql_type});"
+    files = {"t": f'id,x\n1,1\n2,"{cell}"\n'}
+    if value is None:
+        with pytest.raises(MigrationError,
+                           match=r"t\.csv \(row 2\), column 'x': "):
+            migrate_tiny(tmp_path, ddl, files)
+        assert not (tmp_path / "out" / "t.jsonl").exists()
+    else:
+        docs = migrate_tiny(tmp_path, ddl, files)
+        assert docs["t"][1] == {"id": 2, "x": value}
+        assert type(docs["t"][1]["x"]) is type(value)
+
+
+def test_separator_in_derived_key_component_fails(tmp_path):
+    # "a#b" + "c" and "a" + "b#c" would both be written as "a#b#c"
+    with pytest.raises(MigrationError,
+                       match=r"^while migrating collection 'c': c\.csv \(row 1\), "
+                             r"column 'a': key value 'a#b' holds the identifier "
+                             r"separator '#'$"):
+        migrate_tiny(tmp_path,
+                     "CREATE TABLE c (a VARCHAR(10), b VARCHAR(10), v INT,"
+                     "  PRIMARY KEY (a, b));",
+                     {"c": "a,b,v\na#b,c,1\na,b#c,2\n"})
+    assert not (tmp_path / "out" / "c.jsonl").exists()
+
+
+def test_separator_in_relationship_side_component_fails(tmp_path):
+    ddl = ("CREATE TABLE p (a VARCHAR(9), b VARCHAR(9), PRIMARY KEY (a, b));"
+           "CREATE TABLE q (id INT PRIMARY KEY);"
+           "CREATE TABLE pq (a VARCHAR(9), b VARCHAR(9), q_id INT,"
+           "  PRIMARY KEY (a, b, q_id), FOREIGN KEY (a, b) REFERENCES p (a, b),"
+           "  FOREIGN KEY (q_id) REFERENCES q (id));")
+    schema = parse_ddl(ddl)
+    step1 = rel_to_uschema(schema)
+    step2 = uschema_to_document(step1.target)
+    pq = step2.target.document("pq")
+    # the derived key, first, covers the side's columns too: move it last
+    # so that the side reference is the first to join them
+    key = pq.key_field()
+    pq.properties.remove(key)
+    pq.properties.append(key)
+    root = tmp_path / "tiny"
+    root.mkdir()
+    (root / "schema.sql").write_text(ddl)
+    for name, text in {"p": "a,b\nx,y\n", "q": "id\n1\n",
+                       "pq": "a,b,q_id\nx,y,1\nx#y,z,1\n"}.items():
+        (root / f"{name}.csv").write_text(text)
+    session = open_source(root, schema, step1.trace)
+    out = tmp_path / "out"
+    with pytest.raises(MigrationError,
+                       match=rf"^while migrating collection 'pq': pq\.csv \(row 2\), "
+                             r"column 'a': key value 'x#y' holds the identifier "
+                             r"separator '#'$"):
+        migrate(step2.target, step2.trace, session, out)
+    assert not (out / "pq.jsonl").exists()
+
+
+def test_separator_in_covering_index_key_fails_before_output(tmp_path):
+    # parent.childs reads the #-joined identifiers of child rows from a
+    # covering index, which the index pass fills before any output
+    with pytest.raises(MigrationError,
+                       match=r"^while indexing for collection 'parent': child\.csv "
+                             r"\(row 2\), column 'b': key value '9#1' holds the "
+                             r"identifier separator '#'$"):
+        migrate_tiny(tmp_path,
+                     _CHILD_OF_PARENT.format(
+                         key="a VARCHAR(5), b VARCHAR(5), PRIMARY KEY (a, b)"),
+                     {"parent": "id\n1\n",
+                      "child": "a,b,parent_id\n1,9,1\n1,9#1,1\n"})
+    assert not list((tmp_path / "out").iterdir())

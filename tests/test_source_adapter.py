@@ -17,7 +17,7 @@ from unimig.source import (
     read_entity_all,
     record_id,
 )
-from unimig.trace import REF_FORWARD, REF_REVERSE
+from unimig.trace import REF_FORWARD, REF_REVERSE, id_segments
 from unimig.transforms import rel_to_uschema
 
 
@@ -222,8 +222,9 @@ def test_forward_reference_with_null_fk_is_empty(mini, tmp_path):
 
 
 def test_related_ids_match_related_records(session, mini):
-    references = [key for key, (_, _, role) in session._feature_links.items()
-                  if role in (REF_FORWARD, REF_REVERSE)]
+    references = [id_segments(link.targets[0])
+                  for link in mini["result"].trace.links
+                  if link.role in (REF_FORWARD, REF_REVERSE)]
     assert references  # playlist_song.song, most_recent_song.song
     for type_name, feature in references:
         cursor = read_entity_all(session, type_name)
