@@ -16,23 +16,40 @@ byte for byte what ``json.dumps`` (compact, ``ensure_ascii=False``) writes.
 Every collection is compiled before any runs, which plans the indexes they
 probe; each file's planned indexes are then built in one pass, before any
 collection is written, so a bad cell or NULL key value an index relies on
-fails before any output. The report's total ``elapsedMs`` includes that
-pass. A NULL value leaves its property out and is counted
-(``nullsOmitted``), as is a forward reference whose target row is missing
-(``danglingRefs``); a NULL key fails. Each document is written as one line
-through one open ``<collection>.jsonl`` per collection (``write_batch``),
-plus a ``manifest.json``; a failed collection's partial file is removed.
+fails before any output. A NULL value leaves its property out and is
+counted (``nullsOmitted``), as is a forward reference whose target row is
+missing (``danglingRefs``); a NULL key fails.
+
+Once the indexes are built, a document depends only on its own row and on
+read-only indexes, so each collection's source file is cut into one
+contiguous row slice per CPU this process may run on
+(``_TableFile.spans``), and the parent forks a worker per slice but the
+first (horizontal partitioning of a scan: DeWitt & Gray, "Parallel
+Database Systems", CACM 1992). Each process writes its slice of every
+collection in schema order, one document per line (``write_batch``): the
+parent straight into ``<collection>.jsonl``, a worker into an unnamed part
+file that the parent appends, in slice order, once every worker is done.
+With one CPU nothing is forked. A failure ends as the serial run would: the
+error of the first failing collection and, within it, of the first failing
+row, with only the collections before it left on disk. The manifest's
+counters are sums over slices; its total ``elapsedMs`` is the wall time of
+the whole ``migrate``, and a collection's ``elapsedMs`` is its compile time
+plus the write times of its slices.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import tempfile
+import threading
 import time
 from json.encoder import encode_basestring
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from operator import itemgetter
-from typing import Callable, TextIO
+from typing import BinaryIO, Callable, TextIO
 
 from unimig.document.model import (
     DocReference,
@@ -47,6 +64,8 @@ from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
     _Link,
+    _Runs,
+    _Span,
     _TableFile,
     fmt_id,
     read_entity_all,  # noqa: F401  (the cursor entry point, re-exported)
@@ -68,6 +87,7 @@ class EntityStats:
 class MigrationReport:
     per_entity: dict[str, EntityStats] = field(default_factory=dict)
     index_ms: float = 0.0  # the pass that builds every planned index
+    total_elapsed_ms: float = 0.0  # wall time of the whole migrate
 
     @property
     def total_rows(self) -> int:
@@ -76,10 +96,6 @@ class MigrationReport:
     @property
     def total_docs(self) -> int:
         return sum(s.docs_written for s in self.per_entity.values())
-
-    @property
-    def total_elapsed_ms(self) -> float:
-        return self.index_ms + sum(s.elapsed_ms for s in self.per_entity.values())
 
     @property
     def throughput_rows_per_s(self) -> float:
@@ -221,10 +237,10 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             if "R6" not in by_rule:
                 raise MigrationError(f"embedded {here} lacks an aggregate origin")
             link = session.link(type_name, table, by_rule["R6"][1])
-            link.file.runs_on(link.index, link.order, plan_for=collection)
+            runs = link.file.runs_on(link.index, link.order, plan_for=collection)
             build = _compile_rows(session, t2, link.type_name, link.file,
                                   prop.aggregates, stats, path + [(prop.name, True)])
-            parts.append(_embedded_part(prefix, prop.is_many, link, session,
+            parts.append(_embedded_part(prefix, prop.is_many, link, runs, session,
                                         file.getter(link.probe), build))
 
     def build(row: list, n: int) -> str:
@@ -276,12 +292,13 @@ def _ref_part(prefix: str, forward: bool, index: dict[tuple, list],
     return ref
 
 
-def _embedded_part(prefix: str, many: bool, link: _Link, session: SourceSession,
-                   probe_of: Callable[[list], tuple], build: _Build) -> _Part:
-    """Child rows read through the run index of the child file, in key
-    order; the session counts them as live while they are built."""
+def _embedded_part(prefix: str, many: bool, link: _Link, runs: _Runs,
+                   session: SourceSession, probe_of: Callable[[list], tuple],
+                   build: _Build) -> _Part:
+    """Child rows read through ``runs``, the run index of the child file,
+    in key order; the session counts them as live while they are built."""
     def embedded(row: list, out: list) -> None:
-        group = link.group(probe_of(row))
+        group = link.group(probe_of(row), runs)
         session._records_born(len(group))
         if many:
             out.append(prefix + "[" + ",".join([build(r, m) for m, r in group]) + "]")
@@ -302,6 +319,205 @@ def write_batch(handle: TextIO, lines: list[str]) -> int:
     return len(lines)
 
 
+@dataclass
+class _Collection:
+    """A compiled collection: the file its documents come from, cut into
+    one row slice per process, and the function that builds each."""
+
+    name: str
+    stats: EntityStats
+    file: _TableFile
+    build: _Build
+    spans: list[_Span]
+
+
+def _write_slice(source: SourceSession, c: _Collection, i: int,
+                 out: TextIO) -> None:
+    """Write the documents of row slice ``i`` of ``c`` to ``out``, adding
+    to its stats; the parent and every worker run this."""
+    started = time.monotonic()
+    rows_before = source.records_read
+    try:
+        for n, row in c.file.typed_rows(c.spans[i]):
+            source._records_born(1)
+            c.stats.docs_written += write_batch(out, [c.build(row, n)])
+            source._records_released(1)
+    except Exception as exc:
+        raise MigrationError(
+            f"while migrating collection {c.name!r}: {exc}") from exc
+    c.stats.rows_read += source.records_read - rows_before
+    c.stats.elapsed_ms += (time.monotonic() - started) * 1000.0
+
+
+def _cpus() -> int:
+    """The number of row slices, and so of processes: how many CPUs this
+    process may run on, or 1 where that is unknown or where other threads
+    run, since a process with threads cannot be forked safely."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass
+class _Worker:
+    """A forked process that writes row slice ``i`` of every collection, in
+    schema order, to an unnamed part file and reports each collection as
+    one JSON line through a pipe."""
+
+    i: int
+    part: BinaryIO
+    pid: int = 0  # 0 once reaped
+    pipe: int = -1  # the read end, -1 once closed
+    ends: list[int] = field(default_factory=list)  # part offset after each
+
+    def close(self) -> None:
+        """Kill the worker if it still runs (an error path), reap it, and
+        close the pipe and the part file."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self.pipe >= 0:
+            os.close(self.pipe)
+            self.pipe = -1
+        self.part.close()
+
+
+def _fork(source: SourceSession, collections: list[_Collection],
+          worker: _Worker) -> None:
+    """Start ``worker``; in the child, run it and end the process there,
+    never returning into the caller's stack."""
+    worker.pipe, report = os.pipe()
+    try:
+        worker.pid = os.fork()
+    except OSError:
+        os.close(report)
+        raise
+    if worker.pid == 0:
+        code = 1
+        try:
+            os.close(worker.pipe)
+            _work(source, collections, worker.i, worker.part.fileno(), report)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(report)
+
+
+def _work(source: SourceSession, collections: list[_Collection], i: int,
+          part: int, report: int) -> None:
+    """A worker's run: after each collection, one JSON line with its slice's
+    counters, the most records held at once and the part file's offset,
+    or with the error that stopped the worker."""
+    source.records_read = source.peak_live_records = 0
+    for c in collections:
+        vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
+    with open(part, "w", encoding="utf-8", closefd=False) as out, \
+            open(report, "w", encoding="utf-8", buffering=1) as pipe:
+        for c in collections:
+            try:
+                _write_slice(source, c, i, out)
+            except MigrationError as exc:
+                pipe.write(json.dumps({"error": str(exc)}) + "\n")
+                return
+            out.flush()
+            pipe.write(json.dumps({
+                "stats": asdict(c.stats), "peak": source.peak_live_records,
+                "end": os.lseek(part, 0, os.SEEK_CUR)}) + "\n")
+
+
+def _collect(source: SourceSession, collections: list[_Collection],
+             worker: _Worker) -> tuple[int, int, MigrationError] | None:
+    """Wait for ``worker`` and add what it reports to the collections'
+    stats and to the session's record counters. Returns its failure, as
+    (collection index, slice, error), or None."""
+    with open(worker.pipe, encoding="utf-8") as pipe:
+        worker.pipe = -1
+        messages = [json.loads(line) for line in pipe]
+    _, status = os.waitpid(worker.pid, 0)
+    worker.pid = 0
+    for j, (c, message) in enumerate(zip(collections, messages)):
+        if "error" in message:
+            return j, worker.i, MigrationError(message["error"])
+        for key, value in message["stats"].items():
+            setattr(c.stats, key, getattr(c.stats, key) + value)
+        # each record a worker reads is a row of a slice it writes or of a
+        # child group embedded there, so its rows_read count them all
+        source.records_read += message["stats"]["rows_read"]
+        source.peak_live_records = max(source.peak_live_records,
+                                       message["peak"])
+        worker.ends.append(message["end"])
+    if len(messages) < len(collections):
+        name = collections[len(messages)].name
+        return len(messages), worker.i, MigrationError(
+            f"while migrating collection {name!r}: the worker writing row "
+            f"slice {worker.i} ended without reporting it (exit status "
+            f"{os.waitstatus_to_exitcode(status)})")
+    return None
+
+
+def _join(target_dir: Path, collections: list[_Collection],
+          workers: list[_Worker]) -> None:
+    """Append each collection's slices from the workers' part files, in
+    slice order, with ``sendfile`` (which takes no ``O_APPEND`` target)."""
+    for j, c in enumerate(collections):
+        ranges = [(w.part.fileno(), w.ends[j - 1] if j else 0, w.ends[j])
+                  for w in workers]
+        if all(start == end for _, start, end in ranges):
+            continue
+        out = os.open(target_dir / f"{c.name}.jsonl", os.O_WRONLY)
+        try:
+            os.lseek(out, 0, os.SEEK_END)
+            for part, start, end in ranges:
+                while start < end:
+                    sent = os.sendfile(out, part, start, end - start)
+                    if not sent:
+                        raise MigrationError(
+                            f"a part file of collection {c.name!r} is short")
+                    start += sent
+        finally:
+            os.close(out)
+
+
+def _write_collections(source: SourceSession, collections: list[_Collection],
+                       k: int, target_dir: Path) -> None:
+    """Write every collection in its ``k`` row slices, slice ``i`` by
+    process ``i`` (no fork when ``k`` is 1): the parent writes slice 0
+    straight into ``<collection>.jsonl``, forked workers write the others,
+    and once all are done the parent appends their part files. A failure
+    ends the run as the serial run would: it raises the error of the first
+    failing collection in schema order and, within it, of the lowest
+    failing slice, and only the collections before that one stay on disk.
+    Every worker is reaped, whatever happens."""
+    workers: list[_Worker] = []
+    try:
+        for i in range(1, k):
+            workers.append(_Worker(i, tempfile.TemporaryFile(dir=target_dir)))
+            _fork(source, collections, workers[-1])
+        failures = []
+        for j, c in enumerate(collections):
+            try:
+                with open(target_dir / f"{c.name}.jsonl", "w",
+                          encoding="utf-8") as out:
+                    _write_slice(source, c, 0, out)
+            except MigrationError as exc:
+                failures.append((j, 0, exc))
+                break
+        for worker in workers:
+            if (failure := _collect(source, collections, worker)) is not None:
+                failures.append(failure)
+        failure = min(failures, key=itemgetter(0, 1), default=None)
+        done = collections if failure is None else collections[:failure[0]]
+        for c in collections[len(done):]:
+            (target_dir / f"{c.name}.jsonl").unlink(missing_ok=True)
+        _join(target_dir, done, workers)
+        if failure is not None:
+            raise failure[2]
+    finally:
+        for worker in workers:
+            worker.close()
+
+
 # --- the pipeline ----------------------------------------------------------------
 
 def migrate(target_schema: DocumentSchema, t2: TraceStore,
@@ -312,46 +528,37 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
 
     Every collection is compiled first, which plans the indexes they
     probe; the session then builds each file's planned indexes in one
-    pass, before any collection is written. The session carries the
-    forward trace it was opened with; ``t2`` is the trace from the pivot
-    model to ``target_schema``. The session is closed when migration
-    finishes, successfully or not.
+    pass, before any collection is written. Each collection's rows are
+    then written in one slice per available CPU, one process per slice
+    (``_write_collections``). The session carries the forward trace it was
+    opened with; ``t2`` is the trace from the pivot model to
+    ``target_schema``. The session is closed when migration finishes,
+    successfully or not.
     """
+    started = time.monotonic()
     target_dir = Path(target_dir)
     target_dir.mkdir(parents=True, exist_ok=True)
 
     report = MigrationReport()
     try:
-        compiled = []
+        collections, k = [], _cpus()
         for te in target_schema.documents:
             stats = report.per_entity[te.name] = EntityStats()
-            started = time.monotonic()
+            compiled = time.monotonic()
             try:
                 file, build = compile_plan(source, t2, te, stats)
             except Exception as exc:
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
-            stats.elapsed_ms = (time.monotonic() - started) * 1000.0
-            compiled.append((te.name, stats, file, build))
-        started = time.monotonic()
+            stats.elapsed_ms = (time.monotonic() - compiled) * 1000.0
+            collections.append(
+                _Collection(te.name, stats, file, build, file.spans(k)))
+        indexed = time.monotonic()
         source.build_indexes()
-        report.index_ms = (time.monotonic() - started) * 1000.0
-        for name, stats, file, build in compiled:
-            started = time.monotonic()
-            rows_before = source.records_read
-            out_path = target_dir / f"{name}.jsonl"
-            try:
-                with open(out_path, "w", encoding="utf-8") as out:
-                    for n, row in file.typed_rows():
-                        source._records_born(1)
-                        stats.docs_written += write_batch(out, [build(row, n)])
-                        source._records_released(1)
-            except Exception as exc:
-                out_path.unlink(missing_ok=True)
-                raise MigrationError(
-                    f"while migrating collection {name!r}: {exc}") from exc
-            stats.rows_read = source.records_read - rows_before
-            stats.elapsed_ms += (time.monotonic() - started) * 1000.0
+        report.index_ms = (time.monotonic() - indexed) * 1000.0
+        source.close_handles()  # no two processes share a file offset
+        _write_collections(source, collections, k, target_dir)
+        report.total_elapsed_ms = (time.monotonic() - started) * 1000.0
         _write_manifest(target_dir, report, trace_refs or {})
         return report
     finally:

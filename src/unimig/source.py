@@ -38,6 +38,11 @@ features, so callers never mention tables or joins::
         ... cursor_value(cursor, attr) ...
         cursor_advance(cursor)
 
+A file's data rows can also be read in contiguous slices
+(``spans``, then ``typed_rows(span)``): each cut is the first line start
+at or after a byte quantile, and each slice's first row number is counted
+in bounded chunks, so rows keep the numbers a whole-file read gives them.
+
 The session counts the records read and the most held at once
 (``peak_live_records``).
 """
@@ -45,6 +50,7 @@ The session counts the records read and the most held at once
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -82,6 +88,10 @@ _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")
 _Runs = dict[tuple, array]
 #: One step of an index pass, given each typed row, its number and offset.
 _Fill = Callable[[list, int, int], None]
+#: A slice of a file's data rows: (start byte, first row number, stop byte).
+_Span = tuple[int, int, int]
+
+_COUNT_CHUNK = 1 << 16  # bytes read at a time to count the rows before a cut
 
 
 def fmt_id(value: object) -> str:
@@ -151,6 +161,19 @@ def _converter(datatype: SqlType) -> tuple[Callable[[str], object], type]:
     if kind == "Boolean":
         return _bool, bool
     return str, str  # String, Date
+
+
+def _lines(handle: BinaryIO, at: list[int], stop: int) -> Iterator[str]:
+    """The lines of a binary ``handle`` from byte ``at[0]`` to ``stop``,
+    decoded; ``at[0]`` then holds the byte offset of the line last yielded.
+    A record is one line (checked at open), so csv asks for the next line
+    only once the current row is handled."""
+    handle.seek(at[0])
+    for line in handle:
+        if at[0] >= stop:
+            return
+        yield line.decode("utf-8")
+        at[0] += len(line)
 
 
 class _TableFile:
@@ -241,13 +264,44 @@ class _TableFile:
             return [None if value == "" else value for value in row]
         return row
 
-    def typed_rows(self) -> Iterator[tuple[int, list]]:
-        """Every data row in file order, numbered and typed."""
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            for n, row in enumerate(reader):
+    def typed_rows(self, span: _Span | None = None) -> Iterator[tuple[int, list]]:
+        """The data rows of ``span`` (one of ``spans``), or of the whole
+        file, in file order, numbered and typed."""
+        start, first, stop = span or self.spans(1)[0]
+        with open(self.path, "rb") as handle:
+            for n, row in enumerate(csv.reader(_lines(handle, [start], stop)),
+                                    first):
                 yield n, self.typed(row, n)
+
+    def spans(self, k: int) -> list[_Span]:
+        """The data rows cut into ``k`` contiguous slices of about equal
+        size, as (start byte, first row number, stop byte); a slice may be
+        empty. Each cut is the first line start at or after a byte
+        ``k``-ile: a record is one line (checked at open), and a line feed
+        never occurs inside a UTF-8 sequence. Rows before each cut are
+        counted in bounded chunks."""
+        with open(self.path, "rb") as handle:
+            cuts = [len(handle.readline())]
+            size = os.fstat(handle.fileno()).st_size
+            for i in range(1, k):
+                target = cuts[0] + (size - cuts[0]) * i // k
+                if target > cuts[-1]:
+                    handle.seek(target - 1)
+                    handle.readline()
+                    cuts.append(handle.tell())
+                else:  # the last cut is already the first line start after it
+                    cuts.append(cuts[-1])
+            cuts.append(size)
+            firsts = [0]
+            for start, stop in zip(cuts[:k - 1], cuts[1:k]):
+                handle.seek(start)
+                rows = 0
+                while start < stop:
+                    chunk = handle.read(min(stop - start, _COUNT_CHUNK))
+                    rows += chunk.count(b"\n")
+                    start += len(chunk)
+                firsts.append(firsts[-1] + rows)
+        return list(zip(cuts, firsts, cuts[1:]))
 
     def getter(self, columns: Iterable[str]) -> Callable[[list], tuple]:
         """Function from a row to the tuple of its values in ``columns``."""
@@ -319,21 +373,14 @@ class _TableFile:
             fills.append(fill)
         if required:
             fills.insert(0, self._key_check(tuple(required), joined))
+        start, _, stop = self.spans(1)[0]
         with open(self.path, "rb") as handle:
-            start = [len(handle.readline())]
-
-            def lines() -> Iterator[str]:
-                # a record is one line (checked at open), so csv asks for
-                # the next line only once the current row is handled
-                for line in handle:
-                    yield line.decode("utf-8")
-                    start[0] += len(line)
-
+            at = [start]
             try:
-                for n, row in enumerate(csv.reader(lines())):
+                for n, row in enumerate(csv.reader(_lines(handle, at, stop))):
                     row = self.typed(row, n)
                     for fill in fills:
-                        fill(row, n, start[0])
+                        fill(row, n, at[0])
             except SourceError as exc:
                 if planned_for:
                     raise SourceError(
@@ -442,12 +489,16 @@ class _Link:
     order: tuple[str, ...]
     order_of: Callable[[list], tuple]
 
-    def group(self, probe: tuple) -> list[tuple[int, list]]:
+    def group(self, probe: tuple, runs: _Runs | None = None) -> list[tuple[int, list]]:
         """Numbered typed rows reached from a record whose probe columns
         hold ``probe`` (none if it holds a NULL), read through the run
-        index and sorted by ``order``."""
-        order_of, index = self.order_of, self.file.runs_on(self.index, self.order)
-        rows = self.file.read(() if None in probe else index.get(probe, ()))
+        index and sorted by ``order``. The migrator passes the run index
+        (``runs``) it resolved at compile time; without it the index is
+        looked up, and built if need be."""
+        if runs is None:
+            runs = self.file.runs_on(self.index, self.order)
+        order_of = self.order_of
+        rows = self.file.read(() if None in probe else runs.get(probe, ()))
         if self.order:
             rows.sort(key=lambda item: order_of(item[1]))
         return rows
@@ -567,11 +618,15 @@ class SourceSession:
         for file in self._files.values():
             file.build_indexes()
 
+    def close_handles(self) -> None:
+        """Close every table's read handle; the next read reopens it."""
+        for file in self._files.values():
+            file.close()
+
     def close(self) -> None:
         self.open = False
         self.live_records = 0
-        for file in self._files.values():
-            file.close()
+        self.close_handles()
 
 
 def _fk(table: Table, fk_name: str | None) -> FKey:

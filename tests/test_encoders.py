@@ -70,9 +70,11 @@ _SCHEMA = parse_ddl(_DDL)
 _STEP1 = rel_to_uschema(_SCHEMA)
 _STEP2 = uschema_to_document(_STEP1.target)
 
-# a CSV field holds no line break; "" is NULL
+# a CSV field holds no line break; "" is NULL; a UTF-8 file holds no
+# lone surrogate
 _CELL = st.text(st.one_of(st.sampled_from(_SPECIAL[:-32] + ['"', ",", " "]),
-                          st.characters(blacklist_characters="\r\n\x00")),
+                          st.characters(blacklist_characters="\r\n\x00",
+                                        codec="utf-8")),
                 min_size=1)
 _ROW = st.tuples(_CELL, st.sampled_from(_INT_BOUNDS[:2]),
                  st.sampled_from(_INT_BOUNDS[2:4] + [0]),

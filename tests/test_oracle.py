@@ -16,12 +16,14 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import random_schema
 
+import unimig.migrator
 from unimig.document.model import DocReference, Embedded, Field
 from unimig.migrator import migrate
 from unimig.relational.ddl import print_ddl
@@ -248,6 +250,17 @@ class Oracle:
 
 # --- the property ---------------------------------------------------------------
 
+def _output(out: Path) -> dict:
+    """Bytes of every collection and the manifest's counters."""
+    files = {p.name: p.read_bytes() for p in out.glob("*.jsonl")}
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    files["counters"] = [report["totals"]["rows"], report["totals"]["docs"]] + [
+        [entry[key] for key in ("rowsRead", "docsWritten", "nullsOmitted",
+                                "danglingRefs")]
+        for entry in report["perEntity"].values()]
+    return files
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_migration_matches_naive_rebuild(seed):
@@ -260,8 +273,15 @@ def test_migration_matches_naive_rebuild(seed):
         root, out = Path(tmp) / "data", Path(tmp) / "out"
         write_dataset(root, schema, data, rng.choice(["\n", "\r\n"]))
         oracle = Oracle(schema, step1.trace, step2.trace, root)
-        session = open_source(root, schema, step1.trace)
-        report = migrate(step2.target, step2.trace, session, out)
+        outputs = []
+        for k in (1, 2, 3):  # row slices, one process each
+            with mock.patch.object(unimig.migrator, "_cpus", return_value=k):
+                session = open_source(root, schema, step1.trace)
+                report = migrate(step2.target, step2.trace, session,
+                                 out / str(k))
+            outputs.append(_output(out / str(k)))
+        assert outputs[1] == outputs[0] == outputs[2]
+        out = out / "3"
         for te in step2.target.documents:
             lines = (out / f"{te.name}.jsonl").read_text(
                 encoding="utf-8").splitlines()
