@@ -50,6 +50,7 @@ The session counts the records read and the most held at once
 from __future__ import annotations
 
 import csv
+import io
 import os
 from array import array
 from collections import Counter
@@ -91,7 +92,7 @@ _Fill = Callable[[list, int, int], None]
 #: A slice of a file's data rows: (start byte, first row number, stop byte).
 _Span = tuple[int, int, int]
 
-_COUNT_CHUNK = 1 << 16  # bytes read at a time to count the rows before a cut
+_COUNT_CHUNK = 1 << 16  # bytes read at a time to count lines
 
 
 def fmt_id(value: object) -> str:
@@ -163,17 +164,16 @@ def _converter(datatype: SqlType) -> tuple[Callable[[str], object], type]:
     return str, str  # String, Date
 
 
-def _lines(handle: BinaryIO, at: list[int], stop: int) -> Iterator[str]:
-    """The lines of a binary ``handle`` from byte ``at[0]`` to ``stop``,
-    decoded; ``at[0]`` then holds the byte offset of the line last yielded.
-    A record is one line (checked at open), so csv asks for the next line
-    only once the current row is handled."""
-    handle.seek(at[0])
-    for line in handle:
-        if at[0] >= stop:
-            return
-        yield line.decode("utf-8")
-        at[0] += len(line)
+def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
+    """Line feeds between bytes ``start`` and ``stop`` of a binary
+    ``handle``, read in bounded chunks."""
+    handle.seek(start)
+    lines = 0
+    while start < stop:
+        chunk = handle.read(min(stop - start, _COUNT_CHUNK))
+        lines += chunk.count(b"\n")
+        start += len(chunk)
+    return lines
 
 
 class _TableFile:
@@ -269,9 +269,17 @@ class _TableFile:
         file, in file order, numbered and typed."""
         start, first, stop = span or self.spans(1)[0]
         with open(self.path, "rb") as handle:
-            for n, row in enumerate(csv.reader(_lines(handle, [start], stop)),
-                                    first):
-                yield n, self.typed(row, n)
+            if stop < os.fstat(handle.fileno()).st_size:  # a record is one line
+                rows = _count_lines(handle, start, stop)
+            else:  # the last line may lack its line feed
+                rows = self.row_count - first
+            handle.seek(start)
+            text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+            try:
+                for n, row in enumerate(csv.reader(islice(text, rows)), first):
+                    yield n, self.typed(row, n)
+            finally:
+                text.detach()  # the handle is closed by its own with
 
     def spans(self, k: int) -> list[_Span]:
         """The data rows cut into ``k`` contiguous slices of about equal
@@ -294,13 +302,9 @@ class _TableFile:
             cuts.append(size)
             firsts = [0]
             for start, stop in zip(cuts[:k - 1], cuts[1:k]):
-                handle.seek(start)
-                rows = 0
-                while start < stop:
-                    chunk = handle.read(min(stop - start, _COUNT_CHUNK))
-                    rows += chunk.count(b"\n")
-                    start += len(chunk)
-                firsts.append(firsts[-1] + rows)
+                # the last line may lack its line feed
+                firsts.append(self.row_count if stop == size else
+                              firsts[-1] + _count_lines(handle, start, stop))
         return list(zip(cuts, firsts, cuts[1:]))
 
     def getter(self, columns: Iterable[str]) -> Callable[[list], tuple]:
@@ -373,14 +377,21 @@ class _TableFile:
             fills.append(fill)
         if required:
             fills.insert(0, self._key_check(tuple(required), joined))
-        start, _, stop = self.spans(1)[0]
         with open(self.path, "rb") as handle:
-            at = [start]
+            start = [len(handle.readline())]
+
+            def lines() -> Iterator[str]:
+                # a record is one line (checked at open), so csv asks for
+                # the next line only once the current row is handled
+                for line in handle:
+                    yield line.decode("utf-8")
+                    start[0] += len(line)
+
             try:
-                for n, row in enumerate(csv.reader(_lines(handle, at, stop))):
+                for n, row in enumerate(csv.reader(lines())):
                     row = self.typed(row, n)
                     for fill in fills:
-                        fill(row, n, at[0])
+                        fill(row, n, start[0])
             except SourceError as exc:
                 if planned_for:
                     raise SourceError(

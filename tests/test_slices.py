@@ -43,12 +43,15 @@ _TEXT = st.text(st.sampled_from(list("ab ,\"'") + ["é", "中", "\U0001f600"]),
                 max_size=12)
 
 
-def _table_file(root: Path, texts: list[str], line_end: str = "\n") -> _TableFile:
+def _table_file(root: Path, texts: list[str], line_end: str = "\n",
+                last_line_end: bool = True) -> _TableFile:
     path = root / "t.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle, lineterminator=line_end)
         out.writerow(["id", "s"])
         out.writerows([n, text] for n, text in enumerate(texts))
+    if not last_line_end:
+        path.write_bytes(path.read_bytes()[:-len(line_end)])
     return _TableFile(_TABLE, path)
 
 
@@ -72,12 +75,14 @@ def _check_spans(file: _TableFile, k: int) -> list:
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_TEXT, max_size=10), st.sampled_from([1, 2, 3, 5]),
-       st.sampled_from(["\n", "\r\n"]))
-@example([], 2, "\n")
-@example(["a"], 5, "\n")
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example([], 2, "\n", True)
+@example(["a"], 5, "\n", True)
+@example(["a", "b", "c"], 2, "\n", False)
 def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
-                                             line_end):
-    _check_spans(_table_file(tmp_path_factory.mktemp("t"), texts, line_end), k)
+                                             line_end, last_line_end):
+    root = tmp_path_factory.mktemp("t")
+    _check_spans(_table_file(root, texts, line_end, last_line_end), k)
 
 
 def test_cut_on_a_line_start(tmp_path):
@@ -132,12 +137,15 @@ def _run(root: Path, out: Path, k: int, monkeypatch) -> tuple[dict, str | None]:
 
 
 def _sparse_mini(root: Path) -> Path:
-    """mini_data with an empty and a one-row table."""
+    """mini_data with an empty and a one-row table, and a file whose last
+    line lacks its line feed."""
     shutil.copytree(FIXTURES / "music_streaming" / "mini_data", root)
     for name, keep in (("musical_style", 0), ("song_style", 1)):
         path = root / f"{name}.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:1 + keep]) + "\n")
+    path = root / "listening.csv"
+    path.write_text(path.read_text().rstrip("\n"))
     return root
 
 
