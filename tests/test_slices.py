@@ -216,6 +216,10 @@ def _dataset(root: Path, bad: dict[tuple[str, int], str]) -> Path:
     ({("a", 9): "9,x"},
      "while migrating collection 'a': a.csv (row 9), column 'v': invalid "
      "literal for int() with base 10: 'x'"),
+    # the second slice of a later collection
+    ({("c", 9): "q,w"},
+     "while migrating collection 'c': c.csv (row 9), column 'id': invalid "
+     "literal for int() with base 10: 'q'"),
     # a NULL key in a worker's slice of a later collection
     ({("c", 10): ",w"},
      "while migrating collection 'c': c.csv (row 10), column 'id': NULL key "
@@ -228,7 +232,8 @@ def _dataset(root: Path, bad: dict[tuple[str, int], str]) -> Path:
     ({("c", 3): "y,w", ("c", 11): ",w"},
      "while migrating collection 'c': c.csv (row 3), column 'id': invalid "
      "literal for int() with base 10: 'y'"),
-], ids=["first-collection", "null-key", "parent-later", "lowest-slice"])
+], ids=["first-collection", "later-collection", "null-key", "parent-later",
+        "lowest-slice"])
 def test_failure_ends_as_serial_run(tmp_path, monkeypatch, bad, message):
     root = _dataset(tmp_path / "data", bad)
     serial = _run(root, tmp_path / "out1", 1, monkeypatch)
