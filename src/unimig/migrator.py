@@ -68,7 +68,7 @@ from unimig.source import (
     _Span,
     _TableFile,
     fmt_id,
-    read_entity_all,  # noqa: F401  (the cursor entry point, re-exported)
+    read_entity_all,  # noqa: F401  (re-exported: the benchmark wraps it here)
     separator_message,
 )
 from unimig.trace import TraceStore, doc_path, id_segments

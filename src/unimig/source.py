@@ -18,9 +18,9 @@ row, row count) triples in one ``array`` per key; a group is read with one
 seek per run (one run per key in a file clustered by it) through one
 handle per table, which the session closes. The covering id index
 (``ids_on``) maps a key to the identifiers of the matching rows, so a
-reference reads no row of the table it points at. Indexes can be planned
-before they are used (``plan_for`` names what needs them): the session's
-``build_indexes`` then fills every planned index of each file in one
+reference reads no row of the table it points at. Every index is planned
+first (``plan_for`` names what needs it) and then built: the session's
+``build_indexes`` fills every planned index of each file in one
 streaming pass that types each row once, and fails, naming file, row and
 column and what the indexes were planned for, on a bad cell, a NULL
 primary key value (which a covering index would store), a text component of
@@ -30,21 +30,19 @@ collide) or a NULL order value (which child groups are sorted by).
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
 forward trace on each call; the migrator does so once per collection, when
-it compiles its executor over these files. Cursors serve the same rows as
-features, so callers never mention tables or joins::
-
-    cursor = read_entity_all(session, entity)
-    while cursor.has_data():
-        ... cursor_value(cursor, attr) ...
-        cursor_advance(cursor)
+it compiles its executor over these files.
 
 A file's data rows can also be read in contiguous slices
-(``spans``, then ``typed_rows(span)``): each cut is the first line start
-at or after a byte quantile, and each slice's first row number is counted
-in bounded chunks, so rows keep the numbers a whole-file read gives them.
+(``spans``, then ``typed_rows(span)``), each a run as the run index
+stores them: each cut is the first line start at or after a byte
+quantile, and the rows before each cut are counted in bounded chunks, so
+rows keep the numbers a whole-file read gives them.
 
 The session counts the records read and the most held at once
-(``peak_live_records``).
+(``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
+entity's records and the records a feature reaches from one; the migrator
+does not use them, and they stay only while the benchmark's traced mode
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from unimig.trace import (
     id_segments,
 )
 from unimig.transforms.typemap import rel_to_us_type
-from unimig.uschema.model import Aggregate, Attribute, Key, Reference, SchemaType
+from unimig.uschema.model import SchemaType
 
 #: Joins the components of a composite identifier in migrated documents.
 KEY_SEPARATOR = "#"
@@ -89,7 +87,7 @@ _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")
 _Runs = dict[tuple, array]
 #: One step of an index pass, given each typed row, its number and offset.
 _Fill = Callable[[list, int, int], None]
-#: A slice of a file's data rows: (start byte, first row number, stop byte).
+#: A slice of a file's data rows, one run: (byte offset, first row, row count).
 _Span = tuple[int, int, int]
 
 _COUNT_CHUNK = 1 << 16  # bytes read at a time to count lines
@@ -267,23 +265,19 @@ class _TableFile:
     def typed_rows(self, span: _Span | None = None) -> Iterator[tuple[int, list]]:
         """The data rows of ``span`` (one of ``spans``), or of the whole
         file, in file order, numbered and typed."""
-        start, first, stop = span or self.spans(1)[0]
+        offset, first, count = span or self.spans(1)[0]
         with open(self.path, "rb") as handle:
-            if stop < os.fstat(handle.fileno()).st_size:  # a record is one line
-                rows = _count_lines(handle, start, stop)
-            else:  # the last line may lack its line feed
-                rows = self.row_count - first
-            handle.seek(start)
+            handle.seek(offset)
             text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
             try:
-                for n, row in enumerate(csv.reader(islice(text, rows)), first):
+                for n, row in enumerate(csv.reader(islice(text, count)), first):
                     yield n, self.typed(row, n)
             finally:
                 text.detach()  # the handle is closed by its own with
 
     def spans(self, k: int) -> list[_Span]:
         """The data rows cut into ``k`` contiguous slices of about equal
-        size, as (start byte, first row number, stop byte); a slice may be
+        size, as runs (byte offset, first row, row count); a slice may be
         empty. Each cut is the first line start at or after a byte
         ``k``-ile: a record is one line (checked at open), and a line feed
         never occurs inside a UTF-8 sequence. Rows before each cut are
@@ -299,13 +293,14 @@ class _TableFile:
                     cuts.append(handle.tell())
                 else:  # the last cut is already the first line start after it
                     cuts.append(cuts[-1])
-            cuts.append(size)
             firsts = [0]
-            for start, stop in zip(cuts[:k - 1], cuts[1:k]):
+            for start, stop in zip(cuts, cuts[1:]):
                 # the last line may lack its line feed
                 firsts.append(self.row_count if stop == size else
                               firsts[-1] + _count_lines(handle, start, stop))
-        return list(zip(cuts, firsts, cuts[1:]))
+        firsts.append(self.row_count)
+        return [(cut, first, after - first)
+                for cut, first, after in zip(cuts, firsts, firsts[1:])]
 
     def getter(self, columns: Iterable[str]) -> Callable[[list], tuple]:
         """Function from a row to the tuple of its values in ``columns``."""
@@ -316,38 +311,33 @@ class _TableFile:
 
     # -- indexes -------------------------------------------------------------------
 
-    def runs_on(self, columns: tuple[str, ...], order: tuple[str, ...] = (),
-                plan_for: str | None = None) -> _Runs:
+    def runs_on(self, columns: tuple[str, ...], order: tuple[str, ...],
+                plan_for: str) -> _Runs:
         """Run index: typed values of ``columns`` -> the runs of consecutive
         rows holding them, as flat ``(byte offset, first row, row count)``
         triples in file order. A file clustered by ``columns`` has one run
         per key. Rows with a NULL in ``columns`` are left out; a NULL in one
-        of the ``order`` columns, which groups are sorted by, fails. With
-        ``plan_for``, which names what needs it, the index is only planned:
-        it stays empty until ``build_indexes`` fills it together with the
+        of the ``order`` columns, which groups are sorted by, fails. The
+        index is planned for ``plan_for``, which names what needs it: it
+        stays empty until ``build_indexes`` fills it together with the
         file's other indexes."""
         return self._index(self._runs, "runs", (columns, order), plan_for)
 
-    def ids_on(self, columns: tuple[str, ...],
-               plan_for: str | None = None) -> dict[tuple, list]:
+    def ids_on(self, columns: tuple[str, ...], plan_for: str) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
         (``record_id``) of the matching rows, in primary key order. Rows
         with a NULL in ``columns`` are left out; a NULL primary key value
-        fails. ``plan_for`` is as for ``runs_on``."""
+        fails. It is planned as ``runs_on`` plans."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
         return self._index(self._id_indexes, "ids", columns, plan_for)
 
-    def _index(self, indexes: dict, kind: str, key: tuple,
-               plan_for: str | None) -> dict:
+    def _index(self, indexes: dict, kind: str, key: tuple, plan_for: str) -> dict:
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = {}
             self._unbuilt.append((kind, key))
-        if plan_for is None:
-            self.build_indexes()
-        else:
-            self._planned_for[plan_for] = None
+        self._planned_for[plan_for] = None
         return index
 
     def build_indexes(self) -> None:
@@ -393,10 +383,8 @@ class _TableFile:
                     for fill in fills:
                         fill(row, n, start[0])
             except SourceError as exc:
-                if planned_for:
-                    raise SourceError(
-                        f"while indexing for {planned_for}: {exc}") from exc
-                raise
+                raise SourceError(
+                    f"while indexing for {planned_for}: {exc}") from exc
         for finish in finishes:
             finish()
         self._unbuilt.clear()
@@ -492,7 +480,6 @@ class _Link:
     ``file`` whose ``index`` columns equal the current record's ``probe``
     columns, ordered by ``order`` when read as records."""
 
-    role: str
     type_name: str
     file: _TableFile
     probe: tuple[str, ...]
@@ -500,14 +487,11 @@ class _Link:
     order: tuple[str, ...]
     order_of: Callable[[list], tuple]
 
-    def group(self, probe: tuple, runs: _Runs | None = None) -> list[tuple[int, list]]:
+    def group(self, probe: tuple, runs: _Runs) -> list[tuple[int, list]]:
         """Numbered typed rows reached from a record whose probe columns
-        hold ``probe`` (none if it holds a NULL), read through the run
-        index and sorted by ``order``. The migrator passes the run index
-        (``runs``) it resolved at compile time; without it the index is
-        looked up, and built if need be."""
-        if runs is None:
-            runs = self.file.runs_on(self.index, self.order)
+        hold ``probe`` (none if it holds a NULL), read through ``runs``,
+        the built run index of ``file`` on ``index`` and ``order``, and
+        sorted by ``order``."""
         order_of = self.order_of
         rows = self.file.read(() if None in probe else runs.get(probe, ()))
         if self.order:
@@ -617,7 +601,7 @@ class SourceSession:
                 order = [c for c in order if c not in fk.columns]
         file = self._files[reached.name]
         stored = self._traced(f"rel:{reached.name}", "R2", "forward")[0]
-        return _Link(role, stored or reached.name, file, tuple(probe),
+        return _Link(stored or reached.name, file, tuple(probe),
                      tuple(index), tuple(order), file.getter(order))
 
     def file_for(self, table_name: str) -> _TableFile:
@@ -744,79 +728,22 @@ class SourceCursor:
             raise SourceError(f"cursor over {self.type_name!r} is exhausted")
         return self._current
 
-    def raw_value(self, column: str) -> object:
-        record = self.record()
-        if column not in record:
-            raise SourceError(
-                f"table {self.table.name!r} has no column {column!r}")
-        return record[column]
-
-    # -- feature access ----------------------------------------------------------
-
-    def value(self, feature: Attribute | Key) -> object:
-        if isinstance(feature, Attribute):
-            return self.attr_value(feature.name)
-        if isinstance(feature, Key):
-            return self.key_value(feature.name)
-        raise SourceError(f"cursor values exist for attributes and keys, "
-                          f"not {type(feature).__name__}")
-
-    def attr_value(self, name: str) -> object:
-        self.session._check_open()
-        record = self.record()
-        return record[self.session.column_of(self.type_name, self.table, name)]
-
-    def key_value(self, name: str) -> object:
-        self.session._check_open()
-        record = self.record()
-        source = self.session._traced(f"us:{self.type_name}.{name}", "R4")
-        if source[0] != self.table.name:
-            raise SourceError(
-                f"key {name!r} does not belong to {self.type_name!r}")
-        rkey = self.table.key(source[1])
-        values = tuple(record[c] for c in rkey.columns)
-        return values[0] if len(values) == 1 else values
-
-    def id_values(self) -> tuple:
-        """Primary key values of the current record, in key column order."""
-        record = self.record()
-        pk = self.table.primary_key()
-        if pk is None:
-            raise SourceError(f"table {self.table.name!r} has no primary key")
-        return tuple(record[c] for c in pk.columns)
-
-    def related(self, feature: Reference | Aggregate) -> "SourceCursor":
-        return self.related_by_name(feature.name)
-
-    def _probe(self, feature_name: str) -> tuple[_Link, tuple]:
-        """The resolved feature and the current record's join-key values."""
-        self.session._check_open()
-        record = self.record()
-        link = self.session.link(self.type_name, self.table, feature_name)
-        return link, tuple(record[c] for c in link.probe)
-
     def related_by_name(self, feature_name: str) -> "SourceCursor":
         """Cursor over the records a related feature reaches from the
         current record: aggregate children and relationship rows in key
         order, reverse references in primary key order, a forward
         reference's target (zero or one)."""
-        link, probe = self._probe(feature_name)
-        columns = link.file.columns
-        records = [dict(zip(columns, row)) for _, row in link.group(probe)]
+        self.session._check_open()
+        record = self.record()
+        link = self.session.link(self.type_name, self.table, feature_name)
+        runs = link.file.runs_on(link.index, link.order,
+                                 plan_for=f"feature {self.type_name}.{feature_name}")
+        link.file.build_indexes()
+        group = link.group(tuple(record[c] for c in link.probe), runs)
+        records = [dict(zip(link.file.columns, row)) for _, row in group]
         self.session._records_born(len(records))
         return SourceCursor(self.session, link.type_name, link.file.table,
                             records, preloaded=len(records))
-
-    def related_ids(self, feature_name: str) -> list:
-        """Identifiers (``record_id``) of the rows a forward or reverse
-        reference reaches from the current record, in primary key order,
-        read from a covering index without parsing those rows."""
-        link, probe = self._probe(feature_name)
-        if link.role not in (REF_FORWARD, REF_REVERSE):
-            raise SourceError(
-                f"feature {self.type_name}.{feature_name} is not a reference")
-        ids = () if None in probe else link.file.ids_on(link.index).get(probe, ())
-        return list(ids)  # a NULL joins nothing
 
 
 def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> SourceCursor:
@@ -828,20 +755,3 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
     file = session.file_for(table.name)
     records = (dict(zip(file.columns, row)) for _, row in file.typed_rows())
     return SourceCursor(session, name, table, records)
-
-
-def cursor_value(cursor: SourceCursor, feature: Attribute | Key) -> object:
-    return cursor.value(feature)
-
-
-def cursor_related(cursor: SourceCursor, feature: Reference | Aggregate) -> SourceCursor:
-    return cursor.related(feature)
-
-
-def cursor_advance(cursor: SourceCursor) -> bool:
-    return cursor.advance()
-
-
-def close(target: SourceSession | SourceCursor) -> None:
-    """Idempotent close for sessions and cursors."""
-    target.close()

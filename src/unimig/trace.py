@@ -121,18 +121,6 @@ class TraceStore:
             raise TraceError(f"direction must be forward or backward, not {direction!r}")
         return [self.links[i] for i in index.get(element_id, [])]
 
-    def forward_ids(self, element_id: str) -> list[str]:
-        out: list[str] = []
-        for link in self.lookup(element_id, "forward"):
-            out.extend(t for t in link.targets if t not in out)
-        return out
-
-    def backward_ids(self, element_id: str) -> list[str]:
-        out: list[str] = []
-        for link in self.lookup(element_id, "backward"):
-            out.extend(s for s in link.sources if s not in out)
-        return out
-
     def target_ids(self) -> set[str]:
         return set(self._by_target)
 
@@ -170,14 +158,6 @@ class TraceStore:
             fresh.record(TraceLink(list(link.sources), list(link.targets),
                                    link.rule, link.role))
         return fresh
-
-
-def record(store: TraceStore, link: TraceLink) -> TraceStore:
-    return store.record(link)
-
-
-def lookup(store: TraceStore, element_id: str, direction: str) -> list[TraceLink]:
-    return store.lookup(element_id, direction)
 
 
 def compose(t1: TraceStore, t2: TraceStore) -> TraceStore:

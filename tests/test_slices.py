@@ -58,18 +58,19 @@ def _table_file(root: Path, texts: list[str], line_end: str = "\n",
 def _check_spans(file: _TableFile, k: int) -> list:
     spans = file.spans(k)
     assert len(spans) == k
+    # the byte offset of each data row, then the file's size
     with open(file.path, "rb") as handle:
-        header = len(handle.readline())
-    assert spans[0][:2] == (header, 0)
-    assert spans[-1][2] == file.path.stat().st_size
+        starts = [len(handle.readline())]
+        for line in handle:
+            starts.append(starts[-1] + len(line))
     rows = []
-    for i, (start, first, stop) in enumerate(spans):
-        assert start <= stop
-        if i:
-            assert start == spans[i - 1][2]  # contiguous
-        assert first == len(rows)  # the rows before it, counted
-        rows += file.typed_rows((start, first, stop))
+    for offset, first, count in spans:
+        assert first == len(rows)  # contiguous: the rows before it, counted
+        assert offset == starts[first]  # the start of its first row
+        rows += file.typed_rows((offset, first, count))
+        assert len(rows) == first + count
     assert rows == list(file.typed_rows())  # each row once, in order
+    assert len(rows) == file.row_count
     return spans
 
 
@@ -88,7 +89,7 @@ def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
 def test_cut_on_a_line_start(tmp_path):
     # "id,s\n" then two rows of 4 bytes: the midpoint is the second row's start
     file = _table_file(tmp_path, ["a", "b"])
-    assert _check_spans(file, 2) == [(5, 0, 9), (9, 1, 13)]
+    assert _check_spans(file, 2) == [(5, 0, 1), (9, 1, 1)]
 
 
 def test_cut_inside_a_multibyte_character(tmp_path):
@@ -101,7 +102,7 @@ def test_cut_inside_a_multibyte_character(tmp_path):
 
 def test_more_slices_than_rows(tmp_path):
     spans = _check_spans(_table_file(tmp_path, ["x"]), 5)
-    assert sum(start < stop for start, _, stop in spans) == 1
+    assert sum(count > 0 for _, _, count in spans) == 1
 
 
 # --- the same output from any number of slices ------------------------------------

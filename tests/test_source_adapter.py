@@ -1,22 +1,16 @@
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
 
 from util import scan_filter
 
+from unimig.cli import dispatch
 from unimig.errors import SourceError
 from unimig.relational.ddl import parse_ddl
-from unimig.source import (
-    close,
-    cursor_advance,
-    cursor_related,
-    cursor_value,
-    open_source,
-    read_entity_all,
-    record_id,
-)
+from unimig.source import open_source, read_entity_all, record_id
 from unimig.trace import REF_FORWARD, REF_REVERSE, id_segments
 from unimig.transforms import rel_to_uschema
 
@@ -32,7 +26,7 @@ def mini(mini_root):
 def session(mini):
     s = open_source(mini["root"], mini["schema"], mini["result"].trace)
     yield s
-    close(s)
+    s.close()
 
 
 def test_open_session_counts_tables(session):
@@ -139,123 +133,116 @@ def test_schema_disagreement_rejected(mini, tmp_path, music_schema):
                     rel_to_uschema(music_schema).trace)
 
 
+def _rows(cursor, *columns) -> list:
+    """The values of ``columns`` in every record left in ``cursor``, as
+    tuples, advancing it to its end."""
+    rows = []
+    while cursor.has_data():
+        record = cursor.record()
+        rows.append(tuple(record[c] for c in columns))
+        cursor.advance()
+    return rows
+
+
 def test_cursor_values(session, mini):
-    model = mini["result"].target
-    user = model.entity("app_user")
-    cursor = read_entity_all(session, user)
-    assert cursor_value(cursor, user.feature("name")) == "Alice"
-    assert cursor_value(cursor, user.feature("is_premium")) is True
-    assert cursor_value(cursor, user.feature("user_pk")) == "u001"
+    # attributes resolve through the trace to the columns that store them,
+    # whose cells arrive typed; the key is the primary key's value
+    table = session.table_for("app_user")
+    record = read_entity_all(session, "app_user").record()
+    assert [record[session.column_of("app_user", table, name)]
+            for name in ("name", "is_premium")] == ["Alice", True]
+    assert [record[c] for c in table.primary_key().columns] == ["u001"]
 
 
 def test_empty_field_reads_as_null(session, mini):
-    listening = mini["result"].target.relationship("listening")
-    cursor = read_entity_all(session, listening)
-    rows = []
-    while cursor.has_data():
-        rows.append(cursor_value(cursor, listening.feature("status")))
-        cursor_advance(cursor)
-    assert rows == ["completed", "paused", None]
+    cursor = read_entity_all(session, mini["result"].target.relationship("listening"))
+    assert _rows(cursor, "status") == [("completed",), ("paused",), (None,)]
 
 
-def test_composite_key_returns_tuple(session, mini):
-    model = mini["result"].target
-    playlist = model.entity("playlist")
-    user = model.entity("app_user")
-    users = read_entity_all(session, user)
-    playlists = cursor_related(users, user.feature("playlists"))
-    assert cursor_value(playlists, playlist.feature("pl_pk")) == ("u001", "p001")
+def test_composite_key_returns_tuple(session, mini, tmp_path):
+    users = read_entity_all(session, "app_user")
+    playlists = users.related_by_name("playlists")
+    pk = playlists.table.primary_key().columns
+    assert _rows(playlists, *pk) == [("u001", "p001"), ("u001", "p002")]
     # oracle: the naive scan agrees
     raw = scan_filter(mini["root"] / "playlist.csv",
                       lambda r: r["user_id"] == "u001")
     assert {(r["user_id"], r["playlist_id"]) for r in raw} == {
         ("u001", "p001"), ("u001", "p002")}
+    # composite keys sort as typed tuples: (1, 9) before (1, 10)
+    tiny = _tiny_source(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (a INT, b INT, parent_id INT, PRIMARY KEY (a, b),"
+        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        {"parent": "id\n1\n", "child": "a,b,parent_id\n1,10,1\n1,9,1\n2,1,1\n"})
+    parents = read_entity_all(tiny, "parent")
+    assert _rows(parents.related_by_name("childs"), "a", "b") == [
+        (1, 9), (1, 10), (2, 1)]
+    tiny.close()
 
 
 def test_aggregate_children_in_key_order(session, mini):
-    model = mini["result"].target
-    user = model.entity("app_user")
-    users = read_entity_all(session, user)
-    playlists = cursor_related(users, user.feature("playlists"))
-    seen = []
-    while playlists.has_data():
-        seen.append(playlists.raw_value("playlist_id"))
-        cursor_advance(playlists)
-    assert seen == ["p001", "p002"]
+    users = read_entity_all(session, "app_user")
+    playlists = users.related_by_name("playlists")
+    assert _rows(playlists, "playlist_id") == [("p001",), ("p002",)]
 
 
 def test_forward_reference_resolves_zero_or_one(session, mini):
-    model = mini["result"].target
-    playlist = model.entity("playlist")
-    pls = model.entity("playlist_song")
-    user = model.entity("app_user")
-    users = read_entity_all(session, user)
-    playlists = cursor_related(users, user.feature("playlists"))
-    songs = cursor_related(playlists, playlist.feature("playlist_songs"))
-    related = cursor_related(songs, pls.feature("song"))
-    assert related.has_data()
-    assert related.raw_value("title") == "Creep"  # s002 on position 1
-    close(related)
+    users = read_entity_all(session, "app_user")
+    playlists = users.related_by_name("playlists")
+    songs = playlists.related_by_name("playlist_songs")
+    related = songs.related_by_name("song")
+    assert _rows(related, "title") == [("Creep",)]  # s002 on position 1
+    related.close()
 
 
 def test_forward_reference_with_null_fk_is_empty(mini, tmp_path):
-    text = (
+    session = _tiny_source(
+        tmp_path,
         "CREATE TABLE target (id INT PRIMARY KEY, v INT);"
         "CREATE TABLE holder (id INT PRIMARY KEY, t_id INT, UNIQUE (t_id),"
-        "  FOREIGN KEY (t_id) REFERENCES target (id));")
-    schema = parse_ddl(text)
-    result = rel_to_uschema(schema)
-    root = tmp_path / "nulls"
-    root.mkdir()
-    (root / "schema.sql").write_text(text)
-    (root / "target.csv").write_text("id,v\n1,10\n")
-    (root / "holder.csv").write_text("id,t_id\n1,\n2,1\n")
-    session = open_source(root, schema, result.trace)
-    holder = result.target.entity("holder")
-    cursor = read_entity_all(session, holder)
-    related = cursor_related(cursor, holder.feature("target"))
+        "  FOREIGN KEY (t_id) REFERENCES target (id));",
+        {"target": "id,v\n1,10\n", "holder": "id,t_id\n1,\n2,1\n"})
+    cursor = read_entity_all(session, "holder")
+    related = cursor.related_by_name("target")
     assert related.has_data() is False  # NULL fk resolves to nothing
-    cursor_advance(cursor)
-    related = cursor_related(cursor, holder.feature("target"))
-    assert related.raw_value("v") == 10
-    close(session)
+    cursor.advance()
+    related = cursor.related_by_name("target")
+    assert related.record()["v"] == 10
+    session.close()
 
 
 def test_related_ids_match_related_records(session, mini):
+    # the covering id index stores the identifiers of the rows a reference
+    # reaches, without reading them
     references = [id_segments(link.targets[0])
                   for link in mini["result"].trace.links
                   if link.role in (REF_FORWARD, REF_REVERSE)]
     assert references  # playlist_song.song, most_recent_song.song
     for type_name, feature in references:
+        link = session.link(type_name, session.table_for(type_name), feature)
+        ids = link.file.ids_on(link.index, plan_for=f"{type_name}.{feature}")
+        session.build_indexes()
+        pk = link.file.table.primary_key().columns
         cursor = read_entity_all(session, type_name)
         while cursor.has_data():
             related = cursor.related_by_name(feature)
-            via_records = []
-            while related.has_data():
-                via_records.append(record_id(related.id_values()))
-                cursor_advance(related)
-            assert cursor.related_ids(feature) == via_records
-            cursor_advance(cursor)
-
-
-def test_related_ids_reject_non_references(session, mini):
-    users = read_entity_all(session, "app_user")
-    with pytest.raises(SourceError, match="not a reference"):
-        users.related_ids("playlists")
+            via_records = [record_id(values) for values in _rows(related, *pk)]
+            probe = tuple(cursor.record()[c] for c in link.probe)
+            assert ids.get(probe, []) == via_records
+            cursor.advance()
 
 
 def test_relationship_side_exposes_opposite_ids(session, mini):
-    model = mini["result"].target
-    song = model.entity("song")
-    cursor = read_entity_all(session, song)
-    while cursor.raw_value("song_id") != "s007":
-        cursor_advance(cursor)
-    side = cursor_related(cursor, song.feature("listening_user"))
-    assert side.raw_value("user_id") == "u001"
-    assert side.raw_value("plays_count") == 7
-    assert side.raw_value("status") == "completed"
-    assert cursor_value(side, model.relationship("listening")
-                        .feature("plays_count")) == 7
+    cursor = read_entity_all(session, "song")
+    while cursor.record()["song_id"] != "s007":
+        cursor.advance()
+    side = cursor.related_by_name("listening_user")
+    assert side.type_name == "listening"
+    assert side.record() == {"user_id": "u001", "song_id": "s007",
+                             "plays_count": 7, "status": "completed"}
+    assert session.column_of("listening", side.table, "plays_count") == "plays_count"
 
 
 def test_reverse_reference_direction(mini, tmp_path, music_schema, music_step1):
@@ -281,60 +268,46 @@ def test_reverse_reference_direction(mini, tmp_path, music_schema, music_step1):
     for name, content in rows.items():
         (root / f"{name}.csv").write_text(content)
     session = open_source(root, music_schema, music_step1.trace)
-    album = music_step1.target.entity("album")
-    cursor = read_entity_all(session, album)
-    songs = cursor_related(cursor, album.feature("songs"))
-    found = []
-    while songs.has_data():
-        found.append(songs.raw_value("song_id"))
-        cursor_advance(songs)
-    assert found == ["s1", "s2"]
-    close(session)
+    cursor = read_entity_all(session, "album")
+    assert _rows(cursor.related_by_name("songs"), "song_id") == [("s1",), ("s2",)]
+    session.close()
 
 
 def test_related_matches_naive_scan_oracle(session, mini):
-    model = mini["result"].target
-    user = model.entity("app_user")
-    users = read_entity_all(session, user)
+    users = read_entity_all(session, "app_user")
     while users.has_data():
-        uid = users.raw_value("user_id")
-        expected = {(r["user_id"], r["position_idx"], r["song_id"])
+        uid = users.record()["user_id"]
+        expected = {(r["user_id"], int(r["position_idx"]), r["song_id"])
                     for r in scan_filter(mini["root"] / "most_recent_song.csv",
                                          lambda r: r["user_id"] == uid)}
-        got = set()
-        recents = cursor_related(users, user.feature("most_recent_songs"))
-        while recents.has_data():
-            got.add((recents.raw_value("user_id"),
-                     str(recents.raw_value("position_idx")),
-                     recents.raw_value("song_id")))
-            cursor_advance(recents)
-        assert got == expected
-        cursor_advance(users)
+        recents = users.related_by_name("most_recent_songs")
+        assert set(_rows(recents, "user_id", "position_idx", "song_id")) == expected
+        users.advance()
 
 
 def test_advance_past_end_then_access_errors(session):
     cursor = read_entity_all(session, "musical_style")
-    assert cursor_advance(cursor) is True
-    assert cursor_advance(cursor) is False
+    assert cursor.advance() is True
+    assert cursor.advance() is False
     assert cursor.has_data() is False
     with pytest.raises(SourceError, match="exhausted"):
-        cursor.raw_value("style_id")
+        cursor.record()
 
 
 def test_double_close_is_noop(session):
     cursor = read_entity_all(session, "app_user")
-    close(cursor)
-    close(cursor)
-    close(session)
-    close(session)
+    cursor.close()
+    cursor.close()
+    session.close()
+    session.close()
 
 
 def test_closed_session_invalidates_cursors(mini):
     session = open_source(mini["root"], mini["schema"], mini["result"].trace)
     cursor = read_entity_all(session, "app_user")
-    close(session)
+    session.close()
     with pytest.raises(SourceError, match="closed"):
-        cursor_advance(cursor)
+        cursor.advance()
 
 
 def test_iteration_is_deterministic(mini):
@@ -344,8 +317,8 @@ def test_iteration_is_deterministic(mini):
         rows = []
         while cursor.has_data():
             rows.append(tuple(cursor.record().items()))
-            cursor_advance(cursor)
-        close(session)
+            cursor.advance()
+        session.close()
         return rows
 
     assert collect() == collect()
@@ -359,10 +332,10 @@ def test_streaming_keeps_live_records_bounded(s_dataset):
     n = 0
     while cursor.has_data():
         n += 1
-        cursor_advance(cursor)
+        cursor.advance()
     assert n == 200_000
     assert session.peak_live_records <= 4
-    close(session)
+    session.close()
 
 
 def _tiny_source(tmp_path, ddl, files):
@@ -374,6 +347,15 @@ def _tiny_source(tmp_path, ddl, files):
     for name, text in files.items():
         (root / f"{name}.csv").write_text(text)
     return open_source(root, schema, result.trace)
+
+
+def _documents(session, out) -> dict[str, list]:
+    """Every collection migrated by the CLI from the dataset ``session``
+    reads, as parsed documents."""
+    assert dispatch(["migrate", "--source", str(session.root),
+                     "--out", str(out)]) == 0
+    return {path.stem: [json.loads(line) for line in path.read_text().splitlines()]
+            for path in sorted(out.glob("*.jsonl"))}
 
 
 def test_integers_checked_against_declared_range(tmp_path):
@@ -388,8 +370,8 @@ def test_integers_checked_against_declared_range(tmp_path):
                                "big": 9223372036854775807}
     with pytest.raises(SourceError, match=r"t\.csv \(row 2\), column 'id': "
                                           r"-32769 is out of SMALLINT range"):
-        cursor_advance(cursor)
-    close(session)
+        cursor.advance()
+    session.close()
 
 
 def test_null_key_joins_nothing(tmp_path):
@@ -400,9 +382,12 @@ def test_null_key_joins_nothing(tmp_path):
         "  FOREIGN KEY (parent_code) REFERENCES parent (code));",
         {"parent": "id,code\n1,\n", "child": "id,parent_code\n7,\n"})
     parents = read_entity_all(session, "parent")
-    assert parents.related_ids("childs") == []
     assert parents.related_by_name("childs").has_data() is False
-    close(session)
+    session.close()
+    # the covering id index the migrator reads joins nothing either
+    docs = _documents(session, tmp_path / "out")
+    assert docs["parent"] == [{"id": 1, "childs": []}]
+    assert docs["child"] == [{"id": 7}]
 
 
 def test_run_index_reads_unclustered_rows(tmp_path):
@@ -414,19 +399,17 @@ def test_run_index_reads_unclustered_rows(tmp_path):
         "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
         {"parent": "id\n1\n2\n",
          "child": "parent_id,pos,note\n1,2,b\n1,1,a\n2,1,x\n1,3,c\n"})
-    runs = session.file_for("child").runs_on(("parent_id",))
+    runs = session.file_for("child").runs_on(("parent_id",), ("pos",), "the test")
+    assert runs == {}  # planned, not yet built
+    session.build_indexes()
     # flat (byte offset, first row, row count) triples: two runs for
     # parent 1, one for 2
     assert {key: list(triples) for key, triples in runs.items()} == {
         (1,): [19, 0, 2, 37, 3, 1], (2,): [31, 2, 1]}
     parents = read_entity_all(session, "parent")
-    children = parents.related_by_name("childs")
-    seen = []
-    while children.has_data():
-        seen.append(children.raw_value("note"))
-        cursor_advance(children)
-    assert seen == ["a", "b", "c"]  # key order across both runs
-    close(session)
+    children = parents.related_by_name("childs")  # reads the same index
+    assert _rows(children, "note") == [("a",), ("b",), ("c",)]  # key order
+    session.close()
 
 
 def test_null_order_value_names_child_row(tmp_path):
@@ -438,7 +421,9 @@ def test_null_order_value_names_child_row(tmp_path):
         "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
         {"parent": "id\n1\n", "child": "parent_id,pos,note\n1,2,b\n1,,a\n"})
     parents = read_entity_all(session, "parent")
-    with pytest.raises(SourceError, match=r"child\.csv \(row 2\), column 'pos': "
-                                          r"NULL key value for child\.pos"):
+    with pytest.raises(SourceError,
+                       match=r"^while indexing for feature parent\.childs: "
+                             r"child\.csv \(row 2\), column 'pos': NULL key "
+                             r"value for child\.pos"):
         parents.related_by_name("childs")
-    close(session)
+    session.close()

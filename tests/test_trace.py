@@ -11,16 +11,22 @@ from unimig.trace import (
     compose,
     doc_path,
     load_trace,
-    lookup,
-    record,
     save_trace,
 )
 
 
+def _ends(store: TraceStore, element_id: str, direction: str) -> list[str]:
+    """Ids at the other end of the links holding ``element_id`` on the
+    queried side, in link order."""
+    side = "targets" if direction == "forward" else "sources"
+    return [end for link in store.lookup(element_id, direction)
+            for end in getattr(link, side)]
+
+
 def test_record_and_forward_lookup():
     store = TraceStore()
-    record(store, TraceLink(["rel:user"], ["us:user"], "R2"))
-    assert store.forward_ids("rel:user") == ["us:user"]
+    store.record(TraceLink(["rel:user"], ["us:user"], "R2"))
+    assert _ends(store, "rel:user", "forward") == ["us:user"]
     assert len(store.links) == 1
 
 
@@ -29,11 +35,11 @@ def test_one_to_two_link_backward_lookup():
     store.add("rel:user.is_premium",
               ["us:user.is_premium", "us:user.is_premium.type"], "R3")
     for target in ("us:user.is_premium", "us:user.is_premium.type"):
-        assert store.backward_ids(target) == ["rel:user.is_premium"]
+        assert _ends(store, target, "backward") == ["rel:user.is_premium"]
 
 
 def test_lookup_unknown_is_empty():
-    assert lookup(TraceStore(), "rel:ghost", "forward") == []
+    assert TraceStore().lookup("rel:ghost", "forward") == []
 
 
 def test_lookup_preserves_insertion_order():
@@ -139,10 +145,10 @@ def test_index_coherence(music_step1):
     store = music_step1.trace
     for link in store.links:
         for source in link.sources:
-            forward = store.forward_ids(source)
+            forward = _ends(store, source, "forward")
             assert all(t in forward for t in link.targets)
         for target in link.targets:
-            backward = store.backward_ids(target)
+            backward = _ends(store, target, "backward")
             assert all(s in backward for s in link.sources)
 
 
