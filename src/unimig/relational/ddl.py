@@ -6,9 +6,12 @@ Supported per statement: column definitions with ``NOT NULL``, ``DEFAULT
 t (...)`` with optional ``ON DELETE`` / ``ON UPDATE`` actions, each
 optionally prefixed by ``CONSTRAINT <name>``. ``--`` starts a comment,
 statements end with ``;``. Keywords are case-insensitive and identifiers are
-stored lowercase. Unnamed constraints get synthesized names
-(``<table>_pk``, ``<table>_fk<i>``, ``<table>_uk<i>``) so that they can be
-addressed stably from trace links.
+stored lowercase. Identifiers are ASCII (``[A-Za-z_][A-Za-z0-9_]*``, as
+trace ids require) and type sizes are unsigned ASCII integers. Unnamed
+constraints get synthesized names (``<table>_pk``, ``<table>_fk<i>``,
+``<table>_uk<i>``) so that they can be addressed stably from trace links.
+The text is split by the scanner shared with the Athena notation
+(``unimig.notation``).
 
 A leading ``-- schema: <name>`` comment names the schema; ``print_ddl``
 always emits one, which makes parse/print a exact round trip.
@@ -17,9 +20,9 @@ always emits one, which makes parse/print a exact round trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from unimig.errors import ModelError, TextParseError
+from unimig.notation import Cursor, Token, tokenize
 from unimig.relational.model import (
     Column,
     FKey,
@@ -28,127 +31,22 @@ from unimig.relational.model import (
     RKey,
     SqlType,
     Table,
+    validate_relational,
 )
 
 _TYPE_ALIASES = {"INTEGER": "INT", "BOOL": "BOOLEAN"}
 _SCHEMA_COMMENT = re.compile(r"^\s*--\s*schema:\s*([A-Za-z_][A-Za-z0-9_]*)\s*$")
+# A number keeps its dots so that DEFAULT 1.5 stays one token.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|--[^\n]*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9][0-9.]*)
+  | (?P<string>'(?:[^']|'')*'(?!'))
+  | (?P<open_string>'[\s\S]*)
+  | (?P<symbol>[(),;])
+""", re.VERBOSE)
 
-
-@dataclass
-class _Tok:
-    kind: str  # word | int | string | symbol | eof
-    text: str
-    line: int
-    column: int
-
-    def is_word(self, *words: str) -> bool:
-        return self.kind == "word" and self.text.upper() in words
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Tok("word", text[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(_Tok("int", text[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if text[j] == "'" and not text.startswith("''", j):
-                    break
-                j += 2 if text.startswith("''", j) else 1
-            if j >= n:
-                raise TextParseError("unterminated string literal", line, start)
-            tokens.append(_Tok("string", text[i:j + 1], line, start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in "(),;":
-            tokens.append(_Tok("symbol", ch, line, start))
-            i += 1
-            col += 1
-            continue
-        raise TextParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Tok("eof", "", line, col))
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens: list[_Tok]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> TextParseError:
-        tok = self.peek()
-        return TextParseError(message, tok.line, tok.column)
-
-    def expect_symbol(self, sym: str) -> None:
-        tok = self.peek()
-        if tok.kind != "symbol" or tok.text != sym:
-            raise self.fail(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
-        self.next()
-
-    def expect_word(self, *words: str) -> str:
-        tok = self.peek()
-        if not tok.is_word(*words):
-            raise self.fail(f"expected {'/'.join(words)}, found {tok.text or 'end of input'!r}")
-        return self.next().text.upper()
-
-    def expect_ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind != "word":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.next().text.lower()
-
-    def take_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == sym:
-            self.next()
-            return True
-        return False
-
-    def take_word(self, *words: str) -> bool:
-        if self.peek().is_word(*words):
-            self.next()
-            return True
-        return False
+_Pending = list[tuple[Table, FKey, Token, bool]]
 
 
 def parse_ddl(text: str, name: str = "schema") -> RelationalSchema:
@@ -159,62 +57,63 @@ def parse_ddl(text: str, name: str = "schema") -> RelationalSchema:
             name = m.group(1).lower()
             break
 
-    cur = _Cursor(_tokenize(text))
+    tokens = tokenize(text, _TOKEN)
+    if len(tokens) > 1 and tokens[-2].kind == "open_string":
+        raise TextParseError("unterminated string literal",
+                             tokens[-2].line, tokens[-2].column)
+    cur = Cursor(tokens)
     schema = RelationalSchema(name.lower())
-    pending_fks: list[tuple[Table, FKey, _Tok, bool]] = []
+    pending_fks: _Pending = []
     while cur.peek().kind != "eof":
         token_at_start = cur.peek()
         cur.expect_word("CREATE")
         cur.expect_word("TABLE")
-        table_name = cur.expect_ident("table name")
+        table_name = _expect_name(cur, "table name")
         if schema.has_table(table_name):
             raise TextParseError(f"duplicate table {table_name!r}",
                                  token_at_start.line, token_at_start.column)
         table = Table(table_name)
         cur.expect_symbol("(")
-        while True:
+        _parse_table_item(cur, table, pending_fks)
+        while cur.take_symbol(","):
             _parse_table_item(cur, table, pending_fks)
-            if cur.take_symbol(","):
-                continue
-            break
         cur.expect_symbol(")")
         cur.expect_symbol(";")
         schema.tables.append(table)
 
     _resolve_fkeys(schema, pending_fks)
-    _check(schema, cur)
+    problems = validate_relational(schema)
+    if problems:
+        raise TextParseError("; ".join(problems))
     return schema
 
 
-def _parse_table_item(cur: _Cursor, table: Table,
-                      pending: list[tuple[Table, FKey, _Tok, bool]]) -> None:
-    tok = cur.peek()
-    constraint_name: str | None = None
-    if tok.is_word("CONSTRAINT"):
-        cur.next()
-        constraint_name = cur.expect_ident("constraint name")
-        tok = cur.peek()
+def _expect_name(cur: Cursor, what: str) -> str:
+    return cur.expect_ident(what).lower()
 
-    if tok.is_word("PRIMARY"):
-        cur.next()
+
+def _parse_table_item(cur: Cursor, table: Table, pending: _Pending) -> None:
+    constraint_name: str | None = None
+    if cur.take_word("CONSTRAINT"):
+        constraint_name = _expect_name(cur, "constraint name")
+
+    at = cur.peek()
+    if cur.take_word("PRIMARY"):
         cur.expect_word("KEY")
         columns = _parse_column_list(cur)
         _add_pk(cur, table, constraint_name, columns)
         return
-    if tok.is_word("UNIQUE"):
-        cur.next()
+    if cur.take_word("UNIQUE"):
         columns = _parse_column_list(cur)
         nth = sum(1 for k in table.keys if not k.is_pk) + 1
         table.keys.append(RKey(constraint_name or f"{table.name}_uk{nth}",
                                is_pk=False, columns=columns))
         return
-    if tok.is_word("FOREIGN"):
-        at = cur.peek()
-        cur.next()
+    if cur.take_word("FOREIGN"):
         cur.expect_word("KEY")
         columns = _parse_column_list(cur)
         cur.expect_word("REFERENCES")
-        ref_table = cur.expect_ident("table name")
+        ref_table = _expect_name(cur, "table name")
         explicit = cur.peek().text == "("
         ref_columns = _parse_column_list(cur) if explicit else list(columns)
         on_delete, on_update = _parse_actions(cur)
@@ -231,23 +130,19 @@ def _parse_table_item(cur: _Cursor, table: Table,
     _parse_column_def(cur, table)
 
 
-def _parse_column_def(cur: _Cursor, table: Table) -> None:
-    col_name = cur.expect_ident("column name")
+def _parse_column_def(cur: Cursor, table: Table) -> None:
+    col_name = _expect_name(cur, "column name")
     if table.has_column(col_name):
         raise cur.fail(f"duplicate column {col_name!r} in table {table.name!r}")
     datatype = _parse_type(cur)
     column = Column(col_name, datatype)
     while True:
-        tok = cur.peek()
-        if tok.is_word("NOT"):
-            cur.next()
+        if cur.take_word("NOT"):
             cur.expect_word("NULL")
             column.nullable = False
-        elif tok.is_word("DEFAULT"):
-            cur.next()
+        elif cur.take_word("DEFAULT"):
             column.default = _parse_default(cur)
-        elif tok.is_word("PRIMARY"):
-            cur.next()
+        elif cur.take_word("PRIMARY"):
             cur.expect_word("KEY")
             column.nullable = False
             _add_pk(cur, table, None, [col_name])
@@ -256,7 +151,7 @@ def _parse_column_def(cur: _Cursor, table: Table) -> None:
     table.columns.append(column)
 
 
-def _parse_type(cur: _Cursor) -> SqlType:
+def _parse_type(cur: Cursor) -> SqlType:
     tok = cur.peek()
     word = cur.expect_ident("type name").upper()
     word = _TYPE_ALIASES.get(word, word)
@@ -264,15 +159,15 @@ def _parse_type(cur: _Cursor) -> SqlType:
         cur.take_word("PRECISION")
     if word in ("CHAR", "VARCHAR"):
         cur.expect_symbol("(")
-        length = _expect_number(cur)
+        length = _expect_size(cur)
         cur.expect_symbol(")")
         return SqlType(word, length=length)
     if word in ("DECIMAL", "NUMERIC"):
         precision, scale = None, 0
         if cur.take_symbol("("):
-            precision = _expect_number(cur)
+            precision = _expect_size(cur)
             if cur.take_symbol(","):
-                scale = _expect_number(cur)
+                scale = _expect_size(cur)
             cur.expect_symbol(")")
         else:
             precision = 38
@@ -283,15 +178,14 @@ def _parse_type(cur: _Cursor) -> SqlType:
         raise TextParseError(str(exc), tok.line, tok.column) from exc
 
 
-def _expect_number(cur: _Cursor) -> int:
+def _expect_size(cur: Cursor) -> int:
     tok = cur.peek()
-    if tok.kind != "int":
-        raise cur.fail(f"expected number, found {tok.text!r}")
-    cur.next()
-    return int(float(tok.text))
+    if tok.kind == "int" and not tok.text.isdigit():
+        raise cur.fail(f"type size must be an unsigned integer, found {tok.text!r}")
+    return cur.expect_int("number")
 
 
-def _parse_default(cur: _Cursor) -> str:
+def _parse_default(cur: Cursor) -> str:
     # Opaque: grab tokens until the column definition continues or ends.
     parts: list[str] = []
     depth = 0
@@ -299,25 +193,22 @@ def _parse_default(cur: _Cursor) -> str:
         tok = cur.peek()
         if tok.kind == "eof":
             raise cur.fail("unterminated DEFAULT expression")
-        if tok.kind == "symbol" and tok.text in (",", ")") and depth == 0:
+        if depth == 0 and (tok.kind == "symbol" and tok.text in (",", ")")
+                           or cur.at_word("NOT", "PRIMARY", "CONSTRAINT", "UNIQUE")):
             break
-        if tok.is_word("NOT", "PRIMARY", "CONSTRAINT", "UNIQUE") and depth == 0:
-            break
-        if tok.kind == "symbol" and tok.text == "(":
-            depth += 1
-        elif tok.kind == "symbol" and tok.text == ")":
-            depth -= 1
+        if tok.kind == "symbol":
+            depth += {"(": 1, ")": -1}.get(tok.text, 0)
         parts.append(cur.next().text)
     if not parts:
         raise cur.fail("DEFAULT requires an expression")
     return " ".join(parts)
 
 
-def _parse_column_list(cur: _Cursor) -> list[str]:
+def _parse_column_list(cur: Cursor) -> list[str]:
     cur.expect_symbol("(")
-    cols = [cur.expect_ident("column name")]
+    cols = [_expect_name(cur, "column name")]
     while cur.take_symbol(","):
-        cols.append(cur.expect_ident("column name"))
+        cols.append(_expect_name(cur, "column name"))
     cur.expect_symbol(")")
     return cols
 
@@ -331,10 +222,9 @@ _ACTIONS = {
 }
 
 
-def _parse_actions(cur: _Cursor) -> tuple[ReferentialAction, ReferentialAction]:
+def _parse_actions(cur: Cursor) -> tuple[ReferentialAction, ReferentialAction]:
     on_delete = on_update = ReferentialAction.NO_ACTION
-    while cur.peek().is_word("ON"):
-        cur.next()
+    while cur.take_word("ON"):
         event = cur.expect_word("DELETE", "UPDATE")
         action = _parse_one_action(cur)
         if event == "DELETE":
@@ -344,7 +234,7 @@ def _parse_actions(cur: _Cursor) -> tuple[ReferentialAction, ReferentialAction]:
     return on_delete, on_update
 
 
-def _parse_one_action(cur: _Cursor) -> ReferentialAction:
+def _parse_one_action(cur: Cursor) -> ReferentialAction:
     first = cur.expect_word("CASCADE", "SET", "NO", "RESTRICT")
     if first in ("CASCADE", "RESTRICT"):
         return _ACTIONS[(first,)]
@@ -352,7 +242,7 @@ def _parse_one_action(cur: _Cursor) -> ReferentialAction:
     return _ACTIONS[(first, second)]
 
 
-def _add_pk(cur: _Cursor, table: Table, constraint_name: str | None,
+def _add_pk(cur: Cursor, table: Table, constraint_name: str | None,
             columns: list[str]) -> None:
     if table.primary_key() is not None:
         raise cur.fail(f"table {table.name!r} already has a primary key")
@@ -360,8 +250,7 @@ def _add_pk(cur: _Cursor, table: Table, constraint_name: str | None,
                               is_pk=True, columns=columns))
 
 
-def _resolve_fkeys(schema: RelationalSchema,
-                   pending: list[tuple[Table, FKey, _Tok, bool]]) -> None:
+def _resolve_fkeys(schema: RelationalSchema, pending: _Pending) -> None:
     for table, fk, at, explicit in pending:
         if not schema.has_table(fk.ref_table):
             raise TextParseError(
@@ -385,14 +274,6 @@ def _resolve_fkeys(schema: RelationalSchema,
             raise TextParseError(
                 f"foreign key {fk.constraint_name!r} maps {len(fk.columns)} column(s) "
                 f"onto {len(fk.ref_columns)}", at.line, at.column)
-
-
-def _check(schema: RelationalSchema, cur: _Cursor) -> None:
-    from unimig.relational.model import validate_relational
-
-    problems = validate_relational(schema)
-    if problems:
-        raise TextParseError("; ".join(problems))
 
 
 def print_ddl(schema: RelationalSchema) -> str:

@@ -9,7 +9,10 @@ Supported subset::
              | "Decimal" "(" INT "," INT ")"
              | "Aggr" "<" IDENT ">" | "Ref" "<" IDENT ">"
 
-``//`` starts a line comment. A ``+`` prefix declares the feature as the
+``//`` starts a line comment. Identifiers are ASCII
+(``[A-Za-z_][A-Za-z0-9_]*``, as trace ids require) and the keywords
+``Schema``, ``Root`` and ``Entity`` match in any case. The text is split by
+the scanner shared with the DDL parser (``unimig.notation``). A ``+`` prefix declares the feature as the
 identifier: the parser builds the attribute plus a Key over it named
 ``<attr>_key``. A ``*`` suffix makes the upper bound unbounded.
 
@@ -23,9 +26,10 @@ the parser itself can produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from unimig.errors import TextParseError
+from unimig.notation import Cursor, tokenize
 from unimig.uschema.model import (
     Aggregate,
     Attribute,
@@ -38,116 +42,26 @@ from unimig.uschema.model import (
 )
 from unimig.uschema.validate import assert_valid
 
-_SYMBOLS = "{}:,+*<>()"
-
-
-@dataclass
-class _Token:
-    kind: str  # ident | int | symbol | eof
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("symbol", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise TextParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> TextParseError:
-        tok = self.peek()
-        return TextParseError(message, tok.line, tok.column)
-
-    def expect_symbol(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "symbol" or tok.text != sym:
-            raise self.fail(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail(f"expected integer, found {tok.text or 'end of input'!r}")
-        return int(self.next().text)
-
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.lower() in words
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|//[^\n]*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<symbol>[{}:,+*<>()])
+""", re.VERBOSE)
 
 
 def parse_athena(text: str) -> USchemaModel:
     """Parse the textual notation into a validated pivot model."""
-    p = _Parser(text)
-    if not p.at_keyword("schema"):
-        raise p.fail("expected 'Schema'")
-    p.next()
-    name = p.expect_ident("schema name").text
-    p.expect_symbol(":")
-    p.expect_int()  # declared version, not kept on the model
+    cur = Cursor(tokenize(text, _TOKEN))
+    if not cur.take_word("SCHEMA"):
+        raise cur.fail("expected 'Schema'")
+    name = cur.expect_ident("schema name")
+    cur.expect_symbol(":")
+    cur.expect_int("integer")  # declared version, not kept on the model
 
     model = USchemaModel(name)
-    while p.peek().kind != "eof":
-        model.entities.append(_parse_entity(p))
+    while cur.peek().kind != "eof":
+        model.entities.append(_parse_entity(cur))
 
     declared = {e.name for e in model.entities}
     for e in model.entities:
@@ -162,72 +76,53 @@ def parse_athena(text: str) -> USchemaModel:
     return model
 
 
-def _parse_entity(p: _Parser) -> EntityType:
-    root = False
-    if p.at_keyword("root"):
-        p.next()
-        root = True
-    if not p.at_keyword("entity"):
-        raise p.fail("expected 'entity'")
-    p.next()
-    name = p.expect_ident("entity name").text
-    entity = EntityType(name, root=root)
-    p.expect_symbol("{")
-    while True:
-        _parse_feature(p, entity)
-        tok = p.peek()
-        if tok.kind == "symbol" and tok.text == ",":
-            p.next()
-            continue
-        break
-    p.expect_symbol("}")
+def _parse_entity(cur: Cursor) -> EntityType:
+    root = cur.take_word("ROOT")
+    if not cur.take_word("ENTITY"):
+        raise cur.fail("expected 'entity'")
+    entity = EntityType(cur.expect_ident("entity name"), root=root)
+    cur.expect_symbol("{")
+    _parse_feature(cur, entity)
+    while cur.take_symbol(","):
+        _parse_feature(cur, entity)
+    cur.expect_symbol("}")
     return entity
 
 
-def _parse_feature(p: _Parser, entity: EntityType) -> None:
-    is_key = False
-    tok = p.peek()
-    if tok.kind == "symbol" and tok.text == "+":
-        p.next()
-        is_key = True
-    name = p.expect_ident("feature name").text
-    p.expect_symbol(":")
-    feature = _parse_ftype(p, name)
-    tok = p.peek()
-    if tok.kind == "symbol" and tok.text == "*":
-        p.next()
+def _parse_feature(cur: Cursor, entity: EntityType) -> None:
+    is_key = cur.take_symbol("+")
+    name = cur.expect_ident("feature name")
+    cur.expect_symbol(":")
+    feature = _parse_ftype(cur, name)
+    if cur.take_symbol("*"):
         if isinstance(feature, Attribute):
-            raise p.fail("'*' is not applicable to scalar features")
+            raise cur.fail("'*' is not applicable to scalar features")
         feature.upper_bound = UNBOUNDED
     entity.features.append(feature)
     if is_key:
         if not isinstance(feature, Attribute):
-            raise p.fail("'+' is only applicable to scalar features")
+            raise cur.fail("'+' is only applicable to scalar features")
         entity.features.append(Key(f"{name}_key", is_id=True, attributes=[name]))
 
 
-def _parse_ftype(p: _Parser, feature_name: str):
-    tok = p.expect_ident("type name")
-    word = tok.text
+def _parse_ftype(cur: Cursor, feature_name: str):
+    tok = cur.peek()
+    word = cur.expect_ident("type name")
     if word in ("String", "Integer", "Boolean", "Double", "Date"):
         return Attribute(feature_name, USDataType(word))
     if word == "Decimal":
-        p.expect_symbol("(")
-        precision = p.expect_int()
-        p.expect_symbol(",")
-        scale = p.expect_int()
-        p.expect_symbol(")")
+        cur.expect_symbol("(")
+        precision = cur.expect_int("integer")
+        cur.expect_symbol(",")
+        scale = cur.expect_int("integer")
+        cur.expect_symbol(")")
         return Attribute(feature_name, USDataType("Decimal", precision, scale))
-    if word == "Aggr":
-        p.expect_symbol("<")
-        target = p.expect_ident("entity name").text
-        p.expect_symbol(">")
-        return Aggregate(feature_name, target, lower_bound=1, upper_bound=1)
-    if word == "Ref":
-        p.expect_symbol("<")
-        target = p.expect_ident("entity name").text
-        p.expect_symbol(">")
-        return Reference(feature_name, target, lower_bound=1, upper_bound=1)
+    if word in ("Aggr", "Ref"):
+        cur.expect_symbol("<")
+        target = cur.expect_ident("entity name")
+        cur.expect_symbol(">")
+        kind = Aggregate if word == "Aggr" else Reference
+        return kind(feature_name, target, lower_bound=1, upper_bound=1)
     raise TextParseError(f"unknown type name {word!r}", tok.line, tok.column)
 
 

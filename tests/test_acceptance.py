@@ -158,10 +158,16 @@ def test_criterion_3_conservation_and_throughput(s_dataset, s_migration,
     tp_m = m_report.throughput_rows_per_s
     throughput_ok = 0.5 * tp_s <= tp_m <= 1.5 * tp_s
 
+    # which phase moved when the ratio leaves its bound: index pass or writes
+    phases = "; ".join(
+        f"{scale} index {r.index_ms:.0f} ms, write "
+        f"{r.total_elapsed_ms - r.index_ms:.0f} ms"
+        for scale, r in (("S", report), ("M", m_report)))
     check(3, counts_ok and runtime_ok and throughput_ok,
           f"S counts exact (users=1000, listening=50000, song=5000, "
           f"playlists=10000, playlist_songs=200000, recents=10000) in "
-          f"{s_elapsed:.1f}s; throughput S={tp_s:.0f} vs M={tp_m:.0f} rows/s")
+          f"{s_elapsed:.1f}s; throughput S={tp_s:.0f} vs M={tp_m:.0f} rows/s "
+          f"({phases})")
 
 
 # --- 4. instance oracle ------------------------------------------------------------

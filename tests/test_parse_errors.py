@@ -3,8 +3,12 @@ text. Each case names the first fault a reader of the text would meet."""
 
 from __future__ import annotations
 
-import pytest
+import shutil
 
+import pytest
+from util import FIXTURES
+
+from unimig.cli import dispatch
 from unimig.errors import TextParseError
 from unimig.relational.ddl import parse_ddl
 from unimig.uschema.athena import parse_athena
@@ -20,12 +24,13 @@ DDL_ERRORS = [
      "line 1, column 16: expected '(', found 'a'"),
     ("CREATE TABLE t (a INT)",
      "line 1, column 23: expected ';', found 'end of input'"),
+    # end of input is placed where the input ends, after a trailing comment
     ("CREATE TABLE t (a INT PRIMARY KEY) -- c",
-     "line 1, column 36: expected ';', found 'end of input'"),
+     "line 1, column 40: expected ';', found 'end of input'"),
     ("CREATE TABLE t (a VARCHAR(x));",
      "line 1, column 27: expected number, found 'x'"),
     ("CREATE TABLE t (a VARCHAR(",
-     "line 1, column 27: expected number, found ''"),
+     "line 1, column 27: expected number, found 'end of input'"),
     ("CREATE TABLE t (a DECIMAL(4,);",
      "line 1, column 29: expected number, found ')'"),
     ("CREATE TABLE t (a WOBBLE);",
@@ -78,6 +83,23 @@ DDL_ERRORS = [
      "line 2, column 1: duplicate table 't'"),
     ("-- schema: s\n-- note\nTABLE t (a INT);",
      "line 3, column 1: expected CREATE, found 'TABLE'"),
+    # a line feed inside a string starts a new line
+    ("CREATE TABLE t (a VARCHAR(5) DEFAULT 'a\nb') x",
+     "line 2, column 5: expected ';', found 'x'"),
+    # type sizes are unsigned integers
+    ("CREATE TABLE t (a VARCHAR(2.5));",
+     "line 1, column 27: type size must be an unsigned integer, found '2.5'"),
+    ("CREATE TABLE t (a DECIMAL(4.9, 2));",
+     "line 1, column 27: type size must be an unsigned integer, found '4.9'"),
+    ("CREATE TABLE t (a DECIMAL(4, 2.));",
+     "line 1, column 30: type size must be an unsigned integer, found '2.'"),
+    ("CREATE TABLE t (\n  a VARCHAR(1.2.3));",
+     "line 2, column 13: type size must be an unsigned integer, found '1.2.3'"),
+    # identifiers and numbers are ASCII
+    ("CREATE TABLE caf\u00e9 (a INT);",
+     "line 1, column 17: unexpected character '\u00e9'"),
+    ("CREATE TABLE t (a VARCHAR(\u0663));",
+     "line 1, column 27: unexpected character '\u0663'"),
 ]
 
 ATHENA_ERRORS = [
@@ -100,7 +122,7 @@ ATHENA_ERRORS = [
     ("Schema X:1\nEntity A { x: Integer",
      "line 2, column 22: expected '}', found 'end of input'"),
     ("Schema X:1\nEntity A { x: Integer // c",
-     "line 2, column 23: expected '}', found 'end of input'"),
+     "line 2, column 27: expected '}', found 'end of input'"),
     ("Schema X:1\nEntity A { x: Wobble }",
      "line 2, column 15: unknown type name 'Wobble'"),
     ("Schema X:1\nEntity A { x: Integer* }",
@@ -121,6 +143,11 @@ ATHENA_ERRORS = [
      "line 3, column 4: expected ':', found 'Integer'"),
     ("Schema X:1\nEntity A { r: Ref<Nope> }",
      "reference A.r names undeclared type 'Nope'"),
+    # identifiers and numbers are ASCII
+    ("Schema X:1\nEntity \u00c9 { x: Integer }",
+     "line 2, column 8: unexpected character '\u00c9'"),
+    ("Schema X:1\nEntity A { x: Decimal(\u0664, 2) }",
+     "line 2, column 23: unexpected character '\u0664'"),
 ]
 
 
@@ -136,3 +163,23 @@ def test_athena_error_message(text, message):
     with pytest.raises(TextParseError) as err:
         parse_athena(text)
     assert str(err.value) == message
+
+
+def test_decimal_default_still_parses():
+    schema = parse_ddl("CREATE TABLE t (a DECIMAL(4,2) DEFAULT 1.5 NOT NULL);")
+    column = schema.table("t").column("a")
+    assert column.default == "1.5"
+    assert not column.nullable
+
+
+def test_migrate_reports_a_bad_type_size_without_a_traceback(tmp_path, capsys):
+    source = tmp_path / "data"
+    shutil.copytree(FIXTURES / "music_streaming" / "mini_data", source)
+    ddl = (source / "schema.sql").read_text()
+    (source / "schema.sql").write_text(ddl.replace("VARCHAR(80)", "VARCHAR(1.2.3)", 1))
+    code = dispatch(["migrate", "--source", str(source), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 4, column 25: type size must be an unsigned "
+                          "integer, found '1.2.3'")
+    assert "Traceback" not in err
