@@ -12,9 +12,10 @@ Supported subset::
 ``//`` starts a line comment. Identifiers are ASCII
 (``[A-Za-z_][A-Za-z0-9_]*``, as trace ids require) and the keywords
 ``Schema``, ``Root`` and ``Entity`` match in any case. The text is split by
-the scanner shared with the DDL parser (``unimig.notation``). A ``+`` prefix declares the feature as the
-identifier: the parser builds the attribute plus a Key over it named
-``<attr>_key``. A ``*`` suffix makes the upper bound unbounded.
+the scanner shared with the DDL parser (``unimig.notation``). A ``+``
+prefix declares the feature as the identifier: the parser builds the
+attribute plus a Key over it named ``<attr>_key``. A ``*`` suffix makes the
+upper bound unbounded.
 
 The notation cannot express relationship types, multi-attribute keys,
 reference-carried attributes, optionality, or lower bounds other than the
