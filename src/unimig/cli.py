@@ -4,7 +4,9 @@ Model files are self-describing: ``.sql`` is relational DDL, ``.athena`` the
 pivot text notation, ``.docschema.json`` / JSON with a ``documents`` array a
 document schema, and JSON with a ``kind`` marker a relational or pivot
 model. Outputs are written atomically (temp file + rename). Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error. The modules that only
+``roundtrip``, ``diff``, ``evolve`` and ``generate-dataset`` use are imported
+by those verbs, so that ``migrate`` does not load them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-from unimig.compare import diff_models, run_roundtrip
-from unimig.datagen import ScaleSpec, generate_dataset
 from unimig.document.model import DocumentSchema
 from unimig.document.schema_json import parse_docschema, print_docschema
 from unimig.errors import MigrationError
-from unimig.evolution import apply_changes, parse_orion
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
@@ -132,6 +131,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from unimig.evolution import apply_changes, parse_orion
+
     model = _require(load_model(args.input), USchemaModel, args.input)
     ops = parse_orion(Path(args.script).read_text(encoding="utf-8"))
     trace = (load_trace(Path(args.trace).read_text(encoding="utf-8"))
@@ -164,6 +165,8 @@ def _cmd_migrate(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from unimig.compare import run_roundtrip
+
     schema = _require(load_model(args.input), RelationalSchema, args.input)
     result = run_roundtrip(schema)
     if args.report == "json":
@@ -175,6 +178,8 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from unimig.compare import diff_models
+
     a = load_model(args.a)
     b = load_model(args.b)
     if type(a) is not type(b):
@@ -186,6 +191,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from unimig.datagen import ScaleSpec, generate_dataset
+
     manifest = generate_dataset(ScaleSpec(args.scale, args.seed), Path(args.out))
     sys.stdout.write(json.dumps(manifest, indent=2) + "\n")
     return 0

@@ -14,24 +14,29 @@ whose value encoder is picked there from the column's type, so the text is
 byte for byte what ``json.dumps`` (compact, ``ensure_ascii=False``) writes.
 
 Every collection is compiled before any runs, which plans the indexes they
-probe; each file's planned indexes are then built in one pass, before any
-collection is written, so a bad cell or NULL key value an index relies on
-fails before any output. A NULL value leaves its property out and is
+probe; each file's planned indexes are then built in ``k`` row slices,
+before any collection is written, so a bad cell or NULL key value an index
+relies on fails before any output. A NULL value leaves its property out and is
 counted (``nullsOmitted``), as is a forward reference whose target row is
 missing (``danglingRefs``); a NULL key fails.
 
-Once the indexes are built, a document depends only on its own row and on
-read-only indexes, so each collection's source file is cut into one
-contiguous row slice per CPU this process may run on
-(``_TableFile.spans``), and the parent forks a worker per slice but the
-first (horizontal partitioning of a scan: DeWitt & Gray, "Parallel
-Database Systems", CACM 1992). Each process writes its slice of every
-collection in schema order, one document per line (``write_batch``): the
-parent straight into ``<collection>.jsonl``, a worker into an unnamed part
-file that the parent appends, in slice order, once every worker is done.
-With one CPU nothing is forked. A failure ends as the serial run would: the
-error of the first failing collection and, within it, of the first failing
-row, with only the collections before it left on disk. The manifest's
+Both phases cut each file they read once into ``k`` contiguous row slices,
+one per CPU this process may run on (``_TableFile.spans``), and run slice
+``i`` in process ``i``: the parent runs slice 0 and forks a worker per
+other slice (horizontal partitioning of a scan: DeWitt & Gray, "Parallel
+Database Systems", CACM 1992). In the index pass each process fills partial
+indexes from its slice of every indexed file, a worker sending them back
+through an unnamed part file, and the parent merges them in slice order
+(``_build_indexes``). Once the indexes are built, a document depends only
+on its own row and on read-only indexes, so the writers are forked next:
+each process writes its slice of every collection in schema order, one
+document per line (``write_batch``): the parent straight into
+``<collection>.jsonl``, a worker into a part file that the parent appends,
+in slice order, once every worker is done. With one CPU nothing is forked.
+A failure ends as the serial run would: the error of the first failing
+file or collection and, within it, of the first failing row; an index
+failure leaves nothing on disk, a write failure only the collections
+before it. The manifest's
 counters are sums over slices; its total ``elapsedMs`` is the wall time of
 the whole ``migrate``, and a collection's ``elapsedMs`` is its compile time
 plus the write times of its slices.
@@ -45,11 +50,13 @@ import signal
 import tempfile
 import threading
 import time
-from json.encoder import encode_basestring
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from functools import partial
+from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import BinaryIO, Callable, TextIO
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from unimig.document.model import (
     DocReference,
@@ -189,8 +196,9 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
     """Compile ``properties`` at document ``path`` into a function over
     typed rows of ``file``, whose table stores ``type_name``: column positions,
     value encoders and the indexes to probe are fixed here, once per
-    collection. The indexes are only planned; the session must build them
-    (``build_indexes``) before the function runs."""
+    collection. The indexes are only planned; they must be built
+    (``build_indexes``, or ``migrate``'s index pass) before the function
+    runs."""
     table, collection = file.table, f"collection {path[0][0]!r}"
     parts: list[_Part] = []
     for prop in properties:
@@ -358,17 +366,27 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+#: Row slice ``i`` of one step of a phase (a file to index, or a collection
+#: to write), run in a worker: it writes its output to the part file by its
+#: descriptor and returns what the worker reports of it.
+_Step = Callable[[int, int], dict]
+
+
 @dataclass
 class _Worker:
-    """A forked process that writes row slice ``i`` of every collection, in
-    schema order, to an unnamed part file and reports each collection as
-    one JSON line through a pipe."""
+    """A forked process that runs row slice ``i`` of every step of a phase,
+    in order, into an unnamed part file and reports each step as one JSON
+    line through a pipe."""
 
     i: int
     part: BinaryIO
     pid: int = 0  # 0 once reaped
     pipe: int = -1  # the read end, -1 once closed
     ends: list[int] = field(default_factory=list)  # part offset after each
+
+    def output(self, j: int) -> tuple[int, int]:
+        """The part file's byte range holding step ``j``'s output."""
+        return self.ends[j - 1] if j else 0, self.ends[j]
 
     def close(self) -> None:
         """Kill the worker if it still runs (an error path), reap it, and
@@ -383,8 +401,7 @@ class _Worker:
         self.part.close()
 
 
-def _fork(source: SourceSession, collections: list[_Collection],
-          worker: _Worker) -> None:
+def _fork(worker: _Worker, steps: list[_Step]) -> None:
     """Start ``worker``; in the child, run it and end the process there,
     never returning into the caller's stack."""
     worker.pipe, report = os.pipe()
@@ -397,63 +414,136 @@ def _fork(source: SourceSession, collections: list[_Collection],
         code = 1
         try:
             os.close(worker.pipe)
-            _work(source, collections, worker.i, worker.part.fileno(), report)
+            _work(worker, steps, report)
             code = 0
         finally:
             os._exit(code)
     os.close(report)
 
 
-def _work(source: SourceSession, collections: list[_Collection], i: int,
-          part: int, report: int) -> None:
-    """A worker's run: after each collection, one JSON line with its slice's
-    counters, the most records held at once and the part file's offset,
-    or with the error that stopped the worker."""
-    source.records_read = source.peak_live_records = 0
-    for c in collections:
-        vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
-    with open(part, "w", encoding="utf-8", closefd=False) as out, \
-            open(report, "w", encoding="utf-8", buffering=1) as pipe:
-        for c in collections:
+def _work(worker: _Worker, steps: list[_Step], report: int) -> None:
+    """A worker's run: after each step, one JSON line with what the step
+    reports and the part file's offset, or with the error that stopped the
+    worker."""
+    part = worker.part.fileno()
+    with open(report, "w", encoding="utf-8", buffering=1) as pipe:
+        for step in steps:
             try:
-                _write_slice(source, c, i, out)
+                message = step(worker.i, part)
             except MigrationError as exc:
                 pipe.write(json.dumps({"error": str(exc)}) + "\n")
                 return
-            out.flush()
-            pipe.write(json.dumps({
-                "stats": asdict(c.stats), "peak": source.peak_live_records,
-                "end": os.lseek(part, 0, os.SEEK_CUR)}) + "\n")
+            message["end"] = os.lseek(part, 0, os.SEEK_CUR)
+            pipe.write(json.dumps(message) + "\n")
 
 
-def _collect(source: SourceSession, collections: list[_Collection],
-             worker: _Worker) -> tuple[int, int, MigrationError] | None:
-    """Wait for ``worker`` and add what it reports to the collections'
-    stats and to the session's record counters. Returns its failure, as
-    (collection index, slice, error), or None."""
+def _collect(worker: _Worker, labels: list[str], verb: str,
+             error: type[MigrationError]
+             ) -> tuple[list[dict], tuple[int, int, MigrationError] | None]:
+    """Wait for ``worker`` and record the part file's offset after each
+    step it completed. Returns what it reported of those steps, and its
+    failure as (step index, slice, error) or None; ``labels`` name the steps
+    in error messages, ``verb`` what a worker does to its slice."""
     with open(worker.pipe, encoding="utf-8") as pipe:
         worker.pipe = -1
         messages = [json.loads(line) for line in pipe]
     _, status = os.waitpid(worker.pid, 0)
     worker.pid = 0
-    for j, (c, message) in enumerate(zip(collections, messages)):
+    for j, message in enumerate(messages):
         if "error" in message:
-            return j, worker.i, MigrationError(message["error"])
-        for key, value in message["stats"].items():
-            setattr(c.stats, key, getattr(c.stats, key) + value)
-        # each record a worker reads is a row of a slice it writes or of a
-        # child group embedded there, so its rows_read count them all
-        source.records_read += message["stats"]["rows_read"]
-        source.peak_live_records = max(source.peak_live_records,
-                                       message["peak"])
+            return messages[:j], (j, worker.i, error(message["error"]))
         worker.ends.append(message["end"])
-    if len(messages) < len(collections):
-        name = collections[len(messages)].name
-        return len(messages), worker.i, MigrationError(
-            f"while migrating collection {name!r}: the worker writing row "
-            f"slice {worker.i} ended without reporting it (exit status "
-            f"{os.waitstatus_to_exitcode(status)})")
-    return None
+    if len(messages) < len(labels):
+        j = len(messages)
+        return messages, (j, worker.i, error(
+            f"{labels[j]}: the worker {verb} row slice {worker.i} ended "
+            "without reporting it (exit status "
+            f"{os.waitstatus_to_exitcode(status)})"))
+    return messages, None
+
+
+@contextmanager
+def _in_slices(k: int, target_dir: Path, steps: list[_Step],
+               first: Callable[[int], None], labels: list[str], verb: str,
+               error: type[MigrationError]
+               ) -> Iterator[tuple[list[_Worker], list[list[dict]],
+                                   tuple[int, MigrationError] | None]]:
+    """Run slice ``i`` of every step in process ``i``: this process runs
+    slice 0 of each step in order (``first``) until one fails, while forked
+    workers, one per slice but the first (none when ``k`` is 1), run
+    ``steps``. Yields, once all are done, the workers, what each reported
+    and the failure the serial run would raise: as (step index, error) of
+    the first failing step and, within it, of the lowest failing slice, or
+    None. Every worker is reaped on exit, whatever happens."""
+    workers: list[_Worker] = []
+    try:
+        for i in range(1, k):
+            workers.append(_Worker(i, tempfile.TemporaryFile(dir=target_dir)))
+            _fork(workers[-1], steps)
+        failures = []
+        for j in range(len(steps)):
+            try:
+                first(j)
+            except MigrationError as exc:
+                failures.append((j, 0, exc))
+                break
+        reports = []
+        for worker in workers:
+            messages, failure = _collect(worker, labels, verb, error)
+            reports.append(messages)
+            failures += [failure] if failure else []
+        failure = min(failures, key=itemgetter(0, 1), default=None)
+        yield workers, reports, failure and (failure[0], failure[2])
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+def _index_step(file: _TableFile, spans: list[_Span], i: int,
+                part: int) -> dict:
+    with open(part, "wb", closefd=False) as out:
+        out.write(file.encode_slice(file.index_slice(spans[i])))
+    return {}
+
+
+def _build_indexes(files: list[_TableFile], spans: dict[_TableFile, list[_Span]],
+                   k: int, target_dir: Path) -> None:
+    """Fill every planned index of ``files`` in their ``k`` row slices:
+    this process indexes slice 0 of each file, forked workers the others
+    and send their partial indexes back through their part files, and once
+    all are done each file's are merged in slice order. A failure raises
+    the serial run's error before anything is written."""
+    firsts: list[list[dict]] = []
+    with _in_slices(
+            k, target_dir,
+            [partial(_index_step, file, spans[file]) for file in files],
+            lambda j: firsts.append(files[j].index_slice(spans[files[j]][0])),
+            [f"while indexing for {file.planned_for}" for file in files],
+            "indexing", SourceError) as (workers, _, failure):
+        if failure is not None:
+            raise failure[1]
+        for j, file in enumerate(files):
+            parts = [firsts[j]]
+            for worker in workers:
+                start, end = worker.output(j)
+                worker.part.seek(start)
+                parts.append(file.decode_slice(worker.part.read(end - start)))
+            firsts[j] = []  # the merged index holds what it needs
+            file.merge_indexes(parts)
+
+
+def _write_step(source: SourceSession, c: _Collection, i: int,
+                part: int) -> dict:
+    vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
+    with open(part, "w", encoding="utf-8", closefd=False) as out:
+        _write_slice(source, c, i, out)
+    return {"stats": asdict(c.stats), "peak": source.peak_live_records}
+
+
+def _first_slice(target_dir: Path, source: SourceSession,
+                 c: _Collection) -> None:
+    with open(target_dir / f"{c.name}.jsonl", "w", encoding="utf-8") as out:
+        _write_slice(source, c, 0, out)
 
 
 def _join(target_dir: Path, collections: list[_Collection],
@@ -461,8 +551,7 @@ def _join(target_dir: Path, collections: list[_Collection],
     """Append each collection's slices from the workers' part files, in
     slice order, with ``sendfile`` (which takes no ``O_APPEND`` target)."""
     for j, c in enumerate(collections):
-        ranges = [(w.part.fileno(), w.ends[j - 1] if j else 0, w.ends[j])
-                  for w in workers]
+        ranges = [(w.part.fileno(), *w.output(j)) for w in workers]
         if all(start == end for _, start, end in ranges):
             continue
         out = os.open(target_dir / f"{c.name}.jsonl", os.O_WRONLY)
@@ -482,40 +571,33 @@ def _join(target_dir: Path, collections: list[_Collection],
 def _write_collections(source: SourceSession, collections: list[_Collection],
                        k: int, target_dir: Path) -> None:
     """Write every collection in its ``k`` row slices, slice ``i`` by
-    process ``i`` (no fork when ``k`` is 1): the parent writes slice 0
-    straight into ``<collection>.jsonl``, forked workers write the others,
-    and once all are done the parent appends their part files. A failure
-    ends the run as the serial run would: it raises the error of the first
-    failing collection in schema order and, within it, of the lowest
-    failing slice, and only the collections before that one stay on disk.
-    Every worker is reaped, whatever happens."""
-    workers: list[_Worker] = []
-    try:
-        for i in range(1, k):
-            workers.append(_Worker(i, tempfile.TemporaryFile(dir=target_dir)))
-            _fork(source, collections, workers[-1])
-        failures = []
-        for j, c in enumerate(collections):
-            try:
-                with open(target_dir / f"{c.name}.jsonl", "w",
-                          encoding="utf-8") as out:
-                    _write_slice(source, c, 0, out)
-            except MigrationError as exc:
-                failures.append((j, 0, exc))
-                break
-        for worker in workers:
-            if (failure := _collect(source, collections, worker)) is not None:
-                failures.append(failure)
-        failure = min(failures, key=itemgetter(0, 1), default=None)
+    process ``i`` (``_in_slices``): this process writes slice 0 straight
+    into ``<collection>.jsonl``, forked workers write the others, and once
+    all are done this process appends their part files and adds up what
+    they counted. A failure raises the serial run's error, and only the
+    collections before the failing one stay on disk."""
+    with _in_slices(
+            k, target_dir,
+            [partial(_write_step, source, c) for c in collections],
+            lambda j: _first_slice(target_dir, source, collections[j]),
+            [f"while migrating collection {c.name!r}" for c in collections],
+            "writing", MigrationError) as (workers, reports, failure):
+        for messages in reports:
+            for c, message in zip(collections, messages):
+                for key, value in message["stats"].items():
+                    setattr(c.stats, key, getattr(c.stats, key) + value)
+                # each record a worker reads is a row of a slice it writes
+                # or of a child group embedded there, so its rows_read
+                # count them all
+                source.records_read += message["stats"]["rows_read"]
+                source.peak_live_records = max(source.peak_live_records,
+                                               message["peak"])
         done = collections if failure is None else collections[:failure[0]]
         for c in collections[len(done):]:
             (target_dir / f"{c.name}.jsonl").unlink(missing_ok=True)
         _join(target_dir, done, workers)
         if failure is not None:
-            raise failure[2]
-    finally:
-        for worker in workers:
-            worker.close()
+            raise failure[1]
 
 
 # --- the pipeline ----------------------------------------------------------------
@@ -527,10 +609,10 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
     ``target_dir``.
 
     Every collection is compiled first, which plans the indexes they
-    probe; the session then builds each file's planned indexes in one
-    pass, before any collection is written. Each collection's rows are
-    then written in one slice per available CPU, one process per slice
-    (``_write_collections``). The session carries the forward trace it was
+    probe; each file's planned indexes are then built in one row slice per
+    available CPU, one process per slice (``_build_indexes``), before any
+    collection is written. Each collection's rows are then written in the
+    same slices (``_write_collections``). The session carries the forward trace it was
     opened with; ``t2`` is the trace from the pivot model to
     ``target_schema``. The session is closed when migration finishes,
     successfully or not.
@@ -541,7 +623,7 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
 
     report = MigrationReport()
     try:
-        collections, k = [], _cpus()
+        plans, k = [], _cpus()
         for te in target_schema.documents:
             stats = report.per_entity[te.name] = EntityStats()
             compiled = time.monotonic()
@@ -551,11 +633,17 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
             stats.elapsed_ms = (time.monotonic() - compiled) * 1000.0
-            collections.append(
-                _Collection(te.name, stats, file, build, file.spans(k)))
+            plans.append((te.name, stats, file, build))
+        # each file is cut once; the index pass and the writes share the cuts
+        indexed_files = source.indexed_files()
+        spans: dict[_TableFile, list[_Span]] = {}
+        for file in indexed_files + [plan[2] for plan in plans]:
+            if file not in spans:
+                spans[file] = file.spans(k)
         indexed = time.monotonic()
-        source.build_indexes()
+        _build_indexes(indexed_files, spans, k, target_dir)
         report.index_ms = (time.monotonic() - indexed) * 1000.0
+        collections = [_Collection(*plan, spans[plan[2]]) for plan in plans]
         source.close_handles()  # no two processes share a file offset
         _write_collections(source, collections, k, target_dir)
         report.total_elapsed_ms = (time.monotonic() - started) * 1000.0

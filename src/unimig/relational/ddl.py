@@ -157,23 +157,20 @@ def _parse_type(cur: Cursor) -> SqlType:
     word = _TYPE_ALIASES.get(word, word)
     if word == "DOUBLE":
         cur.take_word("PRECISION")
+    sizes: dict[str, int] = {}
     if word in ("CHAR", "VARCHAR"):
         cur.expect_symbol("(")
-        length = _expect_size(cur)
+        sizes["length"] = _expect_size(cur)
         cur.expect_symbol(")")
-        return SqlType(word, length=length)
-    if word in ("DECIMAL", "NUMERIC"):
-        precision, scale = None, 0
+    elif word in ("DECIMAL", "NUMERIC"):
+        sizes = {"precision": 38, "scale": 0}
         if cur.take_symbol("("):
-            precision = _expect_size(cur)
+            sizes["precision"] = _expect_size(cur)
             if cur.take_symbol(","):
-                scale = _expect_size(cur)
+                sizes["scale"] = _expect_size(cur)
             cur.expect_symbol(")")
-        else:
-            precision = 38
-        return SqlType(word, precision=precision, scale=scale)
     try:
-        return SqlType(word)
+        return SqlType(word, **sizes)
     except ModelError as exc:
         raise TextParseError(str(exc), tok.line, tok.column) from exc
 

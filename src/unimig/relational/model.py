@@ -53,6 +53,9 @@ class SqlType:
                 raise ModelError(f"{self.base} requires a positive precision")
             if self.scale is None:
                 self.scale = 0
+            if self.scale > self.precision:
+                raise ModelError(f"{self.base} scale {self.scale} exceeds its "
+                                 f"precision {self.precision}")
         elif self.base in _PARAM_FREE:
             if self.length is not None or self.precision is not None:
                 raise ModelError(f"{self.base} does not take parameters")

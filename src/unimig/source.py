@@ -19,13 +19,19 @@ seek per run (one run per key in a file clustered by it) through one
 handle per table, which the session closes. The covering id index
 (``ids_on``) maps a key to the identifiers of the matching rows, so a
 reference reads no row of the table it points at. Every index is planned
-first (``plan_for`` names what needs it) and then built: the session's
-``build_indexes`` fills every planned index of each file in one
-streaming pass that types each row once, and fails, naming file, row and
-column and what the indexes were planned for, on a bad cell, a NULL
-primary key value (which a covering index would store), a text component of
-a composite primary key holding ``#`` (two stored identifiers could
-collide) or a NULL order value (which child groups are sorted by).
+first (``plan_for`` names what needs it) and then built from a file's row
+slices (see below): ``index_slice`` fills fresh partial indexes from one
+slice in a pass that types each row once, and ``merge_indexes`` joins the
+slices' partial indexes in slice order (run triples concatenated, a run
+that continues across a cut made one; identifier lists concatenated, then
+sorted and ``#``-joined once), so any number of slices builds the index one
+slice gives. The migrator indexes the slices in parallel, and workers send
+their partial indexes back flat (``encode_slice``); ``build_indexes`` runs
+one slice per file. A pass fails, naming file, row and column and what the
+indexes were planned for, on a bad cell, a NULL primary key value (which a
+covering index would store), a text component of a composite primary key
+holding ``#`` (two stored identifiers could collide) or a NULL order value
+(which child groups are sorted by).
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import csv
 import io
+import marshal
 import os
 from array import array
 from collections import Counter
@@ -177,7 +184,7 @@ def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
 class _TableFile:
     """One CSV file: validation and row counting at open, schema-aware
     parsing, and the run and covering id indexes, planned on demand and
-    built together in one pass."""
+    built together, one pass per row slice."""
 
     def __init__(self, table: Table, path: Path):
         self.table = table
@@ -337,57 +344,117 @@ class _TableFile:
         if index is None:
             index = indexes[key] = {}
             self._unbuilt.append((kind, key))
-        self._planned_for[plan_for] = None
+        if (kind, key) in self._unbuilt:
+            self._planned_for[plan_for] = None
         return index
+
+    @property
+    def planned_for(self) -> str:
+        """What the indexes still unbuilt were planned for."""
+        return ", ".join(self._planned_for)
 
     def build_indexes(self) -> None:
         """Fill every planned index that is still empty in one pass over the
-        file, typing each row once and checking the key columns the indexes
-        rely on: the primary key for covering indexes, the order columns
-        for run indexes. A failed pass names what the indexes were planned
-        for."""
-        planned_for, self._planned_for = ", ".join(self._planned_for), {}
-        if not self._unbuilt:
-            return
+        whole file, as one slice."""
+        if self._unbuilt:
+            self.merge_indexes([self.index_slice(self.spans(1)[0])])
+
+    def index_slice(self, span: _Span) -> list[dict]:
+        """Partial indexes, one per planned index still unbuilt and in plan
+        order, filled from the data rows of ``span`` (one of ``spans``) in
+        one pass that numbers rows from the span's first, types each row once
+        and checks the key columns the indexes rely on: the primary key for
+        covering indexes, the order columns for run indexes. A failed pass
+        names what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
-        fills, finishes = [], []
+        parts, fills = [], []
         for kind, key in self._unbuilt:
+            parts.append(part := {})
             if kind == "ids":
                 pk = self.table.primary_key().columns
                 required.update(dict.fromkeys(pk))
                 if len(pk) > 1:
                     joined = [c for c in pk
                               if self.types[self.columns.index(c)] is str]
-                fill, finish = self._ids_fill(key)
-                finishes.append(finish)
+                fills.append(self._ids_fill(part, key))
             else:
                 required.update(dict.fromkeys(key[1]))
-                fill = self._runs_fill(*key)
-            fills.append(fill)
+                fills.append(self._runs_fill(part, key[0]))
         if required:
             fills.insert(0, self._key_check(tuple(required), joined))
+        offset, first, count = span
         with open(self.path, "rb") as handle:
-            start = [len(handle.readline())]
+            handle.seek(offset)
+            start = [offset]
 
             def lines() -> Iterator[str]:
                 # a record is one line (checked at open), so csv asks for
                 # the next line only once the current row is handled
-                for line in handle:
+                for line in islice(handle, count):
                     yield line.decode("utf-8")
                     start[0] += len(line)
 
             try:
-                for n, row in enumerate(csv.reader(lines())):
+                for n, row in enumerate(csv.reader(lines()), first):
                     row = self.typed(row, n)
                     for fill in fills:
                         fill(row, n, start[0])
             except SourceError as exc:
                 raise SourceError(
-                    f"while indexing for {planned_for}: {exc}") from exc
-        for finish in finishes:
-            finish()
+                    f"while indexing for {self.planned_for}: {exc}") from exc
+        return parts
+
+    def merge_indexes(self, slices: list[list[dict]]) -> None:
+        """Fill every planned index still unbuilt from its partial indexes
+        (``index_slice``) of consecutive slices, given in slice order. Run
+        triples are concatenated, a run that continues across a cut becoming
+        one; identifier lists are concatenated, then sorted in primary key
+        order and, for a composite key, ``#``-joined. The result is the
+        index one slice over the whole file gives."""
+        for (kind, key), parts in zip(self._unbuilt, zip(*slices)):
+            if kind == "runs":
+                _merge(self._runs[key], parts, _join_runs)
+                continue
+            index = self._id_indexes[key]
+            _merge(index, parts, list.extend)
+            composite = len(self.table.primary_key().columns) > 1
+            for pks in index.values():
+                pks.sort()  # as key tuples: (1, 9) before (1, 10)
+                if composite:
+                    pks[:] = map(record_id, pks)
         self._unbuilt.clear()
+        self._planned_for = {}
+
+    def encode_slice(self, parts: list[dict]) -> bytes:
+        """Partial indexes from ``index_slice`` in a flat ``marshal``
+        encoding: a run index as its keys, the length of each key's triples
+        and all triples, the last two as ``array`` bytes; an id index as it
+        is."""
+        flat: list[object] = []
+        for (kind, _), part in zip(self._unbuilt, parts):
+            if kind == "runs":
+                lengths = array("q", map(len, part.values()))
+                part = (list(part), lengths.tobytes(),
+                        b"".join(map(array.tobytes, part.values())))
+            flat.append(part)
+        return marshal.dumps(flat)
+
+    def decode_slice(self, data: bytes) -> list[dict]:
+        """The partial indexes ``encode_slice`` encoded as ``data``."""
+        parts = marshal.loads(data)
+        for p, (kind, _) in enumerate(self._unbuilt):
+            if kind == "runs":
+                keys, lengths, flat = parts[p]
+                triples, sizes = array("q"), array("q")
+                triples.frombytes(flat)
+                sizes.frombytes(lengths)
+                parts[p] = index = {}
+                start = 0
+                for key, size in zip(keys, sizes):
+                    index[key] = triples[start:start + size]
+                    start += size
+        return parts
 
     def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
         """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
@@ -408,9 +475,8 @@ class _TableFile:
 
         return check
 
-    def _runs_fill(self, columns: tuple[str, ...], order: tuple[str, ...]) -> _Fill:
-        index, key_of = self._runs[(columns, order)], self.getter(columns)
-        index.clear()  # a failed earlier pass may have left part of it
+    def _runs_fill(self, index: _Runs, columns: tuple[str, ...]) -> _Fill:
+        key_of = self.getter(columns)
         last: tuple | None = None
         runs = array("q")
 
@@ -430,29 +496,22 @@ class _TableFile:
 
         return fill
 
-    def _ids_fill(self, columns: tuple[str, ...]) -> tuple[_Fill, Callable[[], None]]:
-        groups, key_of = self._id_indexes[columns], self.getter(columns)
-        groups.clear()
-        pk = [self.columns.index(c) for c in self.table.primary_key().columns]
+    def _ids_fill(self, index: dict[tuple, list], columns: tuple[str, ...]) -> _Fill:
+        key_of = self.getter(columns)
         # a single-column key is held as its bare value, which is its
         # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
-        pk_of = itemgetter(*pk)
+        pk_of = itemgetter(*(self.columns.index(c)
+                             for c in self.table.primary_key().columns))
 
         def fill(row: list, n: int, offset: int) -> None:
             key = key_of(row)
             if None not in key:
-                if (pks := groups.get(key)) is None:
-                    groups[key] = [pk_of(row)]
+                if (pks := index.get(key)) is None:
+                    index[key] = [pk_of(row)]
                 else:
                     pks.append(pk_of(row))
 
-        def finish() -> None:
-            for pks in groups.values():
-                pks.sort()  # as key tuples: (1, 9) before (1, 10)
-                if len(pk) > 1:
-                    pks[:] = map(record_id, pks)
-
-        return fill, finish
+        return fill
 
     def read(self, runs: Iterable[int]) -> list[tuple[int, list]]:
         """Numbered typed rows of ``runs`` (flat triples as ``runs_on``
@@ -472,6 +531,32 @@ class _TableFile:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _merge(index: dict, parts: Iterable[dict],
+           join: Callable[[object, object], None]) -> None:
+    """Add ``parts``, partial indexes of consecutive slices in slice order,
+    to ``index``: a key's values from a later slice are joined onto its
+    values from earlier ones."""
+    for part in parts:
+        if not index:
+            index.update(part)
+            continue
+        for key, values in part.items():
+            if (mine := index.get(key)) is None:
+                index[key] = values
+            else:
+                join(mine, values)
+
+
+def _join_runs(runs: array, more: array) -> None:
+    """Append the triples ``more`` of a later slice to ``runs``; a run that
+    continues across the cut (it starts at the row after the last run's
+    last row) becomes one triple."""
+    if runs[-2] + runs[-1] == more[1]:
+        runs[-1] += more[2]
+        more = more[3:]
+    runs.extend(more)
 
 
 @dataclass(frozen=True)
@@ -607,9 +692,13 @@ class SourceSession:
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
 
+    def indexed_files(self) -> list[_TableFile]:
+        """The files with planned indexes still unbuilt, in schema order."""
+        return [file for file in self._files.values() if file._unbuilt]
+
     def build_indexes(self) -> None:
-        """Fill every planned index, one pass per file; a file with nothing
-        planned is not read."""
+        """Fill every planned index, one pass per file in one slice; a file
+        with nothing planned is not read."""
         for file in self._files.values():
             file.build_indexes()
 

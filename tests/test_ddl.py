@@ -4,9 +4,9 @@ import pytest
 
 from util import FIXTURES
 
-from unimig.errors import TextParseError
+from unimig.errors import ModelError, TextParseError
 from unimig.relational.ddl import parse_ddl, print_ddl
-from unimig.relational.model import ReferentialAction
+from unimig.relational.model import ReferentialAction, schema_from_dict, schema_to_dict
 
 
 def test_music_fixture_shape(music_schema):
@@ -109,6 +109,14 @@ def test_fk_to_unknown_key_rejected():
 def test_duplicate_table_rejected():
     with pytest.raises(TextParseError, match="duplicate table"):
         parse_ddl("CREATE TABLE a (x INT); CREATE TABLE a (y INT);")
+
+
+def test_model_json_scale_above_precision_rejected():
+    data = schema_to_dict(parse_ddl("CREATE TABLE t (a DECIMAL(4,2));"))
+    assert data["tables"][0]["columns"][0]["type"] == "DECIMAL(4,2)"
+    data["tables"][0]["columns"][0]["type"] = "DECIMAL(2,5)"
+    with pytest.raises(ModelError, match="DECIMAL scale 5 exceeds its precision 2"):
+        schema_from_dict(data)
 
 
 def test_syntax_error_position():

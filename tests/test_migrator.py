@@ -509,21 +509,22 @@ def test_traces_resolved_per_collection_not_per_row(mini, tmp_path,
 def test_indexes_built_per_file_not_per_row(mini, tmp_path, monkeypatch):
     # embedded groups read the run index resolved at compile time
     repeated = _repeated(mini, tmp_path / "repeated")
-    build_indexes = unimig.source._TableFile.build_indexes
-    counts = []
+    index_slice = unimig.source._TableFile.index_slice
+    counts = []  # index passes by file, one dict per dataset
 
-    def counted(self):
-        counts[-1] += 1
-        return build_indexes(self)
+    def counted(self, span):
+        counts[-1][self.path.name] = counts[-1].get(self.path.name, 0) + 1
+        return index_slice(self, span)
 
-    monkeypatch.setattr(unimig.source._TableFile, "build_indexes", counted)
-    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)  # one process
+    monkeypatch.setattr(unimig.source._TableFile, "index_slice", counted)
+    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)  # one slice
     for n, root in enumerate([mini["root"], repeated]):
-        counts.append(0)
+        counts.append({})
         session = open_source(root, mini["schema"], mini["step1"].trace)
         migrate(mini["step2"].target, mini["step2"].trace, session,
                 tmp_path / f"out{n}")
-    assert counts[0] == counts[1] > 0
+    assert counts[0] == counts[1]
+    assert counts[0] and set(counts[0].values()) == {1}  # one pass per file
 
 
 @pytest.mark.parametrize("sql_type,cell,value", [

@@ -35,6 +35,13 @@ DDL_ERRORS = [
      "line 1, column 29: expected number, found ')'"),
     ("CREATE TABLE t (a WOBBLE);",
      "line 1, column 19: unsupported SQL type 'WOBBLE'"),
+    # a size the type does not allow is placed at the type name
+    ("CREATE TABLE t (a VARCHAR(0));",
+     "line 1, column 19: VARCHAR requires a positive length"),
+    ("CREATE TABLE t (a DECIMAL(0));",
+     "line 1, column 19: DECIMAL requires a positive precision"),
+    ("CREATE TABLE t (a DECIMAL(2,5));",
+     "line 1, column 19: DECIMAL scale 5 exceeds its precision 2"),
     ("CREATE TABLE t (a INT NOT x);",
      "line 1, column 27: expected NULL, found 'x'"),
     ("CREATE TABLE t (CONSTRAINT c a INT);",

@@ -23,7 +23,7 @@ import unimig.migrator
 from unimig.errors import MigrationError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
-from unimig.source import _TableFile, open_source
+from unimig.source import SourceSession, _TableFile, open_source
 from unimig.transforms import rel_to_uschema, uschema_to_document
 
 
@@ -115,19 +115,26 @@ def _counters(value):
     return value
 
 
-def _run(root: Path, out: Path, k: int, monkeypatch) -> tuple[dict, str | None]:
-    """Migrate ``root`` in ``k`` slices: every output file's bytes (the
-    manifest without its timings) and the error, if any."""
+def _migrate(root: Path, out: Path, k: int,
+             monkeypatch) -> tuple[SourceSession, str | None]:
+    """Migrate ``root`` in ``k`` slices: the session it read, and the
+    error, if any."""
     monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
     schema = parse_ddl((root / "schema.sql").read_text())
     step1 = rel_to_uschema(schema)
     step2 = uschema_to_document(step1.target)
     session = open_source(root, schema, step1.trace)
-    error = None
     try:
         migrate(step2.target, step2.trace, session, out)
     except MigrationError as exc:
-        error = str(exc)
+        return session, str(exc)
+    return session, None
+
+
+def _run(root: Path, out: Path, k: int, monkeypatch) -> tuple[dict, str | None]:
+    """Migrate ``root`` in ``k`` slices: every output file's bytes (the
+    manifest without its timings) and the error, if any."""
+    error = _migrate(root, out, k, monkeypatch)[1]
     files = {}
     for path in sorted(out.iterdir()):
         if path.name == "manifest.json":
@@ -279,3 +286,156 @@ def test_interrupted_parent_reaps_its_workers(tmp_path, monkeypatch):
     # no part file: the parent's own files alone
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "a.jsonl", "b.jsonl"]
+
+
+# --- the index pass in slices -----------------------------------------------------
+
+def _indexes(session: SourceSession) -> dict:
+    """Every built index of the session: run triples as lists."""
+    built = {}
+    for name, file in session._files.items():
+        for key, runs in file._runs.items():
+            built[name, "runs", key] = {k: list(t) for k, t in runs.items()}
+        for key, ids in file._id_indexes.items():
+            built[name, "ids", key] = ids
+    return built
+
+
+def _straddling(root: Path) -> Path:
+    """parent 2's 16 child rows hold the byte midpoint of child.csv, so
+    its run straddles the cut of 2 slices (and of 3)."""
+    root.mkdir()
+    (root / "schema.sql").write_text(
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (parent_id INT, pos INT, PRIMARY KEY (parent_id, pos),"
+        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    (root / "parent.csv").write_text("id\n1\n2\n3\n")
+    children = [1, 1] + [2] * 16 + [3, 3]
+    (root / "child.csv").write_text("parent_id,pos\n" + "".join(
+        f"{parent},{n}\n" for n, parent in enumerate(children)))
+    return root
+
+
+@pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling"])
+def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
+    root = {"mini": FIXTURES / "music_streaming" / "mini_data",
+            "northwind": FIXTURES / "northwind" / "data_1x"}.get(dataset)
+    if root is None:
+        root = (_sparse_mini if dataset == "sparse" else _straddling)(
+            tmp_path / dataset)
+    session, error = _migrate(root, tmp_path / "out1", 1, monkeypatch)
+    serial = _indexes(session)
+    assert error is None and serial
+    for k in (2, 3):
+        session, error = _migrate(root, tmp_path / f"out{k}", k, monkeypatch)
+        assert error is None and _indexes(session) == serial
+        if dataset == "straddling":
+            child = session.file_for("child")
+            assert any(2 < first < 18 for _, first, _ in child.spans(k))
+    if dataset == "straddling":
+        # one run per parent, the straddling one a single triple
+        assert serial["child", "runs", (("parent_id",), ("pos",))] == {
+            (1,): [14, 0, 2], (2,): [22, 2, 16], (3,): [94, 18, 2]}
+
+
+# b is embedded in a (a run index on b.a_id, ordered by pos); a's rows
+# reference their c rows, whose composite text key is #-joined (a covering
+# index on c.a_id)
+_INDEXED_DDL = (
+    "CREATE TABLE a (id INT PRIMARY KEY, v INT);"
+    "CREATE TABLE b (a_id INT, pos INT, note VARCHAR(20), PRIMARY KEY (a_id, pos),"
+    " FOREIGN KEY (a_id) REFERENCES a (id));"
+    "CREATE TABLE c (x VARCHAR(9), y VARCHAR(9), a_id INT, PRIMARY KEY (x, y),"
+    " FOREIGN KEY (a_id) REFERENCES a (id));")
+
+
+def _indexed_dataset(root: Path, bad: dict[tuple[str, int], str]) -> Path:
+    """12 rows of a and c, 24 of b; ``bad`` replaces the line of a row
+    (1-based) of a table."""
+    root.mkdir()
+    (root / "schema.sql").write_text(_INDEXED_DDL)
+    rows = {"a": ["id,v"] + [f"{n},{n * 10}" for n in range(1, 13)],
+            "b": ["a_id,pos,note"] + [f"{(n + 1) // 2},{n % 2},n{n}"
+                                      for n in range(1, 25)],
+            "c": ["x,y,a_id"] + [f"x{n},y{n},{n}" for n in range(1, 13)]}
+    for (table, row), line in bad.items():
+        rows[table][row] = line
+    for table, lines in rows.items():
+        (root / f"{table}.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def test_indexed_dataset_plans_both_index_kinds(tmp_path, monkeypatch):
+    session, error = _migrate(_indexed_dataset(tmp_path / "data", {}),
+                              tmp_path / "out", 2, monkeypatch)
+    assert error is None
+    assert list(_indexes(session)) == [
+        ("b", "runs", (("a_id",), ("pos",))), ("c", "ids", ("a_id",))]
+    assert session.file_for("c")._id_indexes["a_id",][(3,)] == ["x3#y3"]
+
+
+_INDEXING = "while indexing for collection 'a': "
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({("b", 20): "10,q,n20"},
+     "b.csv (row 20), column 'pos': invalid literal for int() with base 10: "
+     "'q'"),
+    ({("b", 20): "10,,n20"},
+     "b.csv (row 20), column 'pos': NULL key value for b.pos"),
+    ({("c", 10): ",y10,10"},
+     "c.csv (row 10), column 'x': NULL key value for c.x"),
+    ({("c", 10): "x#10,y10,10"},
+     "c.csv (row 10), column 'x': key value 'x#10' holds the identifier "
+     "separator '#'"),
+    # this process fails on a later file than a worker does
+    ({("b", 20): "10,q,n20", ("c", 2): ",y2,2"},
+     "b.csv (row 20), column 'pos': invalid literal for int() with base 10: "
+     "'q'"),
+], ids=["bad-cell", "null-order", "null-primary-key", "separator",
+        "parent-later-file"])
+def test_index_failure_ends_as_serial_run(tmp_path, monkeypatch, bad, message):
+    root = _indexed_dataset(tmp_path / "data", bad)
+    serial = _run(root, tmp_path / "out1", 1, monkeypatch)
+    assert serial == ({}, _INDEXING + message)  # before any output
+    for k in (2, 3):
+        session = _migrate(root, tmp_path / f"out{k}", k, monkeypatch)[0]
+        # the serial failure lies in a worker's slice, the later file's
+        # failure in this process's
+        in_worker = [session.file_for(table).spans(k)[1][1] < row
+                     for table, row in bad]
+        assert in_worker == [True, False][:len(bad)]
+        assert _run(root, tmp_path / f"out{k}b", k, monkeypatch) == serial
+
+
+def test_index_worker_that_dies_is_named(tmp_path, monkeypatch):
+    index_slice = _TableFile.index_slice
+
+    def dying(self, span):
+        if span[1] and self.table.name == "c":
+            os._exit(3)
+        return index_slice(self, span)
+
+    monkeypatch.setattr(_TableFile, "index_slice", dying)
+    files, error = _run(_indexed_dataset(tmp_path / "data", {}),
+                        tmp_path / "out", 2, monkeypatch)
+    assert error == (_INDEXING + "the worker indexing row slice 1 ended "
+                     "without reporting it (exit status 3)")
+    assert files == {}
+
+
+def test_interrupted_parent_reaps_its_index_workers(tmp_path, monkeypatch):
+    index_slice = _TableFile.index_slice
+
+    def interrupted(self, span):
+        if span[1]:
+            time.sleep(60)  # killed long before
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_TableFile, "index_slice", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run(_indexed_dataset(tmp_path / "data", {}), tmp_path / "out", 2,
+             monkeypatch)
+    assert time.monotonic() - started < 30
+    assert list((tmp_path / "out").iterdir()) == []  # no part file
