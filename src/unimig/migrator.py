@@ -22,24 +22,24 @@ missing (``danglingRefs``); a NULL key fails.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
 one per CPU this process may run on (``_TableFile.spans``), and run slice
-``i`` in process ``i``: the parent runs slice 0 and forks a worker per
-other slice (horizontal partitioning of a scan: DeWitt & Gray, "Parallel
-Database Systems", CACM 1992). In the index pass each process fills partial
-indexes from its slice of every indexed file, a worker sending them back
-through an unnamed part file, and the parent merges them in slice order
-(``_build_indexes``). Once the indexes are built, a document depends only
-on its own row and on read-only indexes, so the writers are forked next:
-each process writes its slice of every collection in schema order, one
-document per line (``write_batch``): the parent straight into
+``i`` in process ``i``, kept on the ``i``-th CPU while the phase runs: the
+parent runs slice 0 and forks a worker per other slice (horizontal
+partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
+1992). In the index pass the parent fills the indexes of every indexed file
+from its slice, each worker fills partial indexes from its own and sends
+them back through an unnamed part file, and the parent joins them on in
+slice order (``_build_indexes``). Once the indexes are built, a document
+depends only on its own row and on read-only indexes, so the writers are
+forked next: each process writes its slice of every collection in schema
+order, one document per line (``write_batch``): the parent straight into
 ``<collection>.jsonl``, a worker into a part file that the parent appends,
 in slice order, once every worker is done. With one CPU nothing is forked.
-A failure ends as the serial run would: the error of the first failing
-file or collection and, within it, of the first failing row; an index
-failure leaves nothing on disk, a write failure only the collections
-before it. The manifest's
-counters are sums over slices; its total ``elapsedMs`` is the wall time of
-the whole ``migrate``, and a collection's ``elapsedMs`` is its compile time
-plus the write times of its slices.
+A failure ends as the serial run would: the error of the first failing file
+or collection and, within it, of the first failing row; an index failure
+leaves nothing on disk, a write failure only the collections before it. The
+manifest's counters are sums over slices; its total ``elapsedMs`` is the
+wall time of the whole ``migrate``, and a collection's ``elapsedMs`` is its
+compile time plus the write times of its slices.
 """
 
 from __future__ import annotations
@@ -401,9 +401,9 @@ class _Worker:
         self.part.close()
 
 
-def _fork(worker: _Worker, steps: list[_Step]) -> None:
-    """Start ``worker``; in the child, run it and end the process there,
-    never returning into the caller's stack."""
+def _fork(worker: _Worker, steps: list[_Step], cpu: int) -> None:
+    """Start ``worker`` on CPU ``cpu``; in the child, run it and end the
+    process there, never returning into the caller's stack."""
     worker.pipe, report = os.pipe()
     try:
         worker.pid = os.fork()
@@ -414,6 +414,7 @@ def _fork(worker: _Worker, steps: list[_Step]) -> None:
         code = 1
         try:
             os.close(worker.pipe)
+            os.sched_setaffinity(0, {cpu})
             _work(worker, steps, report)
             code = 0
         finally:
@@ -474,12 +475,19 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step],
     ``steps``. Yields, once all are done, the workers, what each reported
     and the failure the serial run would raise: as (step index, error) of
     the first failing step and, within it, of the lowest failing slice, or
-    None. Every worker is reaped on exit, whatever happens."""
+    None. While they run, process ``i`` is kept on the ``i``-th CPU this
+    process may run on; every worker is reaped and this process's CPUs are
+    restored on exit, whatever happens."""
     workers: list[_Worker] = []
+    # Left to the scheduler, both processes of a short phase were seen to
+    # share one CPU throughout while the other, idle before, stayed idle.
+    cpus = sorted(os.sched_getaffinity(0)) if k > 1 else []
     try:
         for i in range(1, k):
             workers.append(_Worker(i, tempfile.TemporaryFile(dir=target_dir)))
-            _fork(workers[-1], steps)
+            _fork(workers[-1], steps, cpus[i % len(cpus)])
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
         failures = []
         for j in range(len(steps)):
             try:
@@ -497,39 +505,41 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step],
     finally:
         for worker in workers:
             worker.close()
+        if cpus:
+            os.sched_setaffinity(0, cpus)
 
 
 def _index_step(file: _TableFile, spans: list[_Span], i: int,
                 part: int) -> dict:
+    file.index_slice(spans[i])
     with open(part, "wb", closefd=False) as out:
-        out.write(file.encode_slice(file.index_slice(spans[i])))
+        out.write(file.encode_slice())
     return {}
 
 
 def _build_indexes(files: list[_TableFile], spans: dict[_TableFile, list[_Span]],
                    k: int, target_dir: Path) -> None:
     """Fill every planned index of ``files`` in their ``k`` row slices:
-    this process indexes slice 0 of each file, forked workers the others
-    and send their partial indexes back through their part files, and once
-    all are done each file's are merged in slice order. A failure raises
-    the serial run's error before anything is written."""
-    firsts: list[list[dict]] = []
+    this process indexes slice 0 of each file straight into the indexes,
+    forked workers the others and send their partial indexes back through
+    their part files, and once all are done each file's are joined on in
+    slice order. A failure raises the serial run's error before anything is
+    written."""
     with _in_slices(
             k, target_dir,
             [partial(_index_step, file, spans[file]) for file in files],
-            lambda j: firsts.append(files[j].index_slice(spans[files[j]][0])),
+            lambda j: files[j].index_slice(spans[files[j]][0]),
             [f"while indexing for {file.planned_for}" for file in files],
             "indexing", SourceError) as (workers, _, failure):
         if failure is not None:
             raise failure[1]
         for j, file in enumerate(files):
-            parts = [firsts[j]]
+            later = []
             for worker in workers:
                 start, end = worker.output(j)
                 worker.part.seek(start)
-                parts.append(file.decode_slice(worker.part.read(end - start)))
-            firsts[j] = []  # the merged index holds what it needs
-            file.merge_indexes(parts)
+                later.append(worker.part.read(end - start))
+            file.merge_indexes(later)
 
 
 def _write_step(source: SourceSession, c: _Collection, i: int,

@@ -20,18 +20,19 @@ handle per table, which the session closes. The covering id index
 (``ids_on``) maps a key to the identifiers of the matching rows, so a
 reference reads no row of the table it points at. Every index is planned
 first (``plan_for`` names what needs it) and then built from a file's row
-slices (see below): ``index_slice`` fills fresh partial indexes from one
-slice in a pass that types each row once, and ``merge_indexes`` joins the
-slices' partial indexes in slice order (run triples concatenated, a run
-that continues across a cut made one; identifier lists concatenated, then
-sorted and ``#``-joined once), so any number of slices builds the index one
-slice gives. The migrator indexes the slices in parallel, and workers send
-their partial indexes back flat (``encode_slice``); ``build_indexes`` runs
-one slice per file. A pass fails, naming file, row and column and what the
-indexes were planned for, on a bad cell, a NULL primary key value (which a
-covering index would store), a text component of a composite primary key
-holding ``#`` (two stored identifiers could collide) or a NULL order value
-(which child groups are sorted by).
+slices (see below): ``index_slice`` fills the indexes from one slice in a
+pass that types each row once, and ``merge_indexes`` joins the partial
+indexes of the later slices onto the first's in slice order (run triples
+concatenated, a run that continues across a cut made one; identifier lists
+concatenated, then sorted and ``#``-joined once), so any number of slices
+builds the index one slice gives. The migrator indexes the later slices in
+forked workers, which send their partial indexes back flat
+(``encode_slice``); ``build_indexes`` reads each file as one slice. A pass
+fails, naming file, row and column and what the indexes were planned for,
+on a bad cell, a NULL primary key value (which a covering index would
+store), a text component of a composite primary key holding ``#`` (two
+stored identifiers could collide) or a NULL order value (which child
+groups are sorted by).
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
@@ -357,30 +358,32 @@ class _TableFile:
         """Fill every planned index that is still empty in one pass over the
         whole file, as one slice."""
         if self._unbuilt:
-            self.merge_indexes([self.index_slice(self.spans(1)[0])])
+            self.index_slice(self.spans(1)[0])
+            self.merge_indexes([])
 
-    def index_slice(self, span: _Span) -> list[dict]:
-        """Partial indexes, one per planned index still unbuilt and in plan
-        order, filled from the data rows of ``span`` (one of ``spans``) in
-        one pass that numbers rows from the span's first, types each row once
-        and checks the key columns the indexes rely on: the primary key for
+    def index_slice(self, span: _Span) -> None:
+        """Fill every planned index still unbuilt, emptied first, from the
+        data rows of ``span`` (one of ``spans``) alone: the first slice's
+        part of each index, or in a forked worker the partial indexes of its
+        slice, which ``merge_indexes`` joins onto the first slice's. One
+        pass numbers rows from the span's first, types each row once and
+        checks the key columns the indexes rely on: the primary key for
         covering indexes, the order columns for run indexes. A failed pass
         names what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
-        parts, fills = [], []
+        fills = []
         for kind, key in self._unbuilt:
-            parts.append(part := {})
             if kind == "ids":
                 pk = self.table.primary_key().columns
                 required.update(dict.fromkeys(pk))
                 if len(pk) > 1:
                     joined = [c for c in pk
                               if self.types[self.columns.index(c)] is str]
-                fills.append(self._ids_fill(part, key))
+                fills.append(self._ids_fill(key))
             else:
                 required.update(dict.fromkeys(key[1]))
-                fills.append(self._runs_fill(part, key[0]))
+                fills.append(self._runs_fill(*key))
         if required:
             fills.insert(0, self._key_check(tuple(required), joined))
         offset, first, count = span
@@ -403,21 +406,43 @@ class _TableFile:
             except SourceError as exc:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
-        return parts
 
-    def merge_indexes(self, slices: list[list[dict]]) -> None:
-        """Fill every planned index still unbuilt from its partial indexes
-        (``index_slice``) of consecutive slices, given in slice order. Run
-        triples are concatenated, a run that continues across a cut becoming
-        one; identifier lists are concatenated, then sorted in primary key
-        order and, for a composite key, ``#``-joined. The result is the
-        index one slice over the whole file gives."""
-        for (kind, key), parts in zip(self._unbuilt, zip(*slices)):
+    def merge_indexes(self, later: list[bytes]) -> None:
+        """Finish every planned index still unbuilt: join onto the first
+        slice's part of it (``index_slice``) those of the later slices, each
+        slice's partial indexes as ``encode_slice`` encoded them, in slice
+        order. A key's run triples are concatenated, a run that continues
+        across a cut becoming one; its identifier lists are concatenated,
+        then sorted in primary key order and, for a composite key,
+        ``#``-joined. The result is the index one slice over the whole file
+        gives."""
+        slices = [marshal.loads(data) for data in later]
+        for p, (kind, key) in enumerate(self._unbuilt):
             if kind == "runs":
-                _merge(self._runs[key], parts, _join_runs)
+                index = self._runs[key]
+                for keys, lengths, flat in (parts[p] for parts in slices):
+                    triples, sizes = array("q"), array("q")
+                    triples.frombytes(flat)
+                    sizes.frombytes(lengths)
+                    start = 0
+                    for runs_key, size in zip(keys, sizes):
+                        more = triples[start:start + size]
+                        start += size
+                        if (runs := index.get(runs_key)) is None:
+                            index[runs_key] = more
+                        elif runs[-2] + runs[-1] == more[1]:  # across the cut
+                            runs[-1] += more[2]
+                            runs.extend(more[3:])
+                        else:
+                            runs.extend(more)
                 continue
             index = self._id_indexes[key]
-            _merge(index, parts, list.extend)
+            for part in (parts[p] for parts in slices):
+                for ids_key, pks in part.items():
+                    if (mine := index.get(ids_key)) is None:
+                        index[ids_key] = pks
+                    else:
+                        mine.extend(pks)
             composite = len(self.table.primary_key().columns) > 1
             for pks in index.values():
                 pks.sort()  # as key tuples: (1, 9) before (1, 10)
@@ -426,35 +451,20 @@ class _TableFile:
         self._unbuilt.clear()
         self._planned_for = {}
 
-    def encode_slice(self, parts: list[dict]) -> bytes:
-        """Partial indexes from ``index_slice`` in a flat ``marshal``
-        encoding: a run index as its keys, the length of each key's triples
-        and all triples, the last two as ``array`` bytes; an id index as it
-        is."""
+    def encode_slice(self) -> bytes:
+        """The planned indexes still unbuilt, as ``index_slice`` filled them
+        from one slice, in a flat ``marshal`` encoding: a run index as its
+        keys, the length of each key's triples and all triples, the last two
+        as ``array`` bytes; an id index as it is."""
         flat: list[object] = []
-        for (kind, _), part in zip(self._unbuilt, parts):
-            if kind == "runs":
-                lengths = array("q", map(len, part.values()))
-                part = (list(part), lengths.tobytes(),
-                        b"".join(map(array.tobytes, part.values())))
-            flat.append(part)
+        for kind, key in self._unbuilt:
+            if kind == "ids":
+                flat.append(self._id_indexes[key])
+                continue
+            runs = self._runs[key]
+            flat.append((list(runs), array("q", map(len, runs.values())).tobytes(),
+                         b"".join(map(array.tobytes, runs.values()))))
         return marshal.dumps(flat)
-
-    def decode_slice(self, data: bytes) -> list[dict]:
-        """The partial indexes ``encode_slice`` encoded as ``data``."""
-        parts = marshal.loads(data)
-        for p, (kind, _) in enumerate(self._unbuilt):
-            if kind == "runs":
-                keys, lengths, flat = parts[p]
-                triples, sizes = array("q"), array("q")
-                triples.frombytes(flat)
-                sizes.frombytes(lengths)
-                parts[p] = index = {}
-                start = 0
-                for key, size in zip(keys, sizes):
-                    index[key] = triples[start:start + size]
-                    start += size
-        return parts
 
     def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
         """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
@@ -475,8 +485,9 @@ class _TableFile:
 
         return check
 
-    def _runs_fill(self, index: _Runs, columns: tuple[str, ...]) -> _Fill:
-        key_of = self.getter(columns)
+    def _runs_fill(self, columns: tuple[str, ...], order: tuple[str, ...]) -> _Fill:
+        index, key_of = self._runs[(columns, order)], self.getter(columns)
+        index.clear()  # a failed earlier pass may have left part of it
         last: tuple | None = None
         runs = array("q")
 
@@ -496,18 +507,19 @@ class _TableFile:
 
         return fill
 
-    def _ids_fill(self, index: dict[tuple, list], columns: tuple[str, ...]) -> _Fill:
-        key_of = self.getter(columns)
+    def _ids_fill(self, columns: tuple[str, ...]) -> _Fill:
+        groups, key_of = self._id_indexes[columns], self.getter(columns)
+        groups.clear()
+        pk = [self.columns.index(c) for c in self.table.primary_key().columns]
         # a single-column key is held as its bare value, which is its
         # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
-        pk_of = itemgetter(*(self.columns.index(c)
-                             for c in self.table.primary_key().columns))
+        pk_of = itemgetter(*pk)
 
         def fill(row: list, n: int, offset: int) -> None:
             key = key_of(row)
             if None not in key:
-                if (pks := index.get(key)) is None:
-                    index[key] = [pk_of(row)]
+                if (pks := groups.get(key)) is None:
+                    groups[key] = [pk_of(row)]
                 else:
                     pks.append(pk_of(row))
 
@@ -531,32 +543,6 @@ class _TableFile:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def _merge(index: dict, parts: Iterable[dict],
-           join: Callable[[object, object], None]) -> None:
-    """Add ``parts``, partial indexes of consecutive slices in slice order,
-    to ``index``: a key's values from a later slice are joined onto its
-    values from earlier ones."""
-    for part in parts:
-        if not index:
-            index.update(part)
-            continue
-        for key, values in part.items():
-            if (mine := index.get(key)) is None:
-                index[key] = values
-            else:
-                join(mine, values)
-
-
-def _join_runs(runs: array, more: array) -> None:
-    """Append the triples ``more`` of a later slice to ``runs``; a run that
-    continues across the cut (it starts at the row after the last run's
-    last row) becomes one triple."""
-    if runs[-2] + runs[-1] == more[1]:
-        runs[-1] += more[2]
-        more = more[3:]
-    runs.extend(more)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from util import FIXTURES
 
 import unimig.migrator
-from unimig.errors import MigrationError
+from unimig.errors import MigrationError, SourceError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
 from unimig.source import SourceSession, _TableFile, open_source
@@ -406,6 +406,26 @@ def test_index_failure_ends_as_serial_run(tmp_path, monkeypatch, bad, message):
                      for table, row in bad]
         assert in_worker == [True, False][:len(bad)]
         assert _run(root, tmp_path / f"out{k}b", k, monkeypatch) == serial
+
+
+def test_each_slice_runs_on_its_own_cpu(tmp_path, monkeypatch):
+    allowed = sorted(os.sched_getaffinity(0))
+    index_slice = _TableFile.index_slice
+    seen = []  # this process's CPUs while it indexes slice 0
+
+    def where(self, span):
+        cpus = sorted(os.sched_getaffinity(0))
+        if span[1]:
+            raise SourceError(f"slice from row {span[1]} on {cpus}")
+        seen.append(cpus)
+        return index_slice(self, span)
+
+    monkeypatch.setattr(_TableFile, "index_slice", where)
+    error = _run(_indexed_dataset(tmp_path / "data", {}), tmp_path / "out", 2,
+                 monkeypatch)[1]
+    assert error.endswith(f"on {[allowed[1 % len(allowed)]]}")
+    assert seen == [allowed[:1]] * 2  # slice 0 of b and of c
+    assert sorted(os.sched_getaffinity(0)) == allowed  # restored
 
 
 def test_index_worker_that_dies_is_named(tmp_path, monkeypatch):
