@@ -3,10 +3,11 @@
 Model files are self-describing: ``.sql`` is relational DDL, ``.athena`` the
 pivot text notation, ``.docschema.json`` / JSON with a ``documents`` array a
 document schema, and JSON with a ``kind`` marker a relational or pivot
-model. Outputs are written atomically (temp file + rename). Exit codes:
-0 success, 1 domain error, 2 usage error. The modules that only
-``roundtrip``, ``diff``, ``evolve`` and ``generate-dataset`` use are imported
-by those verbs, so that ``migrate`` does not load them.
+model. Outputs are written atomically (temp file + rename). Exit codes: 0
+success, 1 domain error or a file that cannot be read or written, 2 usage
+error. The modules that only ``roundtrip``, ``diff``, ``evolve`` and
+``generate-dataset`` use are imported by those verbs, so that ``migrate``
+does not load them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from unimig.errors import MigrationError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
-from unimig.source import open_source
+from unimig.source import open_source, read_utf8
 from unimig.trace import TraceStore, load_trace, save_trace
 from unimig.transforms import (
     document_to_uschema,
@@ -150,7 +151,7 @@ def _cmd_migrate(args) -> int:
             "network adapters are a documented extension point and are not "
             "available; use --source DIR / --out DIR")
     source_dir = Path(args.source)
-    schema = parse_ddl((source_dir / "schema.sql").read_text(encoding="utf-8"))
+    schema = parse_ddl(read_utf8(source_dir / "schema.sql"))
     step1 = rel_to_uschema(schema)
     step2 = uschema_to_document(step1.target)
     out_dir = Path(args.out)
@@ -274,10 +275,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except MigrationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+    except (MigrationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -21,8 +21,9 @@ counted (``nullsOmitted``), as is a forward reference whose target row is
 missing (``danglingRefs``); a NULL key fails.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
-one per CPU this process may run on (``_TableFile.spans``), and run slice
-``i`` in process ``i``, kept on the ``i``-th CPU while the phase runs: the
+one per CPU this process may run on (``_TableFile.spans``), read a slice
+through the source's one reader (``_TableFile.rows``), and run slice ``i``
+in process ``i``, kept on the ``i``-th CPU while the phase runs: the
 parent runs slice 0 and forks a worker per other slice (horizontal
 partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
 1992). In the index pass the parent fills the indexes of every indexed file
@@ -72,7 +73,6 @@ from unimig.source import (
     SourceSession,
     _Link,
     _Runs,
-    _Span,
     _TableFile,
     fmt_id,
     read_entity_all,  # noqa: F401  (re-exported: the benchmark wraps it here)
@@ -336,7 +336,7 @@ class _Collection:
     stats: EntityStats
     file: _TableFile
     build: _Build
-    spans: list[_Span]
+    spans: list[tuple[int, int, int]]
 
 
 def _write_slice(source: SourceSession, c: _Collection, i: int,
@@ -345,11 +345,14 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     to its stats; the parent and every worker run this."""
     started = time.monotonic()
     rows_before = source.records_read
+    file = c.file
     try:
-        for n, row in c.file.typed_rows(c.spans[i]):
-            source._records_born(1)
-            c.stats.docs_written += write_batch(out, [c.build(row, n)])
-            source._records_released(1)
+        with open(file.path, "rb") as handle:
+            for n, _, row in file.rows(handle, *c.spans[i]):
+                row = file.typed(row, n)
+                source._records_born(1)
+                c.stats.docs_written += write_batch(out, [c.build(row, n)])
+                source._records_released(1)
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc
@@ -509,7 +512,7 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step],
             os.sched_setaffinity(0, cpus)
 
 
-def _index_step(file: _TableFile, spans: list[_Span], i: int,
+def _index_step(file: _TableFile, spans: list[tuple[int, int, int]], i: int,
                 part: int) -> dict:
     file.index_slice(spans[i])
     with open(part, "wb", closefd=False) as out:
@@ -517,7 +520,8 @@ def _index_step(file: _TableFile, spans: list[_Span], i: int,
     return {}
 
 
-def _build_indexes(files: list[_TableFile], spans: dict[_TableFile, list[_Span]],
+def _build_indexes(files: list[_TableFile],
+                   spans: dict[_TableFile, list[tuple[int, int, int]]],
                    k: int, target_dir: Path) -> None:
     """Fill every planned index of ``files`` in their ``k`` row slices:
     this process indexes slice 0 of each file straight into the indexes,
@@ -646,10 +650,8 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             plans.append((te.name, stats, file, build))
         # each file is cut once; the index pass and the writes share the cuts
         indexed_files = source.indexed_files()
-        spans: dict[_TableFile, list[_Span]] = {}
-        for file in indexed_files + [plan[2] for plan in plans]:
-            if file not in spans:
-                spans[file] = file.spans(k)
+        spans = {file: file.spans(k) for file
+                 in dict.fromkeys(indexed_files + [plan[2] for plan in plans])}
         indexed = time.monotonic()
         _build_indexes(indexed_files, spans, k, target_dir)
         report.index_ms = (time.monotonic() - indexed) * 1000.0

@@ -3,8 +3,9 @@
 A source dataset is a directory holding ``schema.sql`` plus one
 ``<table>.csv`` per table (UTF-8, header row naming the columns in table
 order, empty field = NULL; fields must not contain line breaks). Opening a
-source checks every file once: the header, the field count of each record,
-that no record spans lines, and that every line ends with a line feed.
+source checks every file once: that it decodes as UTF-8, the header, the
+field count of each record, that no record spans lines, and that every line
+ends with a line feed. A failure names the file and the row, or the line.
 
 Rows come from ``csv.reader`` and are typed by column position
 (``_TableFile.typed``): every non-string cell is converted, a numeric cell
@@ -27,23 +28,22 @@ concatenated, a run that continues across a cut made one; identifier lists
 concatenated, then sorted and ``#``-joined once), so any number of slices
 builds the index one slice gives. The migrator indexes the later slices in
 forked workers, which send their partial indexes back flat
-(``encode_slice``); ``build_indexes`` reads each file as one slice. A pass
-fails, naming file, row and column and what the indexes were planned for,
-on a bad cell, a NULL primary key value (which a covering index would
-store), a text component of a composite primary key holding ``#`` (two
-stored identifiers could collide) or a NULL order value (which child
-groups are sorted by).
+(``encode_slice``); the session's ``build_indexes`` reads each file as one
+slice. A pass fails, naming file, row and column and what the indexes were
+planned for, on a bad cell, a NULL primary key value (which a covering
+index would store), a text component of a composite primary key holding
+``#`` (two stored identifiers could collide) or a NULL order value (which
+child groups are sorted by).
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
 forward trace on each call; the migrator does so once per collection, when
 it compiles its executor over these files.
 
-A file's data rows can also be read in contiguous slices
-(``spans``, then ``typed_rows(span)``), each a run as the run index
-stores them: each cut is the first line start at or after a byte
-quantile, and the rows before each cut are counted in bounded chunks, so
-rows keep the numbers a whole-file read gives them.
+After open, the index pass, collection writes, group reads and
+``read_entity_all`` parse data rows in one reader (``rows``) and type them
+(``typed``) in their own loops. It reads a run or a contiguous row slice
+(``spans``), both (byte offset, first row, row count) triples.
 
 The session counts the records read and the most held at once
 (``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
@@ -55,13 +55,12 @@ wraps them by name.
 from __future__ import annotations
 
 import csv
-import io
 import marshal
 import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, tee
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -95,8 +94,6 @@ _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")
 _Runs = dict[tuple, array]
 #: One step of an index pass, given each typed row, its number and offset.
 _Fill = Callable[[list, int, int], None]
-#: A slice of a file's data rows, one run: (byte offset, first row, row count).
-_Span = tuple[int, int, int]
 
 _COUNT_CHUNK = 1 << 16  # bytes read at a time to count lines
 
@@ -170,6 +167,31 @@ def _converter(datatype: SqlType) -> tuple[Callable[[str], object], type]:
     return str, str  # String, Date
 
 
+def _not_utf8(path: Path) -> SourceError:
+    """The error naming the first line of ``path`` that is not UTF-8, a
+    CSV file's as a data row; a line feed is never part of a UTF-8
+    sequence, so the lines decode one by one as the whole file does."""
+    with open(path, "rb") as handle:
+        for n, line in enumerate(handle):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = f"line {n + 1}"
+                if path.suffix == ".csv":
+                    where = f"row {n}" if n else "header row"
+                return SourceError(f"{path.name} ({where}): not UTF-8: "
+                                   f"{exc.reason} {line[exc.start]:#04x}")
+    return SourceError(f"{path.name}: not UTF-8")
+
+
+def read_utf8(path: Path) -> str:
+    """``path.read_text()`` of a UTF-8 file, failing as ``_not_utf8``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
     """Line feeds between bytes ``start`` and ``stop`` of a binary
     ``handle``, read in bounded chunks."""
@@ -220,6 +242,8 @@ class _TableFile:
             except csv.Error as exc:
                 raise SourceError(
                     f"{self.path.name} (line {reader.line_num}): {exc}") from exc
+            except UnicodeDecodeError:  # found in a chunk: name its line
+                raise _not_utf8(self.path) from None
             count = sum(widths.values())
             # One record per line, each with one field per column; the
             # record-by-record pass runs only to name the culprit.
@@ -247,18 +271,15 @@ class _TableFile:
                         "must not contain line breaks")
                 line = reader.line_num
                 if len(row) != len(self.columns):
-                    raise SourceError(self._width_message(row, n))
+                    raise SourceError(
+                        f"{self.path.name} (row {n + 1}): expected "
+                        f"{len(self.columns)} fields, found {len(row)}")
         raise SourceError(f"{self.path.name}: records and lines disagree")
 
-    def _width_message(self, row: list[str], n: int) -> str:
-        return (f"{self.path.name} (row {n + 1}): expected {len(self.columns)} "
-                f"fields, found {len(row)}")
-
     def typed(self, row: list[str], n: int) -> list:
-        """Raw data row ``n`` (0-based) as typed values in column order, None
-        for NULL; every non-string cell is converted."""
-        if len(row) != len(self.columns):
-            raise SourceError(self._width_message(row, n))
+        """Raw data row ``n`` (0-based), one cell per column (checked at
+        open), as typed values in column order, None for NULL; every
+        non-string cell is converted."""
         try:
             for p, convert in self._typed_columns:
                 cell = row[p]
@@ -270,20 +291,20 @@ class _TableFile:
             return [None if value == "" else value for value in row]
         return row
 
-    def typed_rows(self, span: _Span | None = None) -> Iterator[tuple[int, list]]:
-        """The data rows of ``span`` (one of ``spans``), or of the whole
-        file, in file order, numbered and typed."""
-        offset, first, count = span or self.spans(1)[0]
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
-            try:
-                for n, row in enumerate(csv.reader(islice(text, count)), first):
-                    yield n, self.typed(row, n)
-            finally:
-                text.detach()  # the handle is closed by its own with
+    def rows(self, handle: BinaryIO, offset: int, first: int,
+             count: int) -> Iterator[tuple[int, int, list[str]]]:
+        """The ``count`` data rows at byte ``offset`` of ``handle``, a
+        binary handle on this file, numbered from ``first`` (a run, or a
+        slice of ``spans``): each row's number, the byte offset of its line
+        and its raw cells, after one seek. A record is one line (checked at
+        open), so lines pair with rows."""
+        handle.seek(offset)
+        lines, sized = tee(islice(handle, count))
+        return zip(range(first, first + count),
+                   accumulate(map(len, sized), initial=offset),
+                   csv.reader(map(bytes.decode, lines)))
 
-    def spans(self, k: int) -> list[_Span]:
+    def spans(self, k: int) -> list[tuple[int, int, int]]:
         """The data rows cut into ``k`` contiguous slices of about equal
         size, as runs (byte offset, first row, row count); a slice may be
         empty. Each cut is the first line start at or after a byte
@@ -354,14 +375,7 @@ class _TableFile:
         """What the indexes still unbuilt were planned for."""
         return ", ".join(self._planned_for)
 
-    def build_indexes(self) -> None:
-        """Fill every planned index that is still empty in one pass over the
-        whole file, as one slice."""
-        if self._unbuilt:
-            self.index_slice(self.spans(1)[0])
-            self.merge_indexes([])
-
-    def index_slice(self, span: _Span) -> None:
+    def index_slice(self, span: tuple[int, int, int]) -> None:
         """Fill every planned index still unbuilt, emptied first, from the
         data rows of ``span`` (one of ``spans``) alone: the first slice's
         part of each index, or in a forked worker the partial indexes of its
@@ -386,23 +400,12 @@ class _TableFile:
                 fills.append(self._runs_fill(*key))
         if required:
             fills.insert(0, self._key_check(tuple(required), joined))
-        offset, first, count = span
         with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            start = [offset]
-
-            def lines() -> Iterator[str]:
-                # a record is one line (checked at open), so csv asks for
-                # the next line only once the current row is handled
-                for line in islice(handle, count):
-                    yield line.decode("utf-8")
-                    start[0] += len(line)
-
             try:
-                for n, row in enumerate(csv.reader(lines()), first):
+                for n, start, row in self.rows(handle, *span):
                     row = self.typed(row, n)
                     for fill in fills:
-                        fill(row, n, start[0])
+                        fill(row, n, start)
             except SourceError as exc:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
@@ -525,20 +528,6 @@ class _TableFile:
 
         return fill
 
-    def read(self, runs: Iterable[int]) -> list[tuple[int, list]]:
-        """Numbered typed rows of ``runs`` (flat triples as ``runs_on``
-        stores them): one seek per run and one line read per row, through
-        one open handle that the session closes."""
-        handle = self._handle = self._handle or open(self.path, "rb")
-        out = []
-        triples = iter(runs)
-        for offset, first, count in zip(triples, triples, triples):
-            handle.seek(offset)
-            lines = map(bytes.decode, islice(handle, count))
-            for n, row in enumerate(csv.reader(lines), first):
-                out.append((n, self.typed(row, n)))
-        return out
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -560,11 +549,14 @@ class _Link:
 
     def group(self, probe: tuple, runs: _Runs) -> list[tuple[int, list]]:
         """Numbered typed rows reached from a record whose probe columns
-        hold ``probe`` (none if it holds a NULL), read through ``runs``,
-        the built run index of ``file`` on ``index`` and ``order``, and
-        sorted by ``order``."""
-        order_of = self.order_of
-        rows = self.file.read(() if None in probe else runs.get(probe, ()))
+        hold ``probe`` (none if it holds a NULL), read by their runs in
+        ``runs``, the built run index of ``file`` on ``index`` and ``order``,
+        through the file's one handle (the session closes it); sorted."""
+        file, order_of = self.file, self.order_of
+        handle = file._handle = file._handle or open(file.path, "rb")
+        triples = iter(() if None in probe else runs.get(probe, ()))
+        rows = [(n, file.typed(row, n)) for run in zip(triples, triples, triples)
+                for n, _, row in file.rows(handle, *run)]
         if self.order:
             rows.sort(key=lambda item: order_of(item[1]))
         return rows
@@ -683,10 +675,11 @@ class SourceSession:
         return [file for file in self._files.values() if file._unbuilt]
 
     def build_indexes(self) -> None:
-        """Fill every planned index, one pass per file in one slice; a file
-        with nothing planned is not read."""
-        for file in self._files.values():
-            file.build_indexes()
+        """Fill every planned index, one pass per file over all its rows as
+        one slice; a file with nothing planned is not read."""
+        for file in self.indexed_files():
+            file.index_slice(file.spans(1)[0])
+            file.merge_indexes([])
 
     def close_handles(self) -> None:
         """Close every table's read handle; the next read reopens it."""
@@ -732,7 +725,7 @@ def open_source(root: Path | str, schema: RelationalSchema,
         raise SourceError(f"missing {ddl_path}")
     from unimig.relational.ddl import parse_ddl
 
-    on_disk = parse_ddl(ddl_path.read_text(encoding="utf-8"), name=schema.name)
+    on_disk = parse_ddl(read_utf8(ddl_path), name=schema.name)
     disk_shape = {t.name: [c.name for c in t.columns] for t in on_disk.tables}
     want_shape = {t.name: [c.name for c in t.columns] for t in schema.tables}
     if disk_shape != want_shape:
@@ -813,7 +806,7 @@ class SourceCursor:
         link = self.session.link(self.type_name, self.table, feature_name)
         runs = link.file.runs_on(link.index, link.order,
                                  plan_for=f"feature {self.type_name}.{feature_name}")
-        link.file.build_indexes()
+        self.session.build_indexes()
         group = link.group(tuple(record[c] for c in link.probe), runs)
         records = [dict(zip(link.file.columns, row)) for _, row in group]
         self.session._records_born(len(records))
@@ -828,5 +821,10 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
     name = schema_type if isinstance(schema_type, str) else schema_type.name
     table = session.table_for(name)
     file = session.file_for(table.name)
-    records = (dict(zip(file.columns, row)) for _, row in file.typed_rows())
-    return SourceCursor(session, name, table, records)
+
+    def records() -> Iterator[dict[str, object]]:
+        with open(file.path, "rb") as handle:
+            for n, _, row in file.rows(handle, *file.spans(1)[0]):
+                yield dict(zip(file.columns, file.typed(row, n)))
+
+    return SourceCursor(session, name, table, records())

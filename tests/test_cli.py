@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from util import FIXTURES
 
 import unimig
@@ -163,6 +165,50 @@ def test_traced_benchmark_launcher_runs_a_migration(tmp_path):
     result = json.loads(stamps.read_text())
     calls = {name: counts[0] for name, counts in result["layers"].items()}
     assert calls["compile_plan"] >= 1 and calls["write_batch"] >= 1
+    assert {"advance", "compile_plan", "read_entity_all", "related_by_name",
+            "write_batch", "open_source", "parse_ddl"} <= calls.keys()
     rows = sum(len(path.read_text().splitlines()) - 1
                for path in mini.glob("*.csv"))
     assert result["records_read"] == rows == 22
+    assert result["peak_live_records"] >= 1
+
+
+def _fails_without_traceback(argv: list[str], capsys) -> str:
+    """The error line of a command that exits with code 1."""
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("name,line,where", [
+    ("song.csv", 2, "row 2"),
+    ("song.csv", 0, "header row"),
+    ("schema.sql", 3, "line 4"),
+])
+def test_migrate_reports_non_utf8_input(tmp_path, capsys, name, line, where):
+    source = tmp_path / "data"
+    shutil.copytree(FIXTURES / "music_streaming" / "mini_data", source)
+    path = source / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = lines[line].replace(b"e", b"\xff", 1)
+    path.write_bytes(b"\n".join(lines))
+    err = _fails_without_traceback(
+        ["migrate", "--source", str(source), "--out", str(tmp_path / "out")],
+        capsys)
+    assert err == f"error: {name} ({where}): not UTF-8: invalid start byte 0xff\n"
+
+
+def test_migrate_into_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    err = _fails_without_traceback(
+        ["migrate", "--source", str(FIXTURES / "music_streaming" / "mini_data"),
+         "--out", str(out)], capsys)
+    assert "File exists" in err
+
+
+def test_emit_ddl_of_a_directory(tmp_path, capsys):
+    err = _fails_without_traceback(["emit-ddl", str(tmp_path)], capsys)
+    assert "Is a directory" in err

@@ -87,8 +87,9 @@ def test_transform_instance_directly(mini):
     te = mini["step2"].target.document("app_user")
     file, build = compile_plan(session, mini["step2"].trace, te, EntityStats())
     session.build_indexes()  # the run indexes of the embedded children
-    n, row = next(iter(file.typed_rows()))
-    assert json.loads(build(row, n)) == EXPECTED_U001
+    with open(file.path, "rb") as handle:
+        n, _, row = next(file.rows(handle, *file.spans(1)[0]))
+    assert json.loads(build(file.typed(row, n), n)) == EXPECTED_U001
     session.close()
 
 

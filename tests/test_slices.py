@@ -55,23 +55,74 @@ def _table_file(root: Path, texts: list[str], line_end: str = "\n",
     return _TableFile(_TABLE, path)
 
 
-def _check_spans(file: _TableFile, k: int) -> list:
-    spans = file.spans(k)
-    assert len(spans) == k
-    # the byte offset of each data row, then the file's size
+def _line_starts(file: _TableFile) -> list[int]:
+    """The byte offset of each data row, then the file's size."""
     with open(file.path, "rb") as handle:
         starts = [len(handle.readline())]
         for line in handle:
             starts.append(starts[-1] + len(line))
+    return starts
+
+
+def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
+    """The numbered typed rows of ``span``, or of the whole file, through
+    the reader, checking the line offset it gives each row."""
+    starts = _line_starts(file)
+    with open(file.path, "rb") as handle:
+        rows = []
+        for n, start, row in file.rows(handle, *(span or file.spans(1)[0])):
+            assert start == starts[n]
+            rows.append((n, file.typed(row, n)))
+    return rows
+
+
+def _check_spans(file: _TableFile, k: int) -> list:
+    spans = file.spans(k)
+    assert len(spans) == k
+    starts = _line_starts(file)
     rows = []
     for offset, first, count in spans:
         assert first == len(rows)  # contiguous: the rows before it, counted
         assert offset == starts[first]  # the start of its first row
-        rows += file.typed_rows((offset, first, count))
+        rows += _read(file, (offset, first, count))
         assert len(rows) == first + count
-    assert rows == list(file.typed_rows())  # each row once, in order
+    assert rows == _read(file)  # each row once, in order
     assert len(rows) == file.row_count
     return spans
+
+
+def _check_runs(file: _TableFile, k: int) -> None:
+    """Build a run index on column ``s`` in ``k`` slices, as ``migrate``
+    does with a worker per later slice; it must be what one slice gives,
+    each run must start at its first row's line, and reading a key's runs
+    back must give exactly that key's rows."""
+    spans = file.spans(k)
+    later = []
+    for span in spans[1:]:
+        worker = _TableFile(file.table, file.path)
+        worker.runs_on(("s",), (), plan_for="a test")
+        worker.index_slice(span)
+        later.append(worker.encode_slice())
+    index = file.runs_on(("s",), (), plan_for="a test")
+    file.index_slice(spans[0])
+    file.merge_indexes(later)
+    one = _TableFile(file.table, file.path)
+    whole = one.runs_on(("s",), (), plan_for="a test")
+    one.index_slice(one.spans(1)[0])
+    one.merge_indexes([])
+    assert index == whole  # what one slice gives
+    starts = _line_starts(file)
+    groups: dict[tuple, list] = {}
+    for n, row in _read(file):
+        if row[1] is not None:  # a NULL joins nothing
+            groups.setdefault((row[1],), []).append((n, row))
+    assert list(index) == list(groups)
+    for key, runs in index.items():
+        triples, read = iter(runs), []
+        for run in zip(triples, triples, triples):
+            assert run[0] == starts[run[1]]  # the start of its first row
+            read += _read(file, run)
+        assert read == groups[key]
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,10 +131,13 @@ def _check_spans(file: _TableFile, k: int) -> list:
 @example([], 2, "\n", True)
 @example(["a"], 5, "\n", True)
 @example(["a", "b", "c"], 2, "\n", False)
+@example(["a", "a", "é", "é", "é", "", "a"], 3, "\r\n", False)
 def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
                                              line_end, last_line_end):
     root = tmp_path_factory.mktemp("t")
-    _check_spans(_table_file(root, texts, line_end, last_line_end), k)
+    file = _table_file(root, texts, line_end, last_line_end)
+    _check_spans(file, k)
+    _check_runs(file, k)
 
 
 def test_cut_on_a_line_start(tmp_path):
@@ -97,7 +151,7 @@ def test_cut_inside_a_multibyte_character(tmp_path):
     file = _table_file(tmp_path, ["\U0001f600" * 6, "é,中"])
     spans = _check_spans(file, 2)
     assert spans[1][1] == 1
-    assert [row for _, row in file.typed_rows(spans[1])] == [[1, "é,中"]]
+    assert _read(file, spans[1]) == [(1, [1, "é,中"])]
 
 
 def test_more_slices_than_rows(tmp_path):
