@@ -6,8 +6,9 @@ document schema, and JSON with a ``kind`` marker a relational or pivot
 model. Outputs are written atomically (temp file + rename). Exit codes: 0
 success, 1 domain error or a file that cannot be read or written, 2 usage
 error. The modules that only ``roundtrip``, ``diff``, ``evolve`` and
-``generate-dataset`` use are imported by those verbs, so that ``migrate``
-does not load them.
+``generate-dataset`` use, the reverse transforms and the Athena notation
+are imported by the verbs that use them, so that ``migrate`` does not load
+them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
 from unimig.source import open_source, read_utf8
 from unimig.trace import TraceStore, load_trace, save_trace
-from unimig.transforms import (
-    document_to_uschema,
-    rel_to_uschema,
-    uschema_to_document,
-    uschema_to_relational,
-)
-from unimig.uschema.athena import parse_athena, print_athena
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.model import USchemaModel, model_from_dict, model_to_dict
 
 
@@ -66,10 +62,12 @@ def load_model(path: str):
     from unimig.relational.model import schema_from_dict
 
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = read_utf8(p)
     if p.suffix == ".sql":
         return parse_ddl(text, name=p.stem)
     if p.suffix == ".athena":
+        from unimig.uschema.athena import parse_athena
+
         return parse_athena(text)
     data = json.loads(text)
     if isinstance(data, dict) and data.get("kind") == "relational":
@@ -101,28 +99,29 @@ def _cmd_emit_ddl(args) -> int:
 
 
 def _cmd_emit_athena(args) -> int:
+    from unimig.uschema.athena import print_athena
+
     model = _require(load_model(args.input), USchemaModel, args.input)
     _emit(args.output, print_athena(model))
     return 0
 
 
-_TRANSFORMS = {
-    ("rel", "us"): (RelationalSchema, rel_to_uschema, _us_model_json),
-    ("us", "doc"): (USchemaModel, uschema_to_document,
-                    lambda m: print_docschema(m)),
-    ("doc", "us"): (DocumentSchema, document_to_uschema, _us_model_json),
-    ("us", "rel"): (USchemaModel, uschema_to_relational,
-                    lambda m: print_ddl(m)),
-}
-
-
 def _cmd_transform(args) -> int:
+    from unimig.transforms.doc_to_us import document_to_uschema
+    from unimig.transforms.us_to_rel import uschema_to_relational
+
+    transforms = {
+        ("rel", "us"): (RelationalSchema, rel_to_uschema, _us_model_json),
+        ("us", "doc"): (USchemaModel, uschema_to_document, print_docschema),
+        ("doc", "us"): (DocumentSchema, document_to_uschema, _us_model_json),
+        ("us", "rel"): (USchemaModel, uschema_to_relational, print_ddl),
+    }
     key = (args.source_kind, args.target_kind)
-    if key not in _TRANSFORMS:
+    if key not in transforms:
         raise MigrationError(
             f"no transformation from {key[0]!r} to {key[1]!r}; supported: "
-            + ", ".join(f"{a}->{b}" for a, b in _TRANSFORMS))
-    wanted, run, render = _TRANSFORMS[key]
+            + ", ".join(f"{a}->{b}" for a, b in transforms))
+    wanted, run, render = transforms[key]
     model = _require(load_model(args.input), wanted, args.input)
     result = run(model)
     _emit(args.output, render(result.target))
@@ -135,8 +134,8 @@ def _cmd_evolve(args) -> int:
     from unimig.evolution import apply_changes, parse_orion
 
     model = _require(load_model(args.input), USchemaModel, args.input)
-    ops = parse_orion(Path(args.script).read_text(encoding="utf-8"))
-    trace = (load_trace(Path(args.trace).read_text(encoding="utf-8"))
+    ops = parse_orion(read_utf8(Path(args.script)))
+    trace = (load_trace(read_utf8(Path(args.trace)))
              if args.trace else TraceStore())
     evolved, rewritten = apply_changes(model, ops, trace)
     _emit(args.output, _us_model_json(evolved))

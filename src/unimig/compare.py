@@ -354,10 +354,6 @@ def _canonical(model) -> dict:
     raise ModelError(f"cannot diff values of type {type(model).__name__}")
 
 
-_LIST_KEYS = {"tables", "columns", "keys", "fkeys", "entities", "relationships",
-              "features", "documents", "properties"}
-
-
 def _diff_value(path: str, a, b, out: list[dict]) -> None:
     if type(a) is not type(b):
         out.append({"op": "changed", "path": path or "/", "before": a, "after": b})

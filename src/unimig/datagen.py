@@ -151,6 +151,10 @@ class _Writer:
         self.writer.writerow(values)
         self.count += 1
 
+    def rows(self, rows: list[list]) -> None:
+        self.writer.writerows(rows)
+        self.count += len(rows)
+
     def close(self) -> int:
         self.handle.close()
         return self.count
@@ -167,11 +171,13 @@ def generate_dataset(spec: ScaleSpec, out_dir: Path | str) -> dict:
     n_songs = BASE_SONGS * factor
 
     (out_dir / "schema.sql").write_text(DATASET_DDL, encoding="utf-8")
+    song_ids = [f"s{i + 1:06d}" for i in range(n_songs)]
+    stamps = [_stamp(h) for h in range(n_users + PLAYLISTS_PER_USER)]
 
     songs = _Writer(out_dir, "song",
                     ["song_id", "title", "duration", "artist", "plays_count"])
     for i in range(n_songs):
-        songs.row([f"s{i + 1:06d}", f"song_{i}",
+        songs.row([song_ids[i], f"song_{i}",
                    f"{(180 + (i * 13) % 420) / 100:.2f}",
                    f"artist_{i % 200}", (i * 7) % 1000])
 
@@ -182,7 +188,7 @@ def generate_dataset(spec: ScaleSpec, out_dir: Path | str) -> dict:
     song_style = _Writer(out_dir, "song_style", ["song_id", "style_id"])
     for i in range(n_songs):
         for style_index in sorted(rng.sample(range(STYLES), (i % 3) + 1)):
-            song_style.row([f"s{i + 1:06d}", f"st{style_index + 1:04d}"])
+            song_style.row([song_ids[i], f"st{style_index + 1:04d}"])
 
     users = _Writer(out_dir, "app_user",
                     ["user_id", "name", "is_premium", "register_date"])
@@ -198,18 +204,18 @@ def generate_dataset(spec: ScaleSpec, out_dir: Path | str) -> dict:
     for u in range(n_users):
         user_id = f"u{u + 1:06d}"
         users.row([user_id, f"user_{u}",
-                   "true" if u % 3 == 0 else "false", _stamp(u)])
+                   "true" if u % 3 == 0 else "false", stamps[u]])
         for p in range(PLAYLISTS_PER_USER):
             playlist_id = f"p{p + 1:06d}"
-            playlists.row([playlist_id, user_id, f"playlist_{p}", _stamp(u + p)])
-            for position in range(1, SONGS_PER_PLAYLIST + 1):
-                song_id = f"s{rng.randrange(n_songs) + 1:06d}"
-                playlist_songs.row([playlist_id, user_id, position, song_id])
+            playlists.row([playlist_id, user_id, f"playlist_{p}", stamps[u + p]])
+            playlist_songs.rows([[playlist_id, user_id, position,
+                                  song_ids[rng.randrange(n_songs)]]
+                                 for position in range(1, SONGS_PER_PLAYLIST + 1)])
         for song_index in sorted(rng.sample(range(n_songs), LISTENINGS_PER_USER)):
-            listenings.row([user_id, f"s{song_index + 1:06d}",
+            listenings.row([user_id, song_ids[song_index],
                             rng.randint(1, 50), rng.choice(_STATUSES)])
         for position in range(1, RECENT_PER_USER + 1):
-            recents.row([user_id, position, f"s{rng.randrange(n_songs) + 1:06d}"])
+            recents.row([user_id, position, song_ids[rng.randrange(n_songs)]])
 
     counts = {
         "song": songs.close(),

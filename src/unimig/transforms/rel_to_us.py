@@ -25,8 +25,6 @@ key of an associative table is tagged ``SKIP-MN-KEY``.
 
 from __future__ import annotations
 
-import logging
-
 from unimig.errors import TransformError
 from unimig.relational.model import (
     FKey,
@@ -60,8 +58,6 @@ from unimig.uschema.model import (
     UNBOUNDED,
     USchemaModel,
 )
-
-log = logging.getLogger(__name__)
 
 
 def rel_to_uschema(schema: RelationalSchema) -> TransformResult:

@@ -11,7 +11,8 @@ from util import FIXTURES  # noqa: E402
 
 from unimig.datagen import ScaleSpec, generate_dataset  # noqa: E402
 from unimig.relational.ddl import parse_ddl  # noqa: E402
-from unimig.transforms import rel_to_uschema, uschema_to_document  # noqa: E402
+from unimig.transforms.rel_to_us import rel_to_uschema  # noqa: E402
+from unimig.transforms.us_to_doc import uschema_to_document  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,8 @@ from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import fk_in_pk, is_mn, is_weak
 from unimig.source import open_source
 from unimig.trace import attach, compose, load_trace, save_trace
-from unimig.transforms import rel_to_uschema, uschema_to_document
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.athena import parse_athena, print_athena
 from unimig.uschema.model import Aggregate, USDataType
 

@@ -143,11 +143,16 @@ def test_migrate_rejects_out_of_range_smallint(tmp_path, capsys, northwind_schem
 def test_cli_import_loads_no_numeric_packages():
     src = str(Path(unimig.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = ("import sys, unimig.cli; print(sorted({m.split('.')[0] for m in "
-             "sys.modules} & {'numpy', 'scipy'}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    probe = "import sys, unimig.cli; print(*sys.modules)"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.split())
+    assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
+    # modules only other verbs use: those verbs import them themselves
+    assert not loaded & {
+        "unimig.compare", "unimig.evolution", "unimig.datagen",
+        "unimig.uschema.athena", "unimig.transforms.doc_to_us",
+        "unimig.transforms.us_to_rel"}
 
 
 def test_traced_benchmark_launcher_runs_a_migration(tmp_path):
@@ -212,3 +217,20 @@ def test_migrate_into_an_existing_file(tmp_path, capsys):
 def test_emit_ddl_of_a_directory(tmp_path, capsys):
     err = _fails_without_traceback(["emit-ddl", str(tmp_path)], capsys)
     assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("bad,argv", [
+    ("bad.sql", ["inject", "{bad}"]),
+    ("bad.sql", ["diff", "{bad}", "{bad}"]),
+    ("bad.orion", ["evolve", "{model}", "--script", "{bad}"]),
+    ("bad.json", ["evolve", "{model}", "--script", "{script}",
+                  "--trace", "{bad}"]),
+], ids=["inject", "diff", "evolve-script", "evolve-trace"])
+def test_model_files_report_non_utf8_input(tmp_path, capsys, bad, argv):
+    path = tmp_path / bad
+    path.write_bytes(b"CREATE TABLE a (x INT);\n-- \xff\n")
+    names = {"bad": str(path),
+             "model": str(FIXTURES / "music_streaming" / "model.athena"),
+             "script": str(FIXTURES / "music_streaming" / "evolve.orion")}
+    err = _fails_without_traceback([a.format(**names) for a in argv], capsys)
+    assert err == f"error: {bad} (line 2): not UTF-8: invalid start byte 0xff\n"

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from unimig.migrator import _ENCODERS, _float_text, migrate
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source
-from unimig.transforms import rel_to_uschema, uschema_to_document
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
 
 
 def dumps(value) -> str:

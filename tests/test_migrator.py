@@ -17,7 +17,9 @@ from unimig.errors import MigrationError
 from unimig.migrator import EntityStats, compile_plan, migrate, write_batch
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source
-from unimig.transforms import rel_to_uschema, uschema_to_document
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
+from unimig.uschema.model import Aggregate
 
 
 @pytest.fixture(scope="module")
@@ -620,3 +622,26 @@ def test_separator_in_covering_index_key_fails_before_output(tmp_path):
                      {"parent": "id\n1\n",
                       "child": "a,b,parent_id\n1,9,1\n1,9#1,1\n"})
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_one_object_aggregate_embeds_a_single_child(tmp_path):
+    # aggregates derived from DDL are 0..*; a 0..1 one embeds an object
+    ddl = ("CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
+           "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
+           "  PRIMARY KEY (parent_id, n),"
+           "  FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    schema = parse_ddl(ddl)
+    step1 = rel_to_uschema(schema)
+    (aggregate,) = [f for e in step1.target.entities for f in e.features
+                    if isinstance(f, Aggregate)]
+    aggregate.upper_bound = 1
+    step2 = uschema_to_document(step1.target)
+    root = tmp_path / "tiny"
+    root.mkdir()
+    (root / "schema.sql").write_text(ddl)
+    (root / "parent.csv").write_text("id,v\n1,10\n2,20\n")
+    (root / "child.csv").write_text("parent_id,n,w\n1,7,x\n")
+    session = open_source(root, schema, step1.trace)
+    migrate(step2.target, step2.trace, session, tmp_path / "out")
+    assert read_jsonl(tmp_path / "out" / "parent.jsonl") == [
+        {"id": 1, "v": 10, "childs": {"n": 7, "w": "x"}}, {"id": 2, "v": 20}]

@@ -29,7 +29,8 @@ from unimig.migrator import migrate
 from unimig.relational.ddl import print_ddl
 from unimig.source import open_source
 from unimig.trace import doc_path, id_segments
-from unimig.transforms import rel_to_uschema, uschema_to_document
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
 
 _TEXTS = ["a", "b c", "x,y", 'q"t', "Zoë", "ñ", "1", "true", " pad "]
 _BOOLS = ["true", "false", "t", "f", "1", "0", "yes", "NO", " true "]

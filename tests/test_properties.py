@@ -11,7 +11,8 @@ from util import random_schema, random_table, us_universe
 from unimig.compare import compare_schemas, run_roundtrip
 from unimig.relational.model import fk_in_pk, is_mn, is_weak
 from unimig.trace import TraceStore, compose, load_trace, save_trace
-from unimig.transforms import plural, rel_to_uschema, unique_name
+from unimig.transforms.naming import plural, unique_name
+from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.uschema.athena import parse_athena, print_athena
 from unimig.uschema.model import (
     Aggregate,

@@ -8,7 +8,7 @@ from unimig.errors import TransformError
 from unimig.relational.ddl import parse_ddl
 from unimig.relational.model import RelationalSchema
 from unimig.trace import AGGREGATE_CHILD, REF_FORWARD, REF_REVERSE, REL_TYPE_SIDE
-from unimig.transforms import rel_to_uschema
+from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.uschema.model import (
     Aggregate,
     Attribute,

@@ -11,12 +11,10 @@ from unimig.document.model import (
     Field,
 )
 from unimig.errors import TransformError
-from unimig.transforms import (
-    document_to_uschema,
-    rel_to_uschema,
-    uschema_to_document,
-    uschema_to_relational,
-)
+from unimig.transforms.doc_to_us import document_to_uschema
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
+from unimig.transforms.us_to_rel import uschema_to_relational
 from unimig.uschema.model import (
     Aggregate,
     Attribute,

@@ -24,7 +24,8 @@ from unimig.errors import MigrationError, SourceError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
 from unimig.source import SourceSession, _TableFile, open_source
-from unimig.transforms import rel_to_uschema, uschema_to_document
+from unimig.transforms.rel_to_us import rel_to_uschema
+from unimig.transforms.us_to_doc import uschema_to_document
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ from unimig.errors import SourceError
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source, read_entity_all, record_id
 from unimig.trace import REF_FORWARD, REF_REVERSE, id_segments
-from unimig.transforms import rel_to_uschema
+from unimig.transforms.rel_to_us import rel_to_uschema
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from unimig.compare import diff_models
 from unimig.document.model import DocReference, Embedded, Field
 from unimig.document.schema_json import parse_docschema
 from unimig.errors import TransformError
-from unimig.transforms import uschema_to_document
+from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.model import (
     Aggregate,
     Attribute,
