@@ -263,11 +263,13 @@ def test_s_scale_memory_bound(s_migration):
     assert s_migration["peak"] <= 64
 
 
-def migrate_tiny(tmp_path, ddl: str, files: dict[str, str]) -> dict:
-    """Migrate a dataset given as DDL text and CSV texts; documents by
-    collection."""
+def migrate_tiny(tmp_path, ddl: str, files: dict[str, str],
+                 adapt=lambda pivot: None) -> dict:
+    """Migrate a dataset given as DDL text and CSV texts, after ``adapt``
+    has edited the pivot model; documents by collection."""
     schema = parse_ddl(ddl)
     step1 = rel_to_uschema(schema)
+    adapt(step1.target)
     step2 = uschema_to_document(step1.target)
     root = tmp_path / "tiny"
     root.mkdir()
@@ -626,22 +628,18 @@ def test_separator_in_covering_index_key_fails_before_output(tmp_path):
 
 def test_one_object_aggregate_embeds_a_single_child(tmp_path):
     # aggregates derived from DDL are 0..*; a 0..1 one embeds an object
-    ddl = ("CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
-           "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
-           "  PRIMARY KEY (parent_id, n),"
-           "  FOREIGN KEY (parent_id) REFERENCES parent (id));")
-    schema = parse_ddl(ddl)
-    step1 = rel_to_uschema(schema)
-    (aggregate,) = [f for e in step1.target.entities for f in e.features
-                    if isinstance(f, Aggregate)]
-    aggregate.upper_bound = 1
-    step2 = uschema_to_document(step1.target)
-    root = tmp_path / "tiny"
-    root.mkdir()
-    (root / "schema.sql").write_text(ddl)
-    (root / "parent.csv").write_text("id,v\n1,10\n2,20\n")
-    (root / "child.csv").write_text("parent_id,n,w\n1,7,x\n")
-    session = open_source(root, schema, step1.trace)
-    migrate(step2.target, step2.trace, session, tmp_path / "out")
-    assert read_jsonl(tmp_path / "out" / "parent.jsonl") == [
+    def one_object(pivot):
+        (aggregate,) = [f for e in pivot.entities for f in e.features
+                        if isinstance(f, Aggregate)]
+        aggregate.upper_bound = 1
+
+    docs = migrate_tiny(
+        tmp_path,
+        "CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
+        "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
+        "  PRIMARY KEY (parent_id, n),"
+        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        {"parent": "id,v\n1,10\n2,20\n", "child": "parent_id,n,w\n1,7,x\n"},
+        one_object)
+    assert docs["parent"] == [
         {"id": 1, "v": 10, "childs": {"n": 7, "w": "x"}}, {"id": 2, "v": 20}]
