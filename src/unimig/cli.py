@@ -20,7 +20,7 @@ from pathlib import Path
 
 from unimig.document.model import DocumentSchema
 from unimig.document.schema_json import parse_docschema, print_docschema
-from unimig.errors import MigrationError
+from unimig.errors import MigrationError, TextParseError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
@@ -69,7 +69,10 @@ def load_model(path: str):
         from unimig.uschema.athena import parse_athena
 
         return parse_athena(text)
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TextParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if isinstance(data, dict) and data.get("kind") == "relational":
         return schema_from_dict(data["model"])
     if isinstance(data, dict) and data.get("kind") == "uschema":

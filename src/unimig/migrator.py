@@ -3,15 +3,15 @@
 ``compile_plan`` compiles a collection in one walk over its properties:
 each is looked up backward through the second trace to its pivot feature,
 which the source session resolves through the forward trace to columns or
-to the indexes to probe. The result is a function from a typed CSV row to
-the JSON text of its document, reading columns by position: fields are
-attribute values, keys are verbatim or ``#``-joined source key components
-(a text component holding ``#`` fails), references are identifiers from a
-covering index, and embedded objects are child rows read through the run
-index of the child file, compiled recursively. Each property appends a
-``"<name>":<value>`` fragment whose name is encoded at compile time and
-whose value encoder is picked there from the column's type, so the text is
-byte for byte what ``json.dumps`` (compact, ``ensure_ascii=False``) writes.
+to the indexes to probe. Each property compiles to a step: its
+``"<name>":`` prefix, encoded at compile time, a function from a typed CSV
+row to its value, reading columns by position, and the value's encoder,
+picked there from the column's type, so the text is byte for byte what
+``json.dumps`` (compact, ``ensure_ascii=False``) writes; one loop runs the
+steps. Fields are attribute values, keys are verbatim or ``#``-joined
+source key components (a text component holding ``#`` fails), references
+are identifiers from a covering index, and embedded objects child rows read
+through the run index of the child file, compiled recursively.
 
 Every collection is compiled before any runs, which plans the indexes they
 probe; each file's planned indexes are then built in ``k`` row slices,
@@ -126,12 +126,14 @@ class MigrationReport:
 
 # --- the executor ----------------------------------------------------------------
 
-# A part appends one ``"<name>":<value>`` JSON fragment, or none, from a
-# typed row; a build function turns a typed row, numbered ``n`` in its
-# file, into the JSON text of one document.
-_Part = Callable[[list, list], None]
-_Build = Callable[[list, int], str]
+# A step: a property's encoded ``"<name>":`` prefix, value function (None
+# when absent), encoder, and what an absent value means: counted in
+# ``nullsOmitted`` (``_COUNT``), left out (``_SKIP``) or a key's failure
+# message. A build function runs them over typed row ``n`` of its file.
 _Encode = Callable[[object], str]
+_Prop = tuple[str, Callable[[list], object], _Encode, bool | str]
+_Build = Callable[[list, int], str]
+_COUNT, _SKIP = True, False
 
 #: JSON text of a value by its type, as ``json.dumps`` writes it; a
 #: non-finite float never reaches the encoder (the source rejects it).
@@ -200,7 +202,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
     (``build_indexes``, or ``migrate``'s index pass) before the function
     runs."""
     table, collection = file.table, f"collection {path[0][0]!r}"
-    parts: list[_Part] = []
+    steps: list[_Prop] = []
     for prop in properties:
         here = doc_path(path + [(prop.name, isinstance(prop, Embedded))])
         links = t2.lookup(here, "backward")
@@ -215,9 +217,8 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             pk = table.primary_key()
             if pk is None:
                 raise SourceError(f"table {table.name!r} has no primary key")
-            parts.append(_value_part(
-                prefix, *_id_of(file, pk.columns, text=True), stats,
-                f"columns {pk.columns}: NULL key value for {label}"))
+            steps.append((prefix, *_id_of(file, pk.columns, text=True),
+                          f"columns {pk.columns}: NULL key value for {label}"))
         elif isinstance(prop, Field):
             if "R3" not in by_rule:
                 raise MigrationError(f"field {here} lacks an attribute origin")
@@ -225,22 +226,20 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             p = file.columns.index(column)
             encode = (_float_text if prop.type.primitive == "DOUBLE"
                       and file.types[p] is not float else _ENCODERS[file.types[p]])
-            parts.append(_value_part(
-                prefix, itemgetter(p), encode, stats,
-                f"column {column!r}: NULL key value for {label}"
-                if prop.is_key else None))
+            steps.append((prefix, itemgetter(p), encode,
+                          f"column {column!r}: NULL key value for {label}"
+                          if prop.is_key else _COUNT))
         elif isinstance(prop, DocReference) and "R5" in by_rule:
             link = session.link(type_name, table, by_rule["R5"][1])
             ids = link.file.ids_on(link.index, plan_for=collection)
-            encode = _id_of(link.file, link.file.table.primary_key().columns)[1]
-            parts.append(_ref_part(prefix, not prop.type.array, ids,
-                                   file.getter(link.probe), encode, stats))
+            steps.append((prefix, *_refs(not prop.type.array, link.file, ids,
+                                         file.getter(link.probe), stats), _SKIP))
         elif isinstance(prop, DocReference):
             if "R7" not in by_rule:
                 raise MigrationError(f"reference {here} lacks a trace origin")
             # the associative row itself stores this side's identifier
             columns = session.side_columns(*by_rule["R7"][:2])
-            parts.append(_value_part(prefix, *_id_of(file, columns), stats))
+            steps.append((prefix, *_id_of(file, columns), _COUNT))
         else:
             if "R6" not in by_rule:
                 raise MigrationError(f"embedded {here} lacks an aggregate origin")
@@ -248,14 +247,20 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             runs = link.file.runs_on(link.index, link.order, plan_for=collection)
             build = _compile_rows(session, t2, link.type_name, link.file,
                                   prop.aggregates, stats, path + [(prop.name, True)])
-            parts.append(_embedded_part(prefix, prop.is_many, link, runs, session,
-                                        file.getter(link.probe), build))
+            steps.append((prefix, _embedded(prop.is_many, link, runs, session,
+                                            file.getter(link.probe), build),
+                          str, _SKIP))
 
     def build(row: list, n: int) -> str:
         out: list[str] = []
         try:
-            for part in parts:
-                part(row, out)
+            for prefix, value_of, encode, absent in steps:
+                if (value := value_of(row)) is not None:
+                    out.append(prefix + encode(value))
+                elif absent is _COUNT:
+                    stats.nulls_omitted += 1
+                elif absent is not _SKIP:
+                    raise _BadKey(absent)
         except _BadKey as exc:
             raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
         return "{" + ",".join(out) + "}"
@@ -263,56 +268,44 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
     return build
 
 
-def _value_part(prefix: str, value_of: Callable[[list], object],
-                encode: _Encode, stats: EntityStats,
-                null_key: str | None = None) -> _Part:
-    """A value of the row. A NULL value leaves the property out, or with
-    ``null_key`` (a key property) fails."""
-    def value(row: list, out: list) -> None:
-        v = value_of(row)
-        if v is not None:
-            out.append(prefix + encode(v))
-        elif null_key is None:
-            stats.nulls_omitted += 1
-        else:
-            raise _BadKey(null_key)
+def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
+          probe_of: Callable[[list], tuple],
+          stats: EntityStats) -> tuple[Callable[[list], object], _Encode]:
+    """A reference's value function and encoder: the identifiers that
+    ``index``, a covering index of ``target``, holds for the row's probe, as
+    an array, or for a forward reference the first, None when there is none
+    (a NULL probe or a missing target, counted)."""
+    encode = _id_of(target, target.table.primary_key().columns)[1]
+    if not forward:
+        return (lambda row: index.get(probe_of(row), ()),  # NULL joins nothing
+                lambda ids: "[" + ",".join(map(encode, ids)) + "]")
 
-    return value
-
-
-def _ref_part(prefix: str, forward: bool, index: dict[tuple, list],
-              probe_of: Callable[[list], tuple], encode: _Encode,
-              stats: EntityStats) -> _Part:
-    """Identifiers from a covering index: the first for a forward
-    reference (left out when NULL or dangling), all for a reverse one."""
-    def ref(row: list, out: list) -> None:
-        probe = probe_of(row)
-        ids = None if None in probe else index.get(probe)  # NULL joins nothing
-        if not forward:
-            out.append(prefix + "[" + ",".join(map(encode, ids or ())) + "]")
-        elif ids:
-            out.append(prefix + encode(ids[0]))
-        elif None in probe:
+    def first_id(row: list) -> object:
+        if ids := index.get(probe := probe_of(row)):
+            return ids[0]
+        if None in probe:
             stats.nulls_omitted += 1
         else:
             stats.dangling_refs += 1
+        return None
 
-    return ref
+    return first_id, encode
 
 
-def _embedded_part(prefix: str, many: bool, link: _Link, runs: _Runs,
-                   session: SourceSession, probe_of: Callable[[list], tuple],
-                   build: _Build) -> _Part:
-    """Child rows read through ``runs``, the run index of the child file,
-    in key order; the session counts them as live while they are built."""
-    def embedded(row: list, out: list) -> None:
+def _embedded(many: bool, link: _Link, runs: _Runs, session: SourceSession,
+              probe_of: Callable[[list], tuple], build: _Build) -> Callable:
+    """The JSON text of the child rows read through ``runs``, the run index
+    of the child file, in key order (None for a one-object aggregate with no
+    child); the session counts them as live while they are built."""
+    def embedded(row: list) -> str | None:
         group = link.group(probe_of(row), runs)
         session._records_born(len(group))
         if many:
-            out.append(prefix + "[" + ",".join([build(r, m) for m, r in group]) + "]")
-        elif group:
-            out.append(prefix + build(group[0][1], group[0][0]))
+            text = "[" + ",".join([build(r, m) for m, r in group]) + "]"
+        else:
+            text = build(group[0][1], group[0][0]) if group else None
         session._records_released(len(group))
+        return text
 
     return embedded
 
@@ -349,7 +342,6 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     try:
         with open(file.path, "rb") as handle:
             for n, _, row in file.rows(handle, *c.spans[i]):
-                row = file.typed(row, n)
                 source._records_born(1)
                 c.stats.docs_written += write_batch(out, [c.build(row, n)])
                 source._records_released(1)

@@ -230,22 +230,26 @@ def _parse_type_text(text: str) -> SqlType:
 
 
 def schema_from_dict(tree: dict) -> RelationalSchema:
-    schema = RelationalSchema(tree["name"])
-    for t in tree.get("tables", []):
-        table = Table(t["name"])
-        for c in t.get("columns", []):
-            table.columns.append(Column(c["name"], _parse_type_text(c["type"]),
-                                        nullable=c.get("nullable", True),
-                                        default=c.get("default")))
-        for k in t.get("keys", []):
-            table.keys.append(RKey(k["name"], k["isPk"], list(k["columns"])))
-        for fk in t.get("fkeys", []):
-            table.fkeys.append(FKey(
-                fk["name"], list(fk["columns"]), fk["refTable"],
-                list(fk["refColumns"]),
-                on_delete=ReferentialAction(fk.get("onDelete", "NO_ACTION")),
-                on_update=ReferentialAction(fk.get("onUpdate", "NO_ACTION"))))
-        schema.tables.append(table)
+    try:
+        schema = RelationalSchema(tree["name"])
+        for t in tree.get("tables", []):
+            table = Table(t["name"])
+            for c in t.get("columns", []):
+                table.columns.append(Column(c["name"], _parse_type_text(c["type"]),
+                                            nullable=c.get("nullable", True),
+                                            default=c.get("default")))
+            for k in t.get("keys", []):
+                table.keys.append(RKey(k["name"], k["isPk"], list(k["columns"])))
+            for fk in t.get("fkeys", []):
+                table.fkeys.append(FKey(
+                    fk["name"], list(fk["columns"]), fk["refTable"],
+                    list(fk["refColumns"]),
+                    on_delete=ReferentialAction(fk.get("onDelete", "NO_ACTION")),
+                    on_update=ReferentialAction(fk.get("onUpdate", "NO_ACTION"))))
+            schema.tables.append(table)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ModelError(f"missing or malformed field in relational model "
+                         f"JSON: {exc}") from exc
     return schema
 
 

@@ -41,8 +41,8 @@ forward trace on each call; the migrator does so once per collection, when
 it compiles its executor over these files.
 
 After open, the index pass, collection writes, group reads and
-``read_entity_all`` parse data rows in one reader (``rows``) and type them
-(``typed``) in their own loops. It reads a run or a contiguous row slice
+``read_entity_all`` get data rows from one reader (``rows``), which parses
+them and hands them on typed. It reads a run or a contiguous row slice
 (``spans``), both (byte offset, first row, row count) triples.
 
 The session counts the records read and the most held at once
@@ -292,17 +292,17 @@ class _TableFile:
         return row
 
     def rows(self, handle: BinaryIO, offset: int, first: int,
-             count: int) -> Iterator[tuple[int, int, list[str]]]:
+             count: int) -> Iterator[tuple[int, int, list]]:
         """The ``count`` data rows at byte ``offset`` of ``handle``, a
         binary handle on this file, numbered from ``first`` (a run, or a
         slice of ``spans``): each row's number, the byte offset of its line
-        and its raw cells, after one seek. A record is one line (checked at
-        open), so lines pair with rows."""
+        and its ``typed`` values, after one seek. A record is one line
+        (checked at open), so lines pair with rows."""
         handle.seek(offset)
         lines, sized = tee(islice(handle, count))
-        return zip(range(first, first + count),
-                   accumulate(map(len, sized), initial=offset),
-                   csv.reader(map(bytes.decode, lines)))
+        numbers = range(first, first + count)
+        return zip(numbers, accumulate(map(len, sized), initial=offset),
+                   map(self.typed, csv.reader(map(bytes.decode, lines)), numbers))
 
     def spans(self, k: int) -> list[tuple[int, int, int]]:
         """The data rows cut into ``k`` contiguous slices of about equal
@@ -403,7 +403,6 @@ class _TableFile:
         with open(self.path, "rb") as handle:
             try:
                 for n, start, row in self.rows(handle, *span):
-                    row = self.typed(row, n)
                     for fill in fills:
                         fill(row, n, start)
             except SourceError as exc:
@@ -555,7 +554,7 @@ class _Link:
         file, order_of = self.file, self.order_of
         handle = file._handle = file._handle or open(file.path, "rb")
         triples = iter(() if None in probe else runs.get(probe, ()))
-        rows = [(n, file.typed(row, n)) for run in zip(triples, triples, triples)
+        rows = [(n, row) for run in zip(triples, triples, triples)
                 for n, _, row in file.rows(handle, *run)]
         if self.order:
             rows.sort(key=lambda item: order_of(item[1]))
@@ -824,7 +823,7 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
 
     def records() -> Iterator[dict[str, object]]:
         with open(file.path, "rb") as handle:
-            for n, _, row in file.rows(handle, *file.spans(1)[0]):
-                yield dict(zip(file.columns, file.typed(row, n)))
+            for _, _, row in file.rows(handle, *file.spans(1)[0]):
+                yield dict(zip(file.columns, row))
 
     return SourceCursor(session, name, table, records())

@@ -206,12 +206,14 @@ def load_trace(text: str) -> TraceStore:
             f"unsupported trace version {data.get('version')!r}"
             if isinstance(data, dict) else "trace file must be a JSON object")
     store = TraceStore()
-    for d in data.get("links", []):
-        try:
+    try:
+        for d in data.get("links", []):
             store.record(TraceLink(list(d["sources"]), list(d["targets"]),
                                    d["rule"], d.get("role")))
-        except KeyError as exc:
-            raise TraceError(f"trace link missing field {exc}") from exc
+    except KeyError as exc:
+        raise TraceError(f"trace link missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise TraceError(f"malformed trace link: {exc}") from exc
     return store
 
 

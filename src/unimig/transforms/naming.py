@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import logging
-
-log = logging.getLogger(__name__)
-
 _VOWELS = "aeiou"
 
 
@@ -29,5 +25,7 @@ def unique_name(candidate: str, taken: set[str]) -> str:
     i = 1
     while f"{candidate}_{i}" in taken:
         i += 1
-    log.warning("name %r already taken, using %r", candidate, f"{candidate}_{i}")
+    import logging  # only here, so that importing this module does not load it
+    logging.getLogger(__name__).warning("name %r already taken, using %r",
+                                        candidate, f"{candidate}_{i}")
     return f"{candidate}_{i}"

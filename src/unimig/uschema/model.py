@@ -294,3 +294,5 @@ def model_from_dict(data: dict) -> USchemaModel:
         return USchemaModel(data["name"], entities, relationships)
     except KeyError as exc:
         raise ModelError(f"missing field in pivot model JSON: {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ModelError(f"malformed pivot model JSON: {exc}") from exc

@@ -152,7 +152,7 @@ def test_cli_import_loads_no_numeric_packages():
     assert not loaded & {
         "unimig.compare", "unimig.evolution", "unimig.datagen",
         "unimig.uschema.athena", "unimig.transforms.doc_to_us",
-        "unimig.transforms.us_to_rel"}
+        "unimig.transforms.us_to_rel", "logging"}
 
 
 def test_traced_benchmark_launcher_runs_a_migration(tmp_path):
@@ -234,3 +234,31 @@ def test_model_files_report_non_utf8_input(tmp_path, capsys, bad, argv):
              "script": str(FIXTURES / "music_streaming" / "evolve.orion")}
     err = _fails_without_traceback([a.format(**names) for a in argv], capsys)
     assert err == f"error: {bad} (line 2): not UTF-8: invalid start byte 0xff\n"
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ("{not json", ["emit-ddl", "{bad}"],
+     "line 1, column 2: malformed JSON: Expecting property name enclosed in "
+     "double quotes"),
+    ('{"kind": "relational", "model": {"tables": []}}', ["emit-ddl", "{bad}"],
+     "missing or malformed field in relational model JSON: 'name'"),
+    ('{"kind": "relational", "model": {"name": "m", "tables": [{"name": "t", '
+     '"columns": [{"name": "a", "type": "INT"}], '
+     '"keys": [{"name": "pk", "columns": ["a"]}]}]}}', ["emit-ddl", "{bad}"],
+     "missing or malformed field in relational model JSON: 'isPk'"),
+    ('{"kind": "uschema", "model": []}', ["emit-athena", "{bad}"],
+     "malformed pivot model JSON: 'list' object has no attribute 'get'"),
+    ('{"version": 1, "links": [1]}',
+     ["evolve", "{model}", "--script", "{script}", "--trace", "{bad}"],
+     "malformed trace link: 'int' object is not subscriptable"),
+], ids=["syntax", "relational-name", "relational-is-pk", "uschema-list",
+        "trace-link"])
+def test_malformed_json_inputs_report_an_error(tmp_path, capsys, text, argv,
+                                               message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    names = {"bad": str(bad),
+             "model": str(FIXTURES / "music_streaming" / "model.athena"),
+             "script": str(FIXTURES / "music_streaming" / "evolve.orion")}
+    err = _fails_without_traceback([a.format(**names) for a in argv], capsys)
+    assert err == f"error: {message}\n"

@@ -91,7 +91,7 @@ def test_transform_instance_directly(mini):
     session.build_indexes()  # the run indexes of the embedded children
     with open(file.path, "rb") as handle:
         n, _, row = next(file.rows(handle, *file.spans(1)[0]))
-    assert json.loads(build(file.typed(row, n), n)) == EXPECTED_U001
+    assert json.loads(build(row, n)) == EXPECTED_U001
     session.close()
 
 
@@ -578,6 +578,23 @@ def test_separator_in_derived_key_component_fails(tmp_path):
                      "  PRIMARY KEY (a, b));",
                      {"c": "a,b,v\na#b,c,1\na,b#c,2\n"})
     assert not (tmp_path / "out" / "c.jsonl").exists()
+
+
+def test_separator_in_embedded_child_derived_key_fails(tmp_path):
+    # children are built in key order, so ('x', 'y#z') in row 3 fails
+    # before ('x#y', 'z') in row 2
+    with pytest.raises(MigrationError,
+                       match=r"^while migrating collection 'parent': child\.csv "
+                             r"\(row 3\), column 'b': key value 'y#z' holds the "
+                             r"identifier separator '#'$"):
+        migrate_tiny(tmp_path,
+                     "CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
+                     "CREATE TABLE child (parent_id INT, a VARCHAR(5),"
+                     "  b VARCHAR(5), w VARCHAR(5), PRIMARY KEY (parent_id, a, b),"
+                     "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+                     {"parent": "id,v\n1,10\n2,20\n",
+                      "child": "parent_id,a,b,w\n1,x,y,p\n2,x#y,z,q\n2,x,y#z,r\n"})
+    assert not (tmp_path / "out" / "parent.jsonl").exists()
 
 
 def test_separator_in_relationship_side_component_fails(tmp_path):

@@ -196,3 +196,15 @@ def test_determinism(music_schema):
     assert json.dumps(model_to_dict(first.target)) == \
         json.dumps(model_to_dict(second.target))
     assert save_trace(first.trace) == save_trace(second.trace)
+
+
+def test_name_collision_logs_the_name_used(caplog):
+    schema = parse_ddl(
+        "CREATE TABLE parent (id INT PRIMARY KEY, childs INT);"
+        "CREATE TABLE child (parent_id INT, n INT, PRIMARY KEY (parent_id, n),"
+        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    with caplog.at_level("WARNING", logger="unimig.transforms.naming"):
+        model = rel_to_uschema(schema).target
+    assert model.entity("parent").feature("childs_1").specified_by == "child"
+    assert [r.getMessage() for r in caplog.records] == [
+        "name 'childs' already taken, using 'childs_1'"]

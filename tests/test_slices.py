@@ -73,7 +73,7 @@ def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
         rows = []
         for n, start, row in file.rows(handle, *(span or file.spans(1)[0])):
             assert start == starts[n]
-            rows.append((n, file.typed(row, n)))
+            rows.append((n, row))
     return rows
 
 
