@@ -212,7 +212,7 @@ def load_trace(text: str) -> TraceStore:
                                    d["rule"], d.get("role")))
     except KeyError as exc:
         raise TraceError(f"trace link missing field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise TraceError(f"malformed trace link: {exc}") from exc
     return store
 
