@@ -20,7 +20,7 @@ from pathlib import Path
 
 from unimig.document.model import DocumentSchema
 from unimig.document.schema_json import parse_docschema, print_docschema
-from unimig.errors import MigrationError, TextParseError
+from unimig.errors import MigrationError, ModelError, TextParseError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl, print_ddl
 from unimig.relational.model import RelationalSchema
@@ -58,8 +58,9 @@ def _us_model_json(model: USchemaModel) -> str:
 
 
 def load_model(path: str):
-    """Load any model file, detecting its kind."""
-    from unimig.relational.model import schema_from_dict
+    """Load any model file, detecting its kind, and validate it."""
+    from unimig.relational.model import schema_from_dict, validate_relational
+    from unimig.uschema.validate import assert_valid
 
     p = Path(path)
     text = read_utf8(p)
@@ -74,9 +75,14 @@ def load_model(path: str):
     except json.JSONDecodeError as exc:
         raise TextParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if isinstance(data, dict) and data.get("kind") == "relational":
-        return schema_from_dict(data["model"])
+        schema = schema_from_dict(data["model"])
+        if problems := validate_relational(schema):
+            raise ModelError("invalid relational schema: " + "; ".join(problems))
+        return schema
     if isinstance(data, dict) and data.get("kind") == "uschema":
-        return model_from_dict(data["model"])
+        model = model_from_dict(data["model"])
+        assert_valid(model)
+        return model
     if isinstance(data, dict) and "documents" in data:
         return parse_docschema(text)
     raise MigrationError(f"cannot determine the model kind of {path}")

@@ -140,4 +140,4 @@ def _walk(schema: DocumentSchema, path: str, properties: list[Property],
 def assert_valid_docschema(schema: DocumentSchema) -> None:
     problems = [p for p in validate_docschema(schema) if not p.startswith("warning:")]
     if problems:
-        raise ModelError("invalid document schema:\n" + "\n".join(problems))
+        raise ModelError("invalid document schema: " + "; ".join(problems))

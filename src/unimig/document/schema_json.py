@@ -84,11 +84,11 @@ def docschema_from_dict(data: dict) -> DocumentSchema:
         raise TextParseError("document schema JSON must be an object with a name")
     schema = DocumentSchema(data["name"])
     for d in data.get("documents", []):
-        if "name" not in d:
+        name = d.get("name")
+        if not isinstance(name, str) or not name:
             raise TextParseError("document type without a name")
         schema.documents.append(DocumentType(
-            d["name"],
-            [_property_from_dict(p, d["name"]) for p in d.get("properties", [])]))
+            name, [_property_from_dict(p, name) for p in d.get("properties", [])]))
     return schema
 
 
@@ -102,6 +102,8 @@ def parse_docschema(text: str) -> DocumentSchema:
         schema = docschema_from_dict(data)
     except KeyError as exc:
         raise TextParseError(f"missing field in document schema JSON: {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise TextParseError(f"malformed document schema JSON: {exc}") from exc
     assert_valid_docschema(schema)
     return schema
 

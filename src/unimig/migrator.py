@@ -18,7 +18,8 @@ probe; each file's planned indexes are then built in ``k`` row slices,
 before any collection is written, so a bad cell or NULL key value an index
 relies on fails before any output. A NULL value leaves its property out and is
 counted (``nullsOmitted``), as is a forward reference whose target row is
-missing (``danglingRefs``); a NULL key fails.
+missing (``danglingRefs``); a NULL key fails, as does a one-object
+aggregate over more than one child row.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
 one per CPU this process may run on (``_TableFile.spans``), read a slice
@@ -26,15 +27,17 @@ through the source's one reader (``_TableFile.rows``), and run slice ``i``
 in process ``i``, kept on the ``i``-th CPU while the phase runs: the
 parent runs slice 0 and forks a worker per other slice (horizontal
 partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
-1992). In the index pass the parent fills the indexes of every indexed file
-from its slice, each worker fills partial indexes from its own and sends
-them back through an unnamed part file, and the parent joins them on in
-slice order (``_build_indexes``). Once the indexes are built, a document
-depends only on its own row and on read-only indexes, so the writers are
-forked next: each process writes its slice of every collection in schema
-order, one document per line (``write_batch``): the parent straight into
-``<collection>.jsonl``, a worker into a part file that the parent appends,
-in slice order, once every worker is done. With one CPU nothing is forked.
+1992). One step function per phase runs every slice: a worker's into its
+unnamed part file, the parent's slice 0 in place. In the index pass
+(``_index_step``) the parent fills the indexes of every indexed file from
+its slice, each worker fills partial indexes and sends them back, and the
+parent joins them on in slice order (``_build_indexes``). Once the indexes
+are built, a document depends only on its own row and on read-only indexes,
+so the writers are forked next: each process writes its slice of every
+collection in schema order, one document per line (``_write_step``,
+``write_batch``): the parent straight into ``<collection>.jsonl``, a worker
+into its part file, which the parent appends, in slice order, once every
+worker is done. With one CPU nothing is forked.
 A failure ends as the serial run would: the error of the first failing file
 or collection and, within it, of the first failing row; an index failure
 leaves nothing on disk, a write failure only the collections before it. The
@@ -151,7 +154,8 @@ def _float_text(value: object) -> str:
 
 
 class _BadKey(MigrationError):
-    """A NULL or colliding key value; the build function adds file and row."""
+    """A NULL or colliding key value, or several children of a one-object
+    aggregate; the build function adds file and row."""
 
 
 def _id_of(file: _TableFile, columns: list[str],
@@ -248,7 +252,8 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             build = _compile_rows(session, t2, link.type_name, link.file,
                                   prop.aggregates, stats, path + [(prop.name, True)])
             steps.append((prefix, _embedded(prop.is_many, link, runs, session,
-                                            file.getter(link.probe), build),
+                                            file.getter(link.probe), build,
+                                            label),
                           str, _SKIP))
 
     def build(row: list, n: int) -> str:
@@ -293,12 +298,16 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
 
 
 def _embedded(many: bool, link: _Link, runs: _Runs, session: SourceSession,
-              probe_of: Callable[[list], tuple], build: _Build) -> Callable:
+              probe_of: Callable[[list], tuple], build: _Build,
+              label: str) -> Callable:
     """The JSON text of the child rows read through ``runs``, the run index
     of the child file, in key order (None for a one-object aggregate with no
-    child); the session counts them as live while they are built."""
+    child, a failure with several); the session counts them as live while
+    they are built."""
     def embedded(row: list) -> str | None:
         group = link.group(probe_of(row), runs)
+        if not many and len(group) > 1:
+            raise _BadKey(f"{len(group)} child rows for one-object aggregate {label}")
         session._records_born(len(group))
         if many:
             text = "[" + ",".join([build(r, m) for m, r in group]) + "]"
@@ -362,9 +371,9 @@ def _cpus() -> int:
 
 
 #: Row slice ``i`` of one step of a phase (a file to index, or a collection
-#: to write), run in a worker: it writes its output to the part file by its
-#: descriptor and returns what the worker reports of it.
-_Step = Callable[[int, int], dict]
+#: to write), run in process ``i``: into a worker's part file, by descriptor,
+#: or in place for slice 0 (None); returns what a worker reports of it.
+_Step = Callable[[int, int | None], dict]
 
 
 @dataclass
@@ -397,8 +406,10 @@ class _Worker:
 
 
 def _fork(worker: _Worker, steps: list[_Step], cpu: int) -> None:
-    """Start ``worker`` on CPU ``cpu``; in the child, run it and end the
-    process there, never returning into the caller's stack."""
+    """Start ``worker`` on CPU ``cpu``; in the child, run slice ``i`` of
+    each step and end the process there, never returning into the caller's
+    stack. After each step it writes one JSON line with what the step
+    reports and the part file's offset, or with the error that stopped it."""
     worker.pipe, report = os.pipe()
     try:
         worker.pid = os.fork()
@@ -410,69 +421,38 @@ def _fork(worker: _Worker, steps: list[_Step], cpu: int) -> None:
         try:
             os.close(worker.pipe)
             os.sched_setaffinity(0, {cpu})
-            _work(worker, steps, report)
+            part = worker.part.fileno()
+            with open(report, "w", encoding="utf-8", buffering=1) as pipe:
+                for step in steps:
+                    try:
+                        message = step(worker.i, part)
+                    except MigrationError as exc:
+                        pipe.write(json.dumps({"error": str(exc)}) + "\n")
+                        break
+                    message["end"] = os.lseek(part, 0, os.SEEK_CUR)
+                    pipe.write(json.dumps(message) + "\n")
             code = 0
         finally:
             os._exit(code)
     os.close(report)
 
 
-def _work(worker: _Worker, steps: list[_Step], report: int) -> None:
-    """A worker's run: after each step, one JSON line with what the step
-    reports and the part file's offset, or with the error that stopped the
-    worker."""
-    part = worker.part.fileno()
-    with open(report, "w", encoding="utf-8", buffering=1) as pipe:
-        for step in steps:
-            try:
-                message = step(worker.i, part)
-            except MigrationError as exc:
-                pipe.write(json.dumps({"error": str(exc)}) + "\n")
-                return
-            message["end"] = os.lseek(part, 0, os.SEEK_CUR)
-            pipe.write(json.dumps(message) + "\n")
-
-
-def _collect(worker: _Worker, labels: list[str], verb: str,
-             error: type[MigrationError]
-             ) -> tuple[list[dict], tuple[int, int, MigrationError] | None]:
-    """Wait for ``worker`` and record the part file's offset after each
-    step it completed. Returns what it reported of those steps, and its
-    failure as (step index, slice, error) or None; ``labels`` name the steps
-    in error messages, ``verb`` what a worker does to its slice."""
-    with open(worker.pipe, encoding="utf-8") as pipe:
-        worker.pipe = -1
-        messages = [json.loads(line) for line in pipe]
-    _, status = os.waitpid(worker.pid, 0)
-    worker.pid = 0
-    for j, message in enumerate(messages):
-        if "error" in message:
-            return messages[:j], (j, worker.i, error(message["error"]))
-        worker.ends.append(message["end"])
-    if len(messages) < len(labels):
-        j = len(messages)
-        return messages, (j, worker.i, error(
-            f"{labels[j]}: the worker {verb} row slice {worker.i} ended "
-            "without reporting it (exit status "
-            f"{os.waitstatus_to_exitcode(status)})"))
-    return messages, None
-
-
 @contextmanager
-def _in_slices(k: int, target_dir: Path, steps: list[_Step],
-               first: Callable[[int], None], labels: list[str], verb: str,
-               error: type[MigrationError]
+def _in_slices(k: int, target_dir: Path, steps: list[_Step], labels: list[str],
+               verb: str, error: type[MigrationError]
                ) -> Iterator[tuple[list[_Worker], list[list[dict]],
                                    tuple[int, MigrationError] | None]]:
-    """Run slice ``i`` of every step in process ``i``: this process runs
-    slice 0 of each step in order (``first``) until one fails, while forked
-    workers, one per slice but the first (none when ``k`` is 1), run
-    ``steps``. Yields, once all are done, the workers, what each reported
-    and the failure the serial run would raise: as (step index, error) of
-    the first failing step and, within it, of the lowest failing slice, or
-    None. While they run, process ``i`` is kept on the ``i``-th CPU this
-    process may run on; every worker is reaped and this process's CPUs are
-    restored on exit, whatever happens."""
+    """Run slice ``i`` of every step, in order until one fails, in process
+    ``i``: this process runs slice 0, forked workers, one per slice but the
+    first (none when ``k`` is 1), the others. Yields, once all are done, the
+    workers, what each reported of the steps it completed (recording the
+    part file's offset after each) and the failure the serial run would
+    raise: as (step index, error) of the first failing step and, within it,
+    of the lowest failing slice, or None; ``labels`` name the steps in error
+    messages, ``verb`` what a worker does to its slice. While they run,
+    process ``i`` is kept on the ``i``-th CPU this process may run on; every
+    worker is reaped and this process's CPUs are restored on exit, whatever
+    happens."""
     workers: list[_Worker] = []
     # Left to the scheduler, both processes of a short phase were seen to
     # share one CPU throughout while the other, idle before, stayed idle.
@@ -484,17 +464,31 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step],
         if cpus:
             os.sched_setaffinity(0, cpus[:1])
         failures = []
-        for j in range(len(steps)):
+        for j, step in enumerate(steps):
             try:
-                first(j)
+                step(0, None)
             except MigrationError as exc:
                 failures.append((j, 0, exc))
                 break
         reports = []
         for worker in workers:
-            messages, failure = _collect(worker, labels, verb, error)
-            reports.append(messages)
-            failures += [failure] if failure else []
+            with open(worker.pipe, encoding="utf-8") as pipe:
+                worker.pipe = -1
+                messages = [json.loads(line) for line in pipe]
+            _, status = os.waitpid(worker.pid, 0)
+            worker.pid = 0
+            for j, message in enumerate(messages):
+                if "error" in message:
+                    failures.append((j, worker.i, error(message["error"])))
+                    break
+                worker.ends.append(message["end"])
+            else:
+                if (j := len(messages)) < len(steps):
+                    failures.append((j, worker.i, error(
+                        f"{labels[j]}: the worker {verb} row slice {worker.i} "
+                        "ended without reporting it (exit status "
+                        f"{os.waitstatus_to_exitcode(status)})")))
+            reports.append(messages[:len(worker.ends)])
         failure = min(failures, key=itemgetter(0, 1), default=None)
         yield workers, reports, failure and (failure[0], failure[2])
     finally:
@@ -505,10 +499,11 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step],
 
 
 def _index_step(file: _TableFile, spans: list[tuple[int, int, int]], i: int,
-                part: int) -> dict:
+                part: int | None) -> dict:
     file.index_slice(spans[i])
-    with open(part, "wb", closefd=False) as out:
-        out.write(file.encode_slice())
+    if part is not None:
+        with open(part, "wb", closefd=False) as out:
+            out.write(file.encode_slice())
     return {}
 
 
@@ -524,7 +519,6 @@ def _build_indexes(files: list[_TableFile],
     with _in_slices(
             k, target_dir,
             [partial(_index_step, file, spans[file]) for file in files],
-            lambda j: files[j].index_slice(spans[files[j]][0]),
             [f"while indexing for {file.planned_for}" for file in files],
             "indexing", SourceError) as (workers, _, failure):
         if failure is not None:
@@ -538,18 +532,14 @@ def _build_indexes(files: list[_TableFile],
             file.merge_indexes(later)
 
 
-def _write_step(source: SourceSession, c: _Collection, i: int,
-                part: int) -> dict:
-    vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
-    with open(part, "w", encoding="utf-8", closefd=False) as out:
+def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
+                i: int, part: int | None) -> dict:
+    if part is not None:
+        vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
+    with open(target_dir / f"{c.name}.jsonl" if part is None else part, "w",
+              encoding="utf-8", closefd=part is None) as out:
         _write_slice(source, c, i, out)
     return {"stats": asdict(c.stats), "peak": source.peak_live_records}
-
-
-def _first_slice(target_dir: Path, source: SourceSession,
-                 c: _Collection) -> None:
-    with open(target_dir / f"{c.name}.jsonl", "w", encoding="utf-8") as out:
-        _write_slice(source, c, 0, out)
 
 
 def _join(target_dir: Path, collections: list[_Collection],
@@ -584,8 +574,7 @@ def _write_collections(source: SourceSession, collections: list[_Collection],
     collections before the failing one stay on disk."""
     with _in_slices(
             k, target_dir,
-            [partial(_write_step, source, c) for c in collections],
-            lambda j: _first_slice(target_dir, source, collections[j]),
+            [partial(_write_step, source, target_dir, c) for c in collections],
             [f"while migrating collection {c.name!r}" for c in collections],
             "writing", MigrationError) as (workers, reports, failure):
         for messages in reports:

@@ -3,9 +3,12 @@
 A source dataset is a directory holding ``schema.sql`` plus one
 ``<table>.csv`` per table (UTF-8, header row naming the columns in table
 order, empty field = NULL; fields must not contain line breaks). Opening a
-source checks every file once: that it decodes as UTF-8, the header, the
-field count of each record, that no record spans lines, and that every line
-ends with a line feed. A failure names the file and the row, or the line.
+source reads only the CSVs: it checks the file of every table of the schema
+it is given once, that it is present and decodes as UTF-8, its header
+against the table's columns, the field count of each record, that no record
+spans lines, and that every line ends with a line feed. A failure names the
+file and the row, or the line; a dataset that does not match the schema
+fails on the first file that disagrees.
 
 Rows come from ``csv.reader`` and are typed by column position
 (``_TableFile.typed``): every non-string cell is converted, a numeric cell
@@ -717,21 +720,9 @@ def _filter_side(assoc: Table, fk_name: str | None, from_table: str,
 
 def open_source(root: Path | str, schema: RelationalSchema,
                 t1: TraceStore) -> SourceSession:
-    """Validate the dataset directory against ``schema`` and open a session."""
+    """Check the CSV of every table of ``schema`` in the dataset directory
+    and open a session."""
     root = Path(root)
-    ddl_path = root / "schema.sql"
-    if not ddl_path.exists():
-        raise SourceError(f"missing {ddl_path}")
-    from unimig.relational.ddl import parse_ddl
-
-    on_disk = parse_ddl(read_utf8(ddl_path), name=schema.name)
-    disk_shape = {t.name: [c.name for c in t.columns] for t in on_disk.tables}
-    want_shape = {t.name: [c.name for c in t.columns] for t in schema.tables}
-    if disk_shape != want_shape:
-        raise SourceError(
-            f"{ddl_path} disagrees with the expected schema "
-            f"(tables {sorted(disk_shape)} vs {sorted(want_shape)})")
-
     session = SourceSession(root, schema, t1)
     for table in schema.tables:
         path = root / f"{table.name}.csv"

@@ -131,4 +131,4 @@ def assert_valid(model: USchemaModel) -> None:
     if problems:
         from unimig.errors import ModelError
 
-        raise ModelError("invalid pivot model:\n" + "\n".join(str(d) for d in problems))
+        raise ModelError("invalid pivot model: " + "; ".join(str(d) for d in problems))

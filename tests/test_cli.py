@@ -91,6 +91,26 @@ def test_migrate_mini_dataset(tmp_path, capsys):
     assert (out / "target.docschema.json").exists()
 
 
+def test_migrate_parses_the_ddl_once(tmp_path, monkeypatch, capsys):
+    import unimig.cli
+    import unimig.relational.ddl
+
+    calls = []
+
+    def counted(parse):
+        def parse_ddl(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+        return parse_ddl
+
+    for module in (unimig.cli, unimig.relational.ddl):
+        monkeypatch.setattr(module, "parse_ddl", counted(module.parse_ddl))
+    source = str(FIXTURES / "music_streaming" / "mini_data")
+    assert dispatch(["migrate", "--source", source,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_migrate_rejects_connection_urls(tmp_path, capsys):
     code = dispatch(["migrate", "--source", "x", "--out", "y",
                      "--source-url", "postgres://db"])
@@ -176,6 +196,8 @@ def test_traced_benchmark_launcher_runs_a_migration(tmp_path):
                for path in mini.glob("*.csv"))
     assert result["records_read"] == rows == 22
     assert result["peak_live_records"] >= 1
+    # every traced sample reads the count of saved trace links
+    assert result["trace_links"] > 0
 
 
 def _fails_without_traceback(argv: list[str], capsys) -> str:
@@ -251,8 +273,39 @@ def test_model_files_report_non_utf8_input(tmp_path, capsys, bad, argv):
     ('{"version": 1, "links": [1]}',
      ["evolve", "{model}", "--script", "{script}", "--trace", "{bad}"],
      "malformed trace link: 'int' object is not subscriptable"),
+    ('{"name": "x", "documents": [1]}', ["diff", "{bad}", "{bad}"],
+     "malformed document schema JSON: 'int' object has no attribute 'get'"),
+    ('{"name": "x", "documents": 5}', ["diff", "{bad}", "{bad}"],
+     "malformed document schema JSON: 'int' object is not iterable"),
+    ('{"name": "x", "documents": [{"name": "a", "properties": [1]}]}',
+     ["diff", "{bad}", "{bad}"],
+     "malformed document schema JSON: 'int' object has no attribute 'get'"),
+    ('{"name": "x", "documents": [{"name": ["a"], "properties": []}]}',
+     ["diff", "{bad}", "{bad}"], "document type without a name"),
+    # well-formed JSON of an invalid model fails where it is loaded
+    ('{"kind": "relational", "model": {"name": "m", "tables": [{"name": "t", '
+     '"columns": [{"name": "q", "type": "INT"}], "fkeys": [{"name": "f", '
+     '"columns": ["q"], "refTable": "zz", "refColumns": ["q"]}]}]}}',
+     ["emit-ddl", "{bad}"],
+     "invalid relational schema: schema 'm' has no table 'zz'"),
+    ('{"kind": "relational", "model": {"name": "m", "tables": [{"name": "t", '
+     '"columns": [{"name": "c", "type": "INT"}, {"name": "c", "type": "INT"}]}]}}',
+     ["emit-ddl", "{bad}"], "invalid relational schema: duplicate column t.c"),
+    ('{"kind": "uschema", "model": {"name": "m", "entities": [{"name": "E", '
+     '"features": [{"kind": "reference", "name": "r", "refsTo": "Nope"}]}]}}',
+     ["emit-athena", "{bad}"],
+     "invalid pivot model: [error] reference resolution at E.r: refsTo names "
+     "unknown entity type 'Nope'"),
+    ('{"name": "x", "documents": [{"name": "a", "properties": [{"kind": '
+     '"reference", "name": "r", "target": "nope", "type": "STRING"}]}]}',
+     ["diff", "{bad}", "{bad}"],
+     "invalid document schema: reference a.r targets unknown document type "
+     "'nope'"),
 ], ids=["syntax", "relational-name", "relational-is-pk", "uschema-list",
-        "trace-link"])
+        "trace-link", "docschema-document", "docschema-documents",
+        "docschema-property", "docschema-document-name",
+        "relational-dangling-key", "relational-duplicate-column",
+        "uschema-reference", "docschema-reference"])
 def test_malformed_json_inputs_report_an_error(tmp_path, capsys, text, argv,
                                                message):
     bad = tmp_path / "bad.json"

@@ -643,20 +643,36 @@ def test_separator_in_covering_index_key_fails_before_output(tmp_path):
     assert not list((tmp_path / "out").iterdir())
 
 
-def test_one_object_aggregate_embeds_a_single_child(tmp_path):
-    # aggregates derived from DDL are 0..*; a 0..1 one embeds an object
-    def one_object(pivot):
-        (aggregate,) = [f for e in pivot.entities for f in e.features
-                        if isinstance(f, Aggregate)]
-        aggregate.upper_bound = 1
+_ONE_OBJECT_DDL = (
+    "CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
+    "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
+    "  PRIMARY KEY (parent_id, n),"
+    "  FOREIGN KEY (parent_id) REFERENCES parent (id));")
 
+
+def _one_object(pivot):
+    # aggregates derived from DDL are 0..*; a 0..1 one embeds an object
+    (aggregate,) = [f for e in pivot.entities for f in e.features
+                    if isinstance(f, Aggregate)]
+    aggregate.upper_bound = 1
+
+
+def test_one_object_aggregate_embeds_a_single_child(tmp_path):
     docs = migrate_tiny(
-        tmp_path,
-        "CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
-        "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
-        "  PRIMARY KEY (parent_id, n),"
-        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        tmp_path, _ONE_OBJECT_DDL,
         {"parent": "id,v\n1,10\n2,20\n", "child": "parent_id,n,w\n1,7,x\n"},
-        one_object)
+        _one_object)
     assert docs["parent"] == [
         {"id": 1, "v": 10, "childs": {"n": 7, "w": "x"}}, {"id": 2, "v": 20}]
+
+
+def test_one_object_aggregate_over_several_children_fails(tmp_path):
+    with pytest.raises(MigrationError) as failure:
+        migrate_tiny(tmp_path, _ONE_OBJECT_DDL,
+                     {"parent": "id,v\n1,10\n2,20\n",
+                      "child": "parent_id,n,w\n1,9,z\n1,7,x\n1,8,y\n"},
+                     _one_object)
+    assert str(failure.value) == (
+        "while migrating collection 'parent': parent.csv (row 1), 3 child "
+        "rows for one-object aggregate parent.childs")
+    assert not list((tmp_path / "out").iterdir())

@@ -128,7 +128,9 @@ def test_bare_carriage_returns_rejected_at_open(mini, tmp_path):
 
 
 def test_schema_disagreement_rejected(mini, tmp_path, music_schema):
-    with pytest.raises(SourceError, match="disagrees"):
+    # the first file whose header the given schema's table disagrees with
+    with pytest.raises(SourceError, match=r"^song\.csv: header \[.*\] does not "
+                       r"match columns \[.*\] of table 'song'$"):
         open_source(mini["root"], music_schema,
                     rel_to_uschema(music_schema).trace)
 
