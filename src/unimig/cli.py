@@ -74,12 +74,16 @@ def load_model(path: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TextParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    if isinstance(data, dict) and data.get("kind") == "relational":
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind in ("relational", "uschema") and "model" not in data:
+        name = "relational" if kind == "relational" else "pivot"
+        raise ModelError(f'{name} model JSON has no "model" key')
+    if kind == "relational":
         schema = schema_from_dict(data["model"])
         if problems := validate_relational(schema):
             raise ModelError("invalid relational schema: " + "; ".join(problems))
         return schema
-    if isinstance(data, dict) and data.get("kind") == "uschema":
+    if kind == "uschema":
         model = model_from_dict(data["model"])
         assert_valid(model)
         return model

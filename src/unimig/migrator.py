@@ -10,16 +10,29 @@ picked there from the column's type, so the text is byte for byte what
 ``json.dumps`` (compact, ``ensure_ascii=False``) writes; one loop runs the
 steps. Fields are attribute values, keys are verbatim or ``#``-joined
 source key components (a text component holding ``#`` fails), references
-are identifiers from a covering index, and embedded objects child rows read
-through the run index of the child file, compiled recursively.
+are identifiers from a covering index, and embedded objects the JSON text
+of the child group, copied from a text index on the child file whose
+function builds the group with the child properties' steps, compiled
+recursively (``_group_text``, ``_embedded``).
 
 Every collection is compiled before any runs, which plans the indexes they
-probe; each file's planned indexes are then built in ``k`` row slices,
-before any collection is written, so a bad cell or NULL key value an index
-relies on fails before any output. A NULL value leaves its property out and is
-counted (``nullsOmitted``), as is a forward reference whose target row is
-missing (``danglingRefs``); a NULL key fails, as does a one-object
-aggregate over more than one child row.
+probe, each at its level (``texts_on``); each file's planned indexes are
+then built level by level in ``k`` row slices, before any collection is
+written, so a bad cell or NULL key value an index relies on fails before
+any output. Levels make the deepest embedded children first: on the music
+schema, song's id index (level 0) before playlist_song's texts, which read
+it (level 1), and those before playlist's (level 2); a schema whose
+collections embed nothing, such as Northwind, has one level. Each child row
+is so typed and built once, in the pass, and its group's text is spilled
+with the counters building it added; a parent's document copies the text
+with one ``pread`` and adds the counters to its collection's. A NULL value
+leaves its property out and is counted (``nullsOmitted``), as is a forward
+reference whose target row is missing (``danglingRefs``); a NULL key fails,
+as does a one-object aggregate over more than one child row. A failure in
+building a group is raised when a document embeds it, as the error of that
+document's collection, so child rows that no parent embeds fail nothing and
+count nothing. A child file not clustered by the key falls back to its run
+index: each group is read and built where a document embeds it.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
 one per CPU this process may run on (``_TableFile.spans``), read a slice
@@ -28,22 +41,24 @@ in process ``i``, kept on the ``i``-th CPU while the phase runs: the
 parent runs slice 0 and forks a worker per other slice (horizontal
 partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
 1992). One step function per phase runs every slice: a worker's into its
-unnamed part file, the parent's slice 0 in place. In the index pass
-(``_index_step``) the parent fills the indexes of every indexed file from
-its slice, each worker fills partial indexes and sends them back, and the
-parent joins them on in slice order (``_build_indexes``). Once the indexes
-are built, a document depends only on its own row and on read-only indexes,
+unnamed part file, the parent's slice 0 in place. Each level of the index
+pass is such a phase (``_index_step``): the parent fills the indexes of
+every file of the level from its slice, and spills its texts, each worker
+fills partial indexes, writes its texts and the indexes to its part file,
+and the parent appends the texts to the spill and joins the indexes on in
+slice order (``_build_indexes``). Once the indexes are built, a document
+depends only on its own row and on read-only indexes and spilled texts,
 so the writers are forked next: each process writes its slice of every
 collection in schema order, one document per line (``_write_step``,
 ``write_batch``): the parent straight into ``<collection>.jsonl``, a worker
 into its part file, which the parent appends, in slice order, once every
-worker is done. With one CPU nothing is forked.
-A failure ends as the serial run would: the error of the first failing file
-or collection and, within it, of the first failing row; an index failure
-leaves nothing on disk, a write failure only the collections before it. The
-manifest's counters are sums over slices; its total ``elapsedMs`` is the
-wall time of the whole ``migrate``, and a collection's ``elapsedMs`` is its
-compile time plus the write times of its slices.
+worker is done. With one CPU nothing is forked. A failure ends as the
+serial run would: the error of the first failing level, file or collection
+and, within it, of the first failing row; an index failure leaves nothing
+on disk, a write failure only the collections before it. The manifest's
+counters are sums over slices; its total ``elapsedMs`` is the wall time of
+the whole ``migrate``, and a collection's ``elapsedMs`` is its compile time
+plus the write times of its slices.
 """
 
 from __future__ import annotations
@@ -75,8 +90,8 @@ from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
     _Link,
-    _Runs,
     _TableFile,
+    _Texts,
     fmt_id,
     read_entity_all,  # noqa: F401  (re-exported: the benchmark wraps it here)
     separator_message,
@@ -193,20 +208,24 @@ def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
     type_name = id_segments(origin.sources[0])[0]
     file = session.file_for(session.table_for(type_name).name)
     return file, _compile_rows(session, t2, type_name, file, te.properties,
-                               stats, [(te.name, False)])
+                               stats, [(te.name, False)])[0]
 
 
 def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
                   file: _TableFile, properties: list[Property],
-                  stats: EntityStats, path: list[tuple[str, bool]]) -> _Build:
+                  stats: EntityStats, path: list[tuple[str, bool]]
+                  ) -> tuple[_Build, int]:
     """Compile ``properties`` at document ``path`` into a function over
     typed rows of ``file``, whose table stores ``type_name``: column positions,
     value encoders and the indexes to probe are fixed here, once per
     collection. The indexes are only planned; they must be built
     (``build_indexes``, or ``migrate``'s index pass) before the function
-    runs."""
+    runs. Also returns the level of an index that the function may build
+    (``texts_on``): 0 if it probes no index, else one more than the highest
+    level among those it probes (an id index is at level 0)."""
     table, collection = file.table, f"collection {path[0][0]!r}"
     steps: list[_Prop] = []
+    level = 0
     for prop in properties:
         here = doc_path(path + [(prop.name, isinstance(prop, Embedded))])
         links = t2.lookup(here, "backward")
@@ -238,6 +257,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             ids = link.file.ids_on(link.index, plan_for=collection)
             steps.append((prefix, *_refs(not prop.type.array, link.file, ids,
                                          file.getter(link.probe), stats), _SKIP))
+            level = max(level, 1)
         elif isinstance(prop, DocReference):
             if "R7" not in by_rule:
                 raise MigrationError(f"reference {here} lacks a trace origin")
@@ -248,13 +268,18 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             if "R6" not in by_rule:
                 raise MigrationError(f"embedded {here} lacks an aggregate origin")
             link = session.link(type_name, table, by_rule["R6"][1])
-            runs = link.file.runs_on(link.index, link.order, plan_for=collection)
-            build = _compile_rows(session, t2, link.type_name, link.file,
-                                  prop.aggregates, stats, path + [(prop.name, True)])
-            steps.append((prefix, _embedded(prop.is_many, link, runs, session,
-                                            file.getter(link.probe), build,
+            child = EntityStats()  # what building one group adds
+            build, child_level = _compile_rows(
+                session, t2, link.type_name, link.file, prop.aggregates, child,
+                path + [(prop.name, True)])
+            text_of = _group_text(prop.is_many, build, child, session)
+            texts = link.file.texts_on(link.index, link.order, text_of,
+                                       child_level, session.spill(), collection)
+            steps.append((prefix, _embedded(prop.is_many, link, texts,
+                                            file.getter(link.probe), stats,
                                             label),
                           str, _SKIP))
+            level = max(level, child_level + 1)
 
     def build(row: list, n: int) -> str:
         out: list[str] = []
@@ -270,7 +295,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
         return "{" + ",".join(out) + "}"
 
-    return build
+    return build, level
 
 
 def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
@@ -297,23 +322,50 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
     return first_id, encode
 
 
-def _embedded(many: bool, link: _Link, runs: _Runs, session: SourceSession,
-              probe_of: Callable[[list], tuple], build: _Build,
-              label: str) -> Callable:
-    """The JSON text of the child rows read through ``runs``, the run index
-    of the child file, in key order (None for a one-object aggregate with no
-    child, a failure with several); the session counts them as live while
-    they are built."""
-    def embedded(row: list) -> str | None:
-        group = link.group(probe_of(row), runs)
+def _group_text(many: bool, build: _Build, child: EntityStats,
+                session: SourceSession) -> Callable:
+    """The ``text_of`` of an embedded property's text index: the JSON text
+    of a sorted child group built by ``build`` (an array, or the object of
+    a one-object aggregate, which is not built over several rows), and its
+    counters: its rows, then the rows, NULLs and dangling references that
+    building it added to ``child``, its nested groups' included."""
+    def text_of(group: list[tuple[int, list]]) -> tuple[str, int, int, int, int]:
         if not many and len(group) > 1:
-            raise _BadKey(f"{len(group)} child rows for one-object aggregate {label}")
-        session._records_born(len(group))
-        if many:
-            text = "[" + ",".join([build(r, m) for m, r in group]) + "]"
+            return "", len(group), 0, 0, 0  # embedding it fails
+        session.peak_live_records = max(session.peak_live_records, len(group))
+        vars(child).update(rows_read=len(group), nulls_omitted=0,
+                           dangling_refs=0)
+        text = ("[" + ",".join([build(r, m) for m, r in group]) + "]" if many
+                else build(group[0][1], group[0][0]))
+        return (text, len(group), child.rows_read, child.nulls_omitted,
+                child.dangling_refs)
+
+    return text_of
+
+
+def _embedded(many: bool, link: _Link, texts: _Texts,
+              probe_of: Callable[[list], tuple], stats: EntityStats,
+              label: str) -> Callable:
+    """The JSON text of the child rows reached from a row, copied from text
+    index ``texts`` (or for a file not clustered by the key read through
+    its run index and built here), adding its counters to ``stats``: None
+    for a one-object aggregate with no child, a failure with several."""
+    def embedded(row: list) -> str | None:
+        probe = probe_of(row)
+        if texts.runs is None:
+            found = texts.text(probe)
+        elif group := link.group(probe, texts.runs):
+            found = texts.text_of(group)
         else:
-            text = build(group[0][1], group[0][0]) if group else None
-        session._records_released(len(group))
+            found = None
+        if found is None:
+            return "[]" if many else None
+        text, count, read, nulls, dangling = found
+        if not many and count > 1:
+            raise _BadKey(f"{count} child rows for one-object aggregate {label}")
+        stats.rows_read += read
+        stats.nulls_omitted += nulls
+        stats.dangling_refs += dangling
         return text
 
     return embedded
@@ -346,7 +398,7 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     """Write the documents of row slice ``i`` of ``c`` to ``out``, adding
     to its stats; the parent and every worker run this."""
     started = time.monotonic()
-    rows_before = source.records_read
+    read_before, rows_before = source.records_read, c.stats.rows_read
     file = c.file
     try:
         with open(file.path, "rb") as handle:
@@ -357,7 +409,11 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc
-    c.stats.rows_read += source.records_read - rows_before
+    # the session counted the documents' rows, the embedded steps the rows
+    # of the groups they copied
+    embedded = c.stats.rows_read - rows_before
+    c.stats.rows_read += source.records_read - read_before
+    source.records_read += embedded
     c.stats.elapsed_ms += (time.monotonic() - started) * 1000.0
 
 
@@ -500,36 +556,47 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step], labels: list[str],
 
 def _index_step(file: _TableFile, spans: list[tuple[int, int, int]], i: int,
                 part: int | None) -> dict:
+    if part is None:
+        file.index_slice(spans[i])
+        return {}
+    start = os.lseek(part, 0, os.SEEK_END)
+    file.texts_to = part
     file.index_slice(spans[i])
-    if part is not None:
-        with open(part, "wb", closefd=False) as out:
-            out.write(file.encode_slice())
-    return {}
+    texts = os.lseek(part, 0, os.SEEK_END) - start
+    with open(part, "ab", closefd=False) as out:
+        out.write(file.encode_slice())
+    return {"texts": texts}
 
 
-def _build_indexes(files: list[_TableFile],
+def _build_indexes(source: SourceSession, files: list[_TableFile],
                    spans: dict[_TableFile, list[tuple[int, int, int]]],
                    k: int, target_dir: Path) -> None:
-    """Fill every planned index of ``files`` in their ``k`` row slices:
-    this process indexes slice 0 of each file straight into the indexes,
-    forked workers the others and send their partial indexes back through
-    their part files, and once all are done each file's are joined on in
-    slice order. A failure raises the serial run's error before anything is
-    written."""
+    """Fill the planned indexes of ``files`` at one level in their ``k``
+    row slices: this process indexes slice 0 of each file straight into the
+    indexes and its group texts into the session's spill, forked workers
+    the others and send their texts and partial indexes back through their
+    part files, and once all are done each file's texts are appended to the
+    spill and its indexes joined on, in slice order. A failure raises the
+    serial run's error before anything is written."""
     with _in_slices(
             k, target_dir,
             [partial(_index_step, file, spans[file]) for file in files],
             [f"while indexing for {file.planned_for}" for file in files],
-            "indexing", SourceError) as (workers, _, failure):
+            "indexing", SourceError) as (workers, reports, failure):
         if failure is not None:
             raise failure[1]
         for j, file in enumerate(files):
-            later = []
-            for worker in workers:
+            later, shifts = [], []
+            for worker, messages in zip(workers, reports):
                 start, end = worker.output(j)
-                worker.part.seek(start)
-                later.append(worker.part.read(end - start))
-            file.merge_indexes(later)
+                shifts.append(0)
+                if (texts := start + messages[j]["texts"]) > start:
+                    spill = source.spill().fileno()
+                    shifts[-1] = os.lseek(spill, 0, os.SEEK_END) - start
+                    _copy(spill, worker.part.fileno(), start, texts, "indexing")
+                worker.part.seek(texts)
+                later.append(worker.part.read(end - texts))
+            file.merge_indexes(later, shifts)
 
 
 def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
@@ -542,10 +609,19 @@ def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
     return {"stats": asdict(c.stats), "peak": source.peak_live_records}
 
 
+def _copy(out: int, part: int, start: int, end: int, what: str) -> None:
+    """Append bytes ``start`` to ``end`` of a part file to ``out`` with
+    ``sendfile`` (which takes no ``O_APPEND`` target)."""
+    while start < end:
+        if not (sent := os.sendfile(out, part, start, end - start)):
+            raise MigrationError(f"a part file {what} is short")
+        start += sent
+
+
 def _join(target_dir: Path, collections: list[_Collection],
           workers: list[_Worker]) -> None:
     """Append each collection's slices from the workers' part files, in
-    slice order, with ``sendfile`` (which takes no ``O_APPEND`` target)."""
+    slice order."""
     for j, c in enumerate(collections):
         ranges = [(w.part.fileno(), *w.output(j)) for w in workers]
         if all(start == end for _, start, end in ranges):
@@ -554,12 +630,7 @@ def _join(target_dir: Path, collections: list[_Collection],
         try:
             os.lseek(out, 0, os.SEEK_END)
             for part, start, end in ranges:
-                while start < end:
-                    sent = os.sendfile(out, part, start, end - start)
-                    if not sent:
-                        raise MigrationError(
-                            f"a part file of collection {c.name!r} is short")
-                    start += sent
+                _copy(out, part, start, end, f"of collection {c.name!r}")
         finally:
             os.close(out)
 
@@ -617,6 +688,7 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
     target_dir.mkdir(parents=True, exist_ok=True)
 
     report = MigrationReport()
+    source.spill_dir = target_dir
     try:
         plans, k = [], _cpus()
         for te in target_schema.documents:
@@ -630,14 +702,17 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             stats.elapsed_ms = (time.monotonic() - compiled) * 1000.0
             plans.append((te.name, stats, file, build))
         # each file is cut once; the index pass and the writes share the cuts
-        indexed_files = source.indexed_files()
-        spans = {file: file.spans(k) for file
-                 in dict.fromkeys(indexed_files + [plan[2] for plan in plans])}
+        spans = {file: file.spans(k) for file in dict.fromkeys(
+            source.indexed_files() + [plan[2] for plan in plans])}
         indexed = time.monotonic()
-        _build_indexes(indexed_files, spans, k, target_dir)
+        while files := source.indexed_files():
+            level = min(file.level for file in files)
+            source.close_handles()  # no two processes share a file offset
+            _build_indexes(source, [f for f in files if f.level == level],
+                           spans, k, target_dir)
         report.index_ms = (time.monotonic() - indexed) * 1000.0
         collections = [_Collection(*plan, spans[plan[2]]) for plan in plans]
-        source.close_handles()  # no two processes share a file offset
+        source.close_handles()
         _write_collections(source, collections, k, target_dir)
         report.total_elapsed_ms = (time.monotonic() - started) * 1000.0
         _write_manifest(target_dir, report, trace_refs or {})

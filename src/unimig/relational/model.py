@@ -277,6 +277,10 @@ def validate_relational(schema: RelationalSchema) -> list[str]:
                 if c not in cols:
                     out.append(
                         f"foreign key {t.name}.{fk.constraint_name} lists unknown column {c!r}")
+            if not schema.has_table(fk.ref_table):
+                out.append(f"foreign key {t.name}.{fk.constraint_name} "
+                           f"references unknown table {fk.ref_table!r}")
+                continue
             try:
                 schema.resolve_fk_target(fk)
             except ModelError as exc:

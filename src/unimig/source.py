@@ -16,34 +16,52 @@ must be ASCII with no digit-group ``_`` or surrounding whitespace (which
 ``int`` and ``float`` accept and SQL loaders do not), integers are
 range-checked against their declared SQL type, a float must be finite, and
 a value that does not convert names its file, row and column. Joins probe
-two indexes by typed key. The run index (``runs_on``) maps a key to the
-runs of consecutive rows holding it, stored flat as (byte offset, first
-row, row count) triples in one ``array`` per key; a group is read with one
-seek per run (one run per key in a file clustered by it) through one
-handle per table, which the session closes. The covering id index
-(``ids_on``) maps a key to the identifiers of the matching rows, so a
-reference reads no row of the table it points at. Every index is planned
-first (``plan_for`` names what needs it) and then built from a file's row
-slices (see below): ``index_slice`` fills the indexes from one slice in a
-pass that types each row once, and ``merge_indexes`` joins the partial
-indexes of the later slices onto the first's in slice order (run triples
-concatenated, a run that continues across a cut made one; identifier lists
-concatenated, then sorted and ``#``-joined once), so any number of slices
-builds the index one slice gives. The migrator indexes the later slices in
-forked workers, which send their partial indexes back flat
-(``encode_slice``); the session's ``build_indexes`` reads each file as one
-slice. A pass fails, naming file, row and column and what the indexes were
-planned for, on a bad cell, a NULL primary key value (which a covering
-index would store), a text component of a composite primary key holding
-``#`` (two stored identifiers could collide) or a NULL order value (which
-child groups are sorted by).
+three indexes by typed key. The covering id index (``ids_on``) maps a key
+to the identifiers of the matching rows, so a reference reads no row of the
+table it points at. The text index (``texts_on``) maps a key to one entry,
+the spill offset and length of a record that holds the text a caller's
+function built from the key's group of rows, sorted by the group's order
+columns, and the counters it returned. The records lie in one unnamed spill
+file per session, with no directory entry, and are read back with one
+``pread``; the function runs once per group while the index is built, and
+an error it raises is kept as the record and raised only when the record is
+read, so a group that nothing reads (an orphan) never fails (grouping and
+spilling as in Graefe, "Query Evaluation Techniques for Large Databases",
+ACM CSUR 1993). A group must be one run of consecutive rows; a file with a
+key in several runs is not
+clustered by it, and the text index then holds the file's run index on the
+key instead (``runs_on``): a key -> the runs of consecutive rows holding it,
+stored flat as (byte offset, first row, row count) triples in one ``array``
+per key, whose group is read with one seek per run through one handle per
+table, which the session closes.
+
+Every index is planned first (``plan_for`` names what needs it), at a
+level: id and run indexes at 0, a text index at 0 if its function probes no
+index, else at one more than the highest level of those it probes. They are
+then built level by level, lowest first, from a file's row slices (see
+below): ``index_slice`` fills a file's indexes of its lowest unbuilt level
+from one slice in a pass that types each row once, and ``merge_indexes``
+joins the partial indexes of the later slices onto the first's in slice
+order (run triples concatenated, a run that continues across a cut made
+one; identifier lists concatenated, then sorted and ``#``-joined once; text
+entries appended), so any number of slices builds the index one slice
+gives. A text index's slice owns each group whose first row it holds: it
+reads on past its end while its last group goes on and passes over the
+rows at its start that continue the row before it. The migrator indexes the
+later slices in forked workers, which append their texts to their part
+files and send their partial indexes back flat (``encode_slice``); the
+session's ``build_indexes`` reads each file as one slice. A pass fails,
+naming file, row and column and what the indexes were planned for, on a bad
+cell, a NULL primary key value (which a covering index would store), a text
+component of a composite primary key holding ``#`` (two stored identifiers
+could collide) or a NULL order value (which groups are sorted by).
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
 forward trace on each call; the migrator does so once per collection, when
 it compiles its executor over these files.
 
-After open, the index pass, collection writes, group reads and
+After open, the index pass, collection writes, run-index group reads and
 ``read_entity_all`` get data rows from one reader (``rows``), which parses
 them and hands them on typed. It reads a run or a contiguous row slice
 (``spans``), both (byte offset, first row, row count) triples.
@@ -60,15 +78,18 @@ from __future__ import annotations
 import csv
 import marshal
 import os
+import struct
+import tempfile
 from array import array
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import accumulate, islice, tee
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from unimig.errors import SourceError
+from unimig.errors import MigrationError, SourceError
 from unimig.relational.model import FKey, RelationalSchema, SqlType, Table, fk_in_pk
 from unimig.trace import (
     AGGREGATE_CHILD,
@@ -207,6 +228,158 @@ def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
     return lines
 
 
+#: Values per text entry: the spill offset of its record and the record's
+#: length, negated when the text is a deferred error message. A record is a
+#: header (``_HEADER``: the byte offset and number of the group's first row,
+#: then the counters ``text_of`` gives), then the text.
+_ENTRY = 2
+_HEADER = struct.Struct("<6q")
+#: Builds a group of numbered typed rows, sorted: its text and counters
+#: (group rows, rows read, NULLs omitted, dangling references).
+_TextOf = Callable[[list[tuple[int, list]]], tuple[str, int, int, int, int]]
+
+
+def _level(planned: tuple[str, object]) -> int:
+    """The level of a planned index: a text index's own, else 0."""
+    kind, key = planned
+    return key.level if kind == "texts" else 0
+
+
+class _Texts:
+    """A text index: typed key -> one entry (``_ENTRY``) in ``entries``,
+    whose text, built once by ``text_of`` from the key's group of rows in
+    ``order``, lies in ``spill``, an unnamed file. ``text_of`` may fail; its
+    error is kept as the text and raised when the text is read, so a group
+    that is never read never fails. A file not clustered by the key (a key
+    with more than one group) gets its run index instead (``runs``), and
+    its groups are read and built where they are used. While a slice is
+    built, ``repeats`` holds, after a key's first repeat, the runs of the
+    slice's later groups."""
+
+    def __init__(self, columns: tuple[str, ...], order: tuple[str, ...],
+                 key_of: Callable[[list], tuple],
+                 order_of: Callable[[list], object] | None, text_of: _TextOf,
+                 level: int, spill: BinaryIO):
+        self.columns, self.order = columns, order
+        self.key_of, self.order_of, self.text_of = key_of, order_of, text_of
+        self.level, self.spill = level, spill
+        self.index: dict[tuple, int] = {}  # key -> entry number
+        self.entries = array("q")
+        self.repeats: _Runs | None = None
+        self.runs: _Runs | None = None
+
+    def add(self, keys: list[tuple], entries: bytes, shift: int) -> bool:
+        """Append the entries of ``keys``, in order, as ``array`` bytes,
+        their offsets moved by ``shift``; whether a key was there."""
+        start = len(self.entries)
+        self.entries.frombytes(entries)
+        for j in range(start, len(self.entries), _ENTRY):
+            self.entries[j] += shift
+        before = len(self.index)
+        base = start // _ENTRY
+        self.index.update(zip(keys, range(base, base + len(keys))))
+        return len(self.index) < before + len(keys)
+
+    def text(self, key: tuple) -> tuple[str, int, int, int, int] | None:
+        """The text of ``key``'s group and its counters, as ``text_of``
+        gave them, None when no row holds ``key``; raises the error
+        ``text_of`` raised."""
+        if (p := self.index.get(key)) is None:
+            return None
+        offset, length = self.entries[p * _ENTRY:(p + 1) * _ENTRY]
+        record = os.pread(self.spill.fileno(), abs(length), offset)
+        text = record[_HEADER.size:].decode()
+        if length < 0:
+            raise MigrationError(text)
+        return (text, *_HEADER.unpack_from(record)[2:])
+
+    def runs_from(self, slices: list[tuple[list[tuple], int, dict | None]]
+                  ) -> None:
+        """Make ``runs`` from each slice's keys, entry number of the first
+        and ``repeats`` (arrays, or their bytes), in slice order, and drop
+        the entries: a group's run is read from its record's header."""
+        runs: _Runs = {}
+        for keys, base, repeats in slices:
+            for p, key in enumerate(keys, base):
+                header = os.pread(self.spill.fileno(), _HEADER.size,
+                                  self.entries[p * _ENTRY])
+                run = _HEADER.unpack(header)[:3]  # offset, first row, count
+                if (mine := runs.get(key)) is None:
+                    runs[key] = array("q", run)
+                else:
+                    mine.extend(run)
+            for key, more in (repeats or {}).items():
+                if isinstance(more, bytes):
+                    more = array("q", memoryview(more).cast("q"))
+                if (mine := runs.get(key)) is None:
+                    runs[key] = more
+                else:
+                    mine.extend(more)
+        self.index.clear()
+        self.entries, self.repeats, self.runs = array("q"), None, runs
+
+
+class _Grouper:
+    """Groups the consecutive rows of one slice that hold a key of text
+    index ``texts`` (none with a NULL in it), writes each group's text to
+    ``out`` and enters it. Rows that hold the key of ``before``, the row
+    before the slice, at its start belong to an earlier slice's group."""
+
+    __slots__ = ("texts", "key_of", "out", "last", "group", "offset")
+
+    def __init__(self, texts: _Texts, out: BinaryIO, before: list | None):
+        texts.index.clear()
+        texts.entries = array("q")
+        texts.repeats = None
+        self.texts, self.key_of, self.out = texts, texts.key_of, out
+        self.last = None if before is None else texts.key_of(before)
+        self.group: list[tuple[int, list]] | None = None  # None: passed over
+        self.offset = 0  # of the group's first row
+
+    def add(self, row: list, n: int, offset: int) -> None:
+        if (key := self.key_of(row)) != self.last:
+            self.close()
+            self.last, self.offset = key, offset
+            if None not in key:
+                self.group = []
+        if self.group is not None:
+            self.group.append((n, row))
+
+    def extend(self, row: list, n: int) -> bool:
+        """Take a row after the slice if it goes on with the last group."""
+        if self.key_of(row) != self.last:
+            return False
+        self.group.append((n, row))
+        return True
+
+    def close(self) -> None:
+        """Build and enter the open group, if any; after a key's first
+        repeat, record its run instead (the file gets a run index)."""
+        group, self.group, texts = self.group, None, self.texts
+        if not group:
+            return
+        run = (self.offset, group[0][0], len(group))
+        if texts.repeats is None and self.last in texts.index:
+            texts.repeats = {}  # from here on the groups' runs alone
+        if texts.repeats is not None:
+            if (runs := texts.repeats.get(self.last)) is None:
+                texts.repeats[self.last] = array("q", run)
+            else:
+                runs.extend(run)
+            return
+        if order_of := texts.order_of:
+            group.sort(key=lambda item: order_of(item[1]))
+        try:
+            text, *counters = texts.text_of(group)
+            sign = 1
+        except MigrationError as exc:
+            text, sign, counters = str(exc), -1, (len(group), 0, 0, 0)
+        record = _HEADER.pack(*run[:2], *counters) + text.encode()
+        texts.index[self.last] = len(texts.entries) // _ENTRY
+        texts.entries.extend((self.out.tell(), sign * len(record)))
+        self.out.write(record)
+
+
 class _TableFile:
     """One CSV file: validation and row counting at open, schema-aware
     parsing, and the run and covering id indexes, planned on demand and
@@ -224,8 +397,10 @@ class _TableFile:
         self.row_count = self._validate_and_count()
         self._runs: dict[tuple[tuple[str, ...], tuple[str, ...]], _Runs] = {}
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
-        self._unbuilt: list[tuple[str, tuple]] = []  # planned, not yet filled
-        self._planned_for: dict[str, None] = {}  # who planned them, in order
+        self._texts: list[_Texts] = []
+        # planned, not yet filled: (kind, key) -> who planned it, in order
+        self._unbuilt: dict[tuple[str, object], dict[str, None]] = {}
+        self.texts_to: int | None = None  # where a worker appends texts
         self._handle: BinaryIO | None = None
 
     # -- reading -----------------------------------------------------------------
@@ -352,45 +527,77 @@ class _TableFile:
         of the ``order`` columns, which groups are sorted by, fails. The
         index is planned for ``plan_for``, which names what needs it: it
         stays empty until ``build_indexes`` fills it together with the
-        file's other indexes."""
+        file's other indexes of its level (level 0)."""
         return self._index(self._runs, "runs", (columns, order), plan_for)
 
     def ids_on(self, columns: tuple[str, ...], plan_for: str) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
         (``record_id``) of the matching rows, in primary key order. Rows
         with a NULL in ``columns`` are left out; a NULL primary key value
-        fails. It is planned as ``runs_on`` plans."""
+        fails. It is planned as ``runs_on`` plans, at level 0."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
         return self._index(self._id_indexes, "ids", columns, plan_for)
+
+    def texts_on(self, columns: tuple[str, ...], order: tuple[str, ...],
+                 text_of: _TextOf, level: int, spill: BinaryIO,
+                 plan_for: str) -> _Texts:
+        """Text index: typed values of ``columns`` -> the text ``text_of``
+        gives for the group of rows holding them, sorted by ``order``, kept
+        in ``spill`` (see ``_Texts``). It is planned as ``runs_on`` plans,
+        at ``level``: the indexes ``text_of`` probes must be built at lower
+        levels."""
+        texts = _Texts(columns, order, self.getter(columns),
+                       order and itemgetter(*map(self.columns.index, order)),
+                       text_of, level, spill)
+        self._texts.append(texts)
+        self._unbuilt[("texts", texts)] = {plan_for: None}
+        return texts
 
     def _index(self, indexes: dict, kind: str, key: tuple, plan_for: str) -> dict:
         index = indexes.get(key)
         if index is None:
             index = indexes[key] = {}
-            self._unbuilt.append((kind, key))
+            self._unbuilt[(kind, key)] = {}
         if (kind, key) in self._unbuilt:
-            self._planned_for[plan_for] = None
+            self._unbuilt[(kind, key)][plan_for] = None
         return index
 
     @property
+    def level(self) -> int:
+        """The lowest level of the indexes still unbuilt (0 if none)."""
+        return min(map(_level, self._unbuilt), default=0)
+
+    def _planned(self) -> list[tuple[str, object]]:
+        """The indexes still unbuilt at the lowest level, in planning order:
+        those the next ``index_slice`` fills."""
+        level = self.level
+        return [planned for planned in self._unbuilt if _level(planned) == level]
+
+    @property
     def planned_for(self) -> str:
-        """What the indexes still unbuilt were planned for."""
-        return ", ".join(self._planned_for)
+        """What the indexes the next ``index_slice`` fills were planned for."""
+        return ", ".join(dict.fromkeys(name for planned in self._planned()
+                                       for name in self._unbuilt[planned]))
 
     def index_slice(self, span: tuple[int, int, int]) -> None:
-        """Fill every planned index still unbuilt, emptied first, from the
-        data rows of ``span`` (one of ``spans``) alone: the first slice's
-        part of each index, or in a forked worker the partial indexes of its
-        slice, which ``merge_indexes`` joins onto the first slice's. One
-        pass numbers rows from the span's first, types each row once and
-        checks the key columns the indexes rely on: the primary key for
-        covering indexes, the order columns for run indexes. A failed pass
-        names what the indexes were planned for."""
+        """Fill every planned index still unbuilt at the lowest level,
+        emptied first, from the data rows of ``span`` (one of ``spans``)
+        alone: the first slice's part of each index, or in a forked worker
+        the partial indexes of its slice, which ``merge_indexes`` joins onto
+        the first slice's. One pass numbers rows from the span's first,
+        types each row once and checks the key columns the indexes rely on:
+        the primary key for covering indexes, the order columns for run and
+        text indexes. A text index takes the groups whose first row lies in
+        the span, whole: it reads on past the span's end while its last
+        group goes on, and passes over the rows at its start that continue
+        the row before it. Each group's text is appended to the spill, or
+        to ``texts_to`` (a descriptor) when that is set. A failed pass names
+        what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
-        fills = []
-        for kind, key in self._unbuilt:
+        fills, texts = [], []
+        for kind, key in self._planned():
             if kind == "ids":
                 pk = self.table.primary_key().columns
                 required.update(dict.fromkeys(pk))
@@ -398,31 +605,87 @@ class _TableFile:
                     joined = [c for c in pk
                               if self.types[self.columns.index(c)] is str]
                 fills.append(self._ids_fill(key))
-            else:
+            elif kind == "runs":
                 required.update(dict.fromkeys(key[1]))
-                fills.append(self._runs_fill(*key))
-        if required:
-            fills.insert(0, self._key_check(tuple(required), joined))
-        with open(self.path, "rb") as handle:
+                fills.append(self._runs_fill(self._runs[key], key[0]))
+            else:
+                required.update(dict.fromkeys(key.order))
+                texts.append(key)
+        check = self._key_check(tuple(required), joined) if required else None
+        offset, first, count = span
+        with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
-                for n, start, row in self.rows(handle, *span):
+                groupers, read = [], count
+                if texts:
+                    out = stack.enter_context(open(
+                        texts[0].spill.fileno() if self.texts_to is None
+                        else self.texts_to, "ab", closefd=False))
+                    before = self._row_before(handle, offset, first)
+                    groupers = [_Grouper(t, out, before) for t in texts]
+                    read = self.row_count - first  # on past the span
+                rows = self.rows(handle, offset, first, read)
+                for n, start, row in islice(rows, count):
+                    if check:
+                        check(row, n, start)
                     for fill in fills:
                         fill(row, n, start)
+                    for grouper in groupers:
+                        grouper.add(row, n, start)
+                going = [grouper for grouper in groupers if grouper.group]
+                for n, start, row in rows if going else ():
+                    if check:
+                        check(row, n, start)
+                    if not (going := [g for g in going if g.extend(row, n)]):
+                        break
+                for grouper in groupers:
+                    grouper.close()
             except SourceError as exc:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
 
-    def merge_indexes(self, later: list[bytes]) -> None:
-        """Finish every planned index still unbuilt: join onto the first
-        slice's part of it (``index_slice``) those of the later slices, each
+    def _row_before(self, handle: BinaryIO, offset: int,
+                    first: int) -> list | None:
+        """Typed data row ``first - 1``, whose line ends at byte ``offset``
+        of ``handle``, or None for the first row."""
+        if not first:
+            return None
+        size = 256
+        while True:  # the header's line feed comes before it
+            start = max(0, offset - 1 - size)
+            handle.seek(start)
+            chunk = handle.read(offset - start)
+            if (cut := chunk.rfind(b"\n", 0, -1)) >= 0:
+                line = chunk[cut + 1:].decode()
+                return self.typed(next(csv.reader([line])), first - 1)
+            size *= 4
+
+    def merge_indexes(self, later: list[bytes], shifts: list[int] = ()) -> None:
+        """Finish every planned index that ``index_slice`` fills: join onto
+        the first slice's part of it those of the later slices, each
         slice's partial indexes as ``encode_slice`` encoded them, in slice
         order. A key's run triples are concatenated, a run that continues
         across a cut becoming one; its identifier lists are concatenated,
         then sorted in primary key order and, for a composite key,
-        ``#``-joined. The result is the index one slice over the whole file
-        gives."""
+        ``#``-joined; text entries are added, their offsets moved by the
+        slice's ``shifts`` entry (where its texts now lie in the spill). The
+        result is the index one slice over the whole file gives. A text
+        index whose key has more than one group, within a slice or across
+        slices, gets the file's run index on its key instead (``_Texts.runs``),
+        from the runs of its groups, as the slices found them."""
         slices = [marshal.loads(data) for data in later]
-        for p, (kind, key) in enumerate(self._unbuilt):
+        for p, (kind, key) in enumerate(self._planned()):
+            if kind == "texts":
+                first, repeated = len(key.index), key.repeats is not None
+                runs = []  # each later slice's keys, first entry, repeats
+                for (keys, entries, repeats), shift in zip(
+                        (parts[p] for parts in slices), shifts, strict=True):
+                    runs.append((keys, len(key.entries) // _ENTRY, repeats))
+                    repeated = (key.add(keys, entries, shift) or repeated
+                                or repeats is not None)
+                if repeated:  # the first slice's keys come first in the index
+                    key.runs_from([(list(islice(key.index, first)), 0,
+                                    key.repeats)] + runs)
+                continue
             if kind == "runs":
                 index = self._runs[key]
                 for keys, lengths, flat in (parts[p] for parts in slices):
@@ -453,29 +716,40 @@ class _TableFile:
                 pks.sort()  # as key tuples: (1, 9) before (1, 10)
                 if composite:
                     pks[:] = map(record_id, pks)
-        self._unbuilt.clear()
-        self._planned_for = {}
+        for planned in self._planned():
+            del self._unbuilt[planned]
 
     def encode_slice(self) -> bytes:
-        """The planned indexes still unbuilt, as ``index_slice`` filled them
+        """The planned indexes that ``index_slice`` fills, as it filled them
         from one slice, in a flat ``marshal`` encoding: a run index as its
         keys, the length of each key's triples and all triples, the last two
-        as ``array`` bytes; an id index as it is."""
+        as ``array`` bytes; a text index as its keys, its entries as
+        ``array`` bytes, and the runs of the groups after a key's first
+        repeat; an id index as it is."""
         flat: list[object] = []
-        for kind, key in self._unbuilt:
+        for kind, key in self._planned():
             if kind == "ids":
                 flat.append(self._id_indexes[key])
-                continue
-            runs = self._runs[key]
-            flat.append((list(runs), array("q", map(len, runs.values())).tobytes(),
-                         b"".join(map(array.tobytes, runs.values()))))
+            elif kind == "texts":
+                flat.append((list(key.index), key.entries.tobytes(),
+                             key.repeats and {k: runs.tobytes() for k, runs
+                                              in key.repeats.items()}))
+            else:
+                runs = self._runs[key]
+                flat.append((list(runs),
+                             array("q", map(len, runs.values())).tobytes(),
+                             b"".join(map(array.tobytes, runs.values()))))
         return marshal.dumps(flat)
 
     def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
         """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
         value of ``joined`` (text components of ``#``-joined identifiers),
         naming the row."""
-        values_of, texts_of = self.getter(columns), self.getter(joined)
+        positions = [self.columns.index(c) for c in columns]
+        # a list slice of one column, as C does it, else a tuple
+        values_of = itemgetter(*positions) if len(positions) > 1 else \
+            itemgetter(slice(positions[0], positions[0] + 1))
+        texts_of = self.getter(joined)
 
         def check(row: list, n: int, offset: int) -> None:
             if None in (values := values_of(row)):
@@ -490,8 +764,8 @@ class _TableFile:
 
         return check
 
-    def _runs_fill(self, columns: tuple[str, ...], order: tuple[str, ...]) -> _Fill:
-        index, key_of = self._runs[(columns, order)], self.getter(columns)
+    def _runs_fill(self, index: _Runs, columns: tuple[str, ...]) -> _Fill:
+        key_of = self.getter(columns)
         index.clear()  # a failed earlier pass may have left part of it
         last: tuple | None = None
         runs = array("q")
@@ -577,6 +851,8 @@ class SourceSession:
         self.peak_live_records = 0
         self.records_read = 0
         self._files: dict[str, _TableFile] = {}
+        self.spill_dir: Path | None = None
+        self._spill: BinaryIO | None = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -677,11 +953,23 @@ class SourceSession:
         return [file for file in self._files.values() if file._unbuilt]
 
     def build_indexes(self) -> None:
-        """Fill every planned index, one pass per file over all its rows as
-        one slice; a file with nothing planned is not read."""
-        for file in self.indexed_files():
-            file.index_slice(file.spans(1)[0])
-            file.merge_indexes([])
+        """Fill every planned index, level by level, one pass per file and
+        level over all its rows as one slice; a file with nothing planned is
+        not read."""
+        while files := self.indexed_files():
+            level = min(file.level for file in files)
+            for file in files:
+                if file.level == level:
+                    file.index_slice(file.spans(1)[0])
+                    file.merge_indexes([])
+
+    def spill(self) -> BinaryIO:
+        """The unnamed file that holds every text index's texts, made on
+        first use in ``spill_dir`` (the system's temporary directory when
+        None) and closed with the session."""
+        if self._spill is None:
+            self._spill = tempfile.TemporaryFile(dir=self.spill_dir)
+        return self._spill
 
     def close_handles(self) -> None:
         """Close every table's read handle; the next read reopens it."""
@@ -692,6 +980,9 @@ class SourceSession:
         self.open = False
         self.live_records = 0
         self.close_handles()
+        if self._spill is not None:
+            self._spill.close()
+            self._spill = None
 
 
 def _fk(table: Table, fk_name: str | None) -> FKey:

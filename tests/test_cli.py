@@ -25,6 +25,17 @@ def test_inject_writes_model_file(tmp_path):
     assert data["model"]["name"] == "music_streaming"
 
 
+def test_python_m_unimig_runs_the_cli(tmp_path):
+    src = str(Path(unimig.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "unimig", "inject", MUSIC_SQL],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert data["kind"] == "relational"
+    assert data["model"]["name"] == "music_streaming"
+
+
 def test_inject_emit_ddl_round_trip(tmp_path, music_schema):
     model = tmp_path / "rel.model.json"
     ddl = tmp_path / "schema.sql"
@@ -287,7 +298,8 @@ def test_model_files_report_non_utf8_input(tmp_path, capsys, bad, argv):
      '"columns": [{"name": "q", "type": "INT"}], "fkeys": [{"name": "f", '
      '"columns": ["q"], "refTable": "zz", "refColumns": ["q"]}]}]}}',
      ["emit-ddl", "{bad}"],
-     "invalid relational schema: schema 'm' has no table 'zz'"),
+     "invalid relational schema: foreign key t.f references unknown table "
+     "'zz'"),
     ('{"kind": "relational", "model": {"name": "m", "tables": [{"name": "t", '
      '"columns": [{"name": "c", "type": "INT"}, {"name": "c", "type": "INT"}]}]}}',
      ["emit-ddl", "{bad}"], "invalid relational schema: duplicate column t.c"),
@@ -301,11 +313,16 @@ def test_model_files_report_non_utf8_input(tmp_path, capsys, bad, argv):
      ["diff", "{bad}", "{bad}"],
      "invalid document schema: reference a.r targets unknown document type "
      "'nope'"),
+    ('{"kind": "relational"}', ["emit-ddl", "{bad}"],
+     'relational model JSON has no "model" key'),
+    ('{"kind": "uschema"}', ["emit-athena", "{bad}"],
+     'pivot model JSON has no "model" key'),
 ], ids=["syntax", "relational-name", "relational-is-pk", "uschema-list",
         "trace-link", "docschema-document", "docschema-documents",
         "docschema-property", "docschema-document-name",
         "relational-dangling-key", "relational-duplicate-column",
-        "uschema-reference", "docschema-reference"])
+        "uschema-reference", "docschema-reference", "relational-no-model",
+        "uschema-no-model"])
 def test_malformed_json_inputs_report_an_error(tmp_path, capsys, text, argv,
                                                message):
     bad = tmp_path / "bad.json"

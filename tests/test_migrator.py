@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from util import FIXTURES
+
 import unimig.migrator
 import unimig.source
 import unimig.trace
@@ -256,6 +258,88 @@ def test_bad_cell_of_nested_child_names_child_file(mini, tmp_path):
 def test_family_memory_stays_bounded(mini, tmp_path):
     report, session = run_migration(mini, tmp_path / "out")
     assert session.peak_live_records <= 16
+
+
+def test_clustered_child_rows_typed_once(mini, tmp_path, monkeypatch):
+    # each child row is typed in the pass that builds its group's text,
+    # which the parent's document then copies; the group is not read again
+    typed = unimig.source._TableFile.typed
+    seen = []
+
+    def counted(self, row, n):
+        seen.append((self.path.name, n))
+        return typed(self, row, n)
+
+    monkeypatch.setattr(unimig.source._TableFile, "typed", counted)
+    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)  # one slice
+    report, session = run_migration(mini, tmp_path / "out")
+    assert report.per_entity["app_user"].rows_read == 2 + 2 + 3 + 3
+    for name in ("playlist.csv", "playlist_song.csv", "most_recent_song.csv"):
+        rows = [n for file, n in seen if file == name]
+        assert sorted(rows) == list(range(session.file_for(
+            name.removesuffix(".csv")).row_count))
+
+
+def test_target_holds_only_collections_and_manifest(mini, tmp_path,
+                                                    monkeypatch):
+    # the group texts are spilled to a file with no directory entry
+    write_collections = unimig.migrator._write_collections
+    spills = []
+
+    def before_writes(source, collections, k, target_dir):
+        spills.append((source._spill, sorted(target_dir.iterdir())))
+        write_collections(source, collections, k, target_dir)
+
+    monkeypatch.setattr(unimig.migrator, "_write_collections", before_writes)
+    out = tmp_path / "out"
+    run_migration(mini, out)
+    [(spill, listed)] = spills
+    assert spill is not None and listed == []
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{te.name}.jsonl" for te in mini["step2"].target.documents]
+        + ["manifest.json"])
+
+
+def test_flat_collections_index_in_one_phase(tmp_path, monkeypatch):
+    # Northwind embeds nothing: its id indexes are all of level 0, built in
+    # one phase, and no spill file is made
+    build_indexes = unimig.migrator._build_indexes
+    phases = []
+
+    def counted(source, files, *args):
+        phases.append(len(files))
+        build_indexes(source, files, *args)
+
+    monkeypatch.setattr(unimig.migrator, "_build_indexes", counted)
+    root = FIXTURES / "northwind" / "data_1x"
+    schema = parse_ddl((root / "schema.sql").read_text())
+    step1 = rel_to_uschema(schema)
+    step2 = uschema_to_document(step1.target)
+    session = open_source(root, schema, step1.trace)
+    migrate(step2.target, step2.trace, session, tmp_path / "out")
+    assert len(phases) == 1 and phases[0] > 1
+    assert session._spill is None
+
+
+def test_index_levels_fail_deepest_first(mini, tmp_path):
+    # playlist's texts embed playlist_song's, whose references read song's
+    # id index: song (level 0) is indexed before playlist (level 2), so its
+    # failure is the one reported, although playlist comes first in schema
+    # order
+    broken_root = tmp_path / "broken"
+    shutil.copytree(mini["root"], broken_root)
+    for table, row, line in (("playlist", 1, ",u001,indi90s,2026-08-26"),
+                             ("song", 2, "s007,Lucky,x,Radiohead,77")):
+        lines = (broken_root / f"{table}.csv").read_text().splitlines()
+        lines[row] = line
+        (broken_root / f"{table}.csv").write_text("\n".join(lines) + "\n")
+    session = open_source(broken_root, mini["schema"], mini["step1"].trace)
+    with pytest.raises(MigrationError,
+                       match=r"^while indexing for collection 'app_user': "
+                             r"song\.csv \(row 2\), column 'duration'"):
+        migrate(mini["step2"].target, mini["step2"].trace, session,
+                tmp_path / "out")
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_s_scale_memory_bound(s_migration):
@@ -512,7 +596,7 @@ def test_traces_resolved_per_collection_not_per_row(mini, tmp_path,
 
 
 def test_indexes_built_per_file_not_per_row(mini, tmp_path, monkeypatch):
-    # embedded groups read the run index resolved at compile time
+    # embedded groups read the index planned at compile time
     repeated = _repeated(mini, tmp_path / "repeated")
     index_slice = unimig.source._TableFile.index_slice
     counts = []  # index passes by file, one dict per dataset

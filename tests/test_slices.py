@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import random
 import shutil
 import threading
 import time
@@ -23,7 +24,7 @@ import unimig.migrator
 from unimig.errors import MigrationError, SourceError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
-from unimig.source import SourceSession, _TableFile, open_source
+from unimig.source import _ENTRY, SourceSession, _TableFile, open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.transforms.us_to_doc import uschema_to_document
 
@@ -212,15 +213,98 @@ def _sparse_mini(root: Path) -> Path:
     return root
 
 
-@pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind"])
+def _shuffled(root: Path) -> Path:
+    """``_straddling`` with child.csv's rows in a fixed random order: a
+    parent's children lie in several runs, within a slice and across."""
+    _straddling(root)
+    path = root / "child.csv"
+    header, *lines = path.read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    path.write_text(header + "".join(lines))
+    return root
+
+
+def _orphans(root: Path) -> Path:
+    """Child rows of parents 8 and 9, which do not exist, among those of
+    parents 1 to 3: one holds a NULL, one a NULL and '#' in a text
+    component of the key its document would carry."""
+    root.mkdir()
+    (root / "schema.sql").write_text(
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (parent_id INT, a VARCHAR(9), b VARCHAR(9),"
+        " w VARCHAR(9), PRIMARY KEY (parent_id, a, b),"
+        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    (root / "parent.csv").write_text("id\n1\n2\n3\n")
+    (root / "child.csv").write_text(
+        "parent_id,a,b,w\n1,x,1,p\n1,y,1,\n8,v,1,\n2,z,1,s\n9,q#r,1,\n"
+        "9,t,1,u\n3,x,2,\n")
+    return root
+
+
+@pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling",
+                                     "shuffled", "orphans"])
 def test_output_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
     root = {"mini": FIXTURES / "music_streaming" / "mini_data",
             "northwind": FIXTURES / "northwind" / "data_1x"}.get(dataset)
-    root = root or _sparse_mini(tmp_path / "sparse")
+    if root is None:
+        root = {"sparse": _sparse_mini, "straddling": _straddling,
+                "shuffled": _shuffled, "orphans": _orphans}[dataset](
+            tmp_path / dataset)
     serial, error = _run(root, tmp_path / "out1", 1, monkeypatch)
     assert error is None and "manifest.json" in serial
     for k in (2, 3):
         assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == (serial, None)
+    if dataset == "orphans":
+        # the orphans are neither embedded nor counted, and the '#' in
+        # one's key fails nothing
+        assert serial["parent.jsonl"] == (
+            b'{"id":1,"childs":[{"a":"x","b":"1","w":"p","_id":"1#x#1"},'
+            b'{"a":"y","b":"1","_id":"1#y#1"}]}\n'
+            b'{"id":2,"childs":[{"a":"z","b":"1","w":"s","_id":"2#z#1"}]}\n'
+            b'{"id":3,"childs":[{"a":"x","b":"2","_id":"3#x#2"}]}\n')
+        counts = serial["manifest.json"]["report"]["perEntity"]["parent"]
+        assert (counts["rowsRead"], counts["nullsOmitted"]) == (7, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([None, 1, 2, 3, 4, 5]), _TEXT),
+                max_size=14),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example([(2, "a")] * 6 + [(1, "b")], "\n", True)  # a group across cuts
+@example([(1, "a"), (2, "b"), (1, "c")], "\n", False)  # not clustered
+def test_groups_identical_for_any_slice_count(tmp_path_factory, children,
+                                              line_end, last_line_end):
+    # parents 1 to 4 embed their child rows, in pos order; 5 is an orphan,
+    # and a NULL parent_id joins nothing
+    root = tmp_path_factory.mktemp("groups")
+    (root / "schema.sql").write_text(
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (parent_id INT, pos INT, s VARCHAR(99),"
+        " PRIMARY KEY (parent_id, pos),"
+        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    (root / "parent.csv").write_text("id\n1\n2\n3\n4\n")
+    with open(root / "child.csv", "w", newline="", encoding="utf-8") as handle:
+        out = csv.writer(handle, lineterminator=line_end)
+        out.writerow(["parent_id", "pos", "s"])
+        # pos descends, so that every group of several rows is sorted
+        out.writerows([parent, len(children) - n, text]
+                      for n, (parent, text) in enumerate(children))
+    if not last_line_end:
+        path = root / "child.csv"
+        path.write_bytes(path.read_bytes()[:-len(line_end)])
+    runs = []
+    for k in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            runs.append(_run(root, root / f"out{k}", k, patch))
+    assert runs[1:] == runs[:1] * 2
+    files, error = runs[0]
+    assert error is None
+    expected = {p: sorted((len(children) - n, text)
+                          for n, (parent, text) in enumerate(children)
+                          if parent == p) for p in range(1, 5)}
+    got = {doc["id"]: [(c["pos"], c.get("s", "")) for c in doc["childs"]]
+           for doc in map(json.loads, files["parent.jsonl"].splitlines())}
+    assert got == expected
 
 
 def test_one_slice_forks_nothing(tmp_path, monkeypatch):
@@ -346,13 +430,22 @@ def test_interrupted_parent_reaps_its_workers(tmp_path, monkeypatch):
 # --- the index pass in slices -----------------------------------------------------
 
 def _indexes(session: SourceSession) -> dict:
-    """Every built index of the session: run triples as lists."""
+    """Every built index of the session: run triples as lists, a text
+    index's record lengths (its spill offsets depend on the order in which
+    slices were appended), or its run triples when its file is not
+    clustered by its key."""
     built = {}
     for name, file in session._files.items():
         for key, runs in file._runs.items():
             built[name, "runs", key] = {k: list(t) for k, t in runs.items()}
         for key, ids in file._id_indexes.items():
             built[name, "ids", key] = ids
+        for texts in file._texts:
+            lengths = texts.entries[1::_ENTRY]
+            built[name, "texts", (texts.columns, texts.order)] = (
+                {k: list(t) for k, t in texts.runs.items()}
+                if texts.runs is not None else
+                {k: lengths[p] for k, p in texts.index.items()})
     return built
 
 
@@ -371,13 +464,14 @@ def _straddling(root: Path) -> Path:
     return root
 
 
-@pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling"])
+@pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling",
+                                     "shuffled"])
 def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
     root = {"mini": FIXTURES / "music_streaming" / "mini_data",
             "northwind": FIXTURES / "northwind" / "data_1x"}.get(dataset)
     if root is None:
-        root = (_sparse_mini if dataset == "sparse" else _straddling)(
-            tmp_path / dataset)
+        root = {"sparse": _sparse_mini, "straddling": _straddling,
+                "shuffled": _shuffled}[dataset](tmp_path / dataset)
     session, error = _migrate(root, tmp_path / "out1", 1, monkeypatch)
     serial = _indexes(session)
     assert error is None and serial
@@ -388,9 +482,16 @@ def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
             child = session.file_for("child")
             assert any(2 < first < 18 for _, first, _ in child.spans(k))
     if dataset == "straddling":
-        # one run per parent, the straddling one a single triple
-        assert serial["child", "runs", (("parent_id",), ("pos",))] == {
-            (1,): [14, 0, 2], (2,): [22, 2, 16], (3,): [94, 18, 2]}
+        # one text per parent, the straddling one built whole: a 48-byte
+        # header, then '[{"pos":0},{"pos":1}]', ... '[{"pos":18},{"pos":19}]'
+        assert serial["child", "texts", (("parent_id",), ("pos",))] == {
+            (1,): 48 + 21, (2,): 48 + 169, (3,): 48 + 23}
+    if dataset == "shuffled":
+        # not clustered by parent: the run index, rows counted by key
+        runs = serial["child", "texts", (("parent_id",), ("pos",))]
+        assert {key: sum(triples[2::3]) for key, triples in runs.items()} == {
+            (1,): 2, (2,): 16, (3,): 2}
+        assert max(map(len, runs.values())) > 3  # a key in several runs
 
 
 # b is embedded in a (a run index on b.a_id, ordered by pos); a's rows
@@ -425,7 +526,7 @@ def test_indexed_dataset_plans_both_index_kinds(tmp_path, monkeypatch):
                               tmp_path / "out", 2, monkeypatch)
     assert error is None
     assert list(_indexes(session)) == [
-        ("b", "runs", (("a_id",), ("pos",))), ("c", "ids", ("a_id",))]
+        ("b", "texts", (("a_id",), ("pos",))), ("c", "ids", ("a_id",))]
     assert session.file_for("c")._id_indexes["a_id",][(3,)] == ["x3#y3"]
 
 
