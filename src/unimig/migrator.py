@@ -149,8 +149,8 @@ class MigrationReport:
 # ``nullsOmitted`` (``_COUNT``), left out (``_SKIP``) or a key's failure
 # message. A build function runs them over typed row ``n`` of its file.
 _Encode = Callable[[object], str]
-_Prop = tuple[str, Callable[[list], object], _Encode, bool | str]
-_Build = Callable[[list, int], str]
+_Prop = tuple[str, Callable[[tuple], object], _Encode, bool | str]
+_Build = Callable[[tuple, int], str]
 _COUNT, _SKIP = True, False
 
 #: JSON text of a value by its type, as ``json.dumps`` writes it; a
@@ -174,7 +174,7 @@ class _BadKey(MigrationError):
 
 
 def _id_of(file: _TableFile, columns: list[str],
-           text: bool = False) -> tuple[Callable[[list], object], _Encode]:
+           text: bool = False) -> tuple[Callable[[tuple], object], _Encode]:
     """Function from a typed row to the identifier its values in
     ``columns`` form, as ``record_id`` does or, with ``text``, always as
     ``#``-joined text (None when one of the values is NULL), failing on a
@@ -185,7 +185,7 @@ def _id_of(file: _TableFile, columns: list[str],
     get = file.getter(columns)
     check = len(columns) > 1 and str in get(file.types)  # a text component
 
-    def id_of(row: list) -> str | None:
+    def id_of(row: tuple) -> str | None:
         if None in (values := get(row)):
             return None
         joined = KEY_SEPARATOR.join(map(fmt_id, values))
@@ -281,7 +281,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
                           str, _SKIP))
             level = max(level, child_level + 1)
 
-    def build(row: list, n: int) -> str:
+    def build(row: tuple, n: int) -> str:
         out: list[str] = []
         try:
             for prefix, value_of, encode, absent in steps:
@@ -299,8 +299,8 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
 
 
 def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
-          probe_of: Callable[[list], tuple],
-          stats: EntityStats) -> tuple[Callable[[list], object], _Encode]:
+          probe_of: Callable[[tuple], tuple],
+          stats: EntityStats) -> tuple[Callable[[tuple], object], _Encode]:
     """A reference's value function and encoder: the identifiers that
     ``index``, a covering index of ``target``, holds for the row's probe, as
     an array, or for a forward reference the first, None when there is none
@@ -310,7 +310,7 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
         return (lambda row: index.get(probe_of(row), ()),  # NULL joins nothing
                 lambda ids: "[" + ",".join(map(encode, ids)) + "]")
 
-    def first_id(row: list) -> object:
+    def first_id(row: tuple) -> object:
         if ids := index.get(probe := probe_of(row)):
             return ids[0]
         if None in probe:
@@ -329,7 +329,7 @@ def _group_text(many: bool, build: _Build, child: EntityStats,
     a one-object aggregate, which is not built over several rows), and its
     counters: its rows, then the rows, NULLs and dangling references that
     building it added to ``child``, its nested groups' included."""
-    def text_of(group: list[tuple[int, list]]) -> tuple[str, int, int, int, int]:
+    def text_of(group: list[tuple[int, tuple]]) -> tuple[str, int, int, int, int]:
         if not many and len(group) > 1:
             return "", len(group), 0, 0, 0  # embedding it fails
         session.peak_live_records = max(session.peak_live_records, len(group))
@@ -344,13 +344,13 @@ def _group_text(many: bool, build: _Build, child: EntityStats,
 
 
 def _embedded(many: bool, link: _Link, texts: _Texts,
-              probe_of: Callable[[list], tuple], stats: EntityStats,
+              probe_of: Callable[[tuple], tuple], stats: EntityStats,
               label: str) -> Callable:
     """The JSON text of the child rows reached from a row, copied from text
     index ``texts`` (or for a file not clustered by the key read through
     its run index and built here), adding its counters to ``stats``: None
     for a one-object aggregate with no child, a failure with several."""
-    def embedded(row: list) -> str | None:
+    def embedded(row: tuple) -> str | None:
         probe = probe_of(row)
         if texts.runs is None:
             found = texts.text(probe)
@@ -398,22 +398,23 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     """Write the documents of row slice ``i`` of ``c`` to ``out``, adding
     to its stats; the parent and every worker run this."""
     started = time.monotonic()
-    read_before, rows_before = source.records_read, c.stats.rows_read
+    docs_before, rows_before = c.stats.docs_written, c.stats.rows_read
     file = c.file
     try:
         with open(file.path, "rb") as handle:
             for n, _, row in file.rows(handle, *c.spans[i]):
-                source._records_born(1)
                 c.stats.docs_written += write_batch(out, [c.build(row, n)])
-                source._records_released(1)
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc
-    # the session counted the documents' rows, the embedded steps the rows
-    # of the groups they copied
-    embedded = c.stats.rows_read - rows_before
-    c.stats.rows_read += source.records_read - read_before
-    source.records_read += embedded
+    # each document read its own row, held alone, and the embedded steps
+    # counted the rows of the groups they copied
+    written = c.stats.docs_written - docs_before
+    source.records_read += written + c.stats.rows_read - rows_before
+    c.stats.rows_read += written
+    if written:
+        source.peak_live_records = max(source.peak_live_records,
+                                       source.live_records + 1)
     c.stats.elapsed_ms += (time.monotonic() - started) * 1000.0
 
 

@@ -263,14 +263,14 @@ def test_family_memory_stays_bounded(mini, tmp_path):
 def test_clustered_child_rows_typed_once(mini, tmp_path, monkeypatch):
     # each child row is typed in the pass that builds its group's text,
     # which the parent's document then copies; the group is not read again
-    typed = unimig.source._TableFile.typed
+    typed_block = unimig.source._TableFile.typed_block
     seen = []
 
-    def counted(self, row, n):
-        seen.append((self.path.name, n))
-        return typed(self, row, n)
+    def counted(self, lines, numbers):
+        seen.extend((self.path.name, n) for n in numbers)
+        return typed_block(self, lines, numbers)
 
-    monkeypatch.setattr(unimig.source._TableFile, "typed", counted)
+    monkeypatch.setattr(unimig.source._TableFile, "typed_block", counted)
     monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)  # one slice
     report, session = run_migration(mini, tmp_path / "out")
     assert report.per_entity["app_user"].rows_read == 2 + 2 + 3 + 3

@@ -153,7 +153,8 @@ def test_cut_inside_a_multibyte_character(tmp_path):
     file = _table_file(tmp_path, ["\U0001f600" * 6, "é,中"])
     spans = _check_spans(file, 2)
     assert spans[1][1] == 1
-    assert _read(file, spans[1]) == [(1, [1, "é,中"])]
+    assert [(n, list(row)) for n, row in _read(file, spans[1])] == [
+        (1, [1, "é,中"])]
 
 
 def test_more_slices_than_rows(tmp_path):
@@ -562,6 +563,19 @@ def test_index_failure_ends_as_serial_run(tmp_path, monkeypatch, bad, message):
                      for table, row in bad]
         assert in_worker == [True, False][:len(bad)]
         assert _run(root, tmp_path / f"out{k}b", k, monkeypatch) == serial
+
+
+def test_null_key_before_a_bad_cell_of_the_same_block(tmp_path, monkeypatch):
+    # rows 5 and 10 are typed in one block: its bad cell sends the block
+    # back to typing row by row, as the rows are taken, so the index pass
+    # checks row 5's key before row 10 is typed
+    root = _indexed_dataset(tmp_path / "data", {("c", 5): ",y5,5",
+                                                ("c", 10): "x10,y10,q"})
+    serial = _run(root, tmp_path / "out1", 1, monkeypatch)
+    assert serial == ({}, _INDEXING + "c.csv (row 5), column 'x': NULL key "
+                      "value for c.x")
+    for k in (2, 3):
+        assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == serial
 
 
 def test_each_slice_runs_on_its_own_cpu(tmp_path, monkeypatch):

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from util import scan_filter
 
 from unimig.cli import dispatch
 from unimig.errors import SourceError
 from unimig.relational.ddl import parse_ddl
-from unimig.source import open_source, read_entity_all, record_id
+from unimig.source import _TableFile, open_source, read_entity_all, record_id
 from unimig.trace import REF_FORWARD, REF_REVERSE, id_segments
 from unimig.transforms.rel_to_us import rel_to_uschema
 
@@ -374,6 +378,70 @@ def test_integers_checked_against_declared_range(tmp_path):
                                           r"-32769 is out of SMALLINT range"):
         cursor.advance()
     session.close()
+
+
+# --- typing a block of rows a column at a time ------------------------------------
+
+#: One column of each kind the reader types, and cells each reads as a value.
+_KINDS = {"SMALLINT": ["0", "-7", "32767", "-32768", ""],
+          "INT": ["42", "-2147483648", "2147483647", ""],
+          "BIGINT": ["3", "9223372036854775807", "-9223372036854775808", ""],
+          "REAL": ["0", "1.5", "-2.25", ""],
+          "DOUBLE": ["3", "1e5", "-0.125", ""],
+          "DECIMAL(9,2)": ["12.50", "-1", ""],
+          "BOOLEAN": ["true", "f", "1", "no", ""],
+          "VARCHAR(9)": ["a", "x y", "#", ""]}
+#: Cells that some reading of a number or boolean accepts and SQL loaders
+#: may not, or that lie just inside or outside a type's range.
+_ADVERSARIAL = ["+5", "-0", "007", "1_0", " 5", "\u0665", "1e999", "-1e999",
+                "inf", "nan", ".5", "5.", "e", "-", "+", "1-2", "TRUE",
+                " yes ", "", "32768", "-32769", "2147483648", "-2147483649",
+                "9223372036854775808", "-9223372036854775809",
+                "1.7976931348623157e308"]
+
+
+@pytest.fixture(scope="module")
+def kinds_file(tmp_path_factory):
+    columns = [f"c{p}" for p in range(len(_KINDS))]
+    table = parse_ddl("CREATE TABLE k (" + ", ".join(
+        f"{c} {kind}" for c, kind in zip(columns, _KINDS)) + ");").table("k")
+    path = tmp_path_factory.mktemp("kinds") / "k.csv"
+    path.write_text(",".join(columns) + "\n")
+    return _TableFile(table, path)
+
+
+def _taken(rows) -> tuple[list[str], str | None]:
+    """The rows taken, each as its ``repr`` (1, 1.0 and True differ), and
+    the message of the error that ended them, if one did."""
+    taken = []
+    try:
+        for row in rows:
+            taken.append(repr(row))
+    except SourceError as exc:
+        return taken, str(exc)
+    return taken, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*map(st.sampled_from, _KINDS.values())),
+                min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, len(_KINDS) - 1),
+                          st.sampled_from(_ADVERSARIAL)), max_size=3),
+       st.integers(0, 10**6))
+@example([("0", "42", "3", "0", "3", "12.50", "TRUE", "a")], [], 0)
+@example([("", "", "", "", "", "", "", "")] * 2, [(1, 0, "1_0")], 9)
+def test_block_typed_as_row_by_row(kinds_file, rows, planted, first):
+    # a block typed by column kernels gives the values typing each row
+    # gives, or its first error, at the same row, column and message
+    cells = [list(row) for row in rows]
+    for row, column, cell in planted:
+        cells[row % len(cells)][column] = cell
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(cells)
+    lines = text.getvalue().encode().splitlines(keepends=True)
+    numbers = range(first, first + len(cells))
+    expected = _taken(map(kinds_file.typed, cells, numbers))
+    assert _taken(kinds_file.typed_block(lines, numbers)) == expected
 
 
 def test_null_key_joins_nothing(tmp_path):
