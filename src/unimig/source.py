@@ -196,11 +196,14 @@ def _finite_float(text: str) -> float:
 
 # The column kernels accept only cells their converter above accepts, with
 # the same values: ASCII digits and signs (and a point and exponent for a
-# float), which holds no ``_`` or whitespace, or a boolean word as written
-# in ``_TRUE`` or ``_FALSE``. Each call in them runs in C over the column.
+# float), which holds no ``_`` or whitespace, or a boolean word of ``_TRUE``
+# or ``_FALSE`` in lower case, capitals or title case, as exports write
+# them. Each call in them runs in C over the column.
 _INT_TEXT = re.compile(r"[0-9+-]*").fullmatch
 _FLOAT_TEXT = re.compile(r"[0-9+.eE-]*").fullmatch
-_BOOLS = dict.fromkeys(_TRUE, True) | dict.fromkeys(_FALSE, False) | {"": None}
+_BOOLS = {spelling: value for words, value in ((_TRUE, True), (_FALSE, False))
+          for word in words
+          for spelling in (word, word.upper(), word.title())} | {"": None}
 _NULL = {"": None}
 
 

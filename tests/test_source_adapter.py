@@ -389,15 +389,15 @@ _KINDS = {"SMALLINT": ["0", "-7", "32767", "-32768", ""],
           "REAL": ["0", "1.5", "-2.25", ""],
           "DOUBLE": ["3", "1e5", "-0.125", ""],
           "DECIMAL(9,2)": ["12.50", "-1", ""],
-          "BOOLEAN": ["true", "f", "1", "no", ""],
+          "BOOLEAN": ["true", "f", "1", "no", "", "True", "FALSE", "T", "Yes"],
           "VARCHAR(9)": ["a", "x y", "#", ""]}
 #: Cells that some reading of a number or boolean accepts and SQL loaders
 #: may not, or that lie just inside or outside a type's range.
 _ADVERSARIAL = ["+5", "-0", "007", "1_0", " 5", "\u0665", "1e999", "-1e999",
                 "inf", "nan", ".5", "5.", "e", "-", "+", "1-2", "TRUE",
-                " yes ", "", "32768", "-32769", "2147483648", "-2147483649",
-                "9223372036854775808", "-9223372036854775809",
-                "1.7976931348623157e308"]
+                "True", "F", "No", "tRuE", " yes ", "", "32768", "-32769",
+                "2147483648", "-2147483649", "9223372036854775808",
+                "-9223372036854775809", "1.7976931348623157e308"]
 
 
 @pytest.fixture(scope="module")
