@@ -196,14 +196,12 @@ def _finite_float(text: str) -> float:
 
 # The column kernels accept only cells their converter above accepts, with
 # the same values: ASCII digits and signs (and a point and exponent for a
-# float), which holds no ``_`` or whitespace, or a boolean word of ``_TRUE``
-# or ``_FALSE`` in lower case, capitals or title case, as exports write
-# them. Each call in them runs in C over the column.
+# float), which holds no ``_`` or whitespace, or a word of ``_TRUE`` or
+# ``_FALSE`` once stripped and lower-cased, as ``_bool`` reads it. Each call
+# in them runs in C over the column.
 _INT_TEXT = re.compile(r"[0-9+-]*").fullmatch
 _FLOAT_TEXT = re.compile(r"[0-9+.eE-]*").fullmatch
-_BOOLS = {spelling: value for words, value in ((_TRUE, True), (_FALSE, False))
-          for word in words
-          for spelling in (word, word.upper(), word.title())} | {"": None}
+_WORDS = dict.fromkeys(_TRUE, True) | dict.fromkeys(_FALSE, False)
 _NULL = {"": None}
 
 
@@ -240,7 +238,8 @@ def _float_kernel(cells: tuple) -> list:
 
 
 def _bool_kernel(cells: tuple) -> list:
-    return list(map(_BOOLS.__getitem__, cells))
+    words = map(str.lower, map(str.strip, filter(None, cells)))
+    return _with_nulls(cells, list(map(_WORDS.__getitem__, words)))
 
 
 def _text_kernel(cells: tuple) -> Sequence:
@@ -539,7 +538,9 @@ class _TableFile:
         except (ValueError, SourceError) as exc:
             raise SourceError(f"{self.path.name} (row {n + 1}), column "
                               f"{self.columns[p]!r}: {exc}") from exc
-        return tuple(None if value == "" else value for value in row)
+        if "" in row:
+            return tuple(None if value == "" else value for value in row)
+        return tuple(row)
 
     def typed_block(self, lines: list[bytes], numbers: Sequence[int]
                     ) -> Iterable[tuple]:

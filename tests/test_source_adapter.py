@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import shutil
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -389,13 +390,15 @@ _KINDS = {"SMALLINT": ["0", "-7", "32767", "-32768", ""],
           "REAL": ["0", "1.5", "-2.25", ""],
           "DOUBLE": ["3", "1e5", "-0.125", ""],
           "DECIMAL(9,2)": ["12.50", "-1", ""],
-          "BOOLEAN": ["true", "f", "1", "no", "", "True", "FALSE", "T", "Yes"],
+          "BOOLEAN": ["true", "f", "1", "no", "", "True", "FALSE", "T", "Yes",
+                      " yes ", "tRuE", "True ", " no"],
           "VARCHAR(9)": ["a", "x y", "#", ""]}
 #: Cells that some reading of a number or boolean accepts and SQL loaders
 #: may not, or that lie just inside or outside a type's range.
 _ADVERSARIAL = ["+5", "-0", "007", "1_0", " 5", "\u0665", "1e999", "-1e999",
                 "inf", "nan", ".5", "5.", "e", "-", "+", "1-2", "TRUE",
-                "True", "F", "No", "tRuE", " yes ", "", "32768", "-32769",
+                "True", "F", "No", "tRuE", " yes ", " ", "y es", "", "32768",
+                "-32769",
                 "2147483648", "-2147483649", "9223372036854775808",
                 "-9223372036854775809", "1.7976931348623157e308"]
 
@@ -442,6 +445,20 @@ def test_block_typed_as_row_by_row(kinds_file, rows, planted, first):
     numbers = range(first, first + len(cells))
     expected = _taken(map(kinds_file.typed, cells, numbers))
     assert _taken(kinds_file.typed_block(lines, numbers)) == expected
+
+
+def test_valid_block_not_typed_row_by_row(kinds_file, monkeypatch):
+    # every cell of ``_KINDS`` (booleans in any case and with spaces too)
+    # is one a column kernel vouches for, so their block never goes to
+    # ``typed`` row by row
+    rows = list(zip_longest(*_KINDS.values(), fillvalue=""))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    lines = text.getvalue().encode().splitlines(keepends=True)
+    expected = list(map(kinds_file.typed, map(list, rows), range(len(rows))))
+    monkeypatch.setattr(kinds_file, "typed", lambda row, n: pytest.fail(
+        f"row {n} typed row by row"))
+    assert list(kinds_file.typed_block(lines, range(len(rows)))) == expected
 
 
 def test_null_key_joins_nothing(tmp_path):
