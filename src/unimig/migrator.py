@@ -31,8 +31,10 @@ reference whose target row is missing (``danglingRefs``); a NULL key fails,
 as does a one-object aggregate over more than one child row. A failure in
 building a group is raised when a document embeds it, as the error of that
 document's collection, so child rows that no parent embeds fail nothing and
-count nothing. A child file not clustered by the key falls back to its run
-index: each group is read and built where a document embeds it.
+count nothing. A child file not clustered by the key is clustered by it in
+memory and its group texts built again by the same pass, at the same level
+and in the same slices (``_TableFile._cluster``), so every embedded object
+is copied from a text index.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
 one per CPU this process may run on (``_TableFile.spans``), read a slice
@@ -89,7 +91,6 @@ from unimig.errors import MigrationError, SourceError
 from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
-    _Link,
     _TableFile,
     _Texts,
     fmt_id,
@@ -275,7 +276,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             text_of = _group_text(prop.is_many, build, child, session)
             texts = link.file.texts_on(link.index, link.order, text_of,
                                        child_level, session.spill(), collection)
-            steps.append((prefix, _embedded(prop.is_many, link, texts,
+            steps.append((prefix, _embedded(prop.is_many, texts,
                                             file.getter(link.probe), stats,
                                             label),
                           str, _SKIP))
@@ -343,22 +344,13 @@ def _group_text(many: bool, build: _Build, child: EntityStats,
     return text_of
 
 
-def _embedded(many: bool, link: _Link, texts: _Texts,
-              probe_of: Callable[[tuple], tuple], stats: EntityStats,
-              label: str) -> Callable:
+def _embedded(many: bool, texts: _Texts, probe_of: Callable[[tuple], tuple],
+              stats: EntityStats, label: str) -> Callable:
     """The JSON text of the child rows reached from a row, copied from text
-    index ``texts`` (or for a file not clustered by the key read through
-    its run index and built here), adding its counters to ``stats``: None
-    for a one-object aggregate with no child, a failure with several."""
+    index ``texts``, adding its counters to ``stats``: None for a
+    one-object aggregate with no child, a failure with several."""
     def embedded(row: tuple) -> str | None:
-        probe = probe_of(row)
-        if texts.runs is None:
-            found = texts.text(probe)
-        elif group := link.group(probe, texts.runs):
-            found = texts.text_of(group)
-        else:
-            found = None
-        if found is None:
+        if (found := texts.text(probe_of(row))) is None:
             return "[]" if many else None
         text, count, read, nulls, dangling = found
         if not many and count > 1:
@@ -402,7 +394,7 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     file = c.file
     try:
         with open(file.path, "rb") as handle:
-            for n, _, row in file.rows(handle, *c.spans[i]):
+            for n, row in file.rows(handle, *c.spans[i]):
                 c.stats.docs_written += write_batch(out, [c.build(row, n)])
     except Exception as exc:
         raise MigrationError(
@@ -573,15 +565,17 @@ def _build_indexes(source: SourceSession, files: list[_TableFile],
                    spans: dict[_TableFile, list[tuple[int, int, int]]],
                    k: int, target_dir: Path) -> None:
     """Fill the planned indexes of ``files`` at one level in their ``k``
-    row slices: this process indexes slice 0 of each file straight into the
-    indexes and its group texts into the session's spill, forked workers
-    the others and send their texts and partial indexes back through their
-    part files, and once all are done each file's texts are appended to the
-    spill and its indexes joined on, in slice order. A failure raises the
-    serial run's error before anything is written."""
+    row slices (``spans``, or of a file whose lines are held clustered, of
+    those lines): this process indexes slice 0 of each file straight into
+    the indexes and its group texts into the session's spill, forked
+    workers the others and send their texts and partial indexes back
+    through their part files, and once all are done each file's texts are
+    appended to the spill and its indexes joined on, in slice order. A
+    failure raises the serial run's error before anything is written."""
     with _in_slices(
             k, target_dir,
-            [partial(_index_step, file, spans[file]) for file in files],
+            [partial(_index_step, file, spans[file] if file.clustered is None
+                     else file.spans(k)) for file in files],
             [f"while indexing for {file.planned_for}" for file in files],
             "indexing", SourceError) as (workers, reports, failure):
         if failure is not None:
@@ -708,12 +702,10 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
         indexed = time.monotonic()
         while files := source.indexed_files():
             level = min(file.level for file in files)
-            source.close_handles()  # no two processes share a file offset
             _build_indexes(source, [f for f in files if f.level == level],
                            spans, k, target_dir)
         report.index_ms = (time.monotonic() - indexed) * 1000.0
         collections = [_Collection(*plan, spans[plan[2]]) for plan in plans]
-        source.close_handles()
         _write_collections(source, collections, k, target_dir)
         report.total_elapsed_ms = (time.monotonic() - started) * 1000.0
         _write_manifest(target_dir, report, trace_refs or {})

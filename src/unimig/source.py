@@ -21,7 +21,7 @@ must be finite, and ``""`` is NULL in every column. A kernel checks a whole
 column with calls that run in C and accepts only cells it can vouch for; on
 any doubt the block is typed row by row (``_TableFile.typed``), as its rows
 are taken, and a value that does not convert names its file, row and column,
-at the row and in the order typing row by row fails. Joins probe three
+at the row and in the order typing row by row fails. Joins probe two
 indexes by typed key. The covering id index (``ids_on``) maps a key to the
 identifiers of the matching rows, so a reference reads no row of the table
 it points at. The text index (``texts_on``) maps a key to one entry, the
@@ -31,67 +31,72 @@ the counters it returned. The records lie in one unnamed spill file per
 session, with no directory entry, and are read back with one ``pread``; the
 function runs once per group while the index is built, and an error it
 raises is kept as the record and raised only when the record is read, so a
-group that nothing reads (an orphan) never fails (grouping and spilling as
-in Graefe, "Query Evaluation Techniques for Large Databases", ACM CSUR
-1993). A group must be one run of consecutive rows; a file with a key in
-several runs is not clustered by it, and the text index then holds the
-file's run index on the key instead (``runs_on``): a key -> the runs of
-consecutive rows holding it, stored flat as (byte offset, first row, row
-count) triples in one ``array`` per key, whose group is read with one seek
-per run through one handle per table, which the session closes.
+group that nothing reads (an orphan) never fails. A group is one run of
+consecutive rows. A file with a key in several runs is not clustered by it:
+its lines are then sorted by the key, stably, in memory, and the groups are
+built from them (``_TableFile._cluster``; grouping by sorting and spilling
+as in Graefe, "Query Evaluation Techniques for Large Databases", ACM CSUR
+1993).
 
 Every index is planned first (``plan_for`` names what needs it), at a
-level: id and run indexes at 0, a text index at 0 if its function probes no
-index, else at one more than the highest level of those it probes. They are
-then built level by level, lowest first, from a file's row slices (see
-below): ``index_slice`` fills a file's indexes of its lowest unbuilt level
-from one slice in a pass that types each row once, and ``merge_indexes``
-joins the partial indexes of the later slices onto the first's in slice
-order (run triples concatenated, a run that continues across a cut made
-one; identifier lists concatenated, then sorted and ``#``-joined once; text
+level: an id index at 0, a text index at 0 if its function probes no index,
+else at one more than the highest level of those it probes. They are then
+built level by level, lowest first, from a file's row slices (see below):
+``index_slice`` fills a file's indexes of its lowest unbuilt level from one
+slice in a pass that types each row once, and ``merge_indexes`` joins the
+partial indexes of the later slices onto the first's in slice order
+(identifier lists concatenated, then sorted and ``#``-joined once; text
 entries appended), so any number of slices builds the index one slice
 gives. A text index's slice owns each group whose first row it holds: it
 reads on past its end while its last group goes on and passes over the
-rows at its start that continue the row before it. The migrator indexes the
-later slices in forked workers, which append their texts to their part
-files and send their partial indexes back flat (``encode_slice``); the
-session's ``build_indexes`` reads each file as one slice. A pass fails,
-naming file, row and column and what the indexes were planned for, on a bad
-cell, a NULL primary key value (which a covering index would store), a text
-component of a composite primary key holding ``#`` (two stored identifiers
-could collide) or a NULL order value (which groups are sorted by).
+rows at its start that continue the row before it. A text index that meets
+a key a second time, within a slice or across slices, stops grouping and
+stays planned; once its level is merged, the file's lines are clustered by
+its key and the same pass builds it again, at the same level, from slices
+cut by row count over those lines, which are dropped afterwards. A file
+with two unclustered text indexes is clustered and passed over once per
+index. The migrator indexes the later slices in forked workers, which
+inherit any clustered lines, append their texts to their part files and
+send their partial indexes back flat (``encode_slice``); the session's
+``build_indexes`` reads each file as one slice. A pass fails, naming file,
+row and column and what the indexes were planned for, on a bad cell, a NULL
+primary key value (which a covering index would store), a text component
+of a composite primary key holding ``#`` (two stored identifiers could
+collide) or a NULL order value (which groups are sorted by); the first
+pass over a file runs every check, in file order.
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
 forward trace on each call; the migrator does so once per collection, when
 it compiles its executor over these files.
 
-After open, the index pass, collection writes, run-index group reads and
+After open, the index pass, collection writes, ``related_by_name`` and
 ``read_entity_all`` get data rows from one reader (``rows``), which parses
-them and hands them on typed, as tuples. It reads a run or a contiguous row
-slice (``spans``), both (byte offset, first row, row count) triples, in
-blocks of ``_BLOCK`` rows; a group read gathers its runs' lines first and
-types them as one block.
+them and hands them on typed and numbered, as tuples. It reads a
+contiguous row slice (``spans``) in blocks of ``_BLOCK`` rows; a pass over
+clustered lines reads those the same way.
 
 The session counts the records read and the most held at once
 (``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
-entity's records and the records a feature reaches from one; the migrator
-does not use them, and they stay only while the benchmark's traced mode
-wraps them by name.
+entity's records and the records a feature reaches from one, with one scan
+of the reached file per call; the migrator does not use them, and they stay
+only while the benchmark's traced mode wraps them by name.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import marshal
 import os
 import re
 import struct
 import tempfile
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, islice
 from math import isfinite
 from operator import itemgetter
@@ -124,10 +129,8 @@ _INT_RANGES = {base: (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
 _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")} | {
     rule: (REF_FORWARD, REF_REVERSE) for rule in ("R7.1", "R7.2")}
 
-#: A run index: typed key -> flat (byte offset, first row, row count) triples.
-_Runs = dict[tuple, array]
-#: One step of an index pass, given each typed row, its number and offset.
-_Fill = Callable[[tuple, int, int], None]
+#: One step of an index pass, given each typed row and its number.
+_Fill = Callable[[tuple, int], None]
 #: Types one column of a block of rows at once: its cells -> its values,
 #: raising ``ValueError`` or ``KeyError`` on any cell it cannot vouch for.
 _Kernel = Callable[[tuple], Sequence]
@@ -298,10 +301,9 @@ def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
 
 #: Values per text entry: the spill offset of its record and the record's
 #: length, negated when the text is a deferred error message. A record is a
-#: header (``_HEADER``: the byte offset and number of the group's first row,
-#: then the counters ``text_of`` gives), then the text.
+#: header (``_HEADER``: the counters ``text_of`` gives), then the text.
 _ENTRY = 2
-_HEADER = struct.Struct("<6q")
+_HEADER = struct.Struct("<4q")
 #: Builds a group of numbered typed rows, sorted: its text and counters
 #: (group rows, rows read, NULLs omitted, dangling references).
 _TextOf = Callable[[list[tuple[int, tuple]]], tuple[str, int, int, int, int]]
@@ -318,11 +320,10 @@ class _Texts:
     whose text, built once by ``text_of`` from the key's group of rows in
     ``order``, lies in ``spill``, an unnamed file. ``text_of`` may fail; its
     error is kept as the text and raised when the text is read, so a group
-    that is never read never fails. A file not clustered by the key (a key
-    with more than one group) gets its run index instead (``runs``), and
-    its groups are read and built where they are used. While a slice is
-    built, ``repeats`` holds, after a key's first repeat, the runs of the
-    slice's later groups."""
+    that is never read never fails. ``unclustered`` is set when a key is
+    met in a second group, which ends the grouping: the index is then built
+    again from the file's lines clustered by the key
+    (``_TableFile._cluster``)."""
 
     def __init__(self, columns: tuple[str, ...], order: tuple[str, ...],
                  key_of: Callable[[tuple], tuple],
@@ -333,8 +334,7 @@ class _Texts:
         self.level, self.spill = level, spill
         self.index: dict[tuple, int] = {}  # key -> entry number
         self.entries = array("q")
-        self.repeats: _Runs | None = None
-        self.runs: _Runs | None = None
+        self.unclustered = False
 
     def add(self, keys: list[tuple], entries: bytes, shift: int) -> bool:
         """Append the entries of ``keys``, in order, as ``array`` bytes,
@@ -359,56 +359,31 @@ class _Texts:
         text = record[_HEADER.size:].decode()
         if length < 0:
             raise MigrationError(text)
-        return (text, *_HEADER.unpack_from(record)[2:])
-
-    def runs_from(self, slices: list[tuple[list[tuple], int, dict | None]]
-                  ) -> None:
-        """Make ``runs`` from each slice's keys, entry number of the first
-        and ``repeats`` (arrays, or their bytes), in slice order, and drop
-        the entries: a group's run is read from its record's header."""
-        runs: _Runs = {}
-        for keys, base, repeats in slices:
-            for p, key in enumerate(keys, base):
-                header = os.pread(self.spill.fileno(), _HEADER.size,
-                                  self.entries[p * _ENTRY])
-                run = _HEADER.unpack(header)[:3]  # offset, first row, count
-                if (mine := runs.get(key)) is None:
-                    runs[key] = array("q", run)
-                else:
-                    mine.extend(run)
-            for key, more in (repeats or {}).items():
-                if isinstance(more, bytes):
-                    more = array("q", memoryview(more).cast("q"))
-                if (mine := runs.get(key)) is None:
-                    runs[key] = more
-                else:
-                    mine.extend(more)
-        self.index.clear()
-        self.entries, self.repeats, self.runs = array("q"), None, runs
+        return (text, *_HEADER.unpack_from(record))
 
 
 class _Grouper:
     """Groups the consecutive rows of one slice that hold a key of text
     index ``texts`` (none with a NULL in it), writes each group's text to
     ``out`` and enters it. Rows that hold the key of ``before``, the row
-    before the slice, at its start belong to an earlier slice's group."""
+    before the slice, at its start belong to an earlier slice's group. A
+    key met in a second group marks the index unclustered, and no group is
+    built after it."""
 
-    __slots__ = ("texts", "key_of", "out", "last", "group", "offset")
+    __slots__ = ("texts", "key_of", "out", "last", "group")
 
     def __init__(self, texts: _Texts, out: BinaryIO, before: tuple | None):
         texts.index.clear()
         texts.entries = array("q")
-        texts.repeats = None
         self.texts, self.key_of, self.out = texts, texts.key_of, out
         self.last = None if before is None else texts.key_of(before)
         self.group: list[tuple[int, tuple]] | None = None  # None: passed over
-        self.offset = 0  # of the group's first row
 
-    def add(self, row: tuple, n: int, offset: int) -> None:
+    def add(self, row: tuple, n: int) -> None:
         if (key := self.key_of(row)) != self.last:
             self.close()
-            self.last, self.offset = key, offset
-            if None not in key:
+            self.last = key
+            if None not in key and not self.texts.unclustered:
                 self.group = []
         if self.group is not None:
             self.group.append((n, row))
@@ -421,19 +396,13 @@ class _Grouper:
         return True
 
     def close(self) -> None:
-        """Build and enter the open group, if any; after a key's first
-        repeat, record its run instead (the file gets a run index)."""
+        """Build and enter the open group, if any, unless its key was met
+        before: then mark the index unclustered."""
         group, self.group, texts = self.group, None, self.texts
         if not group:
             return
-        run = (self.offset, group[0][0], len(group))
-        if texts.repeats is None and self.last in texts.index:
-            texts.repeats = {}  # from here on the groups' runs alone
-        if texts.repeats is not None:
-            if (runs := texts.repeats.get(self.last)) is None:
-                texts.repeats[self.last] = array("q", run)
-            else:
-                runs.extend(run)
+        if self.last in texts.index:
+            texts.unclustered = True
             return
         if order_of := texts.order_of:
             group.sort(key=lambda item: order_of(item[1]))
@@ -442,7 +411,7 @@ class _Grouper:
             sign = 1
         except MigrationError as exc:
             text, sign, counters = str(exc), -1, (len(group), 0, 0, 0)
-        record = _HEADER.pack(*run[:2], *counters) + text.encode()
+        record = _HEADER.pack(*counters) + text.encode()
         texts.index[self.last] = len(texts.entries) // _ENTRY
         texts.entries.extend((self.out.tell(), sign * len(record)))
         self.out.write(record)
@@ -451,9 +420,9 @@ class _Grouper:
 class _TableFile:
     """One CSV file: validation and row counting at open, the one reader of
     its rows after open, which parses and types them a block at a time, a
-    column at a time (``rows``, ``typed_block``), and the run, covering id
-    and text indexes, planned on demand and built together, one pass per
-    row slice and level."""
+    column at a time (``rows``, ``typed_block``), and the covering id and
+    text indexes, planned on demand and built together, one pass per row
+    slice and level."""
 
     def __init__(self, table: Table, path: Path):
         self.table = table
@@ -466,13 +435,14 @@ class _TableFile:
                                in enumerate(converters) if convert is not str]
         self._kernels = list(enumerate(kernels))
         self.row_count = self._validate_and_count()
-        self._runs: dict[tuple[tuple[str, ...], tuple[str, ...]], _Runs] = {}
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
         self._texts: list[_Texts] = []
         # planned, not yet filled: (kind, key) -> who planned it, in order
         self._unbuilt: dict[tuple[str, object], dict[str, None]] = {}
         self.texts_to: int | None = None  # where a worker appends texts
-        self._handle: BinaryIO | None = None
+        # while a text index is built again: it, the data lines, the byte
+        # offset of each in them and the row numbers clustered by its key
+        self.clustered: tuple[_Texts, bytes, array, array] | None = None
 
     # -- reading -----------------------------------------------------------------
 
@@ -498,8 +468,8 @@ class _TableFile:
             # record-by-record pass runs only to name the culprit.
             if widths.keys() - {len(self.columns)} or reader.line_num != count + 1:
                 self._find_malformed_record()
-            # csv also ends lines at a bare carriage return, but runs of rows
-            # are read by the byte offsets of line feeds.
+            # csv also ends lines at a bare carriage return, but row slices
+            # are cut at line feeds and their lines read as rows.
             seen = handle.newlines
             if "\r" in (seen if isinstance(seen, tuple) else (seen,)):
                 raise SourceError(
@@ -562,32 +532,42 @@ class _TableFile:
         return zip(*columns)
 
     def rows(self, handle: BinaryIO, offset: int, first: int,
-             count: int) -> Iterator[tuple[int, int, tuple]]:
+             count: int) -> Iterator[tuple[int, tuple]]:
         """The ``count`` data rows at byte ``offset`` of ``handle``, a
-        binary handle on this file, numbered from ``first`` (a run, or a
-        slice of ``spans``): each row's number, the byte offset of its line
-        and its typed values, after one seek. Lines are read and typed
-        ``_BLOCK`` at a time (``typed_block``), as the rows are taken. A
-        record is one line (checked at open), so lines pair with rows."""
+        binary handle on this file, numbered from ``first`` (a slice of
+        ``spans``): each row's number and its typed values, after one
+        seek."""
         handle.seek(offset)
-        return chain.from_iterable(self._blocks(handle, offset, first, count))
+        return self._rows(handle, range(first, first + count))
 
-    def _blocks(self, handle: BinaryIO, offset: int, first: int,
-                count: int) -> Iterator[Iterator[tuple[int, int, tuple]]]:
-        for start in range(first, first + count, _BLOCK):
-            lines = list(islice(handle, min(_BLOCK, first + count - start)))
-            offsets = list(accumulate(map(len, lines), initial=offset))
-            offset = offsets.pop()
-            numbers = range(start, start + len(lines))
-            yield zip(numbers, offsets, self.typed_block(lines, numbers))
+    def _rows(self, lines: Iterator[bytes],
+              numbers: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+        """Data rows ``numbers``, whose lines ``lines`` gives in that order,
+        each with its number, read and typed ``_BLOCK`` at a time
+        (``typed_block``) as they are taken. A record is one line (checked
+        at open), so lines pair with rows."""
+        return chain.from_iterable(self._blocks(lines, numbers))
+
+    def _blocks(self, lines: Iterator[bytes], numbers: Sequence[int]
+                ) -> Iterator[Iterator[tuple[int, tuple]]]:
+        for start in range(0, len(numbers), _BLOCK):
+            block = numbers[start:start + _BLOCK]
+            yield zip(block, self.typed_block(list(islice(lines, len(block))),
+                                              block))
 
     def spans(self, k: int) -> list[tuple[int, int, int]]:
         """The data rows cut into ``k`` contiguous slices of about equal
-        size, as runs (byte offset, first row, row count); a slice may be
-        empty. Each cut is the first line start at or after a byte
-        ``k``-ile: a record is one line (checked at open), and a line feed
-        never occurs inside a UTF-8 sequence. Rows before each cut are
-        counted in bounded chunks."""
+        size, as (byte offset, first row, row count); a slice may be empty.
+        Each cut is the first line start at or after a byte ``k``-ile: a
+        record is one line (checked at open), and a line feed never occurs
+        inside a UTF-8 sequence. Rows before each cut are counted in bounded
+        chunks. While the lines are held clustered, the slices are of those
+        lines instead, cut by row count, at offset 0."""
+        if self.clustered is not None:
+            held = len(self.clustered[3])
+            firsts = [held * i // k for i in range(k + 1)]
+            return [(0, first, after - first)
+                    for first, after in zip(firsts, firsts[1:])]
         with open(self.path, "rb") as handle:
             cuts = [len(handle.readline())]
             size = os.fstat(handle.fileno()).st_size
@@ -617,23 +597,13 @@ class _TableFile:
 
     # -- indexes -------------------------------------------------------------------
 
-    def runs_on(self, columns: tuple[str, ...], order: tuple[str, ...],
-                plan_for: str) -> _Runs:
-        """Run index: typed values of ``columns`` -> the runs of consecutive
-        rows holding them, as flat ``(byte offset, first row, row count)``
-        triples in file order. A file clustered by ``columns`` has one run
-        per key. Rows with a NULL in ``columns`` are left out; a NULL in one
-        of the ``order`` columns, which groups are sorted by, fails. The
-        index is planned for ``plan_for``, which names what needs it: it
-        stays empty until ``build_indexes`` fills it together with the
-        file's other indexes of its level (level 0)."""
-        return self._index(self._runs, "runs", (columns, order), plan_for)
-
     def ids_on(self, columns: tuple[str, ...], plan_for: str) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
         (``record_id``) of the matching rows, in primary key order. Rows
         with a NULL in ``columns`` are left out; a NULL primary key value
-        fails. It is planned as ``runs_on`` plans, at level 0."""
+        fails. The index is planned for ``plan_for``, which names what needs
+        it: it stays empty until ``build_indexes`` fills it together with
+        the file's other indexes of its level (level 0)."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
         return self._index(self._id_indexes, "ids", columns, plan_for)
@@ -643,9 +613,10 @@ class _TableFile:
                  plan_for: str) -> _Texts:
         """Text index: typed values of ``columns`` -> the text ``text_of``
         gives for the group of rows holding them, sorted by ``order``, kept
-        in ``spill`` (see ``_Texts``). It is planned as ``runs_on`` plans,
-        at ``level``: the indexes ``text_of`` probes must be built at lower
-        levels."""
+        in ``spill`` (see ``_Texts``). Rows with a NULL in ``columns`` are
+        left out; a NULL in one of the ``order`` columns fails. It is
+        planned as ``ids_on`` plans, at ``level``: the indexes ``text_of``
+        probes must be built at lower levels."""
         texts = _Texts(columns, order, self.getter(columns),
                        order and itemgetter(*map(self.columns.index, order)),
                        text_of, level, spill)
@@ -668,8 +639,11 @@ class _TableFile:
         return min(map(_level, self._unbuilt), default=0)
 
     def _planned(self) -> list[tuple[str, object]]:
-        """The indexes still unbuilt at the lowest level, in planning order:
-        those the next ``index_slice`` fills."""
+        """The indexes still unbuilt at the lowest level, in planning order,
+        or the text index the lines are held clustered for: those the next
+        ``index_slice`` fills."""
+        if self.clustered is not None:
+            return [("texts", self.clustered[0])]
         level = self.level
         return [planned for planned in self._unbuilt if _level(planned) == level]
 
@@ -686,13 +660,15 @@ class _TableFile:
         the partial indexes of its slice, which ``merge_indexes`` joins onto
         the first slice's. One pass numbers rows from the span's first,
         types each row once and checks the key columns the indexes rely on:
-        the primary key for covering indexes, the order columns for run and
-        text indexes. A text index takes the groups whose first row lies in
-        the span, whole: it reads on past the span's end while its last
-        group goes on, and passes over the rows at its start that continue
-        the row before it. Each group's text is appended to the spill, or
-        to ``texts_to`` (a descriptor) when that is set. A failed pass names
-        what the indexes were planned for."""
+        the primary key for covering indexes, the order columns for text
+        indexes. A text index takes the groups whose first row lies in the
+        span, whole: it reads on past the span's end while its last group
+        goes on, and passes over the rows at its start that continue the
+        row before it. Each group's text is appended to the spill, or to
+        ``texts_to`` (a descriptor) when that is set. While the lines are
+        held clustered, the pass reads them and fills the one text index
+        they are clustered for. A failed pass names what the indexes were
+        planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
         fills, texts = [], []
@@ -704,9 +680,6 @@ class _TableFile:
                     joined = [c for c in pk
                               if self.types[self.columns.index(c)] is str]
                 fills.append(self._ids_fill(key))
-            elif kind == "runs":
-                required.update(dict.fromkeys(key[1]))
-                fills.append(self._runs_fill(self._runs[key], key[0]))
             else:
                 required.update(dict.fromkeys(key.order))
                 texts.append(key)
@@ -714,26 +687,27 @@ class _TableFile:
         offset, first, count = span
         with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
-                groupers, read = [], count
+                groupers = []
                 if texts:
                     out = stack.enter_context(open(
                         texts[0].spill.fileno() if self.texts_to is None
                         else self.texts_to, "ab", closefd=False))
                     before = self._row_before(handle, offset, first)
                     groupers = [_Grouper(t, out, before) for t in texts]
-                    read = self.row_count - first  # on past the span
-                rows = self.rows(handle, offset, first, read)
-                for n, start, row in islice(rows, count):
+                lines, numbers = self._lines(handle, offset, first)
+                # a text index reads on past the span
+                rows = self._rows(lines, numbers if texts else numbers[:count])
+                for n, row in islice(rows, count):
                     if check:
-                        check(row, n, start)
+                        check(row, n)
                     for fill in fills:
-                        fill(row, n, start)
+                        fill(row, n)
                     for grouper in groupers:
-                        grouper.add(row, n, start)
+                        grouper.add(row, n)
                 going = [grouper for grouper in groupers if grouper.group]
-                for n, start, row in rows if going else ():
+                for n, row in rows if going else ():
                     if check:
-                        check(row, n, start)
+                        check(row, n)
                     if not (going := [g for g in going if g.extend(row, n)]):
                         break
                 for grouper in groupers:
@@ -742,12 +716,30 @@ class _TableFile:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
 
+    def _lines(self, handle: BinaryIO, offset: int, first: int
+               ) -> tuple[Iterator[bytes], Sequence[int]]:
+        """The data lines from the start of a slice (byte ``offset`` of
+        ``handle``, row ``first``) on, or from position ``first`` of the
+        lines held clustered, and their row numbers."""
+        if self.clustered is None:
+            handle.seek(offset)
+            return handle, range(first, self.row_count)
+        _, data, starts, numbers = self.clustered
+        numbers = numbers[first:]
+        ends = map(starts.__getitem__, map((1).__add__, numbers))
+        return map(data.__getitem__, map(slice, map(starts.__getitem__, numbers),
+                                         ends)), numbers
+
     def _row_before(self, handle: BinaryIO, offset: int,
                     first: int) -> tuple | None:
-        """Typed data row ``first - 1``, whose line ends at byte ``offset``
-        of ``handle``, or None for the first row."""
+        """The typed row before the start of a slice (as ``_lines``), or
+        None for the first row."""
         if not first:
             return None
+        if self.clustered is not None:
+            lines, numbers = self._lines(handle, offset, first - 1)
+            return self.typed(next(csv.reader([next(lines).decode()])),
+                              numbers[0])
         size = 256
         while True:  # the header's line feed comes before it
             start = max(0, offset - 1 - size)
@@ -762,46 +754,23 @@ class _TableFile:
         """Finish every planned index that ``index_slice`` fills: join onto
         the first slice's part of it those of the later slices, each
         slice's partial indexes as ``encode_slice`` encoded them, in slice
-        order. A key's run triples are concatenated, a run that continues
-        across a cut becoming one; its identifier lists are concatenated,
-        then sorted in primary key order and, for a composite key,
-        ``#``-joined; text entries are added, their offsets moved by the
-        slice's ``shifts`` entry (where its texts now lie in the spill). The
-        result is the index one slice over the whole file gives. A text
-        index whose key has more than one group, within a slice or across
-        slices, gets the file's run index on its key instead (``_Texts.runs``),
-        from the runs of its groups, as the slices found them."""
+        order. A key's identifier lists are concatenated, then sorted in
+        primary key order and, for a composite key, ``#``-joined; text
+        entries are added, their offsets moved by the slice's ``shifts``
+        entry (where its texts now lie in the spill). The result is the
+        index one slice over the whole file gives. Lines held clustered are
+        dropped. A text index whose key has more than one group, within a
+        slice or across slices, stays planned unless it was built from
+        clustered lines, and the lines are clustered by the key of the
+        first such index (``_cluster``)."""
+        planned = self._planned()
         slices = [marshal.loads(data) for data in later]
-        for p, (kind, key) in enumerate(self._planned()):
+        for p, (kind, key) in enumerate(planned):
             if kind == "texts":
-                first, repeated = len(key.index), key.repeats is not None
-                runs = []  # each later slice's keys, first entry, repeats
-                for (keys, entries, repeats), shift in zip(
+                for (keys, entries, unclustered), shift in zip(
                         (parts[p] for parts in slices), shifts, strict=True):
-                    runs.append((keys, len(key.entries) // _ENTRY, repeats))
-                    repeated = (key.add(keys, entries, shift) or repeated
-                                or repeats is not None)
-                if repeated:  # the first slice's keys come first in the index
-                    key.runs_from([(list(islice(key.index, first)), 0,
-                                    key.repeats)] + runs)
-                continue
-            if kind == "runs":
-                index = self._runs[key]
-                for keys, lengths, flat in (parts[p] for parts in slices):
-                    triples, sizes = array("q"), array("q")
-                    triples.frombytes(flat)
-                    sizes.frombytes(lengths)
-                    start = 0
-                    for runs_key, size in zip(keys, sizes):
-                        more = triples[start:start + size]
-                        start += size
-                        if (runs := index.get(runs_key)) is None:
-                            index[runs_key] = more
-                        elif runs[-2] + runs[-1] == more[1]:  # across the cut
-                            runs[-1] += more[2]
-                            runs.extend(more[3:])
-                        else:
-                            runs.extend(more)
+                    key.unclustered = (key.unclustered or unclustered
+                                       or key.add(keys, entries, shift))
                 continue
             index = self._id_indexes[key]
             for part in (parts[p] for parts in slices):
@@ -815,30 +784,45 @@ class _TableFile:
                 pks.sort()  # as key tuples: (1, 9) before (1, 10)
                 if composite:
                     pks[:] = map(record_id, pks)
-        for planned in self._planned():
-            del self._unbuilt[planned]
+        held, self.clustered = self.clustered is not None, None
+        for kind, key in planned:  # a text index is clustered at most once
+            if kind == "ids" or held or not key.unclustered:
+                del self._unbuilt[kind, key]
+        if again := [key for kind, key in self._planned() if kind == "texts"
+                     and key.unclustered]:
+            self._cluster(again[0])
+
+    def _cluster(self, texts: _Texts) -> None:
+        """Hold the data lines with the byte offset of each in them, and
+        the row numbers sorted by the key of ``texts``, stably, those with a
+        NULL in it left out, for the next ``index_slice`` to build ``texts``
+        from: its groups are then runs. One read types each row and gathers
+        each key's row numbers, keys in the order of their first rows (a
+        counting sort)."""
+        with open(self.path, "rb") as handle:
+            handle.readline()  # the header
+            data = handle.read()
+        starts = array("q", accumulate(map(len, io.BytesIO(data)), initial=0))
+        groups: defaultdict[tuple, array] = defaultdict(partial(array, "q"))
+        key_of = texts.key_of
+        for n, row in self._rows(io.BytesIO(data), range(self.row_count)):
+            groups[key_of(row)].append(n)
+        numbers = array("q")
+        for key, rows in groups.items():  # in the order of their first rows
+            if None not in key:
+                numbers.extend(rows)
+        self.clustered = (texts, data, starts, numbers)
+        texts.unclustered = False
 
     def encode_slice(self) -> bytes:
         """The planned indexes that ``index_slice`` fills, as it filled them
-        from one slice, in a flat ``marshal`` encoding: a run index as its
-        keys, the length of each key's triples and all triples, the last two
-        as ``array`` bytes; a text index as its keys, its entries as
-        ``array`` bytes, and the runs of the groups after a key's first
-        repeat; an id index as it is."""
-        flat: list[object] = []
-        for kind, key in self._planned():
-            if kind == "ids":
-                flat.append(self._id_indexes[key])
-            elif kind == "texts":
-                flat.append((list(key.index), key.entries.tobytes(),
-                             key.repeats and {k: runs.tobytes() for k, runs
-                                              in key.repeats.items()}))
-            else:
-                runs = self._runs[key]
-                flat.append((list(runs),
-                             array("q", map(len, runs.values())).tobytes(),
-                             b"".join(map(array.tobytes, runs.values()))))
-        return marshal.dumps(flat)
+        from one slice, in a flat ``marshal`` encoding: a text index as its
+        keys, its entries as ``array`` bytes and whether it met a key in a
+        second group; an id index as it is."""
+        return marshal.dumps([
+            self._id_indexes[key] if kind == "ids" else
+            (list(key.index), key.entries.tobytes(), key.unclustered)
+            for kind, key in self._planned()])
 
     def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
         """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
@@ -850,7 +834,7 @@ class _TableFile:
             itemgetter(slice(positions[0], positions[0] + 1))
         texts_of = self.getter(joined)
 
-        def check(row: tuple, n: int, offset: int) -> None:
+        def check(row: tuple, n: int) -> None:
             if None in (values := values_of(row)):
                 column = columns[values.index(None)]
                 raise SourceError(
@@ -863,28 +847,6 @@ class _TableFile:
 
         return check
 
-    def _runs_fill(self, index: _Runs, columns: tuple[str, ...]) -> _Fill:
-        key_of = self.getter(columns)
-        index.clear()  # a failed earlier pass may have left part of it
-        last: tuple | None = None
-        runs = array("q")
-
-        def fill(row: tuple, n: int, offset: int) -> None:
-            nonlocal last, runs
-            key = key_of(row)
-            if key == last:
-                runs[-1] += 1
-                return
-            last = key
-            if None in key:  # a NULL joins nothing: count into a throwaway
-                runs = array("q", (offset, n, 1))
-            elif (runs := index.get(key)) is None:
-                runs = index[key] = array("q", (offset, n, 1))
-            else:
-                runs.extend((offset, n, 1))
-
-        return fill
-
     def _ids_fill(self, columns: tuple[str, ...]) -> _Fill:
         groups, key_of = self._id_indexes[columns], self.getter(columns)
         groups.clear()
@@ -893,7 +855,7 @@ class _TableFile:
         # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
         pk_of = itemgetter(*pk)
 
-        def fill(row: tuple, n: int, offset: int) -> None:
+        def fill(row: tuple, n: int) -> None:
             key = key_of(row)
             if None not in key:
                 if (pks := groups.get(key)) is None:
@@ -902,11 +864,6 @@ class _TableFile:
                     pks.append(pk_of(row))
 
         return fill
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 @dataclass(frozen=True)
@@ -920,27 +877,6 @@ class _Link:
     probe: tuple[str, ...]
     index: tuple[str, ...]
     order: tuple[str, ...]
-    order_of: Callable[[tuple], tuple]
-
-    def group(self, probe: tuple, runs: _Runs) -> list[tuple[int, tuple]]:
-        """Numbered typed rows reached from a record whose probe columns
-        hold ``probe`` (none if it holds a NULL), read by their runs in
-        ``runs``, the built run index of ``file`` on ``index`` and ``order``,
-        through the file's one handle (the session closes it), and typed
-        as one block; sorted."""
-        file, order_of = self.file, self.order_of
-        handle = file._handle = file._handle or open(file.path, "rb")
-        triples = iter(() if None in probe else runs.get(probe, ()))
-        lines: list[bytes] = []
-        numbers: list[int] = []
-        for offset, first, count in zip(triples, triples, triples):
-            handle.seek(offset)
-            lines += islice(handle, count)
-            numbers += range(first, first + count)
-        rows = list(zip(numbers, file.typed_block(lines, numbers)))
-        if self.order:
-            rows.sort(key=lambda item: order_of(item[1]))
-        return rows
 
 
 class SourceSession:
@@ -1048,7 +984,7 @@ class SourceSession:
         file = self._files[reached.name]
         stored = self._traced(f"rel:{reached.name}", "R2", "forward")[0]
         return _Link(stored or reached.name, file, tuple(probe),
-                     tuple(index), tuple(order), file.getter(order))
+                     tuple(index), tuple(order))
 
     def file_for(self, table_name: str) -> _TableFile:
         return self._files[table_name]
@@ -1059,8 +995,8 @@ class SourceSession:
 
     def build_indexes(self) -> None:
         """Fill every planned index, level by level, one pass per file and
-        level over all its rows as one slice; a file with nothing planned is
-        not read."""
+        level over all its rows as one slice, and one more per text index
+        that does not cluster it; a file with nothing planned is not read."""
         while files := self.indexed_files():
             level = min(file.level for file in files)
             for file in files:
@@ -1076,15 +1012,9 @@ class SourceSession:
             self._spill = tempfile.TemporaryFile(dir=self.spill_dir)
         return self._spill
 
-    def close_handles(self) -> None:
-        """Close every table's read handle; the next read reopens it."""
-        for file in self._files.values():
-            file.close()
-
     def close(self) -> None:
         self.open = False
         self.live_records = 0
-        self.close_handles()
         if self._spill is not None:
             self._spill.close()
             self._spill = None
@@ -1186,15 +1116,29 @@ class SourceCursor:
         """Cursor over the records a related feature reaches from the
         current record: aggregate children and relationship rows in key
         order, reverse references in primary key order, a forward
-        reference's target (zero or one)."""
+        reference's target (zero or one). One scan of the reached file
+        reads them; like an index pass, it fails on a bad cell or a NULL
+        order value in any row."""
         self.session._check_open()
         record = self.record()
         link = self.session.link(self.type_name, self.table, feature_name)
-        runs = link.file.runs_on(link.index, link.order,
-                                 plan_for=f"feature {self.type_name}.{feature_name}")
-        self.session.build_indexes()
-        group = link.group(tuple(record[c] for c in link.probe), runs)
-        records = [dict(zip(link.file.columns, row)) for _, row in group]
+        file, probe = link.file, tuple(record[c] for c in link.probe)
+        key_of = file.getter(link.index)
+        check = file._key_check(link.order, []) if link.order else None
+        group = []
+        try:
+            with open(file.path, "rb") as handle:
+                for n, row in file.rows(handle, *file.spans(1)[0]):
+                    if check:
+                        check(row, n)
+                    if key_of(row) == probe and None not in probe:
+                        group.append(row)
+        except SourceError as exc:
+            raise SourceError(f"while indexing for feature {self.type_name}."
+                              f"{feature_name}: {exc}") from exc
+        if link.order:
+            group.sort(key=file.getter(link.order))
+        records = [dict(zip(file.columns, row)) for row in group]
         self.session._records_born(len(records))
         return SourceCursor(self.session, link.type_name, link.file.table,
                             records, preloaded=len(records))
@@ -1210,7 +1154,7 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
 
     def records() -> Iterator[dict[str, object]]:
         with open(file.path, "rb") as handle:
-            for _, _, row in file.rows(handle, *file.spans(1)[0]):
+            for _, row in file.rows(handle, *file.spans(1)[0]):
                 yield dict(zip(file.columns, row))
 
     return SourceCursor(session, name, table, records())

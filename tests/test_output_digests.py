@@ -6,9 +6,14 @@ carries timings."""
 from __future__ import annotations
 
 import hashlib
+import random
+import shutil
+from itertools import groupby
 
-from util import FIXTURES
+import pytest
+from util import FIXTURES, scan_csv
 
+import unimig.migrator
 from unimig.cli import dispatch
 from unimig.document.schema_json import print_docschema
 from unimig.trace import save_trace
@@ -99,6 +104,37 @@ def _digest(data: bytes) -> str:
 def test_mini_output_bytes(tmp_path):
     out = tmp_path / "out"
     source = FIXTURES / "music_streaming" / "mini_data"
+    assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0
+    got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())
+           if p.name != "manifest.json"}
+    assert got == MINI
+
+
+#: mini_data's child files that are only embedded, with the key their
+#: groups are embedded by.
+_EMBEDDED_ONLY = {"playlist.csv": ("user_id",),
+                  "playlist_song.csv": ("playlist_id", "user_id"),
+                  "most_recent_song.csv": ("user_id",)}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mini_output_bytes_with_child_rows_shuffled(tmp_path, monkeypatch, k):
+    # child groups are built from the file's lines clustered by their key
+    # when the file is not clustered by it, into the same documents
+    source = tmp_path / "shuffled"
+    shutil.copytree(FIXTURES / "music_streaming" / "mini_data", source)
+    rng = random.Random(3)
+    clustered = []
+    for name, key in _EMBEDDED_ONLY.items():
+        path = source / name
+        header, *lines = path.read_text().splitlines()
+        rng.shuffle(lines)
+        path.write_text("\n".join([header] + lines) + "\n")
+        keys = [tuple(row[c] for c in key) for row in scan_csv(path)]
+        clustered.append(len(list(groupby(keys))) == len(set(keys)))
+    assert not all(clustered)
+    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
+    out = tmp_path / "out"
     assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0
     got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())
            if p.name != "manifest.json"}

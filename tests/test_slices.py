@@ -10,6 +10,7 @@ import json
 import os
 import random
 import shutil
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from unimig.relational.ddl import parse_ddl
 from unimig.source import _ENTRY, SourceSession, _TableFile, open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.transforms.us_to_doc import uschema_to_document
+from unimig.uschema.model import Aggregate
 
 
 @pytest.fixture(autouse=True)
@@ -68,14 +70,9 @@ def _line_starts(file: _TableFile) -> list[int]:
 
 def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
     """The numbered typed rows of ``span``, or of the whole file, through
-    the reader, checking the line offset it gives each row."""
-    starts = _line_starts(file)
+    the reader."""
     with open(file.path, "rb") as handle:
-        rows = []
-        for n, start, row in file.rows(handle, *(span or file.spans(1)[0])):
-            assert start == starts[n]
-            rows.append((n, row))
-    return rows
+        return list(file.rows(handle, *(span or file.spans(1)[0])))
 
 
 def _check_spans(file: _TableFile, k: int) -> list:
@@ -93,38 +90,84 @@ def _check_spans(file: _TableFile, k: int) -> list:
     return spans
 
 
-def _check_runs(file: _TableFile, k: int) -> None:
-    """Build a run index on column ``s`` in ``k`` slices, as ``migrate``
-    does with a worker per later slice; it must be what one slice gives,
-    each run must start at its first row's line, and reading a key's runs
-    back must give exactly that key's rows."""
-    spans = file.spans(k)
-    later = []
-    for span in spans[1:]:
-        worker = _TableFile(file.table, file.path)
-        worker.runs_on(("s",), (), plan_for="a test")
-        worker.index_slice(span)
-        later.append(worker.encode_slice())
-    index = file.runs_on(("s",), (), plan_for="a test")
-    file.index_slice(spans[0])
-    file.merge_indexes(later)
-    one = _TableFile(file.table, file.path)
-    whole = one.runs_on(("s",), (), plan_for="a test")
-    one.index_slice(one.spans(1)[0])
-    one.merge_indexes([])
-    assert index == whole  # what one slice gives
-    starts = _line_starts(file)
-    groups: dict[tuple, list] = {}
+def _text_of(group: list) -> tuple:
+    """A group's numbered rows as text, and its row count."""
+    return repr(group), len(group), 0, 0, 0
+
+
+def _text_indexes(file: _TableFile, k: int,
+                  keys: list[tuple[str, ...]]) -> tuple[list[dict], int]:
+    """Each key's text in a text index on each of ``keys`` (columns),
+    ordered by ``id``, built in ``k`` slices as ``migrate`` builds them: a
+    worker per later slice, which appends its texts to a part file of its
+    own and inherits any clustered lines, then the first slice, then the
+    join; again over clustered lines for an index whose key does not
+    cluster the file. Also the number of passes over the file."""
+    spill = tempfile.TemporaryFile()
+    indexes = [file.texts_on(key, ("id",), _text_of, 0, spill, "a test")
+               for key in keys]
+    passes = 0
+    while file._unbuilt:
+        passes += 1
+        spans = file.spans(k)
+        later, shifts = [], []
+        for span in spans[1:]:
+            worker = _TableFile(file.table, file.path)
+            with tempfile.TemporaryFile() as part:
+                mine = [worker.texts_on(key, ("id",), _text_of, 0, part,
+                                        "a test") for key in keys]
+                if file.clustered is not None:
+                    worker.clustered = (
+                        mine[indexes.index(file.clustered[0])],
+                        *file.clustered[1:])
+                worker.index_slice(span)
+                later.append(worker.encode_slice())
+                shifts.append(os.lseek(spill.fileno(), 0, os.SEEK_END))
+                os.write(spill.fileno(), os.pread(
+                    part.fileno(), os.fstat(part.fileno()).st_size, 0))
+        file.index_slice(spans[0])
+        file.merge_indexes(later, shifts)
+    assert file.clustered is None  # the clustered lines are dropped
+    built = [{key: texts.text(key) for key in texts.index}
+             for texts in indexes]
+    spill.close()
+    return built, passes
+
+
+def _groups(file: _TableFile, columns: tuple[str, ...]) -> dict:
+    """Each key's text as ``_text_of`` gives it for the rows holding the
+    key in ``columns``, in file order (``id`` order), NULL keys left out."""
+    key_of, groups = file.getter(columns), {}
     for n, row in _read(file):
-        if row[1] is not None:  # a NULL joins nothing
-            groups.setdefault((row[1],), []).append((n, row))
-    assert list(index) == list(groups)
-    for key, runs in index.items():
-        triples, read = iter(runs), []
-        for run in zip(triples, triples, triples):
-            assert run[0] == starts[run[1]]  # the start of its first row
-            read += _read(file, run)
-        assert read == groups[key]
+        if None not in key_of(row):
+            groups.setdefault(key_of(row), []).append((n, row))
+    return {key: _text_of(group) for key, group in groups.items()}
+
+
+def _check_texts(file: _TableFile, k: int) -> None:
+    """A text index on column ``s`` built in ``k`` slices must be what one
+    slice gives: one text per non-NULL key, of its rows in order, each
+    with its number in the file, whether the file is clustered by ``s`` or
+    not."""
+    built = _text_indexes(file, k, [("s",)])[0]
+    assert built == _text_indexes(_TableFile(file.table, file.path), 1,
+                                  [("s",)])[0]
+    assert built == [_groups(file, ("s",))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_file_clustered_once_per_unclustered_text_index(tmp_path, k):
+    # neither s nor u clusters the file: each of their indexes is built
+    # again from the lines clustered by its key, in one more pass each
+    path = tmp_path / "t.csv"
+    path.write_text("id,s,u\n" + "".join(
+        f"{n},{'ab'[n % 2]},{'xyz'[n % 3]}\n" for n in range(12)))
+    file = _TableFile(parse_ddl("CREATE TABLE t (id INT PRIMARY KEY,"
+                                " s VARCHAR(9), u VARCHAR(9));").table("t"),
+                      path)
+    built, passes = _text_indexes(file, k, [("s",), ("u",)])
+    assert passes == 3
+    assert built == [_groups(file, ("s",)), _groups(file, ("u",))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,13 +176,14 @@ def _check_runs(file: _TableFile, k: int) -> None:
 @example([], 2, "\n", True)
 @example(["a"], 5, "\n", True)
 @example(["a", "b", "c"], 2, "\n", False)
-@example(["a", "a", "é", "é", "é", "", "a"], 3, "\r\n", False)
+@example(["a", "a", "é", "é", "é", "", "a"], 3, "\r\n", False)  # not clustered
+@example(["b", "a", "a", "a", "c", "a", "b", "a"], 2, "\n", True)  # cut in a group
 def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
                                              line_end, last_line_end):
     root = tmp_path_factory.mktemp("t")
     file = _table_file(root, texts, line_end, last_line_end)
     _check_spans(file, k)
-    _check_runs(file, k)
+    _check_texts(file, k)
 
 
 def test_cut_on_a_line_start(tmp_path):
@@ -172,13 +216,15 @@ def _counters(value):
     return value
 
 
-def _migrate(root: Path, out: Path, k: int,
-             monkeypatch) -> tuple[SourceSession, str | None]:
-    """Migrate ``root`` in ``k`` slices: the session it read, and the
-    error, if any."""
+def _migrate(root: Path, out: Path, k: int, monkeypatch,
+             edit=None) -> tuple[SourceSession, str | None]:
+    """Migrate ``root`` in ``k`` slices, after ``edit`` changed the pivot
+    model: the session it read, and the error, if any."""
     monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
     schema = parse_ddl((root / "schema.sql").read_text())
     step1 = rel_to_uschema(schema)
+    if edit is not None:
+        edit(step1.target)
     step2 = uschema_to_document(step1.target)
     session = open_source(root, schema, step1.trace)
     try:
@@ -188,10 +234,11 @@ def _migrate(root: Path, out: Path, k: int,
     return session, None
 
 
-def _run(root: Path, out: Path, k: int, monkeypatch) -> tuple[dict, str | None]:
+def _run(root: Path, out: Path, k: int, monkeypatch,
+         edit=None) -> tuple[dict, str | None]:
     """Migrate ``root`` in ``k`` slices: every output file's bytes (the
     manifest without its timings) and the error, if any."""
-    error = _migrate(root, out, k, monkeypatch)[1]
+    error = _migrate(root, out, k, monkeypatch, edit)[1]
     files = {}
     for path in sorted(out.iterdir()):
         if path.name == "manifest.json":
@@ -225,16 +272,20 @@ def _shuffled(root: Path) -> Path:
     return root
 
 
+# parent embeds its child rows, whose derived key joins a text component
+_ORPHANS_DDL = (
+    "CREATE TABLE parent (id INT PRIMARY KEY);"
+    "CREATE TABLE child (parent_id INT, a VARCHAR(9), b VARCHAR(9),"
+    " w VARCHAR(9), PRIMARY KEY (parent_id, a, b),"
+    " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+
+
 def _orphans(root: Path) -> Path:
     """Child rows of parents 8 and 9, which do not exist, among those of
     parents 1 to 3: one holds a NULL, one a NULL and '#' in a text
     component of the key its document would carry."""
     root.mkdir()
-    (root / "schema.sql").write_text(
-        "CREATE TABLE parent (id INT PRIMARY KEY);"
-        "CREATE TABLE child (parent_id INT, a VARCHAR(9), b VARCHAR(9),"
-        " w VARCHAR(9), PRIMARY KEY (parent_id, a, b),"
-        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    (root / "schema.sql").write_text(_ORPHANS_DDL)
     (root / "parent.csv").write_text("id\n1\n2\n3\n")
     (root / "child.csv").write_text(
         "parent_id,a,b,w\n1,x,1,p\n1,y,1,\n8,v,1,\n2,z,1,s\n9,q#r,1,\n"
@@ -306,6 +357,106 @@ def test_groups_identical_for_any_slice_count(tmp_path_factory, children,
     got = {doc["id"]: [(c["pos"], c.get("s", "")) for c in doc["childs"]]
            for doc in map(json.loads, files["parent.jsonl"].splitlines())}
     assert got == expected
+
+
+def _scattered(root: Path, rows: list[list[str]]) -> Path:
+    """The ``_orphans`` schema with child rows ``rows``, for parents 1 to
+    3 and for parent 9, which does not exist."""
+    root.mkdir(exist_ok=True)
+    (root / "schema.sql").write_text(_ORPHANS_DDL)
+    (root / "parent.csv").write_text("id\n1\n2\n3\n")
+    (root / "child.csv").write_text("parent_id,a,b,w\n" + "".join(
+        ",".join(row) + "\n" for row in rows))
+    return root
+
+
+def _scattered_rows() -> tuple[list[list[str]], list[int]]:
+    """2, 16 and 2 child rows of parents 1 to 3 and 2 of parent 9, in a
+    fixed random order (as ``_shuffled``), so that each parent's rows lie
+    in several runs; and their row numbers (0-based) in the order the
+    file is clustered in: a stable sort by parent, each ranked by its
+    first row."""
+    parents = [1] * 2 + [2] * 16 + [3] * 2 + [9] * 2
+    rows = [[str(parent), f"x{n}", "1", "w"] for n, parent in enumerate(parents)]
+    random.Random(3).shuffle(rows)
+    ranks: dict[str, int] = {}
+    for row in rows:
+        ranks.setdefault(row[0], len(ranks))
+    return rows, sorted(range(len(rows)), key=lambda n: ranks[rows[n][0]])
+
+
+@pytest.mark.parametrize("where", ["group", "orphan", "cut-2", "cut-3"])
+def test_separator_in_scattered_group_fails_as_serial_run(tmp_path, monkeypatch,
+                                                          where):
+    # a '#' in a text component of a child's derived key, on a row of a
+    # parent's scattered group, of an orphan's, or on the row of parent
+    # 2's group that the clustered lines are cut at for 2 slices, or at
+    # the second cut for 3: the first slice builds that group, reading on
+    # past its end, and the later slices pass over the rest of it
+    rows, clustered = _scattered_rows()
+    if where.startswith("cut"):
+        k = int(where[-1])
+        n = clustered[len(clustered) * (k - 1) // k]
+        assert rows[n][0] == rows[clustered[clustered.index(n) - 1]][0] == "2"
+    else:
+        parent = {"group": "2", "orphan": "9"}[where]
+        n = next(n for n, row in enumerate(rows) if row[0] == parent)
+        assert any(row[0] != parent for row in rows[n:]) and [
+            row[0] for row in rows[n:]].count(parent) > 1  # scattered
+    rows[n][1] = "q#r"
+    root = _scattered(tmp_path / "data", rows)
+    serial = _run(root, tmp_path / "out1", 1, monkeypatch)
+    if where == "orphan":
+        assert serial[1] is None
+        good = _run(_scattered(tmp_path / "good", _scattered_rows()[0]),
+                    tmp_path / "good-out", 1, monkeypatch)
+        assert serial == good  # the orphans are neither embedded nor counted
+    else:
+        assert serial == ({}, (
+            f"while migrating collection 'parent': child.csv (row {n + 1}), "
+            "column 'a': key value 'q#r' holds the identifier separator '#'"))
+    for k in (2, 3):
+        assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == serial
+
+
+def _one_object(pivot) -> None:
+    """Make the pivot model's one aggregate embed at most one object."""
+    (aggregate,) = [f for e in pivot.entities for f in e.features
+                    if isinstance(f, Aggregate)]
+    aggregate.upper_bound = 1
+
+
+@pytest.mark.parametrize("parent", [2, 9])
+def test_one_object_aggregate_over_scattered_rows(tmp_path, monkeypatch,
+                                                  parent):
+    # two child rows of one parent, apart: parent 2's fail its document,
+    # an orphan's fail nothing
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "schema.sql").write_text(
+        "CREATE TABLE parent (id INT PRIMARY KEY, v INT);"
+        "CREATE TABLE child (parent_id INT, n INT, w VARCHAR(5),"
+        " PRIMARY KEY (parent_id, n),"
+        " FOREIGN KEY (parent_id) REFERENCES parent (id));")
+    (root / "parent.csv").write_text("id,v\n1,10\n2,20\n3,30\n")
+    (root / "child.csv").write_text(
+        f"parent_id,n,w\n1,1,a\n{parent},2,b\n3,1,c\n{parent},1,d\n2,3,e\n"
+        if parent == 9 else
+        f"parent_id,n,w\n1,1,a\n{parent},2,b\n3,1,c\n{parent},1,d\n")
+    serial = _run(root, tmp_path / "out1", 1, monkeypatch, _one_object)
+    if parent == 2:
+        assert serial == ({}, "while migrating collection 'parent': "
+                          "parent.csv (row 2), 2 child rows for one-object "
+                          "aggregate parent.childs")
+    else:
+        assert serial[1] is None
+        assert serial[0]["parent.jsonl"] == (
+            b'{"id":1,"v":10,"childs":{"n":1,"w":"a"}}\n'
+            b'{"id":2,"v":20,"childs":{"n":3,"w":"e"}}\n'
+            b'{"id":3,"v":30,"childs":{"n":1,"w":"c"}}\n')
+    for k in (2, 3):
+        assert _run(root, tmp_path / f"out{k}", k, monkeypatch,
+                    _one_object) == serial
 
 
 def test_one_slice_forks_nothing(tmp_path, monkeypatch):
@@ -431,22 +582,17 @@ def test_interrupted_parent_reaps_its_workers(tmp_path, monkeypatch):
 # --- the index pass in slices -----------------------------------------------------
 
 def _indexes(session: SourceSession) -> dict:
-    """Every built index of the session: run triples as lists, a text
-    index's record lengths (its spill offsets depend on the order in which
-    slices were appended), or its run triples when its file is not
-    clustered by its key."""
+    """Every built index of the session: a text index as its record length
+    per key (its spill offsets depend on the order in which slices were
+    appended)."""
     built = {}
     for name, file in session._files.items():
-        for key, runs in file._runs.items():
-            built[name, "runs", key] = {k: list(t) for k, t in runs.items()}
         for key, ids in file._id_indexes.items():
             built[name, "ids", key] = ids
         for texts in file._texts:
             lengths = texts.entries[1::_ENTRY]
-            built[name, "texts", (texts.columns, texts.order)] = (
-                {k: list(t) for k, t in texts.runs.items()}
-                if texts.runs is not None else
-                {k: lengths[p] for k, p in texts.index.items()})
+            built[name, "texts", (texts.columns, texts.order)] = {
+                k: lengths[p] for k, p in texts.index.items()}
     return built
 
 
@@ -482,17 +628,13 @@ def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
         if dataset == "straddling":
             child = session.file_for("child")
             assert any(2 < first < 18 for _, first, _ in child.spans(k))
-    if dataset == "straddling":
-        # one text per parent, the straddling one built whole: a 48-byte
-        # header, then '[{"pos":0},{"pos":1}]', ... '[{"pos":18},{"pos":19}]'
+    if dataset in ("straddling", "shuffled"):
+        # one text per parent, the straddling one built whole, and the
+        # shuffled file's built from its lines clustered by parent: a
+        # 32-byte header, then '[{"pos":0},{"pos":1}]', ...
+        # '[{"pos":18},{"pos":19}]'
         assert serial["child", "texts", (("parent_id",), ("pos",))] == {
-            (1,): 48 + 21, (2,): 48 + 169, (3,): 48 + 23}
-    if dataset == "shuffled":
-        # not clustered by parent: the run index, rows counted by key
-        runs = serial["child", "texts", (("parent_id",), ("pos",))]
-        assert {key: sum(triples[2::3]) for key, triples in runs.items()} == {
-            (1,): 2, (2,): 16, (3,): 2}
-        assert max(map(len, runs.values())) > 3  # a key in several runs
+            (1,): 32 + 21, (2,): 32 + 169, (3,): 32 + 23}
 
 
 # b is embedded in a (a run index on b.a_id, ordered by pos); a's rows

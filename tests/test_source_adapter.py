@@ -77,8 +77,8 @@ def _replace_line(root, table, n, text):
     (root / f"{table}.csv").write_text("\n".join(lines) + "\n")
 
 
-# playlist rows are read by runs as aggregate children, app_user rows
-# only streamed
+# playlist rows are grouped as aggregate children, app_user rows only
+# streamed
 @pytest.mark.parametrize("table,row,line", [
     ("playlist", 1, 'p001,u001,"indi\n90s",2026-08-26 18:20:00'),
     ("app_user", 2, 'u002,"Bob\nSmith",false,2025-03-01 10:00:00'),
@@ -116,10 +116,9 @@ def test_unreadable_csv_record_rejected_at_open(mini, tmp_path):
 
 
 def test_bare_carriage_returns_rejected_at_open(mini, tmp_path):
-    # csv also ends lines at a bare carriage return, but runs of rows are
-    # found by the byte offsets of line feeds. A table read by runs with CR
-    # line ends and a streamed one with a single CR both fail before
-    # migration.
+    # csv also ends lines at a bare carriage return, but row slices are
+    # cut at line feeds. A table grouped as aggregate children with CR line
+    # ends and a streamed one with a single CR both fail before migration.
     rewrites = {"playlist": lambda text: text.replace("\n", "\r"),
                 "app_user": lambda text: text.replace(":30\n", ":30\r")}
     for table, rewrite in rewrites.items():
@@ -477,26 +476,29 @@ def test_null_key_joins_nothing(tmp_path):
     assert docs["child"] == [{"id": 7}]
 
 
-def test_run_index_reads_unclustered_rows(tmp_path):
+def test_unclustered_rows_read_in_key_order(tmp_path):
+    # parent 1's child rows lie in two runs: the cursor scans the file for
+    # them, and the migrator builds their group from the file's lines
+    # clustered by parent
+    ddl = ("CREATE TABLE parent (id INT PRIMARY KEY);"
+           "CREATE TABLE child (parent_id INT, pos INT, note VARCHAR(9),"
+           "  PRIMARY KEY (parent_id, pos),"
+           "  FOREIGN KEY (parent_id) REFERENCES parent (id));")
     session = _tiny_source(
-        tmp_path,
-        "CREATE TABLE parent (id INT PRIMARY KEY);"
-        "CREATE TABLE child (parent_id INT, pos INT, note VARCHAR(9),"
-        "  PRIMARY KEY (parent_id, pos),"
-        "  FOREIGN KEY (parent_id) REFERENCES parent (id));",
+        tmp_path, ddl,
         {"parent": "id\n1\n2\n",
          "child": "parent_id,pos,note\n1,2,b\n1,1,a\n2,1,x\n1,3,c\n"})
-    runs = session.file_for("child").runs_on(("parent_id",), ("pos",), "the test")
-    assert runs == {}  # planned, not yet built
-    session.build_indexes()
-    # flat (byte offset, first row, row count) triples: two runs for
-    # parent 1, one for 2
-    assert {key: list(triples) for key, triples in runs.items()} == {
-        (1,): [19, 0, 2, 37, 3, 1], (2,): [31, 2, 1]}
     parents = read_entity_all(session, "parent")
-    children = parents.related_by_name("childs")  # reads the same index
-    assert _rows(children, "note") == [("a",), ("b",), ("c",)]  # key order
+    assert _rows(parents.related_by_name("childs"), "note") == [
+        ("a",), ("b",), ("c",)]  # key order
+    parents.advance()
+    assert _rows(parents.related_by_name("childs"), "note") == [("x",)]
     session.close()
+    docs = _documents(session, tmp_path / "out")
+    assert docs["parent"] == [
+        {"id": 1, "childs": [{"pos": 1, "note": "a"}, {"pos": 2, "note": "b"},
+                             {"pos": 3, "note": "c"}]},
+        {"id": 2, "childs": [{"pos": 1, "note": "x"}]}]
 
 
 def test_null_order_value_names_child_row(tmp_path):
