@@ -74,10 +74,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import is_, is_not, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO
+from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence,
+                    TextIO)
 
 from unimig.document.model import (
     DocReference,
@@ -91,6 +93,10 @@ from unimig.errors import MigrationError, SourceError
 from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
+    _Block,
+    _Counted,
+    _GroupDocs,
+    _keys,
     _TableFile,
     _Texts,
     fmt_id,
@@ -146,11 +152,15 @@ class MigrationReport:
 # --- the executor ----------------------------------------------------------------
 
 # A step: a property's encoded ``"<name>":`` prefix, value function (None
-# when absent), encoder, and what an absent value means: counted in
-# ``nullsOmitted`` (``_COUNT``), left out (``_SKIP``) or a key's failure
-# message. A build function runs them over typed row ``n`` of its file.
+# when absent), encoder, column function, and what an absent value means:
+# counted in ``nullsOmitted`` (``_COUNT``), left out (``_SKIP``) or a key's
+# failure message. A row function runs the steps over typed row ``n`` of
+# its file; a block function runs their column functions over the columns
+# of a block of rows: each gives every row's value (None when absent) and
+# adds what it counts to a ``_Counted``, or raises ``_Doubt``.
 _Encode = Callable[[object], str]
-_Prop = tuple[str, Callable[[tuple], object], _Encode, bool | str]
+_Column = Callable[[list[Sequence], _Counted], Sequence]
+_Prop = tuple[str, Callable[[tuple], object], _Encode, _Column, bool | str]
 _Build = Callable[[tuple, int], str]
 _COUNT, _SKIP = True, False
 
@@ -162,6 +172,16 @@ _ENCODERS: dict[type, _Encode] = {
     float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
 }
+#: A value as an identifier component by its type, as ``fmt_id`` writes
+#: it; None for text, which is its own.
+_ID_TEXT: dict[type, _Encode | None] = {
+    str: None,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: _ENCODERS[bool],
+}
+_FIRST = itemgetter(0)
+_TAIL = itemgetter(slice(1, None))  # a document's fragments but the first comma
 
 
 def _float_text(value: object) -> str:
@@ -174,33 +194,102 @@ class _BadKey(MigrationError):
     aggregate; the build function adds file and row."""
 
 
-def _id_of(file: _TableFile, columns: list[str],
-           text: bool = False) -> tuple[Callable[[tuple], object], _Encode]:
+class _Doubt(Exception):
+    """A block whose documents are built row by row instead, because
+    building one of its rows may fail."""
+
+
+def _column(p: int) -> _Column:
+    """Column function of the values of column ``p``."""
+    return lambda columns, counted: columns[p]
+
+
+def _probes(file: _TableFile, columns: tuple[str, ...]
+            ) -> Callable[[list[Sequence]], list[tuple]]:
+    """Function from a block's columns to each row's values in
+    ``columns``, as ``file.getter`` gives them for one row."""
+    positions = file.positions(columns)
+    return lambda block: _keys(block, positions)
+
+
+def _present(lead: str, encode: _Encode, values: Sequence) -> list[str]:
+    """``lead`` and the encoded value for each value, ``""`` for each None,
+    in C: a None is encoded as some other value, then dropped."""
+    if (some := next(filter(partial(is_not, None), values), None)) is None:
+        return [""] * len(values)
+    texts = map(lead.__add__, map(encode, map({None: some}.get, values, values)))
+    return list(map(tuple.__getitem__, zip(texts, repeat("")),
+                    map(is_, values, repeat(None))))
+
+
+def _id_of(file: _TableFile, columns: list[str], text: bool = False
+           ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
     """Function from a typed row to the identifier its values in
     ``columns`` form, as ``record_id`` does or, with ``text``, always as
     ``#``-joined text (None when one of the values is NULL), failing on a
-    text component that holds ``#``; and the encoder of that identifier."""
+    text component that holds ``#``; the encoder of that identifier; and
+    its column function."""
     if len(columns) == 1 and not text:
         p = file.columns.index(columns[0])
-        return itemgetter(p), _ENCODERS[file.types[p]]
-    get = file.getter(columns)
-    check = len(columns) > 1 and str in get(file.types)  # a text component
+        return itemgetter(p), _ENCODERS[file.types[p]], _column(p)
+    get, positions = file.getter(columns), file.positions(columns)
+    texts = [p for p in positions if file.types[p] is str] if len(columns) > 1 else []
+    formats = [_ID_TEXT[file.types[p]] for p in positions]
 
-    def id_of(row: tuple) -> str | None:
-        if None in (values := get(row)):
+    def joined(values: tuple) -> str | None:
+        if None in values:
             return None
         joined = KEY_SEPARATOR.join(map(fmt_id, values))
-        if check and joined.count(KEY_SEPARATOR) >= len(values):
+        if texts and joined.count(KEY_SEPARATOR) >= len(values):
             raise _BadKey(separator_message(columns, values))
         return joined
 
-    return id_of, encode_basestring
+    def id_of(row: tuple) -> str | None:
+        return joined(get(row))
+
+    def ids_of(block: list[Sequence], counted: _Counted) -> list[str | None]:
+        parts = [block[p] for p in positions]
+        if any(None in part for part in parts):
+            return list(map(joined, zip(*parts)))
+        if any(KEY_SEPARATOR in "".join(block[p]) for p in texts):
+            raise _Doubt
+        return list(map(KEY_SEPARATOR.join, zip(*[
+            part if f is None else map(f, part) for part, f in zip(parts, formats)])))
+
+    return id_of, encode_basestring, ids_of
+
+
+class _Builder(NamedTuple):
+    """A compiled document: ``row`` builds the JSON text of typed row
+    ``n`` and adds what it counts to ``stats``; ``block`` builds those of a
+    block's rows from its columns and gives what building each row
+    counted, or None when the block is in doubt (``_Doubt``)."""
+
+    row: _Build
+    block: Callable[[_Block], tuple[list[str], _Counted] | None]
+    stats: EntityStats
+
+    def __call__(self, row: tuple, n: int) -> str:
+        return self.row(row, n)
+
+    def documents(self, block: _Block) -> Iterable[str]:
+        """The JSON texts of a block's rows, adding what building them
+        counts to ``stats``: built a column at a time, or row by row when
+        the block is typed row by row or in doubt, so that a failing row
+        fails as it does alone."""
+        if block.columns is not None and (built := self.block(block)) is not None:
+            docs, counted = built
+            for which, values in counted:
+                setattr(self.stats, which, getattr(self.stats, which) + sum(values))
+            return docs
+        return map(self.row, block, block.numbers)
 
 
 def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
-                 stats: EntityStats) -> tuple[_TableFile, _Build]:
+                 stats: EntityStats) -> tuple[_TableFile, _Builder]:
     """Compile collection ``te``: the file its documents come from, and a
-    function from a typed row of that file to the JSON text of one."""
+    function from a typed row of that file to the JSON text of one, which
+    also builds them a block at a time (``_Builder``)."""
     origin = next((l for l in t2.lookup(f"doc:{te.name}", "backward")
                    if l.rule in ("R2", "R7")), None)
     if origin is None:
@@ -215,15 +304,15 @@ def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
 def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
                   file: _TableFile, properties: list[Property],
                   stats: EntityStats, path: list[tuple[str, bool]]
-                  ) -> tuple[_Build, int]:
-    """Compile ``properties`` at document ``path`` into a function over
-    typed rows of ``file``, whose table stores ``type_name``: column positions,
-    value encoders and the indexes to probe are fixed here, once per
-    collection. The indexes are only planned; they must be built
-    (``build_indexes``, or ``migrate``'s index pass) before the function
-    runs. Also returns the level of an index that the function may build
-    (``texts_on``): 0 if it probes no index, else one more than the highest
-    level among those it probes (an id index is at level 0)."""
+                  ) -> tuple[_Builder, int]:
+    """Compile ``properties`` at document ``path`` into functions over
+    typed rows and blocks of ``file``, whose table stores ``type_name``:
+    column positions, value encoders and the indexes to probe are fixed
+    here, once per collection. The indexes are only planned; they must be
+    built (``build_indexes``, or ``migrate``'s index pass) before the
+    functions run. Also returns the level of an index that the functions
+    may build (``texts_on``): 0 if they probe no index, else one more than
+    the highest level among those they probe (an id index is at level 0)."""
     table, collection = file.table, f"collection {path[0][0]!r}"
     steps: list[_Prop] = []
     level = 0
@@ -250,14 +339,14 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             p = file.columns.index(column)
             encode = (_float_text if prop.type.primitive == "DOUBLE"
                       and file.types[p] is not float else _ENCODERS[file.types[p]])
-            steps.append((prefix, itemgetter(p), encode,
+            steps.append((prefix, itemgetter(p), encode, _column(p),
                           f"column {column!r}: NULL key value for {label}"
                           if prop.is_key else _COUNT))
         elif isinstance(prop, DocReference) and "R5" in by_rule:
             link = session.link(type_name, table, by_rule["R5"][1])
             ids = link.file.ids_on(link.index, plan_for=collection)
             steps.append((prefix, *_refs(not prop.type.array, link.file, ids,
-                                         file.getter(link.probe), stats), _SKIP))
+                                         file, link.probe, stats), _SKIP))
             level = max(level, 1)
         elif isinstance(prop, DocReference):
             if "R7" not in by_rule:
@@ -273,19 +362,18 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             build, child_level = _compile_rows(
                 session, t2, link.type_name, link.file, prop.aggregates, child,
                 path + [(prop.name, True)])
-            text_of = _group_text(prop.is_many, build, child, session)
+            text_of, docs = _group_text(prop.is_many, build, child, session)
             texts = link.file.texts_on(link.index, link.order, text_of,
-                                       child_level, session.spill(), collection)
-            steps.append((prefix, _embedded(prop.is_many, texts,
-                                            file.getter(link.probe), stats,
-                                            label),
-                          str, _SKIP))
+                                       child_level, session.spill(), collection,
+                                       docs)
+            steps.append((prefix, *_embedded(prop.is_many, texts, file,
+                                             link.probe, stats, label), _SKIP))
             level = max(level, child_level + 1)
 
     def build(row: tuple, n: int) -> str:
         out: list[str] = []
         try:
-            for prefix, value_of, encode, absent in steps:
+            for prefix, value_of, encode, _, absent in steps:
                 if (value := value_of(row)) is not None:
                     out.append(prefix + encode(value))
                 elif absent is _COUNT:
@@ -296,20 +384,55 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
         return "{" + ",".join(out) + "}"
 
-    return build, level
+    # each fragment leads with a comma, but the first one with its
+    # document's brace when the first property is in every row
+    leads = [("," + prefix, encode, column_of, absent)
+             for prefix, _, encode, column_of, absent in steps]
+
+    def block(rows: _Block) -> tuple[list[str], _Counted] | None:
+        columns, counted, fragments = rows.columns, [], []
+        opened = False
+        try:
+            for lead, encode, column_of, absent in leads:
+                values = column_of(columns, counted)
+                if None not in values:
+                    if not fragments:
+                        lead, opened = "{" + lead[1:], True
+                    fragments.append(list(map(lead.__add__, map(encode, values))))
+                    continue
+                if absent is _COUNT:
+                    counted.append(("nulls_omitted",
+                                    list(map(is_, values, repeat(None)))))
+                elif absent is not _SKIP:
+                    raise _Doubt  # a NULL key value
+                fragments.append(_present(lead, encode, values))
+        except (_Doubt, MigrationError):  # a key, or a group, that fails
+            return None
+        if opened:
+            return list(map("".join, zip(*fragments, repeat("}")))), counted
+        if not fragments:
+            return ["{}"] * len(rows.numbers), counted
+        return list(map("{%s}".__mod__, map(_TAIL, map(
+            "".join, zip(*fragments))))), counted
+
+    return _Builder(build, block, stats), level
 
 
 def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
-          probe_of: Callable[[tuple], tuple],
-          stats: EntityStats) -> tuple[Callable[[tuple], object], _Encode]:
-    """A reference's value function and encoder: the identifiers that
-    ``index``, a covering index of ``target``, holds for the row's probe, as
-    an array, or for a forward reference the first, None when there is none
-    (a NULL probe or a missing target, counted)."""
+          file: _TableFile, probe: tuple[str, ...], stats: EntityStats
+          ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
+    """A reference's value function, encoder and column function: the
+    identifiers that ``index``, a covering index of ``target``, holds for
+    the ``probe`` values of a row of ``file``, as an array, or for a
+    forward reference the first, None when there is none (a NULL probe or
+    a missing target, counted)."""
     encode = _id_of(target, target.table.primary_key().columns)[1]
+    probe_of, probes_of = file.getter(probe), _probes(file, probe)
     if not forward:
         return (lambda row: index.get(probe_of(row), ()),  # NULL joins nothing
-                lambda ids: "[" + ",".join(map(encode, ids)) + "]")
+                lambda ids: "[" + ",".join(map(encode, ids)) + "]",
+                lambda block, counted: list(map(index.get, probes_of(block),
+                                                repeat(()))))
 
     def first_id(row: tuple) -> object:
         if ids := index.get(probe := probe_of(row)):
@@ -320,35 +443,60 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
             stats.dangling_refs += 1
         return None
 
-    return first_id, encode
+    def first_ids(block: list[Sequence], counted: _Counted) -> list:
+        probes = probes_of(block)
+        found = list(map(index.get, probes))
+        if None not in found:
+            return list(map(_FIRST, found))
+        nulls = [ids is None and None in key for key, ids in zip(probes, found)]
+        counted.append(("nulls_omitted", nulls))
+        counted.append(("dangling_refs", [ids is None and not null
+                                          for ids, null in zip(found, nulls)]))
+        return [ids and ids[0] for ids in found]
+
+    return first_id, encode, first_ids
 
 
-def _group_text(many: bool, build: _Build, child: EntityStats,
-                session: SourceSession) -> Callable:
+def _group_text(many: bool, build: _Builder, child: EntityStats,
+                session: SourceSession) -> tuple[Callable, _GroupDocs]:
     """The ``text_of`` of an embedded property's text index: the JSON text
     of a sorted child group built by ``build`` (an array, or the object of
     a one-object aggregate, which is not built over several rows), and its
     counters: its rows, then the rows, NULLs and dangling references that
-    building it added to ``child``, its nested groups' included."""
+    building it added to ``child``, its nested groups' included. Also how
+    the index builds the same from the documents of blocks of rows."""
     def text_of(group: list[tuple[int, tuple]]) -> tuple[str, int, int, int, int]:
         if not many and len(group) > 1:
             return "", len(group), 0, 0, 0  # embedding it fails
         session.peak_live_records = max(session.peak_live_records, len(group))
         vars(child).update(rows_read=len(group), nulls_omitted=0,
                            dangling_refs=0)
-        text = ("[" + ",".join([build(r, m) for m, r in group]) + "]" if many
-                else build(group[0][1], group[0][0]))
+        text = ("[" + ",".join([build.row(r, m) for m, r in group]) + "]" if many
+                else build.row(group[0][1], group[0][0]))
         return (text, len(group), child.rows_read, child.nulls_omitted,
                 child.dangling_refs)
 
-    return text_of
+    def text(docs: list[str], counts: dict[str, int]
+             ) -> tuple[str, int, int, int, int] | None:
+        if not many and len(docs) > 1:
+            return None
+        session.peak_live_records = max(session.peak_live_records, len(docs))
+        return ("[" + ",".join(docs) + "]" if many else docs[0], len(docs),
+                len(docs) + counts.get("rows_read", 0),
+                counts.get("nulls_omitted", 0), counts.get("dangling_refs", 0))
+
+    return text_of, _GroupDocs(build.block, text)
 
 
-def _embedded(many: bool, texts: _Texts, probe_of: Callable[[tuple], tuple],
-              stats: EntityStats, label: str) -> Callable:
-    """The JSON text of the child rows reached from a row, copied from text
-    index ``texts``, adding its counters to ``stats``: None for a
-    one-object aggregate with no child, a failure with several."""
+def _embedded(many: bool, texts: _Texts, file: _TableFile,
+              probe: tuple[str, ...], stats: EntityStats, label: str
+              ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
+    """The JSON text of the child rows reached from a row of ``file``
+    through its ``probe`` values, copied from text index ``texts``, adding
+    its counters to ``stats``: None for a one-object aggregate with no
+    child, a failure with several. Also its encoder and column function."""
+    probe_of, probes_of = file.getter(probe), _probes(file, probe)
+
     def embedded(row: tuple) -> str | None:
         if (found := texts.text(probe_of(row))) is None:
             return "[]" if many else None
@@ -360,7 +508,21 @@ def _embedded(many: bool, texts: _Texts, probe_of: Callable[[tuple], tuple],
         stats.dangling_refs += dangling
         return text
 
-    return embedded
+    def embedded_all(block: list[Sequence], counted: _Counted) -> Sequence:
+        found = list(map(texts.text, probes_of(block)))  # or a group's failure
+        if None in found:
+            missing = ("[]" if many else None, 0, 0, 0, 0)
+            found = [entry or missing for entry in found]
+        text, count, read, nulls, dangling = zip(*found)
+        if not many and max(count) > 1:
+            raise _Doubt
+        counted.extend(pair for pair in (("rows_read", read),
+                                         ("nulls_omitted", nulls),
+                                         ("dangling_refs", dangling))
+                       if any(pair[1]))
+        return text
+
+    return embedded, str, embedded_all
 
 
 # --- writing --------------------------------------------------------------------
@@ -381,7 +543,7 @@ class _Collection:
     name: str
     stats: EntityStats
     file: _TableFile
-    build: _Build
+    build: _Builder
     spans: list[tuple[int, int, int]]
 
 
@@ -394,8 +556,9 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     file = c.file
     try:
         with open(file.path, "rb") as handle:
-            for n, row in file.rows(handle, *c.spans[i]):
-                c.stats.docs_written += write_batch(out, [c.build(row, n)])
+            for block in file.blocks(handle, *c.spans[i]):
+                for doc in c.build.documents(block):
+                    c.stats.docs_written += write_batch(out, [doc])
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc

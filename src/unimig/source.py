@@ -93,15 +93,15 @@ import re
 import struct
 import tempfile
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from math import isfinite
-from operator import itemgetter
+from operator import contains, itemgetter, ne, not_
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from unimig.errors import MigrationError, SourceError
 from unimig.relational.model import FKey, RelationalSchema, SqlType, Table, fk_in_pk
@@ -129,8 +129,8 @@ _INT_RANGES = {base: (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
 _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")} | {
     rule: (REF_FORWARD, REF_REVERSE) for rule in ("R7.1", "R7.2")}
 
-#: One step of an index pass, given each typed row and its number.
-_Fill = Callable[[tuple, int], None]
+#: Checks one typed row of an index pass, given its number.
+_Check = Callable[[tuple, int], None]
 #: Types one column of a block of rows at once: its cells -> its values,
 #: raising ``ValueError`` or ``KeyError`` on any cell it cannot vouch for.
 _Kernel = Callable[[tuple], Sequence]
@@ -307,6 +307,50 @@ _HEADER = struct.Struct("<4q")
 #: Builds a group of numbered typed rows, sorted: its text and counters
 #: (group rows, rows read, NULLs omitted, dangling references).
 _TextOf = Callable[[list[tuple[int, tuple]]], tuple[str, int, int, int, int]]
+#: What building each row of a block counted, as (counter, one value per
+#: row) pairs; the counter is a name its builder gives.
+_Counted = list[tuple[str, Sequence[int]]]
+
+
+class _Block:
+    """Data rows ``numbers`` of a file, typed: their ``columns`` (one
+    sequence of values per column), None while the rows are typed one by
+    one as they are taken (``typed_block``), and the rows, made from the
+    columns when first asked for."""
+
+    __slots__ = ("numbers", "columns", "_rows")
+
+    def __init__(self, numbers: Sequence[int], columns: list[Sequence] | None,
+                 rows: Iterable[tuple] | None = None):
+        self.numbers, self.columns, self._rows = numbers, columns, rows
+
+    @property
+    def rows(self) -> Iterable[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*self.columns))
+        return self._rows
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows)
+
+
+def _keys(columns: list[Sequence], positions: list[int]) -> list[tuple]:
+    """Each row's tuple of its values at ``positions`` of a block's
+    ``columns``."""
+    return list(zip(*map(columns.__getitem__, positions)))
+
+
+class _GroupDocs(NamedTuple):
+    """How a text index builds its groups a block at a time: ``docs``
+    gives the text of each row of a block, from its columns, and what
+    building them counted, or None when the block is in doubt; ``text``
+    joins the texts of a group's rows, sorted, and the sums of their
+    counters into what ``text_of`` gives for the group, or gives None when
+    only ``text_of`` can build it."""
+
+    docs: Callable[[_Block], tuple[list[str], _Counted] | None]
+    text: Callable[[list[str], dict[str, int]],
+                   tuple[str, int, int, int, int] | None]
 
 
 def _level(planned: tuple[str, object]) -> int:
@@ -317,20 +361,24 @@ def _level(planned: tuple[str, object]) -> int:
 
 class _Texts:
     """A text index: typed key -> one entry (``_ENTRY``) in ``entries``,
-    whose text, built once by ``text_of`` from the key's group of rows in
-    ``order``, lies in ``spill``, an unnamed file. ``text_of`` may fail; its
+    whose text, built once from the key's group of rows in ``order``, lies
+    in ``spill``, an unnamed file. ``docs`` builds the groups of a block
+    from its columns; a group it cannot build, or every group when it is
+    None, is built from its rows by ``text_of``. Building may fail; the
     error is kept as the text and raised when the text is read, so a group
     that is never read never fails. ``unclustered`` is set when a key is
     met in a second group, which ends the grouping: the index is then built
     again from the file's lines clustered by the key
     (``_TableFile._cluster``)."""
 
-    def __init__(self, columns: tuple[str, ...], order: tuple[str, ...],
-                 key_of: Callable[[tuple], tuple],
-                 order_of: Callable[[tuple], object] | None, text_of: _TextOf,
-                 level: int, spill: BinaryIO):
+    def __init__(self, file: _TableFile, columns: tuple[str, ...],
+                 order: tuple[str, ...], text_of: _TextOf,
+                 docs: _GroupDocs | None, level: int, spill: BinaryIO):
         self.columns, self.order = columns, order
-        self.key_of, self.order_of, self.text_of = key_of, order_of, text_of
+        self.key_at, self.order_at = file.positions(columns), file.positions(order)
+        self.key_of = file.getter(columns)
+        self.order_of = order and itemgetter(*self.order_at)
+        self.text_of, self.docs = text_of, docs
         self.level, self.spill = level, spill
         self.index: dict[tuple, int] = {}  # key -> entry number
         self.entries = array("q")
@@ -364,57 +412,97 @@ class _Texts:
 
 class _Grouper:
     """Groups the consecutive rows of one slice that hold a key of text
-    index ``texts`` (none with a NULL in it), writes each group's text to
-    ``out`` and enters it. Rows that hold the key of ``before``, the row
-    before the slice, at its start belong to an earlier slice's group. A
-    key met in a second group marks the index unclustered, and no group is
-    built after it."""
+    index ``texts`` (none with a NULL in it), a block at a time, writes each
+    group's text to ``out`` and enters it. Rows that hold the key of
+    ``before``, the row before the slice, at its start belong to an earlier
+    slice's group. A key met in a second group marks the index unclustered,
+    and no group is built after it."""
 
-    __slots__ = ("texts", "key_of", "out", "last", "group")
+    __slots__ = ("texts", "out", "last", "pieces")
 
     def __init__(self, texts: _Texts, out: BinaryIO, before: tuple | None):
         texts.index.clear()
         texts.entries = array("q")
-        self.texts, self.key_of, self.out = texts, texts.key_of, out
+        self.texts, self.out = texts, out
         self.last = None if before is None else texts.key_of(before)
-        self.group: list[tuple[int, tuple]] | None = None  # None: passed over
+        # the open group, as pieces of blocks: (block, its documents and
+        # counters or None, its order keys, first, end); None: passed over
+        self.pieces: list[tuple] | None = None
 
-    def add(self, row: tuple, n: int) -> None:
-        if (key := self.key_of(row)) != self.last:
-            self.close()
-            self.last = key
-            if None not in key and not self.texts.unclustered:
-                self.group = []
-        if self.group is not None:
-            self.group.append((n, row))
+    def add(self, block: _Block) -> None:
+        """Take a block: each run of one key in it goes on with the open
+        group, or closes it and opens the next."""
+        texts = self.texts
+        keys = _keys(block.columns, texts.key_at)
+        cuts = [0, *compress(range(1, len(keys)), map(ne, keys[1:], keys)),
+                len(keys)]
+        built = None
+        for first, end in zip(cuts, cuts[1:]):
+            if (key := keys[first]) != self.last:
+                self.close()
+                self.last = key
+                if None not in key and not texts.unclustered:
+                    self.pieces = []
+            if self.pieces is not None:
+                if built is None:
+                    docs = texts.docs and texts.docs.docs(block)
+                    built = (docs, docs and texts.order_at
+                             and _keys(block.columns, texts.order_at))
+                self.pieces.append((block, *built, first, end))
 
     def extend(self, row: tuple, n: int) -> bool:
         """Take a row after the slice if it goes on with the last group."""
-        if self.key_of(row) != self.last:
+        if self.texts.key_of(row) != self.last:
             return False
-        self.group.append((n, row))
+        self.pieces.append((_Block([n], None, [row]), None, None, 0, 1))
         return True
 
     def close(self) -> None:
         """Build and enter the open group, if any, unless its key was met
         before: then mark the index unclustered."""
-        group, self.group, texts = self.group, None, self.texts
-        if not group:
+        pieces, self.pieces, texts = self.pieces, None, self.texts
+        if not pieces:
             return
         if self.last in texts.index:
             texts.unclustered = True
             return
-        if order_of := texts.order_of:
-            group.sort(key=lambda item: order_of(item[1]))
         try:
-            text, *counters = texts.text_of(group)
+            text, *counters = self._text(pieces)
             sign = 1
         except MigrationError as exc:
-            text, sign, counters = str(exc), -1, (len(group), 0, 0, 0)
+            size = sum(end - first for *_, first, end in pieces)
+            text, sign, counters = str(exc), -1, (size, 0, 0, 0)
         record = _HEADER.pack(*counters) + text.encode()
         texts.index[self.last] = len(texts.entries) // _ENTRY
         texts.entries.extend((self.out.tell(), sign * len(record)))
         self.out.write(record)
+
+    def _text(self, pieces: list[tuple]) -> tuple[str, int, int, int, int]:
+        """The open group's text and counters: joined from the documents
+        of its blocks, sorted by their order keys, or, when a block is in
+        doubt or ``docs`` cannot join them, built by ``text_of`` from its
+        rows."""
+        texts = self.texts
+        if all(docs for _, docs, *_ in pieces):
+            made: list[str] = []
+            orders: list[tuple] = []
+            counts: dict[str, int] = {}
+            for _, (docs, counted), ordered, first, end in pieces:
+                made += docs[first:end]
+                if ordered:
+                    orders += ordered[first:end]
+                for which, values in counted:
+                    counts[which] = counts.get(which, 0) + sum(values[first:end])
+            if orders:
+                made = list(map(made.__getitem__, sorted(range(len(made)),
+                                                         key=orders.__getitem__)))
+            if (found := texts.docs.text(made, counts)) is not None:
+                return found
+        group = [pair for block, *_, first, end in pieces
+                 for pair in zip(block.numbers[first:end], block.rows[first:end])]
+        if order_of := texts.order_of:
+            group.sort(key=lambda item: order_of(item[1]))
+        return texts.text_of(group)
 
 
 class _TableFile:
@@ -428,11 +516,11 @@ class _TableFile:
         self.table = table
         self.path = path
         self.columns = [c.name for c in table.columns]
-        converters, kernels, self.types = zip(*(_converter(c.datatype)
-                                                for c in table.columns))
+        self._converters, kernels, self.types = zip(*(_converter(c.datatype)
+                                                      for c in table.columns))
         # only non-string cells need converting; "" is NULL in every column
         self._typed_columns = [(p, convert) for p, convert
-                               in enumerate(converters) if convert is not str]
+                               in enumerate(self._converters) if convert is not str]
         self._kernels = list(enumerate(kernels))
         self.row_count = self._validate_and_count()
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
@@ -512,24 +600,33 @@ class _TableFile:
             return tuple(None if value == "" else value for value in row)
         return tuple(row)
 
-    def typed_block(self, lines: list[bytes], numbers: Sequence[int]
-                    ) -> Iterable[tuple]:
-        """The typed rows of ``lines``, data rows ``numbers``, as ``typed``
-        gives them, typed a column at a time: the lines are parsed and
-        transposed, and each column goes through its type's kernel. When a
-        kernel cannot vouch for a cell, the block's rows are typed one by
+    def typed_block(self, lines: list[bytes], numbers: Sequence[int]) -> _Block:
+        """The block of ``lines``, data rows ``numbers``, whose rows are
+        those ``typed`` gives, typed a column at a time: the lines are
+        parsed and transposed, and each column goes through its type's
+        kernel, which gives the block's columns. When a kernel cannot vouch
+        for a cell, the block has no columns and its rows are typed one by
         one by ``typed``, as they are taken, so a bad cell fails only when
         its row is reached."""
         if not lines:
-            return ()
+            return _Block(numbers, None, ())
         raw = list(csv.reader(map(bytes.decode, lines)))
         columns = list(zip(*raw))
         try:
             for p, kernel in self._kernels:
                 columns[p] = kernel(columns[p])
         except (ValueError, KeyError):
-            return map(self.typed, raw, numbers)
-        return zip(*columns)
+            return _Block(numbers, None, map(self.typed, raw, numbers))
+        return _Block(numbers, columns)
+
+    def _typed_column(self, p: int, cells: Sequence[str]) -> Sequence:
+        """The values of cells of column ``p`` that convert: through its
+        kernel, or one by one when the kernel cannot vouch for a cell."""
+        try:
+            return self._kernels[p][1](cells)
+        except (ValueError, KeyError):
+            convert = self._converters[p]
+            return [convert(cell) if cell else None for cell in cells]
 
     def rows(self, handle: BinaryIO, offset: int, first: int,
              count: int) -> Iterator[tuple[int, tuple]]:
@@ -540,20 +637,27 @@ class _TableFile:
         handle.seek(offset)
         return self._rows(handle, range(first, first + count))
 
+    def blocks(self, handle: BinaryIO, offset: int, first: int,
+               count: int) -> Iterator[_Block]:
+        """The same rows as ``rows``, as the blocks ``typed_block`` gives."""
+        handle.seek(offset)
+        return self._blocks(handle, range(first, first + count))
+
     def _rows(self, lines: Iterator[bytes],
               numbers: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-        """Data rows ``numbers``, whose lines ``lines`` gives in that order,
-        each with its number, read and typed ``_BLOCK`` at a time
-        (``typed_block``) as they are taken. A record is one line (checked
-        at open), so lines pair with rows."""
-        return chain.from_iterable(self._blocks(lines, numbers))
+        """The rows of ``_blocks``, each with its number."""
+        return chain.from_iterable(zip(block.numbers, block)
+                                   for block in self._blocks(lines, numbers))
 
-    def _blocks(self, lines: Iterator[bytes], numbers: Sequence[int]
-                ) -> Iterator[Iterator[tuple[int, tuple]]]:
+    def _blocks(self, lines: Iterator[bytes],
+                numbers: Sequence[int]) -> Iterator[_Block]:
+        """Data rows ``numbers``, whose lines ``lines`` gives in that order,
+        read and typed ``_BLOCK`` at a time (``typed_block``) as they are
+        taken. A record is one line (checked at open), so lines pair with
+        rows."""
         for start in range(0, len(numbers), _BLOCK):
             block = numbers[start:start + _BLOCK]
-            yield zip(block, self.typed_block(list(islice(lines, len(block))),
-                                              block))
+            yield self.typed_block(list(islice(lines, len(block))), block)
 
     def spans(self, k: int) -> list[tuple[int, int, int]]:
         """The data rows cut into ``k`` contiguous slices of about equal
@@ -588,9 +692,13 @@ class _TableFile:
         return [(cut, first, after - first)
                 for cut, first, after in zip(cuts, firsts, firsts[1:])]
 
+    def positions(self, columns: Iterable[str]) -> list[int]:
+        """The position of each of ``columns`` in a row."""
+        return [self.columns.index(c) for c in columns]
+
     def getter(self, columns: Iterable[str]) -> Callable[[tuple], tuple]:
         """Function from a row to the tuple of its values in ``columns``."""
-        positions = [self.columns.index(c) for c in columns]
+        positions = self.positions(columns)
         if len(positions) == 1:
             return lambda row, p=positions[0]: (row[p],)
         return itemgetter(*positions) if positions else lambda row: ()
@@ -610,16 +718,15 @@ class _TableFile:
 
     def texts_on(self, columns: tuple[str, ...], order: tuple[str, ...],
                  text_of: _TextOf, level: int, spill: BinaryIO,
-                 plan_for: str) -> _Texts:
+                 plan_for: str, docs: _GroupDocs | None = None) -> _Texts:
         """Text index: typed values of ``columns`` -> the text ``text_of``
-        gives for the group of rows holding them, sorted by ``order``, kept
-        in ``spill`` (see ``_Texts``). Rows with a NULL in ``columns`` are
-        left out; a NULL in one of the ``order`` columns fails. It is
-        planned as ``ids_on`` plans, at ``level``: the indexes ``text_of``
-        probes must be built at lower levels."""
-        texts = _Texts(columns, order, self.getter(columns),
-                       order and itemgetter(*map(self.columns.index, order)),
-                       text_of, level, spill)
+        gives for the group of rows holding them, sorted by ``order``, or
+        that ``docs`` joins for it from blocks, kept in ``spill`` (see
+        ``_Texts``). Rows with a NULL in ``columns`` are left out; a NULL in
+        one of the ``order`` columns fails. It is planned as ``ids_on``
+        plans, at ``level``: the indexes that building its texts probes
+        must be built at lower levels."""
+        texts = _Texts(self, columns, order, text_of, docs, level, spill)
         self._texts.append(texts)
         self._unbuilt[("texts", texts)] = {plan_for: None}
         return texts
@@ -661,14 +768,18 @@ class _TableFile:
         the first slice's. One pass numbers rows from the span's first,
         types each row once and checks the key columns the indexes rely on:
         the primary key for covering indexes, the order columns for text
-        indexes. A text index takes the groups whose first row lies in the
-        span, whole: it reads on past the span's end while its last group
-        goes on, and passes over the rows at its start that continue the
-        row before it. Each group's text is appended to the spill, or to
-        ``texts_to`` (a descriptor) when that is set. While the lines are
-        held clustered, the pass reads them and fills the one text index
-        they are clustered for. A failed pass names what the indexes were
-        planned for."""
+        indexes. It works a block at a time: a block whose key columns hold
+        no NULL and no ``#`` fills the indexes from its columns, and one
+        typed row by row (``typed_block``) or in doubt is first checked row
+        by row, so that the first bad row fails as typing and checking each
+        row in turn would. A text index takes the groups whose first row
+        lies in the span, whole: it reads on past the span's end, row by
+        row, while its last group goes on, and passes over the rows at its
+        start that continue the row before it. Each group's text is
+        appended to the spill, or to ``texts_to`` (a descriptor) when that
+        is set. While the lines are held clustered, the pass reads them and
+        fills the one text index they are clustered for. A failed pass
+        names what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
         fills, texts = [], []
@@ -684,6 +795,7 @@ class _TableFile:
                 required.update(dict.fromkeys(key.order))
                 texts.append(key)
         check = self._key_check(tuple(required), joined) if required else None
+        doubt = self._key_doubt(tuple(required), joined)
         offset, first, count = span
         with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
@@ -695,17 +807,21 @@ class _TableFile:
                     before = self._row_before(handle, offset, first)
                     groupers = [_Grouper(t, out, before) for t in texts]
                 lines, numbers = self._lines(handle, offset, first)
-                # a text index reads on past the span
-                rows = self._rows(lines, numbers if texts else numbers[:count])
-                for n, row in islice(rows, count):
-                    if check:
-                        check(row, n)
+                for block in self._blocks(lines, numbers[:count]):
+                    if block.columns is None or doubt(block.columns):
+                        rows = []
+                        for n, row in zip(block.numbers, block):
+                            if check:
+                                check(row, n)
+                            rows.append(row)
+                        block = _Block(block.numbers, list(zip(*rows)), rows)
                     for fill in fills:
-                        fill(row, n)
+                        fill(block.columns)
                     for grouper in groupers:
-                        grouper.add(row, n)
-                going = [grouper for grouper in groupers if grouper.group]
-                for n, row in rows if going else ():
+                        grouper.add(block)
+                # a text index reads on past the span
+                going = [grouper for grouper in groupers if grouper.pieces]
+                for n, row in self._rows(lines, numbers[count:]) if going else ():
                     if check:
                         check(row, n)
                     if not (going := [g for g in going if g.extend(row, n)]):
@@ -796,17 +912,22 @@ class _TableFile:
         """Hold the data lines with the byte offset of each in them, and
         the row numbers sorted by the key of ``texts``, stably, those with a
         NULL in it left out, for the next ``index_slice`` to build ``texts``
-        from: its groups are then runs. One read types each row and gathers
-        each key's row numbers, keys in the order of their first rows (a
-        counting sort)."""
+        from: its groups are then runs. One read gathers each key's row
+        numbers, keys in the order of their first rows (a counting sort). It
+        types only the key's columns, a block at a time: the first pass
+        has typed and checked every row already."""
         with open(self.path, "rb") as handle:
             handle.readline()  # the header
             data = handle.read()
         starts = array("q", accumulate(map(len, io.BytesIO(data)), initial=0))
         groups: defaultdict[tuple, array] = defaultdict(partial(array, "q"))
-        key_of = texts.key_of
-        for n, row in self._rows(io.BytesIO(data), range(self.row_count)):
-            groups[key_of(row)].append(n)
+        lines = io.BytesIO(data)
+        for first in range(0, self.row_count, _BLOCK):
+            raw = list(csv.reader(map(bytes.decode, islice(lines, _BLOCK))))
+            keys = zip(*(self._typed_column(p, list(map(itemgetter(p), raw)))
+                         for p in texts.key_at))
+            deque(map(array.append, map(groups.__getitem__, keys),
+                      range(first, first + len(raw))), 0)
         numbers = array("q")
         for key, rows in groups.items():  # in the order of their first rows
             if None not in key:
@@ -824,8 +945,8 @@ class _TableFile:
             (list(key.index), key.entries.tobytes(), key.unclustered)
             for kind, key in self._planned()])
 
-    def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Fill:
-        """Fill step that fails on a NULL in ``columns``, or on ``#`` in a
+    def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Check:
+        """Row check that fails on a NULL in ``columns``, or on ``#`` in a
         value of ``joined`` (text components of ``#``-joined identifiers),
         naming the row."""
         positions = [self.columns.index(c) for c in columns]
@@ -847,21 +968,38 @@ class _TableFile:
 
         return check
 
-    def _ids_fill(self, columns: tuple[str, ...]) -> _Fill:
-        groups, key_of = self._id_indexes[columns], self.getter(columns)
-        groups.clear()
-        pk = [self.columns.index(c) for c in self.table.primary_key().columns]
-        # a single-column key is held as its bare value, which is its
-        # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
-        pk_of = itemgetter(*pk)
+    def _key_doubt(self, columns: tuple[str, ...], joined: list[str]
+                   ) -> Callable[[list[Sequence]], bool]:
+        """Whether a block's columns may fail ``_key_check``: a NULL in
+        ``columns``, or ``#`` in a column of ``joined``."""
+        required, texts = self.positions(columns), self.positions(joined)
 
-        def fill(row: tuple, n: int) -> None:
-            key = key_of(row)
-            if None not in key:
-                if (pks := groups.get(key)) is None:
-                    groups[key] = [pk_of(row)]
-                else:
-                    pks.append(pk_of(row))
+        def doubt(block: list[Sequence]) -> bool:
+            return (any(None in block[p] for p in required)
+                    or any(KEY_SEPARATOR in "".join(block[p]) for p in texts))
+
+        return doubt
+
+    def _ids_fill(self, columns: tuple[str, ...]
+                  ) -> Callable[[list[Sequence]], None]:
+        """Fills the covering index on ``columns`` from a block's columns,
+        in C: each key not holding a NULL gets the primary key of its
+        rows, in row order."""
+        groups, key_at = self._id_indexes[columns], self.positions(columns)
+        groups.clear()
+        pk = self.positions(self.table.primary_key().columns)
+
+        def fill(block: list[Sequence]) -> None:
+            keys = _keys(block, key_at)
+            # a single-column key is held as its bare value, which is its
+            # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
+            pks = block[pk[0]] if len(pk) == 1 else _keys(block, pk)
+            if any(None in block[p] for p in key_at):
+                keep = list(map(not_, map(contains, keys, repeat(None))))
+                keys, pks = compress(keys, keep), compress(pks, keep)
+            # a new empty list per row, kept where the key is new
+            deque(map(list.append, map(groups.setdefault, keys, iter(list, None)),
+                      pks), 0)
 
         return fill
 
