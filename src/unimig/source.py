@@ -610,14 +610,32 @@ class _TableFile:
         its row is reached."""
         if not lines:
             return _Block(numbers, None, ())
-        raw = list(csv.reader(map(bytes.decode, lines)))
-        columns = list(zip(*raw))
+        cells = self._cells(lines)
+        columns = list(cells)
         try:
             for p, kernel in self._kernels:
                 columns[p] = kernel(columns[p])
         except (ValueError, KeyError):
-            return _Block(numbers, None, map(self.typed, raw, numbers))
+            return _Block(numbers, None, map(self.typed, map(list, zip(*cells)),
+                                             numbers))
         return _Block(numbers, columns)
+
+    def _cells(self, lines: list[bytes]) -> list[Sequence[str]]:
+        """The cells of ``lines``, one sequence per column. Lines with no
+        quote are split at commas in one call, and each column is a slice of
+        the cells; ``csv.reader`` parses the others. Every line holds one
+        record with one field per column (checked at open), and an unquoted
+        field holds no comma and no line break."""
+        data = b"".join(lines)
+        width = len(self.columns)
+        if b'"' not in data:
+            text = data.decode()
+            if "\r" in text:  # only before a line feed (checked at open)
+                text = text.replace("\r\n", "\n")
+            cells = text.removesuffix("\n").replace("\n", ",").split(",")
+            if len(cells) == len(lines) * width:
+                return [cells[p::width] for p in range(width)]
+        return list(zip(*csv.reader(map(bytes.decode, lines))))
 
     def _typed_column(self, p: int, cells: Sequence[str]) -> Sequence:
         """The values of cells of column ``p`` that convert: through its
@@ -923,11 +941,10 @@ class _TableFile:
         groups: defaultdict[tuple, array] = defaultdict(partial(array, "q"))
         lines = io.BytesIO(data)
         for first in range(0, self.row_count, _BLOCK):
-            raw = list(csv.reader(map(bytes.decode, islice(lines, _BLOCK))))
-            keys = zip(*(self._typed_column(p, list(map(itemgetter(p), raw)))
-                         for p in texts.key_at))
+            cells = self._cells(list(islice(lines, _BLOCK)))
+            keys = zip(*(self._typed_column(p, cells[p]) for p in texts.key_at))
             deque(map(array.append, map(groups.__getitem__, keys),
-                      range(first, first + len(raw))), 0)
+                      range(first, min(first + _BLOCK, self.row_count))), 0)
         numbers = array("q")
         for key, rows in groups.items():  # in the order of their first rows
             if None not in key:

@@ -141,7 +141,10 @@ def test_mini_output_bytes_with_child_rows_shuffled(tmp_path, monkeypatch, k):
     assert got == MINI
 
 
-def test_northwind_output_bytes(tmp_path):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_northwind_output_bytes(tmp_path, monkeypatch, k):
+    # the same bytes from any number of row slices
+    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
     out = tmp_path / "out"
     source = FIXTURES / "northwind" / "data_1x"
     assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 from itertools import zip_longest
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -458,6 +459,26 @@ def test_valid_block_not_typed_row_by_row(kinds_file, monkeypatch):
     monkeypatch.setattr(kinds_file, "typed", lambda row, n: pytest.fail(
         f"row {n} typed row by row"))
     assert list(kinds_file.typed_block(lines, range(len(rows)))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from(cells + _ADVERSARIAL)
+                            for cells in _KINDS.values()]), min_size=1, max_size=9),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example([("", "", "", "", "", "", "", "")], "\r\n", False)
+def test_block_cells_split_as_csv_reads_them(kinds_file, rows, line_end,
+                                             last_line_end):
+    # a block of lines with no quote is split at commas in one call, into
+    # the cells csv.reader gives, whatever the line ends
+    text = io.StringIO()
+    csv.writer(text, lineterminator=line_end).writerows(rows)
+    data = text.getvalue().encode()
+    if not last_line_end:
+        data = data.removesuffix(line_end.encode())
+    lines = data.splitlines(keepends=True)
+    expected = list(zip(*csv.reader(map(bytes.decode, lines))))
+    with mock.patch.object(csv, "reader", side_effect=AssertionError):
+        assert list(map(tuple, kinds_file._cells(lines))) == expected
 
 
 def test_null_key_joins_nothing(tmp_path):
