@@ -5,15 +5,32 @@ each is looked up backward through the second trace to its pivot feature,
 which the source session resolves through the forward trace to columns or
 to the indexes to probe. Each property compiles to a step: its
 ``"<name>":`` prefix, encoded at compile time, a function from a typed CSV
-row to its value, reading columns by position, and the value's encoder,
-picked there from the column's type, so the text is byte for byte what
-``json.dumps`` (compact, ``ensure_ascii=False``) writes; one loop runs the
-steps. Fields are attribute values, keys are verbatim or ``#``-joined
-source key components (a text component holding ``#`` fails), references
-are identifiers from a covering index, and embedded objects the JSON text
-of the child group, copied from a text index on the child file whose
-function builds the group with the child properties' steps, compiled
-recursively (``_group_text``, ``_embedded``).
+row to its value, reading columns by position, the value's encoder, picked
+there from the column's type, so the text is byte for byte what
+``json.dumps`` (compact, ``ensure_ascii=False``) writes, and a column
+function that gives the values of a whole block of rows from its columns.
+Fields are attribute values, keys are verbatim or ``#``-joined source key
+components (a text component holding ``#`` fails), references are
+identifiers from a covering index, and embedded objects the JSON text of
+the child group, copied from a text index on the child file whose groups
+are built with the child properties' steps, compiled recursively
+(``_group_text``, ``_embedded``).
+
+Documents are built a block of rows at a time, a column at a time, as the
+reader hands the blocks on (``_Builder.documents``; vectorised execution
+as in Boncz, Zukowski, Nes, "MonetDB/X100", CIDR 2005): each step's column
+function runs in C over the block (a field maps its encoder over its
+column, a derived key joins its components, a reference or embedded text
+looks the probe column up in its index), each value becomes a fragment
+that leads with a comma and its prefix, or ``""`` when absent, and each
+document is the join of its row's fragments. What the steps count is kept
+per row, so that the groups a text index builds from a block of child
+documents each get their own counters. A block in doubt is built row by
+row by the same steps, so that every message, row number, counter and
+error order is what building each row alone gives: a block the reader
+typed row by row, one with a NULL key value or a ``#`` in a key
+component, one that embeds a group whose build failed or a one-object
+aggregate over several children (``_Doubt``).
 
 Every collection is compiled before any runs, which plans the indexes they
 probe, each at its level (``texts_on``); each file's planned indexes are
@@ -38,7 +55,8 @@ is copied from a text index.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
 one per CPU this process may run on (``_TableFile.spans``), read a slice
-through the source's one reader (``_TableFile.rows``), and run slice ``i``
+through the source's one reader, a block at a time (``_TableFile.blocks``),
+and run slice ``i``
 in process ``i``, kept on the ``i``-th CPU while the phase runs: the
 parent runs slice 0 and forks a worker per other slice (horizontal
 partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
@@ -212,14 +230,14 @@ def _probes(file: _TableFile, columns: tuple[str, ...]
     return lambda block: _keys(block, positions)
 
 
-def _present(lead: str, encode: _Encode, values: Sequence) -> list[str]:
+def _present(lead: str, encode: _Encode, values: Sequence) -> Iterator[str]:
     """``lead`` and the encoded value for each value, ``""`` for each None,
     in C: a None is encoded as some other value, then dropped."""
     if (some := next(filter(partial(is_not, None), values), None)) is None:
-        return [""] * len(values)
+        return repeat("", len(values))
     texts = map(lead.__add__, map(encode, map({None: some}.get, values, values)))
-    return list(map(tuple.__getitem__, zip(texts, repeat("")),
-                    map(is_, values, repeat(None))))
+    return map(tuple.__getitem__, zip(texts, repeat("")),
+               map(is_, values, repeat(None)))
 
 
 def _id_of(file: _TableFile, columns: list[str], text: bool = False
@@ -262,11 +280,12 @@ def _id_of(file: _TableFile, columns: list[str], text: bool = False
 class _Builder(NamedTuple):
     """A compiled document: ``row`` builds the JSON text of typed row
     ``n`` and adds what it counts to ``stats``; ``block`` builds those of a
-    block's rows from its columns and gives what building each row
-    counted, or None when the block is in doubt (``_Doubt``)."""
+    block's rows from its columns, one at a time as they are taken, and
+    gives what building each row counted, or None when the block is in
+    doubt (``_Doubt``)."""
 
     row: _Build
-    block: Callable[[_Block], tuple[list[str], _Counted] | None]
+    block: Callable[[_Block], tuple[Iterator[str], _Counted] | None]
     stats: EntityStats
 
     def __call__(self, row: tuple, n: int) -> str:
@@ -385,11 +404,13 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
         return "{" + ",".join(out) + "}"
 
     # each fragment leads with a comma, but the first one with its
-    # document's brace when the first property is in every row
+    # document's brace when the first property is in every row; the
+    # fragments are made as the documents are taken, so that a block holds
+    # its values and one document at a time, not every text three times
     leads = [("," + prefix, encode, column_of, absent)
              for prefix, _, encode, column_of, absent in steps]
 
-    def block(rows: _Block) -> tuple[list[str], _Counted] | None:
+    def block(rows: _Block) -> tuple[Iterator[str], _Counted] | None:
         columns, counted, fragments = rows.columns, [], []
         opened = False
         try:
@@ -398,7 +419,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
                 if None not in values:
                     if not fragments:
                         lead, opened = "{" + lead[1:], True
-                    fragments.append(list(map(lead.__add__, map(encode, values))))
+                    fragments.append(map(lead.__add__, map(encode, values)))
                     continue
                 if absent is _COUNT:
                     counted.append(("nulls_omitted",
@@ -409,11 +430,10 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
         except (_Doubt, MigrationError):  # a key, or a group, that fails
             return None
         if opened:
-            return list(map("".join, zip(*fragments, repeat("}")))), counted
+            return map("".join, zip(*fragments, repeat("}"))), counted
         if not fragments:
-            return ["{}"] * len(rows.numbers), counted
-        return list(map("{%s}".__mod__, map(_TAIL, map(
-            "".join, zip(*fragments))))), counted
+            return repeat("{}", len(rows.numbers)), counted
+        return map("{%s}".__mod__, map(_TAIL, map("".join, zip(*fragments)))), counted
 
     return _Builder(build, block, stats), level
 

@@ -10,10 +10,12 @@ spans lines, and that every line ends with a line feed. A failure names the
 file and the row, or the line; a dataset that does not match the schema
 fails on the first file that disagrees.
 
-Rows come from ``csv.reader`` and are typed a block of rows at a time, each
-column by one kernel for its type (``_TableFile.typed_block``;
-block-at-a-time processing as in Boncz, Zukowski, Nes, "MonetDB/X100:
-Hyper-Pipelining Query Execution", CIDR 2005): every non-string cell is
+Rows are read and typed a block of rows at a time, each column by one
+kernel for its type (``_TableFile.typed_block``; block-at-a-time
+processing as in Boncz, Zukowski, Nes, "MonetDB/X100: Hyper-Pipelining
+Query Execution", CIDR 2005). A block with no quote is split at commas in
+one call and each column sliced from the cells; ``csv.reader`` parses a
+block with quotes (``_TableFile._cells``). Every non-string cell is
 converted, a numeric cell must be ASCII with no digit-group ``_`` or
 surrounding whitespace (which ``int`` and ``float`` accept and SQL loaders
 do not), integers are range-checked against their declared SQL type, a float
@@ -33,8 +35,9 @@ function runs once per group while the index is built, and an error it
 raises is kept as the record and raised only when the record is read, so a
 group that nothing reads (an orphan) never fails. A group is one run of
 consecutive rows. A file with a key in several runs is not clustered by it:
-its lines are then sorted by the key, stably, in memory, and the groups are
-built from them (``_TableFile._cluster``; grouping by sorting and spilling
+its lines are then sorted by the key, stably, in memory, typing only the
+key's columns, and the groups are built from them
+(``_TableFile._cluster``; grouping by sorting and spilling
 as in Graefe, "Query Evaluation Techniques for Large Databases", ACM CSUR
 1993).
 
@@ -71,10 +74,20 @@ forward trace on each call; the migrator does so once per collection, when
 it compiles its executor over these files.
 
 After open, the index pass, collection writes, ``related_by_name`` and
-``read_entity_all`` get data rows from one reader (``rows``), which parses
-them and hands them on typed and numbered, as tuples. It reads a
+``read_entity_all`` get data rows from one reader, which reads a
 contiguous row slice (``spans``) in blocks of ``_BLOCK`` rows; a pass over
-clustered lines reads those the same way.
+clustered lines reads those the same way. The index pass and the writes
+take the blocks (``blocks``) and keep them as columns, typed, down to the
+JSON text of their documents; the others take the rows of the blocks
+(``rows``), typed and numbered, as tuples. The index pass checks the key
+columns and fills the id indexes a column at a time; a text index cuts a
+block's key column into runs and joins each group's text from the
+documents of its rows, built for the whole block at once (``_GroupDocs``),
+or builds the group from its rows when the block is in doubt; a group
+that goes on past a slice's end takes the rows after it one by one and is
+built from its rows. A block the kernels could not vouch for, or whose key
+columns hold a NULL or a ``#``, is checked row by row, so the first bad
+row fails as typing and checking each row in turn would.
 
 The session counts the records read and the most held at once
 (``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
@@ -342,13 +355,14 @@ def _keys(columns: list[Sequence], positions: list[int]) -> list[tuple]:
 
 class _GroupDocs(NamedTuple):
     """How a text index builds its groups a block at a time: ``docs``
-    gives the text of each row of a block, from its columns, and what
-    building them counted, or None when the block is in doubt; ``text``
+    gives the text of each row of a block, from its columns, as an
+    iterator, and what building them counted, or None when the block is in
+    doubt; ``text``
     joins the texts of a group's rows, sorted, and the sums of their
     counters into what ``text_of`` gives for the group, or gives None when
     only ``text_of`` can build it."""
 
-    docs: Callable[[_Block], tuple[list[str], _Counted] | None]
+    docs: Callable[[_Block], tuple[Iterator[str], _Counted] | None]
     text: Callable[[list[str], dict[str, int]],
                    tuple[str, int, int, int, int] | None]
 
@@ -445,8 +459,9 @@ class _Grouper:
                     self.pieces = []
             if self.pieces is not None:
                 if built is None:
-                    docs = texts.docs and texts.docs.docs(block)
-                    built = (docs, docs and texts.order_at
+                    made = texts.docs and texts.docs.docs(block)
+                    built = (made and (list(made[0]), made[1]),
+                             made and texts.order_at
                              and _keys(block.columns, texts.order_at))
                 self.pieces.append((block, *built, first, end))
 
