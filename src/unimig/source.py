@@ -458,12 +458,17 @@ class _Grouper:
                 if None not in key and not texts.unclustered:
                     self.pieces = []
             if self.pieces is not None:
-                if built is None:
-                    made = texts.docs and texts.docs.docs(block)
-                    built = (made and (list(made[0]), made[1]),
-                             made and texts.order_at
-                             and _keys(block.columns, texts.order_at))
+                built = built or self._built(block)
                 self.pieces.append((block, *built, first, end))
+
+    def _built(self, block: _Block) -> tuple:
+        """The documents of a block's rows with what building them counted,
+        None when the block is in doubt, and their order keys."""
+        texts = self.texts
+        if texts.docs is None or (made := texts.docs.docs(block)) is None:
+            return None, None
+        docs, counted = made
+        return (list(docs), counted), _keys(block.columns, texts.order_at)
 
     def extend(self, row: tuple, n: int) -> bool:
         """Take a row after the slice if it goes on with the last group."""
@@ -504,11 +509,10 @@ class _Grouper:
             counts: dict[str, int] = {}
             for _, (docs, counted), ordered, first, end in pieces:
                 made += docs[first:end]
-                if ordered:
-                    orders += ordered[first:end]
+                orders += ordered[first:end]
                 for which, values in counted:
                     counts[which] = counts.get(which, 0) + sum(values[first:end])
-            if orders:
+            if texts.order:
                 made = list(map(made.__getitem__, sorted(range(len(made)),
                                                          key=orders.__getitem__)))
             if (found := texts.docs.text(made, counts)) is not None:
@@ -981,7 +985,7 @@ class _TableFile:
         """Row check that fails on a NULL in ``columns``, or on ``#`` in a
         value of ``joined`` (text components of ``#``-joined identifiers),
         naming the row."""
-        positions = [self.columns.index(c) for c in columns]
+        positions = self.positions(columns)
         # a slice of one column, as C does it, else a tuple of several
         values_of = itemgetter(*positions) if len(positions) > 1 else \
             itemgetter(slice(positions[0], positions[0] + 1))
