@@ -143,16 +143,18 @@ def _migrated(root: Path, out: Path) -> tuple:
             error)
 
 
+_group_text = unimig.migrator._group_text
+
+
 def _row_by_row(builder, block):
+    """``_Builder.documents`` building every row of a block alone."""
     return map(builder.row, block, block.numbers)
 
 
 def _rows_only(many, build, child, session):
+    """``_group_text`` whose text index builds every group from its rows."""
     text_of, _ = _group_text(many, build, child, session)
     return text_of, None
-
-
-_group_text = unimig.migrator._group_text
 
 
 @settings(max_examples=60, deadline=None)
