@@ -4,17 +4,16 @@
 each is looked up backward through the second trace to its pivot feature,
 which the source session resolves through the forward trace to columns or
 to the indexes to probe. Each property compiles to a step: its
-``"<name>":`` prefix, encoded at compile time, a function from a typed CSV
-row to its value, reading columns by position, the value's encoder, picked
+``"<name>":`` prefix, encoded at compile time, the value's encoder, picked
 there from the column's type, so the text is byte for byte what
 ``json.dumps`` (compact, ``ensure_ascii=False``) writes, and a column
-function that gives the values of a whole block of rows from its columns.
-Fields are attribute values, keys are verbatim or ``#``-joined source key
-components (a text component holding ``#`` fails), references are
-identifiers from a covering index, and embedded objects the JSON text of
-the child group, copied from a text index on the child file whose groups
-are built with the child properties' steps, compiled recursively
-(``_group_text``, ``_embedded``).
+function that gives the values of a whole block of rows from its columns,
+reading them by position. Fields are attribute values, keys are verbatim
+or ``#``-joined source key components (a text component holding ``#``
+fails), references are identifiers from a covering index, and embedded
+objects the JSON text of the child group, copied from a text index on the
+child file whose groups are built with the child properties' steps,
+compiled recursively (``_group_text``, ``_embedded``).
 
 Documents are built a block of rows at a time, a column at a time, as the
 reader hands the blocks on (``_Builder.documents``; vectorised execution
@@ -25,27 +24,29 @@ looks the probe column up in its index), each value becomes a fragment
 that leads with a comma and its prefix, or ``""`` when absent, and each
 document is the join of its row's fragments. What the steps count is kept
 per row, so that the groups a text index builds from a block of child
-documents each get their own counters. A block in doubt is built row by
-row by the same steps, so that every message, row number, counter and
-error order is what building each row alone gives: a block the reader
-typed row by row, one with a NULL key value or a ``#`` in a key
-component, one that embeds a group whose build failed or a one-object
-aggregate over several children (``_Doubt``).
+documents each get their own counters. The column functions are the only
+builder: when one fails on a block (a NULL key value, a ``#`` in a key
+component, an embedded group whose build failed, a one-object aggregate
+over several children) or the reader typed the block row by row, each row
+is built alone, as a block of one row, through the same functions
+(``_Builder.alone``), so that the first failing row fails with its file,
+its row and its own message.
 
 Every collection is compiled before any runs, which plans the indexes they
 probe, each at its level (``texts_on``); each file's planned indexes are
-then built level by level in ``k`` row slices, before any collection is
-written, so a bad cell or NULL key value an index relies on fails before
-any output. Levels make the deepest embedded children first: on the music
-schema, song's id index (level 0) before playlist_song's texts, which read
-it (level 1), and those before playlist's (level 2); a schema whose
-collections embed nothing, such as Northwind, has one level. Each child row
-is so typed and built once, in the pass, and its group's text is spilled
-with the counters building it added; a parent's document copies the text
-with one ``pread`` and adds the counters to its collection's. A NULL value
-leaves its property out and is counted (``nullsOmitted``), as is a forward
-reference whose target row is missing (``danglingRefs``); a NULL key fails,
-as does a one-object aggregate over more than one child row. A failure in
+then built level by level in ``k`` row slices (``_index_levels``), before
+any collection is written, so a bad cell or NULL key value an index relies
+on fails before any output. Levels make the deepest embedded children
+first: on the music schema, song's id index (level 0) before
+playlist_song's texts, which read it (level 1), and those before
+playlist's (level 2); a schema whose collections embed nothing, such as
+Northwind, has one level. Each child row is so typed and built once, in
+the pass, and its group's text is spilled with the counters building it
+added; a parent's document copies the text with one ``pread`` and adds
+the counters to its collection's. A NULL value leaves its property out and
+is counted (``nullsOmitted``), as is a forward reference whose target row
+is missing (``danglingRefs``); a NULL key fails, as does a one-object
+aggregate over more than one child row. A failure in
 building a group is raised when a document embeds it, as the error of that
 document's collection, so child rows that no parent embeds fail nothing and
 count nothing. A child file not clustered by the key is clustered by it in
@@ -117,6 +118,8 @@ from unimig.source import (
     _keys,
     _TableFile,
     _Texts,
+    _add,
+    _one_row,
     fmt_id,
     read_entity_all,  # noqa: F401  (re-exported: the benchmark wraps it here)
     separator_message,
@@ -169,17 +172,15 @@ class MigrationReport:
 
 # --- the executor ----------------------------------------------------------------
 
-# A step: a property's encoded ``"<name>":`` prefix, value function (None
-# when absent), encoder, column function, and what an absent value means:
-# counted in ``nullsOmitted`` (``_COUNT``), left out (``_SKIP``) or a key's
-# failure message. A row function runs the steps over typed row ``n`` of
-# its file; a block function runs their column functions over the columns
-# of a block of rows: each gives every row's value (None when absent) and
-# adds what it counts to a ``_Counted``, or raises ``_Doubt``.
+# A step: a property's encoded ``,"<name>":`` prefix, encoder, column
+# function, and what an absent value means: counted in ``nullsOmitted``
+# (``_COUNT``), left out (``_SKIP``) or a key's failure message. A column
+# function gives the values of a block of rows (None when absent) from its
+# columns and adds what it counts to a ``_Counted``; it raises ``_BadKey``
+# when a row's key or aggregate fails.
 _Encode = Callable[[object], str]
 _Column = Callable[[list[Sequence], _Counted], Sequence]
-_Prop = tuple[str, Callable[[tuple], object], _Encode, _Column, bool | str]
-_Build = Callable[[tuple, int], str]
+_Prop = tuple[str, _Encode, _Column, bool | str]
 _COUNT, _SKIP = True, False
 
 #: JSON text of a value by its type, as ``json.dumps`` writes it; a
@@ -209,12 +210,7 @@ def _float_text(value: object) -> str:
 
 class _BadKey(MigrationError):
     """A NULL or colliding key value, or several children of a one-object
-    aggregate; the build function adds file and row."""
-
-
-class _Doubt(Exception):
-    """A block whose documents are built row by row instead, because
-    building one of its rows may fail."""
+    aggregate; ``_Builder.alone`` adds file and row."""
 
 
 def _column(p: int) -> _Column:
@@ -241,16 +237,15 @@ def _present(lead: str, encode: _Encode, values: Sequence) -> Iterator[str]:
 
 
 def _id_of(file: _TableFile, columns: list[str], text: bool = False
-           ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
-    """Function from a typed row to the identifier its values in
+           ) -> tuple[_Encode, _Column]:
+    """The encoder and column function of the identifier a row's values in
     ``columns`` form, as ``record_id`` does or, with ``text``, always as
     ``#``-joined text (None when one of the values is NULL), failing on a
-    text component that holds ``#``; the encoder of that identifier; and
-    its column function."""
+    text component that holds ``#``."""
     if len(columns) == 1 and not text:
         p = file.columns.index(columns[0])
-        return itemgetter(p), _ENCODERS[file.types[p]], _column(p)
-    get, positions = file.getter(columns), file.positions(columns)
+        return _ENCODERS[file.types[p]], _column(p)
+    positions = file.positions(columns)
     texts = [p for p in positions if file.types[p] is str] if len(columns) > 1 else []
     formats = [_ID_TEXT[file.types[p]] for p in positions]
 
@@ -262,53 +257,53 @@ def _id_of(file: _TableFile, columns: list[str], text: bool = False
             raise _BadKey(separator_message(columns, values))
         return joined
 
-    def id_of(row: tuple) -> str | None:
-        return joined(get(row))
-
     def ids_of(block: list[Sequence], counted: _Counted) -> list[str | None]:
         parts = [block[p] for p in positions]
-        if any(None in part for part in parts):
+        if (any(None in part for part in parts)
+                or any(KEY_SEPARATOR in "".join(block[p]) for p in texts)):
             return list(map(joined, zip(*parts)))
-        if any(KEY_SEPARATOR in "".join(block[p]) for p in texts):
-            raise _Doubt
         return list(map(KEY_SEPARATOR.join, zip(*[
             part if f is None else map(f, part) for part, f in zip(parts, formats)])))
 
-    return id_of, encode_basestring, ids_of
+    return encode_basestring, ids_of
 
 
 class _Builder(NamedTuple):
-    """A compiled document: ``row`` builds the JSON text of typed row
-    ``n`` and adds what it counts to ``stats``; ``block`` builds those of a
-    block's rows from its columns, one at a time as they are taken, and
-    gives what building each row counted, or None when the block is in
-    doubt (``_Doubt``)."""
+    """A compiled document: ``block`` builds the JSON texts of a block's
+    rows from its columns, one at a time as they are taken, and gives what
+    building each row counted; it raises ``_BadKey`` or the error of an
+    embedded group when a row fails, without naming the row. ``name`` is
+    the name of the rows' file."""
 
-    row: _Build
-    block: Callable[[_Block], tuple[Iterator[str], _Counted] | None]
-    stats: EntityStats
+    block: Callable[[_Block], tuple[Iterator[str], _Counted]]
+    name: str
 
-    def __call__(self, row: tuple, n: int) -> str:
-        return self.row(row, n)
+    def alone(self, row: tuple, n: int) -> tuple[Iterator[str], _Counted]:
+        """``block`` over typed row ``n`` alone, failing as that row
+        fails, with its file and row named."""
+        try:
+            return self.block(_one_row(row, n))
+        except _BadKey as exc:
+            raise MigrationError(f"{self.name} (row {n + 1}), {exc}") from exc
 
-    def documents(self, block: _Block) -> Iterable[str]:
+    def documents(self, block: _Block, stats: EntityStats) -> Iterator[str]:
         """The JSON texts of a block's rows, adding what building them
-        counts to ``stats``: built a column at a time, or row by row when
-        the block is typed row by row or in doubt, so that a failing row
-        fails as it does alone."""
-        if block.columns is not None and (built := self.block(block)) is not None:
-            docs, counted = built
-            for which, values in counted:
-                setattr(self.stats, which, getattr(self.stats, which) + sum(values))
-            return docs
-        return map(self.row, block, block.numbers)
+        counts to ``stats``: built a column at a time, or each row alone
+        when the block is typed row by row or building it fails, so that a
+        failing row fails as it does alone."""
+        try:
+            built = [self.block(block)] if block.columns is not None else None
+        except MigrationError:
+            built = None
+        for docs, counted in built or map(self.alone, block, block.numbers):
+            _add(vars(stats), counted)
+            yield from docs
 
 
-def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
-                 stats: EntityStats) -> tuple[_TableFile, _Builder]:
-    """Compile collection ``te``: the file its documents come from, and a
-    function from a typed row of that file to the JSON text of one, which
-    also builds them a block at a time (``_Builder``)."""
+def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType
+                 ) -> tuple[_TableFile, _Builder]:
+    """Compile collection ``te``: the file its documents come from, and
+    the ``_Builder`` that builds them from blocks of its typed rows."""
     origin = next((l for l in t2.lookup(f"doc:{te.name}", "backward")
                    if l.rule in ("R2", "R7")), None)
     if origin is None:
@@ -317,21 +312,20 @@ def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType,
     type_name = id_segments(origin.sources[0])[0]
     file = session.file_for(session.table_for(type_name).name)
     return file, _compile_rows(session, t2, type_name, file, te.properties,
-                               stats, [(te.name, False)])[0]
+                               [(te.name, False)])[0]
 
 
 def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
                   file: _TableFile, properties: list[Property],
-                  stats: EntityStats, path: list[tuple[str, bool]]
-                  ) -> tuple[_Builder, int]:
-    """Compile ``properties`` at document ``path`` into functions over
-    typed rows and blocks of ``file``, whose table stores ``type_name``:
+                  path: list[tuple[str, bool]]) -> tuple[_Builder, int]:
+    """Compile ``properties`` at document ``path`` into a function over
+    blocks of typed rows of ``file``, whose table stores ``type_name``:
     column positions, value encoders and the indexes to probe are fixed
     here, once per collection. The indexes are only planned; they must be
-    built (``build_indexes``, or ``migrate``'s index pass) before the
-    functions run. Also returns the level of an index that the functions
-    may build (``texts_on``): 0 if they probe no index, else one more than
-    the highest level among those they probe (an id index is at level 0)."""
+    built (``_index_levels``) before the function runs. Also returns the
+    level of an index that the function may build (``texts_on``): 0 if it
+    probes no index, else one more than the highest level among those it
+    probes (an id index is at level 0)."""
     table, collection = file.table, f"collection {path[0][0]!r}"
     steps: list[_Prop] = []
     level = 0
@@ -342,7 +336,7 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             raise MigrationError(f"property {here} has no trace origin")
         # the first source of the first link of each rule
         by_rule = {l.rule: id_segments(l.sources[0]) for l in reversed(links)}
-        prefix = encode_basestring(prop.name) + ":"
+        prefix = "," + encode_basestring(prop.name) + ":"
         label = ".".join([name for name, _ in path] + [prop.name])
         if isinstance(prop, Field) and prop.is_key and "R3" not in by_rule:
             # a derived key: the #-joined components of the primary key
@@ -358,14 +352,14 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             p = file.columns.index(column)
             encode = (_float_text if prop.type.primitive == "DOUBLE"
                       and file.types[p] is not float else _ENCODERS[file.types[p]])
-            steps.append((prefix, itemgetter(p), encode, _column(p),
+            steps.append((prefix, encode, _column(p),
                           f"column {column!r}: NULL key value for {label}"
                           if prop.is_key else _COUNT))
         elif isinstance(prop, DocReference) and "R5" in by_rule:
             link = session.link(type_name, table, by_rule["R5"][1])
             ids = link.file.ids_on(link.index, plan_for=collection)
             steps.append((prefix, *_refs(not prop.type.array, link.file, ids,
-                                         file, link.probe, stats), _SKIP))
+                                         file, link.probe), _SKIP))
             level = max(level, 1)
         elif isinstance(prop, DocReference):
             if "R7" not in by_rule:
@@ -377,91 +371,58 @@ def _compile_rows(session: SourceSession, t2: TraceStore, type_name: str,
             if "R6" not in by_rule:
                 raise MigrationError(f"embedded {here} lacks an aggregate origin")
             link = session.link(type_name, table, by_rule["R6"][1])
-            child = EntityStats()  # what building one group adds
             build, child_level = _compile_rows(
-                session, t2, link.type_name, link.file, prop.aggregates, child,
+                session, t2, link.type_name, link.file, prop.aggregates,
                 path + [(prop.name, True)])
-            text_of, docs = _group_text(prop.is_many, build, child, session)
-            texts = link.file.texts_on(link.index, link.order, text_of,
-                                       child_level, session.spill(), collection,
-                                       docs)
+            texts = link.file.texts_on(
+                link.index, link.order, _group_text(prop.is_many, build, session),
+                child_level, session.spill(), collection)
             steps.append((prefix, *_embedded(prop.is_many, texts, file,
-                                             link.probe, stats, label), _SKIP))
+                                             link.probe, label), _SKIP))
             level = max(level, child_level + 1)
-
-    def build(row: tuple, n: int) -> str:
-        out: list[str] = []
-        try:
-            for prefix, value_of, encode, _, absent in steps:
-                if (value := value_of(row)) is not None:
-                    out.append(prefix + encode(value))
-                elif absent is _COUNT:
-                    stats.nulls_omitted += 1
-                elif absent is not _SKIP:
-                    raise _BadKey(absent)
-        except _BadKey as exc:
-            raise MigrationError(f"{file.path.name} (row {n + 1}), {exc}") from exc
-        return "{" + ",".join(out) + "}"
 
     # each fragment leads with a comma, but the first one with its
     # document's brace when the first property is in every row; the
     # fragments are made as the documents are taken, so that a block holds
     # its values and one document at a time, not every text three times
-    leads = [("," + prefix, encode, column_of, absent)
-             for prefix, _, encode, column_of, absent in steps]
-
-    def block(rows: _Block) -> tuple[Iterator[str], _Counted] | None:
+    def block(rows: _Block) -> tuple[Iterator[str], _Counted]:
         columns, counted, fragments = rows.columns, [], []
         opened = False
-        try:
-            for lead, encode, column_of, absent in leads:
-                values = column_of(columns, counted)
-                if None not in values:
-                    if not fragments:
-                        lead, opened = "{" + lead[1:], True
-                    fragments.append(map(lead.__add__, map(encode, values)))
-                    continue
-                if absent is _COUNT:
-                    counted.append(("nulls_omitted",
-                                    list(map(is_, values, repeat(None)))))
-                elif absent is not _SKIP:
-                    raise _Doubt  # a NULL key value
-                fragments.append(_present(lead, encode, values))
-        except (_Doubt, MigrationError):  # a key, or a group, that fails
-            return None
+        for lead, encode, column_of, absent in steps:
+            values = column_of(columns, counted)
+            if None not in values:
+                if not fragments:
+                    lead, opened = "{" + lead[1:], True
+                fragments.append(map(lead.__add__, map(encode, values)))
+                continue
+            if absent is _COUNT:
+                counted.append(("nulls_omitted",
+                                list(map(is_, values, repeat(None)))))
+            elif absent is not _SKIP:
+                raise _BadKey(absent)
+            fragments.append(_present(lead, encode, values))
         if opened:
             return map("".join, zip(*fragments, repeat("}"))), counted
         if not fragments:
             return repeat("{}", len(rows.numbers)), counted
         return map("{%s}".__mod__, map(_TAIL, map("".join, zip(*fragments)))), counted
 
-    return _Builder(build, block, stats), level
+    return _Builder(block, file.path.name), level
 
 
 def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
-          file: _TableFile, probe: tuple[str, ...], stats: EntityStats
-          ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
-    """A reference's value function, encoder and column function: the
-    identifiers that ``index``, a covering index of ``target``, holds for
-    the ``probe`` values of a row of ``file``, as an array, or for a
-    forward reference the first, None when there is none (a NULL probe or
-    a missing target, counted)."""
-    encode = _id_of(target, target.table.primary_key().columns)[1]
-    probe_of, probes_of = file.getter(probe), _probes(file, probe)
+          file: _TableFile, probe: tuple[str, ...]) -> tuple[_Encode, _Column]:
+    """A reference's encoder and column function: the identifiers that
+    ``index``, a covering index of ``target``, holds for the ``probe``
+    values of each row of ``file``, as an array, or for a forward
+    reference the first, None when there is none (a NULL probe or a
+    missing target, counted)."""
+    encode = _id_of(target, target.table.primary_key().columns)[0]
+    probes_of = _probes(file, probe)
     if not forward:
-        return (lambda row: index.get(probe_of(row), ()),  # NULL joins nothing
-                lambda ids: "[" + ",".join(map(encode, ids)) + "]",
+        return (lambda ids: "[" + ",".join(map(encode, ids)) + "]",
                 lambda block, counted: list(map(index.get, probes_of(block),
-                                                repeat(()))))
-
-    def first_id(row: tuple) -> object:
-        if ids := index.get(probe := probe_of(row)):
-            return ids[0]
-        if None in probe:
-            stats.nulls_omitted += 1
-        else:
-            stats.dangling_refs += 1
-        return None
+                                                repeat(()))))  # NULL joins nothing
 
     def first_ids(block: list[Sequence], counted: _Counted) -> list:
         probes = probes_of(block)
@@ -474,75 +435,52 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
                                           for ids, null in zip(found, nulls)]))
         return [ids and ids[0] for ids in found]
 
-    return first_id, encode, first_ids
+    return encode, first_ids
 
 
-def _group_text(many: bool, build: _Builder, child: EntityStats,
-                session: SourceSession) -> tuple[Callable, _GroupDocs]:
-    """The ``text_of`` of an embedded property's text index: the JSON text
-    of a sorted child group built by ``build`` (an array, or the object of
-    a one-object aggregate, which is not built over several rows), and its
-    counters: its rows, then the rows, NULLs and dangling references that
-    building it added to ``child``, its nested groups' included. Also how
-    the index builds the same from the documents of blocks of rows."""
-    def text_of(group: list[tuple[int, tuple]]) -> tuple[str, int, int, int, int]:
-        if not many and len(group) > 1:
-            return "", len(group), 0, 0, 0  # embedding it fails
-        session.peak_live_records = max(session.peak_live_records, len(group))
-        vars(child).update(rows_read=len(group), nulls_omitted=0,
-                           dangling_refs=0)
-        text = ("[" + ",".join([build.row(r, m) for m, r in group]) + "]" if many
-                else build.row(group[0][1], group[0][0]))
-        return (text, len(group), child.rows_read, child.nulls_omitted,
-                child.dangling_refs)
-
-    def text(docs: list[str], counts: dict[str, int]
-             ) -> tuple[str, int, int, int, int] | None:
-        if not many and len(docs) > 1:
-            return None
-        session.peak_live_records = max(session.peak_live_records, len(docs))
-        return ("[" + ",".join(docs) + "]" if many else docs[0], len(docs),
-                len(docs) + counts.get("rows_read", 0),
+def _group_text(many: bool, build: _Builder, session: SourceSession
+                ) -> _GroupDocs:
+    """How an embedded property's text index builds the JSON text of a
+    sorted child group from the documents ``build`` gives (an array, or the
+    object of a one-object aggregate, which is not built over several
+    rows), and its counters: its rows, then the rows, NULLs and dangling
+    references that building it counted, its nested groups' included."""
+    def text(size: int, docs: Iterable[str], counts: dict[str, int]
+             ) -> tuple[str, int, int, int, int]:
+        if not many and size > 1:
+            return "", size, 0, 0, 0  # embedding it fails
+        session.peak_live_records = max(session.peak_live_records, size)
+        joined = "[" + ",".join(docs) + "]" if many else "".join(docs)
+        # counts holds the sums once the documents are taken
+        return (joined, size, size + counts.get("rows_read", 0),
                 counts.get("nulls_omitted", 0), counts.get("dangling_refs", 0))
 
-    return text_of, _GroupDocs(build.block, text)
+    return _GroupDocs(build.block, build.alone, text)
 
 
 def _embedded(many: bool, texts: _Texts, file: _TableFile,
-              probe: tuple[str, ...], stats: EntityStats, label: str
-              ) -> tuple[Callable[[tuple], object], _Encode, _Column]:
-    """The JSON text of the child rows reached from a row of ``file``
-    through its ``probe`` values, copied from text index ``texts``, adding
-    its counters to ``stats``: None for a one-object aggregate with no
-    child, a failure with several. Also its encoder and column function."""
-    probe_of, probes_of = file.getter(probe), _probes(file, probe)
+              probe: tuple[str, ...], label: str) -> tuple[_Encode, _Column]:
+    """The encoder and column function of the JSON text of the child rows
+    reached from each row of ``file`` through its ``probe`` values, copied
+    from text index ``texts``, counting its counters: None for a
+    one-object aggregate with no child, a failure with several."""
+    probes_of = _probes(file, probe)
 
-    def embedded(row: tuple) -> str | None:
-        if (found := texts.text(probe_of(row))) is None:
-            return "[]" if many else None
-        text, count, read, nulls, dangling = found
-        if not many and count > 1:
-            raise _BadKey(f"{count} child rows for one-object aggregate {label}")
-        stats.rows_read += read
-        stats.nulls_omitted += nulls
-        stats.dangling_refs += dangling
-        return text
-
-    def embedded_all(block: list[Sequence], counted: _Counted) -> Sequence:
+    def embedded(block: list[Sequence], counted: _Counted) -> Sequence:
         found = list(map(texts.text, probes_of(block)))  # or a group's failure
         if None in found:
             missing = ("[]" if many else None, 0, 0, 0, 0)
             found = [entry or missing for entry in found]
         text, count, read, nulls, dangling = zip(*found)
-        if not many and max(count) > 1:
-            raise _Doubt
+        if not many and (most := max(count)) > 1:
+            raise _BadKey(f"{most} child rows for one-object aggregate {label}")
         counted.extend(pair for pair in (("rows_read", read),
                                          ("nulls_omitted", nulls),
                                          ("dangling_refs", dangling))
                        if any(pair[1]))
         return text
 
-    return embedded, str, embedded_all
+    return str, embedded
 
 
 # --- writing --------------------------------------------------------------------
@@ -577,7 +515,7 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     try:
         with open(file.path, "rb") as handle:
             for block in file.blocks(handle, *c.spans[i]):
-                for doc in c.build.documents(block):
+                for doc in c.build.documents(block, c.stats):
                     c.stats.docs_written += write_batch(out, [doc])
     except Exception as exc:
         raise MigrationError(
@@ -777,6 +715,17 @@ def _build_indexes(source: SourceSession, files: list[_TableFile],
             file.merge_indexes(later, shifts)
 
 
+def _index_levels(source: SourceSession,
+                  spans: dict[_TableFile, list[tuple[int, int, int]]], k: int,
+                  target_dir: Path) -> None:
+    """Build every planned index of ``source``, level by level, lowest
+    first, each level in ``k`` row slices (``_build_indexes``)."""
+    while files := source.indexed_files():
+        level = min(file.level for file in files)
+        _build_indexes(source, [f for f in files if f.level == level],
+                       spans, k, target_dir)
+
+
 def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
                 i: int, part: int | None) -> dict:
     if part is not None:
@@ -854,9 +803,10 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
 
     Every collection is compiled first, which plans the indexes they
     probe; each file's planned indexes are then built in one row slice per
-    available CPU, one process per slice (``_build_indexes``), before any
-    collection is written. Each collection's rows are then written in the
-    same slices (``_write_collections``). The session carries the forward trace it was
+    available CPU, one process per slice, level by level
+    (``_index_levels``), before any collection is written. Each
+    collection's rows are then written in the same slices
+    (``_write_collections``). The session carries the forward trace it was
     opened with; ``t2`` is the trace from the pivot model to
     ``target_schema``. The session is closed when migration finishes,
     successfully or not.
@@ -873,7 +823,7 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
             stats = report.per_entity[te.name] = EntityStats()
             compiled = time.monotonic()
             try:
-                file, build = compile_plan(source, t2, te, stats)
+                file, build = compile_plan(source, t2, te)
             except Exception as exc:
                 raise MigrationError(
                     f"while migrating collection {te.name!r}: {exc}") from exc
@@ -883,10 +833,7 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
         spans = {file: file.spans(k) for file in dict.fromkeys(
             source.indexed_files() + [plan[2] for plan in plans])}
         indexed = time.monotonic()
-        while files := source.indexed_files():
-            level = min(file.level for file in files)
-            _build_indexes(source, [f for f in files if f.level == level],
-                           spans, k, target_dir)
+        _index_levels(source, spans, k, target_dir)
         report.index_ms = (time.monotonic() - indexed) * 1000.0
         collections = [_Collection(*plan, spans[plan[2]]) for plan in plans]
         _write_collections(source, collections, k, target_dir)

@@ -60,13 +60,12 @@ cut by row count over those lines, which are dropped afterwards. A file
 with two unclustered text indexes is clustered and passed over once per
 index. The migrator indexes the later slices in forked workers, which
 inherit any clustered lines, append their texts to their part files and
-send their partial indexes back flat (``encode_slice``); the session's
-``build_indexes`` reads each file as one slice. A pass fails, naming file,
-row and column and what the indexes were planned for, on a bad cell, a NULL
-primary key value (which a covering index would store), a text component
-of a composite primary key holding ``#`` (two stored identifiers could
-collide) or a NULL order value (which groups are sorted by); the first
-pass over a file runs every check, in file order.
+send their partial indexes back flat (``encode_slice``). A pass fails,
+naming file, row and column and what the indexes were planned for, on a
+bad cell, a NULL primary key value (which a covering index would store),
+a text component of a composite primary key holding ``#`` (two stored
+identifiers could collide) or a NULL order value (which groups are sorted
+by); the first pass over a file runs every check, in file order.
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
@@ -82,12 +81,14 @@ JSON text of their documents; the others take the rows of the blocks
 (``rows``), typed and numbered, as tuples. The index pass checks the key
 columns and fills the id indexes a column at a time; a text index cuts a
 block's key column into runs and joins each group's text from the
-documents of its rows, built for the whole block at once (``_GroupDocs``),
-or builds the group from its rows when the block is in doubt; a group
-that goes on past a slice's end takes the rows after it one by one and is
-built from its rows. A block the kernels could not vouch for, or whose key
-columns hold a NULL or a ``#``, is checked row by row, so the first bad
-row fails as typing and checking each row in turn would.
+documents of its rows, built for the whole block at once (``_GroupDocs``);
+a group that goes on past a slice's end takes each row after it as a
+block of one row, built the same way. When building a block fails, a
+group with rows in it sorts its rows and builds each alone, so the group
+fails with its first failing row in sorted order. A block the kernels
+could not vouch for, or whose key columns hold a NULL or a ``#``, is
+checked row by row, so the first bad row fails as typing and checking each
+row in turn would.
 
 The session counts the records read and the most held at once
 (``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
@@ -110,7 +111,7 @@ from collections import Counter, defaultdict, deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat, starmap
 from math import isfinite
 from operator import contains, itemgetter, ne, not_
 from pathlib import Path
@@ -314,12 +315,9 @@ def _count_lines(handle: BinaryIO, start: int, stop: int) -> int:
 
 #: Values per text entry: the spill offset of its record and the record's
 #: length, negated when the text is a deferred error message. A record is a
-#: header (``_HEADER``: the counters ``text_of`` gives), then the text.
+#: header (``_HEADER``: the counters ``_GroupDocs.text`` gives), then the text.
 _ENTRY = 2
 _HEADER = struct.Struct("<4q")
-#: Builds a group of numbered typed rows, sorted: its text and counters
-#: (group rows, rows read, NULLs omitted, dangling references).
-_TextOf = Callable[[list[tuple[int, tuple]]], tuple[str, int, int, int, int]]
 #: What building each row of a block counted, as (counter, one value per
 #: row) pairs; the counter is a name its builder gives.
 _Counted = list[tuple[str, Sequence[int]]]
@@ -347,6 +345,19 @@ class _Block:
         return iter(self.rows)
 
 
+def _one_row(row: tuple, n: int) -> _Block:
+    """Typed data row ``n`` alone as a block with columns."""
+    return _Block((n,), [(value,) for value in row])
+
+
+def _add(counts: dict[str, int], counted: _Counted, first: int = 0,
+         end: int | None = None) -> None:
+    """Add to ``counts`` what building rows ``first`` to ``end`` of a
+    block counted."""
+    for which, values in counted:
+        counts[which] = counts.get(which, 0) + sum(values[first:end])
+
+
 def _keys(columns: list[Sequence], positions: list[int]) -> list[tuple]:
     """Each row's tuple of its values at ``positions`` of a block's
     ``columns``."""
@@ -354,17 +365,19 @@ def _keys(columns: list[Sequence], positions: list[int]) -> list[tuple]:
 
 
 class _GroupDocs(NamedTuple):
-    """How a text index builds its groups a block at a time: ``docs``
-    gives the text of each row of a block, from its columns, as an
-    iterator, and what building them counted, or None when the block is in
-    doubt; ``text``
-    joins the texts of a group's rows, sorted, and the sums of their
-    counters into what ``text_of`` gives for the group, or gives None when
-    only ``text_of`` can build it."""
+    """How a text index builds its groups: ``docs`` gives the text of each
+    row of a block, from its columns, as an iterator, and what building
+    them counted, raising ``MigrationError`` when a row fails; ``alone``
+    does the same for typed row ``n`` alone, with the error that row fails
+    with; ``text`` joins the ``size`` texts of a group's rows, sorted, into
+    the group's text and counters (group rows, rows read, NULLs omitted,
+    dangling references), summing the counters it is given (``counts``,
+    complete once the texts are taken)."""
 
-    docs: Callable[[_Block], tuple[Iterator[str], _Counted] | None]
-    text: Callable[[list[str], dict[str, int]],
-                   tuple[str, int, int, int, int] | None]
+    docs: Callable[[_Block], tuple[Iterator[str], _Counted]]
+    alone: Callable[[tuple, int], tuple[Iterator[str], _Counted]]
+    text: Callable[[int, Iterable[str], dict[str, int]],
+                   tuple[str, int, int, int, int]]
 
 
 def _level(planned: tuple[str, object]) -> int:
@@ -376,9 +389,7 @@ def _level(planned: tuple[str, object]) -> int:
 class _Texts:
     """A text index: typed key -> one entry (``_ENTRY``) in ``entries``,
     whose text, built once from the key's group of rows in ``order``, lies
-    in ``spill``, an unnamed file. ``docs`` builds the groups of a block
-    from its columns; a group it cannot build, or every group when it is
-    None, is built from its rows by ``text_of``. Building may fail; the
+    in ``spill``, an unnamed file, by ``docs``. Building may fail; the
     error is kept as the text and raised when the text is read, so a group
     that is never read never fails. ``unclustered`` is set when a key is
     met in a second group, which ends the grouping: the index is then built
@@ -386,13 +397,13 @@ class _Texts:
     (``_TableFile._cluster``)."""
 
     def __init__(self, file: _TableFile, columns: tuple[str, ...],
-                 order: tuple[str, ...], text_of: _TextOf,
-                 docs: _GroupDocs | None, level: int, spill: BinaryIO):
+                 order: tuple[str, ...], docs: _GroupDocs, level: int,
+                 spill: BinaryIO):
         self.columns, self.order = columns, order
         self.key_at, self.order_at = file.positions(columns), file.positions(order)
         self.key_of = file.getter(columns)
         self.order_of = order and itemgetter(*self.order_at)
-        self.text_of, self.docs = text_of, docs
+        self.docs = docs
         self.level, self.spill = level, spill
         self.index: dict[tuple, int] = {}  # key -> entry number
         self.entries = array("q")
@@ -411,9 +422,9 @@ class _Texts:
         return len(self.index) < before + len(keys)
 
     def text(self, key: tuple) -> tuple[str, int, int, int, int] | None:
-        """The text of ``key``'s group and its counters, as ``text_of``
+        """The text of ``key``'s group and its counters, as ``docs.text``
         gave them, None when no row holds ``key``; raises the error
-        ``text_of`` raised."""
+        building the group raised."""
         if (p := self.index.get(key)) is None:
             return None
         offset, length = self.entries[p * _ENTRY:(p + 1) * _ENTRY]
@@ -440,7 +451,8 @@ class _Grouper:
         self.texts, self.out = texts, out
         self.last = None if before is None else texts.key_of(before)
         # the open group, as pieces of blocks: (block, its documents and
-        # counters or None, its order keys, first, end); None: passed over
+        # counters or None when building it failed, its order keys, first,
+        # end); None: passed over
         self.pieces: list[tuple] | None = None
 
     def add(self, block: _Block) -> None:
@@ -463,18 +475,21 @@ class _Grouper:
 
     def _built(self, block: _Block) -> tuple:
         """The documents of a block's rows with what building them counted,
-        None when the block is in doubt, and their order keys."""
+        or None when building one fails, and their order keys."""
         texts = self.texts
-        if texts.docs is None or (made := texts.docs.docs(block)) is None:
+        try:
+            docs, counted = texts.docs.docs(block)
+        except MigrationError:
             return None, None
-        docs, counted = made
         return (list(docs), counted), _keys(block.columns, texts.order_at)
 
     def extend(self, row: tuple, n: int) -> bool:
-        """Take a row after the slice if it goes on with the last group."""
+        """Take a row after the slice, as a block of its own, if it goes on
+        with the last group."""
         if self.texts.key_of(row) != self.last:
             return False
-        self.pieces.append((_Block([n], None, [row]), None, None, 0, 1))
+        block = _one_row(row, n)
+        self.pieces.append((block, *self._built(block), 0, 1))
         return True
 
     def close(self) -> None:
@@ -499,29 +514,33 @@ class _Grouper:
 
     def _text(self, pieces: list[tuple]) -> tuple[str, int, int, int, int]:
         """The open group's text and counters: joined from the documents
-        of its blocks, sorted by their order keys, or, when a block is in
-        doubt or ``docs`` cannot join them, built by ``text_of`` from its
-        rows."""
+        of its blocks, sorted by their order keys, or, when building a
+        block failed, from those of its rows built alone in sorted order,
+        so that the first to fail is the first failing row in that order."""
         texts = self.texts
+        counts: dict[str, int] = {}
         if all(docs for _, docs, *_ in pieces):
             made: list[str] = []
             orders: list[tuple] = []
-            counts: dict[str, int] = {}
             for _, (docs, counted), ordered, first, end in pieces:
                 made += docs[first:end]
                 orders += ordered[first:end]
-                for which, values in counted:
-                    counts[which] = counts.get(which, 0) + sum(values[first:end])
+                _add(counts, counted, first, end)
             if texts.order:
                 made = list(map(made.__getitem__, sorted(range(len(made)),
                                                          key=orders.__getitem__)))
-            if (found := texts.docs.text(made, counts)) is not None:
-                return found
+            return texts.docs.text(len(made), made, counts)
         group = [pair for block, *_, first, end in pieces
-                 for pair in zip(block.numbers[first:end], block.rows[first:end])]
+                 for pair in zip(block.rows[first:end], block.numbers[first:end])]
         if order_of := texts.order_of:
-            group.sort(key=lambda item: order_of(item[1]))
-        return texts.text_of(group)
+            group.sort(key=lambda item: order_of(item[0]))
+
+        def alone(row: tuple, n: int) -> str:
+            docs, counted = texts.docs.alone(row, n)
+            _add(counts, counted)
+            return next(docs)
+
+        return texts.docs.text(len(group), starmap(alone, group), counts)
 
 
 class _TableFile:
@@ -747,23 +766,22 @@ class _TableFile:
         (``record_id``) of the matching rows, in primary key order. Rows
         with a NULL in ``columns`` are left out; a NULL primary key value
         fails. The index is planned for ``plan_for``, which names what needs
-        it: it stays empty until ``build_indexes`` fills it together with
+        it: it stays empty until ``index_slice`` fills it together with
         the file's other indexes of its level (level 0)."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
         return self._index(self._id_indexes, "ids", columns, plan_for)
 
     def texts_on(self, columns: tuple[str, ...], order: tuple[str, ...],
-                 text_of: _TextOf, level: int, spill: BinaryIO,
-                 plan_for: str, docs: _GroupDocs | None = None) -> _Texts:
-        """Text index: typed values of ``columns`` -> the text ``text_of``
-        gives for the group of rows holding them, sorted by ``order``, or
-        that ``docs`` joins for it from blocks, kept in ``spill`` (see
-        ``_Texts``). Rows with a NULL in ``columns`` are left out; a NULL in
-        one of the ``order`` columns fails. It is planned as ``ids_on``
-        plans, at ``level``: the indexes that building its texts probes
-        must be built at lower levels."""
-        texts = _Texts(self, columns, order, text_of, docs, level, spill)
+                 docs: _GroupDocs, level: int, spill: BinaryIO,
+                 plan_for: str) -> _Texts:
+        """Text index: typed values of ``columns`` -> the text ``docs``
+        builds for the group of rows holding them, sorted by ``order``, kept
+        in ``spill`` (see ``_Texts``). Rows with a NULL in ``columns`` are
+        left out; a NULL in one of the ``order`` columns fails. It is
+        planned as ``ids_on`` plans, at ``level``: the indexes that building
+        its texts probes must be built at lower levels."""
+        texts = _Texts(self, columns, order, docs, level, spill)
         self._texts.append(texts)
         self._unbuilt[("texts", texts)] = {plan_for: None}
         return texts
@@ -810,13 +828,13 @@ class _TableFile:
         typed row by row (``typed_block``) or in doubt is first checked row
         by row, so that the first bad row fails as typing and checking each
         row in turn would. A text index takes the groups whose first row
-        lies in the span, whole: it reads on past the span's end, row by
-        row, while its last group goes on, and passes over the rows at its
-        start that continue the row before it. Each group's text is
-        appended to the spill, or to ``texts_to`` (a descriptor) when that
-        is set. While the lines are held clustered, the pass reads them and
-        fills the one text index they are clustered for. A failed pass
-        names what the indexes were planned for."""
+        lies in the span, whole: it reads on past the span's end, a row at
+        a time, each as a block of its own, while its last group goes on,
+        and passes over the rows at its start that continue the row before
+        it. Each group's text is appended to the spill, or to ``texts_to``
+        (a descriptor) when that is set. While the lines are held clustered,
+        the pass reads them and fills the one text index they are clustered
+        for. A failed pass names what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
         fills, texts = [], []
@@ -1166,17 +1184,6 @@ class SourceSession:
     def indexed_files(self) -> list[_TableFile]:
         """The files with planned indexes still unbuilt, in schema order."""
         return [file for file in self._files.values() if file._unbuilt]
-
-    def build_indexes(self) -> None:
-        """Fill every planned index, level by level, one pass per file and
-        level over all its rows as one slice, and one more per text index
-        that does not cluster it; a file with nothing planned is not read."""
-        while files := self.indexed_files():
-            level = min(file.level for file in files)
-            for file in files:
-                if file.level == level:
-                    file.index_slice(file.spans(1)[0])
-                    file.merge_indexes([])
 
     def spill(self) -> BinaryIO:
         """The unnamed file that holds every text index's texts, made on

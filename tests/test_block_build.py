@@ -3,9 +3,10 @@ rows built one by one.
 
 ``_Builder.documents`` builds a block of typed rows from its columns, and
 each text index builds the child groups of a block from the documents of
-its rows (``_GroupDocs``); a block or group in doubt is built row by row.
-Whatever the data, the output bytes, every counter and the first error
-(its message and row) must be those of building every row alone."""
+its rows (``_GroupDocs``); when building a block fails, each of its rows,
+or of the group's, is built alone as a block of one row. Whatever the
+data, the output bytes, every counter and the first error (its message and
+row) must be those of building every row alone."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from test_output_digests import MINI, NORTHWIND_1X
 from util import FIXTURES
 
 import unimig.migrator
+import unimig.source
 from unimig.cli import dispatch
 from unimig.document.model import DocType
 from unimig.errors import MigrationError
@@ -143,18 +145,19 @@ def _migrated(root: Path, out: Path) -> tuple:
             error)
 
 
-_group_text = unimig.migrator._group_text
-
-
-def _row_by_row(builder, block):
+def _row_by_row(builder, block, stats):
     """``_Builder.documents`` building every row of a block alone."""
-    return map(builder.row, block, block.numbers)
+    for n, row in zip(block.numbers, block):
+        docs, counted = builder.alone(row, n)
+        for which, values in counted:
+            setattr(stats, which, getattr(stats, which) + sum(values))
+        yield from docs
 
 
-def _rows_only(many, build, child, session):
-    """``_group_text`` whose text index builds every group from its rows."""
-    text_of, _ = _group_text(many, build, child, session)
-    return text_of, None
+def _unbuilt(grouper, block):
+    """``_Grouper._built`` as for a block whose build failed, so that every
+    group is built from its rows alone."""
+    return None, None
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,7 +176,7 @@ def test_blocks_built_as_rows_are(size, seed, dirty, shuffled):
         by_blocks = _migrated(root, Path(tmp) / "blocks")
         with mock.patch.object(unimig.migrator._Builder, "documents",
                                _row_by_row), \
-                mock.patch.object(unimig.migrator, "_group_text", _rows_only):
+                mock.patch.object(unimig.source._Grouper, "_built", _unbuilt):
             by_rows = _migrated(root, Path(tmp) / "rows")
     assert by_blocks == by_rows
     if dirty is None:
@@ -184,24 +187,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("source,digests", [
     (FIXTURES / "music_streaming" / "mini_data", MINI),
     (FIXTURES / "northwind" / "data_1x", NORTHWIND_1X)], ids=["mini", "northwind"])
 def test_clean_blocks_never_built_row_by_row(tmp_path, monkeypatch, source,
-                                             digests):
-    # every block of these datasets is one the column functions vouch for:
-    # with the row build failing, they still migrate to their pinned bytes
-    compile_rows = unimig.migrator._compile_rows
-
-    def no_rows(*args):
-        builder, level = compile_rows(*args)
-        return builder._replace(row=lambda row, n: pytest.fail(
-            f"row {n} built row by row")), level
-
-    monkeypatch.setattr(unimig.migrator, "_compile_rows", no_rows)
-    # one slice: a group that goes on past a slice's end is built from
-    # the rows read past it
-    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)
+                                             digests, k):
+    # every block of these datasets, and every row read past a slice's end,
+    # is built a column at a time: with the one-row build failing, they
+    # still migrate to their pinned bytes in any number of slices
+    monkeypatch.setattr(unimig.migrator._Builder, "alone", lambda self, row, n:
+                        pytest.fail(f"row {n} of {self.name} built alone"))
+    monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
     out = tmp_path / "out"
     assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0
     got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())

@@ -16,7 +16,8 @@ import unimig.migrator
 import unimig.source
 import unimig.trace
 from unimig.errors import MigrationError
-from unimig.migrator import EntityStats, compile_plan, migrate, write_batch
+from unimig.migrator import (EntityStats, _index_levels, compile_plan, migrate,
+                             write_batch)
 from unimig.relational.ddl import parse_ddl
 from unimig.source import open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
@@ -84,16 +85,19 @@ def test_user_document_matches_expected_shape(mini, tmp_path):
     assert docs == [EXPECTED_U001, EXPECTED_U002]
 
 
-def test_transform_instance_directly(mini):
-    # one source row through the executor compiled for its collection,
-    # without writing any file
+def test_transform_instance_directly(mini, tmp_path):
+    # the first block of source rows through the executor compiled for its
+    # collection, without writing any file
     session = open_source(mini["root"], mini["schema"], mini["step1"].trace)
     te = mini["step2"].target.document("app_user")
-    file, build = compile_plan(session, mini["step2"].trace, te, EntityStats())
-    session.build_indexes()  # the text indexes of the embedded children
+    file, build = compile_plan(session, mini["step2"].trace, te)
+    # the text indexes of the embedded children, in one slice
+    _index_levels(session, {f: f.spans(1) for f in session.indexed_files()},
+                  1, tmp_path)
     with open(file.path, "rb") as handle:
-        n, row = next(file.rows(handle, *file.spans(1)[0]))
-    assert json.loads(build(row, n)) == EXPECTED_U001
+        block = next(file.blocks(handle, *file.spans(1)[0]))
+    docs = build.documents(block, EntityStats())
+    assert json.loads(next(docs)) == EXPECTED_U001
     session.close()
 
 

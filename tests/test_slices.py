@@ -25,7 +25,7 @@ import unimig.migrator
 from unimig.errors import MigrationError, SourceError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
-from unimig.source import _ENTRY, SourceSession, _TableFile, open_source
+from unimig.source import _ENTRY, SourceSession, _GroupDocs, _TableFile, open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.model import Aggregate
@@ -95,6 +95,14 @@ def _text_of(group: list) -> tuple:
     return repr(group), len(group), 0, 0, 0
 
 
+#: Builds each group as ``_text_of`` does, from its rows' documents: each
+#: row's number and values as text
+_GROUP_DOCS = _GroupDocs(
+    lambda block: (map(repr, zip(block.numbers, block.rows)), []),
+    lambda row, n: (iter([repr((n, row))]), []),
+    lambda size, docs, counts: ("[" + ", ".join(docs) + "]", size, 0, 0, 0))
+
+
 def _text_indexes(file: _TableFile, k: int,
                   keys: list[tuple[str, ...]]) -> tuple[list[dict], int]:
     """Each key's text in a text index on each of ``keys`` (columns),
@@ -104,7 +112,7 @@ def _text_indexes(file: _TableFile, k: int,
     join; again over clustered lines for an index whose key does not
     cluster the file. Also the number of passes over the file."""
     spill = tempfile.TemporaryFile()
-    indexes = [file.texts_on(key, ("id",), _text_of, 0, spill, "a test")
+    indexes = [file.texts_on(key, ("id",), _GROUP_DOCS, 0, spill, "a test")
                for key in keys]
     passes = 0
     while file._unbuilt:
@@ -114,7 +122,7 @@ def _text_indexes(file: _TableFile, k: int,
         for span in spans[1:]:
             worker = _TableFile(file.table, file.path)
             with tempfile.TemporaryFile() as part:
-                mine = [worker.texts_on(key, ("id",), _text_of, 0, part,
+                mine = [worker.texts_on(key, ("id",), _GROUP_DOCS, 0, part,
                                         "a test") for key in keys]
                 if file.clustered is not None:
                     worker.clustered = (

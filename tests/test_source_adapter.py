@@ -15,6 +15,7 @@ from util import scan_filter
 
 from unimig.cli import dispatch
 from unimig.errors import SourceError
+from unimig.migrator import _index_levels
 from unimig.relational.ddl import parse_ddl
 from unimig.source import _TableFile, open_source, read_entity_all, record_id
 from unimig.trace import REF_FORWARD, REF_REVERSE, id_segments
@@ -220,7 +221,7 @@ def test_forward_reference_with_null_fk_is_empty(mini, tmp_path):
     session.close()
 
 
-def test_related_ids_match_related_records(session, mini):
+def test_related_ids_match_related_records(session, mini, tmp_path):
     # the covering id index stores the identifiers of the rows a reference
     # reaches, without reading them
     references = [id_segments(link.targets[0])
@@ -230,7 +231,8 @@ def test_related_ids_match_related_records(session, mini):
     for type_name, feature in references:
         link = session.link(type_name, session.table_for(type_name), feature)
         ids = link.file.ids_on(link.index, plan_for=f"{type_name}.{feature}")
-        session.build_indexes()
+        _index_levels(session, {f: f.spans(1) for f in session.indexed_files()},
+                      1, tmp_path)
         pk = link.file.table.primary_key().columns
         cursor = read_entity_all(session, type_name)
         while cursor.has_data():
