@@ -46,10 +46,10 @@ added; a parent's document copies the text with one ``pread`` and adds
 the counters to its collection's. A NULL value leaves its property out and
 is counted (``nullsOmitted``), as is a forward reference whose target row
 is missing (``danglingRefs``); a NULL key fails, as does a one-object
-aggregate over more than one child row. A failure in
-building a group is raised when a document embeds it, as the error of that
-document's collection, so child rows that no parent embeds fail nothing and
-count nothing. A child file not clustered by the key is clustered by it in
+aggregate over more than one child row. A failure in building a group is
+raised when a document embeds it, as the error of that document's
+collection, so child rows that no parent embeds fail nothing and count
+nothing. A child file not clustered by the key is clustered by it in
 memory and its group texts built again by the same pass, at the same level
 and in the same slices (``_TableFile._cluster``), so every embedded object
 is copied from a text index.
@@ -93,7 +93,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import is_, is_not, itemgetter
 from pathlib import Path
@@ -218,14 +218,6 @@ def _column(p: int) -> _Column:
     return lambda columns, counted: columns[p]
 
 
-def _probes(file: _TableFile, columns: tuple[str, ...]
-            ) -> Callable[[list[Sequence]], list[tuple]]:
-    """Function from a block's columns to each row's values in
-    ``columns``, as ``file.getter`` gives them for one row."""
-    positions = file.positions(columns)
-    return lambda block: _keys(block, positions)
-
-
 def _present(lead: str, encode: _Encode, values: Sequence) -> Iterator[str]:
     """``lead`` and the encoded value for each value, ``""`` for each None,
     in C: a None is encoded as some other value, then dropped."""
@@ -291,13 +283,18 @@ class _Builder(NamedTuple):
         counts to ``stats``: built a column at a time, or each row alone
         when the block is typed row by row or building it fails, so that a
         failing row fails as it does alone."""
+        return chain.from_iterable(self._built(block, vars(stats)))
+
+    def _built(self, block: _Block, counts: dict[str, int]
+               ) -> Iterator[Iterator[str]]:
+        """The texts of ``documents``, all at once or a row at a time."""
         try:
             built = [self.block(block)] if block.columns is not None else None
         except MigrationError:
             built = None
         for docs, counted in built or map(self.alone, block, block.numbers):
-            _add(vars(stats), counted)
-            yield from docs
+            _add(counts, counted)
+            yield docs
 
 
 def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType
@@ -418,7 +415,7 @@ def _refs(forward: bool, target: _TableFile, index: dict[tuple, list],
     reference the first, None when there is none (a NULL probe or a
     missing target, counted)."""
     encode = _id_of(target, target.table.primary_key().columns)[0]
-    probes_of = _probes(file, probe)
+    probes_of = partial(_keys, positions=file.positions(probe))
     if not forward:
         return (lambda ids: "[" + ",".join(map(encode, ids)) + "]",
                 lambda block, counted: list(map(index.get, probes_of(block),
@@ -464,7 +461,7 @@ def _embedded(many: bool, texts: _Texts, file: _TableFile,
     reached from each row of ``file`` through its ``probe`` values, copied
     from text index ``texts``, counting its counters: None for a
     one-object aggregate with no child, a failure with several."""
-    probes_of = _probes(file, probe)
+    probes_of = partial(_keys, positions=file.positions(probe))
 
     def embedded(block: list[Sequence], counted: _Counted) -> Sequence:
         found = list(map(texts.text, probes_of(block)))  # or a group's failure
