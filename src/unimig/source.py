@@ -6,7 +6,12 @@ order, empty field = NULL; fields must not contain line breaks). Opening a
 source reads only the CSVs: it checks the file of every table of the schema
 it is given once, that it is present and decodes as UTF-8, its header
 against the table's columns, the field count of each record, that no record
-spans lines, and that every line ends with a line feed. A failure names the
+spans lines, and that every line ends with a line feed. A file whose header
+line is its columns joined by commas and whose lines hold no quote, no NUL
+and no bare carriage return is checked and counted in chunks of whole
+lines by byte calls that run in C, which parse no record
+(``_TableFile._vouched_count``); ``csv.reader`` reads every file they
+cannot vouch for, so a failure is always found by it. A failure names the
 file and the row, or the line; a dataset that does not match the schema
 fails on the first file that disagrees.
 
@@ -149,7 +154,10 @@ _Check = Callable[[tuple, int], None]
 #: raising ``ValueError`` or ``KeyError`` on any cell it cannot vouch for.
 _Kernel = Callable[[tuple], Sequence]
 
-_COUNT_CHUNK = 1 << 16  # bytes read at a time to count lines
+_COUNT_CHUNK = 1 << 16  # bytes read at a time to count or check lines
+#: Every byte but the comma and the line feed: deleting them leaves a
+#: quote-free line's field separators and its end.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 #: Data rows typed at once, picked by timing full reads: 128 to 1024 read
 #: within a few per cent of each other, 256 fastest.
 _BLOCK = 256
@@ -544,11 +552,12 @@ class _Grouper:
 
 
 class _TableFile:
-    """One CSV file: validation and row counting at open, the one reader of
-    its rows after open, which parses and types them a block at a time, a
-    column at a time (``rows``, ``typed_block``), and the covering id and
-    text indexes, planned on demand and built together, one pass per row
-    slice and level."""
+    """One CSV file: validation and row counting at open, by byte checks
+    for a quote-free file and by ``csv.reader`` for any other, the one
+    reader of its rows after open, which parses and types them a block at
+    a time, a column at a time (``rows``, ``typed_block``), and the
+    covering id and text indexes, planned on demand and built together,
+    one pass per row slice and level."""
 
     def __init__(self, table: Table, path: Path):
         self.table = table
@@ -572,7 +581,63 @@ class _TableFile:
 
     # -- reading -----------------------------------------------------------------
 
+    def _vouched_count(self) -> int | None:
+        """The data row count of a file this can vouch for with byte checks
+        that run in C, or None on any doubt; it never raises. It vouches
+        for a file whose header line is the columns joined by commas and
+        whose lines hold no quote, no NUL and no carriage return but one
+        before a line feed, are UTF-8, are not empty and each have one
+        field per column; the last line may end the file without a line
+        feed. It reads chunks of whole lines, and a chunk longer than the
+        csv field size limit is a doubt, so no field can exceed it. A NUL is
+        a doubt because ``csv`` before Python 3.11 rejects it."""
+        width = len(self.columns)
+        header = ",".join(self.columns).encode()
+        line = b"," * (width - 1) + b"\n"
+        limit = csv.field_size_limit()
+        lines = 0
+        try:
+            with open(self.path, "rb") as handle:
+                # a line cut short by the limit leaves a chunk longer than
+                # it, a doubt, so no chunk is longer than _COUNT_CHUNK + limit
+                chunk = handle.readline(limit + 1)  # the header, a line too
+                if chunk not in (header + b"\n", header + b"\r\n"):
+                    return None
+                while chunk:
+                    if b'"' in chunk or b"\0" in chunk or len(chunk) > limit:
+                        return None
+                    if not chunk.isascii():
+                        try:
+                            chunk.decode()
+                        except UnicodeDecodeError:
+                            return None
+                    if b"\r" in chunk:
+                        chunk = chunk.replace(b"\r\n", b"\n")
+                        if b"\r" in chunk:
+                            return None
+                    if not chunk.endswith(b"\n"):  # the last line, at the end
+                        chunk += b"\n"
+                    # each line is width - 1 commas then a line feed; an
+                    # empty line has no comma, so width 1 looks for it
+                    separators = chunk.translate(None, _NOT_SEPARATOR)
+                    n = len(separators) // width
+                    if separators != line * n or width == 1 and (
+                            chunk.startswith(b"\n") or b"\n\n" in chunk):
+                        return None
+                    lines += n
+                    chunk = handle.read(_COUNT_CHUNK) + handle.readline(limit)
+        except OSError:  # reading again, csv.reader raises it
+            return None
+        return lines - 1
+
     def _validate_and_count(self) -> int:
+        """The data row count, after checking the header, that each line
+        holds one record with one field per column, and that lines end with
+        a line feed; a file ``_vouched_count`` cannot vouch for is read with
+        ``csv.reader``, which names the first line or row at fault."""
+        count = self._vouched_count()
+        if count is not None:
+            return count
         with open(self.path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             try:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -29,9 +31,9 @@ import unimig.source
 from unimig.cli import dispatch
 from unimig.document.model import DocType
 from unimig.errors import MigrationError
-from unimig.migrator import migrate
+from unimig.migrator import _BadKey, _id_of, _index_levels, compile_plan, migrate
 from unimig.relational.ddl import parse_ddl
-from unimig.source import open_source
+from unimig.source import _TableFile, open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.model import Aggregate
@@ -117,6 +119,12 @@ def _dataset(root: Path, size: int, seed: int,
                                     cell("parent_tag.tag_id", j)])
     if shuffled:
         rng.shuffle(rows["kid"])
+    _write(root, rows)
+
+
+def _write(root: Path, rows: dict[str, list[list]]) -> None:
+    """A dataset of ``_DDL`` at ``root`` holding ``rows`` by table; a table
+    not in ``rows`` is empty."""
     root.mkdir()
     (root / "schema.sql").write_text(_DDL, encoding="utf-8")
     for table in _SCHEMA.tables:
@@ -124,7 +132,7 @@ def _dataset(root: Path, size: int, seed: int,
                   encoding="utf-8") as handle:
             out = csv.writer(handle, lineterminator="\n")
             out.writerow([c.name for c in table.columns])
-            out.writerows(rows[table.name])
+            out.writerows(rows.get(table.name, []))
 
 
 def _migrated(root: Path, out: Path) -> tuple:
@@ -204,3 +212,70 @@ def test_clean_blocks_never_built_row_by_row(tmp_path, monkeypatch, source,
     got = {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())
            if p.name != "manifest.json"}
     assert got == digests
+
+
+# --- one small block through the column functions, against hand-written
+# expectations (the test above compares two builds through them)
+
+#: A parent row with no NULL.
+_PARENT = ["p", 0, 1, 2, 3, "1.5", "3", "12.50", "true", "s", "2025-01-02", 1]
+
+
+def _first_block_built(root: Path, collection: str, tmp: Path) -> tuple:
+    """What the compiled function of ``collection`` gives for the first
+    block of its file, indexes built in one slice: the documents, parsed,
+    and each counter summed; a ``_BadKey`` is raised as it is."""
+    session = open_source(root, _SCHEMA, _STEP1.trace)
+    try:
+        file, build = compile_plan(session, _STEP2.trace,
+                                   _STEP2.target.document(collection))
+        _index_levels(session, {f: f.spans(1) for f in session.indexed_files()},
+                      1, tmp)
+        with open(file.path, "rb") as handle:
+            block = next(file.blocks(handle, *file.spans(1)[0]))
+        docs, counted = build.block(block)
+        counts = Counter()
+        for name, values in counted:
+            counts[name] += sum(values)
+        return list(map(json.loads, docs)), counts
+    finally:
+        session.close()
+
+
+def test_null_and_dangling_probes_counted_once(tmp_path):
+    # kids' forward reference to target: a NULL probe is one NULL left
+    # out, a probe with no target one dangling reference, neither twice
+    _write(tmp_path / "data", {
+        "target": [[1, 10]], "parent": [_PARENT],
+        "kid": [["p", 0, 0, "a", ""], ["p", 0, 1, "b", 9], ["p", 0, 2, "c", 1]]})
+    docs, counts = _first_block_built(tmp_path / "data", "parent", tmp_path)
+    assert docs[0]["kids"] == [{"n": 0, "note": "a"}, {"n": 1, "note": "b"},
+                               {"n": 2, "note": "c", "id": 1}]
+    assert (counts["nulls_omitted"], counts["dangling_refs"]) == (1, 1)
+
+
+@pytest.mark.parametrize("other", [["p", 0, 1], ["p", 0, ""]],
+                         ids=["no-null", "null"])
+def test_hash_in_text_key_component_fails(tmp_path, other):
+    # a derived key's text component holding "#" fails, in a block with a
+    # NULL key value or without; a block without one joins its components
+    _write(tmp_path / "data", {"parent_tag": [other, ["x#y", 1, 2]]})
+    file = _TableFile(_SCHEMA.table("parent_tag"),
+                      tmp_path / "data" / "parent_tag.csv")
+    ids_of = _id_of(file, ["pa", "pb", "tag_id"], text=True)[1]
+    with open(file.path, "rb") as handle:
+        columns = next(file.blocks(handle, *file.spans(1)[0])).columns
+    with pytest.raises(_BadKey, match=r"^column 'pa': key value 'x#y' holds "
+                                      r"the identifier separator '#'$"):
+        ids_of(columns, [])
+    assert ids_of([column[:1] for column in columns], []) == (
+        ["p#0#1"] if other[2] else [None])
+
+
+def test_two_children_of_one_object_aggregate_fail(tmp_path):
+    # pets is a one-object aggregate: a parent with two pets fails
+    _write(tmp_path / "data", {"parent": [_PARENT],
+                               "pet": [["p", 0, 0, "w"], ["p", 0, 1, "v"]]})
+    with pytest.raises(_BadKey, match=r"^2 child rows for one-object "
+                                      r"aggregate parent\.pets$"):
+        _first_block_built(tmp_path / "data", "parent", tmp_path)

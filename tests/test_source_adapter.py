@@ -133,6 +133,87 @@ def test_bare_carriage_returns_rejected_at_open(mini, tmp_path):
             open_source(broken, mini["schema"], mini["result"].trace)
 
 
+def test_quote_free_files_open_without_csv_reader(mini):
+    # every mini_data file is quote-free, so byte checks vouch for each
+    # and ``csv.reader`` never runs at open
+    expected = {}
+    for table in mini["schema"].tables:
+        with open(mini["root"] / f"{table.name}.csv", newline="") as handle:
+            expected[table.name] = sum(1 for _ in csv.reader(handle)) - 1
+    with mock.patch("unimig.source.csv.reader", side_effect=AssertionError):
+        session = open_source(mini["root"], mini["schema"], mini["result"].trace)
+    assert {name: f.row_count for name, f in session._files.items()} == expected
+    session.close()
+
+
+#: Pieces planted in the random files opened both ways: every byte the byte
+#: checks treat apart (quote, NUL, carriage return, line feed, comma,
+#: non-ASCII, invalid UTF-8), and plain ones.
+_PIECES = [b"a", b",", b'"', b"\n", b"\r\n", b"\r", b"\0", "é".encode(), b"\xff", b" "]
+
+
+@pytest.fixture(scope="module")
+def opened_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("opened")
+
+
+def _opened(table, path) -> int | str:
+    """The row count of ``path`` opened as ``table``'s file, or the
+    message of the ``SourceError`` opening it raised."""
+    try:
+        return _TableFile(table, path).row_count
+    except SourceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3),
+       st.sampled_from([None] * 5 + ["", "c0,", "c0,c1", '"c0"', "c0 "]),
+       st.sampled_from([b"\n", b"\n", b"\r\n", b""]),
+       st.lists(st.tuples(st.lists(st.sampled_from([b"", b"a", " éa".encode()]),
+                                   min_size=3, max_size=3),
+                          st.sampled_from([b"\n", b"\r\n"])), max_size=6),
+       st.booleans(),
+       st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_PIECES)),
+                max_size=2),
+       st.integers(1, 8), st.sampled_from([3] + [131072] * 3))
+@example(2, None, b"\n", [([b"a", b"", b""], b"\r\n")] * 2, False, [], 3, 131072)
+@example(1, None, b"\n", [([b"a"] * 3, b"\n")], True, [(3, b"\n")], 1, 131072)
+@example(3, None, b"\n", [([" éa".encode()] * 3, b"\n")], True, [(12, b"a")], 2, 3)
+@example(1, None, b"\n", [([b"a"] * 3, b"\n")] * 2, True, [(3, b'"')], 4, 131072)
+@example(2, None, b"\r\n", [([b"a"] * 3, b"\r\n")] * 2, True, [(8, b"\xff")], 2, 131072)
+@example(2, None, b"\n", [([b"a"] * 3, b"\n")] * 2, False, [(7, b"\r")], 5, 131072)
+def test_vouched_count_agrees_with_csv_reader(opened_dir, width, header, header_end,
+                                              rows, last_end, planted, chunk, limit):
+    # a file the byte checks vouch for has the row count csv.reader gives;
+    # any other opens through csv.reader, with the same count or message.
+    # Clean lines, none empty, under the right header (None) in most
+    # examples, with up to two pieces planted anywhere; chunks of a few
+    # bytes put their edges everywhere, and planting passes a field size
+    # limit of 3.
+    columns = [f"c{p}" for p in range(width)]
+    table = parse_ddl("CREATE TABLE t (" + ", ".join(
+        f"{c} INT" for c in columns) + ");").table("t")
+    header = ",".join(columns) if header is None else header
+    data = header.encode() + header_end + b"".join(
+        (b",".join(fields[:width]) or b"a") + end for fields, end in rows)
+    if not last_end:
+        data = data.removesuffix(b"\n").removesuffix(b"\r")
+    for at, piece in planted:
+        at %= len(data) + 1
+        data = data[:at] + piece + data[at:]
+    path = opened_dir / "t.csv"
+    path.write_bytes(data)
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with mock.patch("unimig.source._COUNT_CHUNK", chunk):
+            vouched = _opened(table, path)
+            with mock.patch.object(_TableFile, "_vouched_count", return_value=None):
+                assert vouched == _opened(table, path)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
 def test_schema_disagreement_rejected(mini, tmp_path, music_schema):
     # the first file whose header the given schema's table disagrees with
     with pytest.raises(SourceError, match=r"^song\.csv: header \[.*\] does not "
