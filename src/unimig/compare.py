@@ -18,10 +18,10 @@ than entities; entity precision/recall are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from unimig.document.schema_json import docschema_to_dict
 from unimig.errors import ModelError
+from unimig.record import field, record
 from unimig.relational.model import RelationalSchema, Table
 from unimig.trace import TraceStore
 from unimig.transforms.doc_to_us import document_to_uschema
@@ -34,7 +34,7 @@ CATEGORIES = ("Entities", "Attributes", "PrimaryKeys", "ForeignKeys",
               "Constraints", "DataTypes")
 
 
-@dataclass
+@record
 class CategoryScore:
     tp: int = 0
     fp: int = 0
@@ -54,11 +54,11 @@ class CategoryScore:
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-@dataclass
+@record
 class MatchReport:
-    scores: dict[str, CategoryScore] = dc_field(
+    scores: dict[str, CategoryScore] = field(
         default_factory=lambda: {c: CategoryScore() for c in CATEGORIES})
-    table_pairs: list[tuple[str, str]] = dc_field(default_factory=list)
+    table_pairs: list[tuple[str, str]] = field(default_factory=list)
 
     def __getitem__(self, category: str) -> CategoryScore:
         return self.scores[category]
@@ -401,7 +401,7 @@ def _diff_named_list(path: str, a: list, b: list, out: list[dict]) -> None:
 
 # --- round trip ---------------------------------------------------------------
 
-@dataclass
+@record
 class RoundTripResult:
     original: RelationalSchema
     pivot: object

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 from unimig.errors import MigrationError
+from unimig.record import record
 
 SCALE_FACTORS = {"S": 1, "M": 10, "L": 100}
 BASE_USERS = 1_000
@@ -109,7 +109,7 @@ CREATE TABLE most_recent_song (
 """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScaleSpec:
     scale: str
     seed: int

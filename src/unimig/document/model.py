@@ -4,15 +4,15 @@ another document type, or an embedded (nested) object."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from unimig.errors import ModelError
+from unimig.record import field, record
 
 _PRIMITIVES = ("BOOLEAN", "INTEGER", "DOUBLE", "STRING")
 
 
-@dataclass
+@record
 class DocType:
     """Scalar type or array of a scalar type."""
 
@@ -27,7 +27,7 @@ class DocType:
         return f"[{self.primitive}]" if self.array else self.primitive
 
 
-@dataclass
+@record
 class Field:
     name: str
     type: DocType
@@ -38,7 +38,7 @@ class Field:
             raise ModelError(f"key field {self.name!r} must have a primitive type")
 
 
-@dataclass
+@record
 class DocReference:
     """Stores the identifier(s) of documents of ``target``; an array type
     makes it multi-valued."""
@@ -48,7 +48,7 @@ class DocReference:
     type: DocType = field(default_factory=lambda: DocType("STRING"))
 
 
-@dataclass
+@record
 class Embedded:
     """A nested object (or array of objects, when ``is_many``)."""
 
@@ -60,7 +60,7 @@ class Embedded:
 Property = Union[Field, DocReference, Embedded]
 
 
-@dataclass
+@record
 class DocumentType:
     name: str
     properties: list[Property] = field(default_factory=list)
@@ -78,7 +78,7 @@ class DocumentType:
         return None
 
 
-@dataclass
+@record
 class DocumentSchema:
     name: str
     documents: list[DocumentType] = field(default_factory=list)

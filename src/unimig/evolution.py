@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from unimig.errors import EvolutionError, TextParseError
+from unimig.record import record
 from unimig.trace import AGGREGATE_CHILD, TraceStore, id_kind, id_segments
 from unimig.uschema.model import (
     Aggregate,
@@ -37,34 +37,34 @@ from unimig.uschema.model import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RenameEntity:
     old: str
     new: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RenameFeature:
     entity: str
     old: str
     new: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CastAttr:
     entity: str
     attr: str
     new_type: USDataType
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorphRef:
     entity: str
     ref: str
     new_name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeleteFeature:
     entity: str
     feature: str

@@ -70,16 +70,17 @@ and the parent appends the texts to the spill and joins the indexes on in
 slice order (``_build_indexes``). Once the indexes are built, a document
 depends only on its own row and on read-only indexes and spilled texts,
 so the writers are forked next: each process writes its slice of every
-collection in schema order, one document per line (``_write_step``,
-``write_batch``): the parent straight into ``<collection>.jsonl``, a worker
-into its part file, which the parent appends, in slice order, once every
-worker is done. With one CPU nothing is forked. A failure ends as the
-serial run would: the error of the first failing level, file or collection
-and, within it, of the first failing row; an index failure leaves nothing
-on disk, a write failure only the collections before it. The manifest's
-counters are sums over slices; its total ``elapsedMs`` is the wall time of
-the whole ``migrate``, and a collection's ``elapsedMs`` is its compile time
-plus the write times of its slices.
+collection in schema order, one document per line and one ``write_batch``
+call per block (``_write_step``): the parent straight into
+``<collection>.jsonl``, a worker into its part file, which the parent
+appends, in slice order, once every worker is done. With one CPU nothing
+is forked. A failure ends as the serial run would: the error of the first
+failing level, file or collection and, within it, of the first failing
+row; an index failure leaves nothing on disk, a write failure only the
+collections before it. The manifest's counters are sums over slices; its
+total ``elapsedMs`` is the wall time of the whole ``migrate``, and a
+collection's ``elapsedMs`` is its compile time plus the write times of its
+slices.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -109,6 +109,7 @@ from unimig.document.model import (
     Property,
 )
 from unimig.errors import MigrationError, SourceError
+from unimig.record import field, record
 from unimig.source import (
     KEY_SEPARATOR,
     SourceSession,
@@ -127,7 +128,7 @@ from unimig.source import (
 from unimig.trace import TraceStore, doc_path, id_segments
 
 
-@dataclass
+@record
 class EntityStats:
     rows_read: int = 0
     docs_written: int = 0
@@ -136,7 +137,7 @@ class EntityStats:
     dangling_refs: int = 0  # forward references whose target row is missing
 
 
-@dataclass
+@record
 class MigrationReport:
     per_entity: dict[str, EntityStats] = field(default_factory=dict)
     index_ms: float = 0.0  # the pass that builds every planned index
@@ -490,7 +491,7 @@ def write_batch(handle: TextIO, lines: list[str]) -> int:
     return len(lines)
 
 
-@dataclass
+@record
 class _Collection:
     """A compiled collection: the file its documents come from, cut into
     one row slice per process, and the function that builds each."""
@@ -512,8 +513,8 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     try:
         with open(file.path, "rb") as handle:
             for block in file.blocks(handle, *c.spans[i]):
-                for doc in c.build.documents(block, c.stats):
-                    c.stats.docs_written += write_batch(out, [doc])
+                c.stats.docs_written += write_batch(
+                    out, list(c.build.documents(block, c.stats)))
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc
@@ -543,7 +544,7 @@ def _cpus() -> int:
 _Step = Callable[[int, int | None], dict]
 
 
-@dataclass
+@record
 class _Worker:
     """A forked process that runs row slice ``i`` of every step of a phase,
     in order, into an unnamed part file and reports each step as one JSON
@@ -730,7 +731,7 @@ def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
     with open(target_dir / f"{c.name}.jsonl" if part is None else part, "w",
               encoding="utf-8", closefd=part is None) as out:
         _write_slice(source, c, i, out)
-    return {"stats": asdict(c.stats), "peak": source.peak_live_records}
+    return {"stats": vars(c.stats).copy(), "peak": source.peak_live_records}
 
 
 def _copy(out: int, part: int, start: int, end: int, what: str) -> None:

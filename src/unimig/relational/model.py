@@ -8,9 +8,9 @@ foreign key back to the concrete key object it points at.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from unimig.errors import ModelError
+from unimig.record import field, record
 
 
 class ReferentialAction(enum.Enum):
@@ -37,7 +37,7 @@ TYPE_CLASSES = {
 }
 
 
-@dataclass
+@record
 class SqlType:
     base: str
     length: int | None = None
@@ -74,7 +74,7 @@ class SqlType:
         return self.base
 
 
-@dataclass
+@record
 class Column:
     name: str
     datatype: SqlType
@@ -82,7 +82,7 @@ class Column:
     default: str | None = None  # opaque DEFAULT expression text, if declared
 
 
-@dataclass
+@record
 class RKey:
     constraint_name: str
     is_pk: bool
@@ -93,7 +93,7 @@ class RKey:
             raise ModelError(f"key {self.constraint_name!r} has no columns")
 
 
-@dataclass
+@record
 class FKey:
     constraint_name: str
     columns: list[str] = field(default_factory=list)
@@ -109,7 +109,7 @@ class FKey:
                 f"column(s) onto {len(self.ref_columns)}")
 
 
-@dataclass
+@record
 class Table:
     name: str
     columns: list[Column] = field(default_factory=list)
@@ -138,7 +138,7 @@ class Table:
         raise ModelError(f"table {self.name!r} has no key {constraint_name!r}")
 
 
-@dataclass
+@record
 class RelationalSchema:
     name: str
     tables: list[Table] = field(default_factory=list)

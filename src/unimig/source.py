@@ -7,13 +7,17 @@ source reads only the CSVs: it checks the file of every table of the schema
 it is given once, that it is present and decodes as UTF-8, its header
 against the table's columns, the field count of each record, that no record
 spans lines, and that every line ends with a line feed. A file whose header
-line is its columns joined by commas and whose lines hold no quote, no NUL
-and no bare carriage return is checked and counted in chunks of whole
-lines by byte calls that run in C, which parse no record
-(``_TableFile._vouched_count``); ``csv.reader`` reads every file they
-cannot vouch for, so a failure is always found by it. A failure names the
-file and the row, or the line; a dataset that does not match the schema
-fails on the first file that disagrees.
+line is its columns joined by commas, whose lines hold no NUL and no bare
+carriage return, and whose quotes all open and close quoted fields that
+``csv`` reads within one line (``"a,b"``, ``"a ""b"" c"``) is checked and
+counted in chunks of whole lines by byte calls and one regular expression
+pass that run in C, which parse no record (``_TableFile._vouched_count``;
+checking CSV with bulk byte operations and parsing only on doubt, as in
+Mühlbauer et al., "Instant Loading for Main Memory Databases", VLDB 2013).
+``csv.reader`` reads every file they cannot vouch for, so a failure is
+always found by it. A failure names the file and the row, or the line; a
+dataset that does not match the schema fails on the first file that
+disagrees.
 
 Rows are read and typed a block of rows at a time, each column by one
 kernel for its type (``_TableFile.typed_block``; block-at-a-time
@@ -114,7 +118,6 @@ import tempfile
 from array import array
 from collections import Counter, defaultdict, deque
 from contextlib import ExitStack
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat, starmap
 from math import isfinite
@@ -123,6 +126,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from unimig.errors import MigrationError, SourceError
+from unimig.record import record
 from unimig.relational.model import FKey, RelationalSchema, SqlType, Table, fk_in_pk
 from unimig.trace import (
     AGGREGATE_CHILD,
@@ -158,6 +162,9 @@ _COUNT_CHUNK = 1 << 16  # bytes read at a time to count or check lines
 #: Every byte but the comma and the line feed: deleting them leaves a
 #: quote-free line's field separators and its end.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+#: A comma, then a quoted field that ``csv`` reads within one line: no line
+#: break and no quote inside but doubled ones, and a separator after it.
+_QUOTED_FIELD = re.compile(rb',"[^"\n]*(?:""[^"\n]*)*"(?=[,\n])')
 #: Data rows typed at once, picked by timing full reads: 128 to 1024 read
 #: within a few per cent of each other, 256 fastest.
 _BLOCK = 256
@@ -553,7 +560,8 @@ class _Grouper:
 
 class _TableFile:
     """One CSV file: validation and row counting at open, by byte checks
-    for a quote-free file and by ``csv.reader`` for any other, the one
+    for a file whose quoted fields each lie within a line and by
+    ``csv.reader`` for any other, the one
     reader of its rows after open, which parses and types them a block at
     a time, a column at a time (``rows``, ``typed_block``), and the
     covering id and text indexes, planned on demand and built together,
@@ -585,15 +593,25 @@ class _TableFile:
         """The data row count of a file this can vouch for with byte checks
         that run in C, or None on any doubt; it never raises. It vouches
         for a file whose header line is the columns joined by commas and
-        whose lines hold no quote, no NUL and no carriage return but one
-        before a line feed, are UTF-8, are not empty and each have one
-        field per column; the last line may end the file without a line
-        feed. It reads chunks of whole lines, and a chunk longer than the
-        csv field size limit is a doubt, so no field can exceed it. A NUL is
-        a doubt because ``csv`` before Python 3.11 rejects it."""
+        whose lines hold no NUL and no carriage return but one before a
+        line feed, are UTF-8, are not empty and each have one field per
+        column; the last line may end the file without a line feed. A
+        quote must open a quoted field that starts a line or follows a
+        comma, holds no line break and no quote but doubled ones, and
+        closes right before a comma or the line's end, which ``csv`` reads
+        as one field. With a comma put before each line's first field, one
+        leftmost pass drops every such field with the comma before it, and
+        a quote left over is a doubt. (A pass per kind of field start would
+        not do: dropping the fields the first finds can join what is left
+        into a field the second takes.) It reads chunks of whole lines, and
+        a chunk longer than the csv field size limit is a doubt, so no
+        field can exceed it. A NUL is a doubt because ``csv`` before Python
+        3.11 rejects it."""
         width = len(self.columns)
         header = ",".join(self.columns).encode()
-        line = b"," * (width - 1) + b"\n"
+        # each line is width - 1 commas then a line feed, or width commas
+        # once a comma starts every line
+        plain = b"," * (width - 1) + b"\n"
         limit = csv.field_size_limit()
         lines = 0
         try:
@@ -604,7 +622,7 @@ class _TableFile:
                 if chunk not in (header + b"\n", header + b"\r\n"):
                     return None
                 while chunk:
-                    if b'"' in chunk or b"\0" in chunk or len(chunk) > limit:
+                    if b"\0" in chunk or len(chunk) > limit:
                         return None
                     if not chunk.isascii():
                         try:
@@ -617,12 +635,19 @@ class _TableFile:
                             return None
                     if not chunk.endswith(b"\n"):  # the last line, at the end
                         chunk += b"\n"
-                    # each line is width - 1 commas then a line feed; an
-                    # empty line has no comma, so width 1 looks for it
+                    # an empty line has no comma, so width 1 looks for it
+                    if width == 1 and (chunk.startswith(b"\n") or b"\n\n" in chunk):
+                        return None
+                    line = plain
+                    if b'"' in chunk:
+                        chunk = _QUOTED_FIELD.sub(
+                            b",", b"," + chunk[:-1].replace(b"\n", b"\n,") + b"\n")
+                        if b'"' in chunk:
+                            return None
+                        line = b"," + plain
                     separators = chunk.translate(None, _NOT_SEPARATOR)
-                    n = len(separators) // width
-                    if separators != line * n or width == 1 and (
-                            chunk.startswith(b"\n") or b"\n\n" in chunk):
+                    n = len(separators) // len(line)
+                    if separators != line * n:
                         return None
                     lines += n
                     chunk = handle.read(_COUNT_CHUNK) + handle.readline(limit)
@@ -1123,7 +1148,7 @@ class _TableFile:
         return fill
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Link:
     """A related feature resolved against the schema: it reaches the rows of
     ``file`` whose ``index`` columns equal the current record's ``probe``

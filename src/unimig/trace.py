@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from unimig.errors import TraceError
+from unimig.record import field, record
 
 TRACE_VERSION = 1
 
@@ -62,7 +62,7 @@ def doc_path(components: list[tuple[str, bool]]) -> str:
     return "doc:" + out
 
 
-@dataclass
+@record
 class TraceLink:
     sources: list[str]
     targets: list[str]
@@ -78,7 +78,7 @@ class TraceLink:
             raise TraceError(f"unknown trace role {self.role!r}")
 
 
-@dataclass
+@record
 class TraceStore:
     links: list[TraceLink] = field(default_factory=list)
     _by_source: dict[str, list[int]] = field(default_factory=dict, repr=False)

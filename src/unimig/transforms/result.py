@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from unimig.document.model import DocumentSchema
+from unimig.record import record
 from unimig.relational.model import RelationalSchema
 from unimig.trace import TraceStore
 from unimig.uschema.model import USchemaModel
@@ -13,7 +13,7 @@ from unimig.uschema.model import USchemaModel
 TargetModel = Union[USchemaModel, DocumentSchema, RelationalSchema]
 
 
-@dataclass
+@record
 class TransformResult:
     """Produced target model plus the trace recorded while producing it;
     every element of ``target`` is the target of at least one link."""

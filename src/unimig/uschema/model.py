@@ -11,10 +11,10 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from unimig.errors import ModelError
+from unimig.record import field, record
 
 #: Sentinel for an unbounded upper multiplicity, rendered as ``*``.
 UNBOUNDED = -1
@@ -22,7 +22,7 @@ UNBOUNDED = -1
 _SCALAR_KINDS = ("String", "Integer", "Boolean", "Double", "Decimal", "Date")
 
 
-@dataclass
+@record
 class USDataType:
     """A primitive pivot-model data type; ``Decimal`` carries (precision, scale)."""
 
@@ -49,7 +49,7 @@ class USDataType:
         return self.kind
 
 
-@dataclass
+@record
 class Attribute:
     """A scalar-valued feature.
 
@@ -64,7 +64,7 @@ class Attribute:
     owned_by_reference: str | None = None
 
 
-@dataclass
+@record
 class Key:
     """A uniqueness constraint over attributes of the owning type; at most one
     key per type has ``is_id`` set."""
@@ -74,7 +74,7 @@ class Key:
     attributes: list[str] = field(default_factory=list)
 
 
-@dataclass
+@record
 class Reference:
     """A by-identifier link to an entity type.
 
@@ -91,7 +91,7 @@ class Reference:
     is_featured_by: str | None = None
 
 
-@dataclass
+@record
 class Aggregate:
     """Embedding of a non-root entity type's instances inside the owner."""
 
@@ -104,7 +104,7 @@ class Aggregate:
 Feature = Union[Attribute, Key, Reference, Aggregate]
 
 
-@dataclass
+@record
 class EntityType:
     name: str
     root: bool = True
@@ -135,7 +135,7 @@ class EntityType:
         return None
 
 
-@dataclass
+@record
 class RelationshipType:
     """An attributed association between two or more entity types.
 
@@ -160,7 +160,7 @@ class RelationshipType:
 SchemaType = Union[EntityType, RelationshipType]
 
 
-@dataclass
+@record
 class USchemaModel:
     name: str
     entities: list[EntityType] = field(default_factory=list)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from unimig.record import record
 from unimig.uschema.model import (
     Aggregate,
     Attribute,
@@ -15,7 +14,7 @@ from unimig.uschema.model import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     """One violated invariant, anchored to the offending element path."""
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from util import scan_filter
+from util import FIXTURES, scan_filter
 
 from unimig.cli import dispatch
 from unimig.errors import SourceError
@@ -146,10 +146,55 @@ def test_quote_free_files_open_without_csv_reader(mini):
     session.close()
 
 
+def test_northwind_files_open_without_csv_reader(northwind_schema):
+    # Northwind's quoted fields (commas inside, doubled quotes) start at a
+    # line start or after a comma and end before a separator, so byte
+    # checks vouch for every file
+    root = FIXTURES / "northwind" / "data_1x"
+    expected = {}
+    for table in northwind_schema.tables:
+        with open(root / f"{table.name}.csv", newline="") as handle:
+            expected[table.name] = sum(1 for _ in csv.reader(handle)) - 1
+    assert any(b'"' in (root / f"{name}.csv").read_bytes() for name in expected)
+    with mock.patch("unimig.source.csv.reader", side_effect=AssertionError):
+        counts = {table.name: _TableFile(table, root / f"{table.name}.csv").row_count
+                  for table in northwind_schema.tables}
+    assert counts == expected
+
+
+@pytest.mark.parametrize("line, vouched", [
+    (b'"a,b",c', True),
+    (b'"a""b",""', True),
+    (b'a,"b"', True),
+    (b'"",""', True),
+    (b'a"b,c', False),  # a quote mid-field
+    (b'"a"b,c', False),  # a closing quote before a non-separator
+    (b'"a,b,c', False),  # never closed
+    (b'"a\rb",c', False),  # a carriage return inside quotes
+    (b'"a\nb",c', False),  # a line feed inside quotes
+    (b'"A,"B",C",D', False),  # csv reads three fields
+])
+def test_quoted_fields_vouched_for(tmp_path, line, vouched):
+    table = parse_ddl("CREATE TABLE t (c0 TEXT, c1 TEXT);").table("t")
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"c0,c1\n")
+    file = _TableFile(table, path)
+    path.write_bytes(b"c0,c1\n" + line + b"\na,b\n")
+    assert file._vouched_count() == (2 if vouched else None)
+
+
 #: Pieces planted in the random files opened both ways: every byte the byte
 #: checks treat apart (quote, NUL, carriage return, line feed, comma,
 #: non-ASCII, invalid UTF-8), and plain ones.
 _PIECES = [b"a", b",", b'"', b"\n", b"\r\n", b"\r", b"\0", "é".encode(), b"\xff", b" "]
+
+
+#: Fields of the random files: plain ones, twice as likely, and quoted
+#: ones that ``csv`` reads as one field (a comma inside, doubled quotes, an
+#: empty quoted field) or not (a quote mid-field, a closing quote before a
+#: non-separator, a carriage return or a line feed inside quotes).
+_FIELDS = [b"", b"a", " éa".encode()] * 2 + [
+    b'"a,b"', b'"a""b"', b'""', b'a"b', b'"a"b', b'"a\rb"', b'"a\nb"']
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +215,7 @@ def _opened(table, path) -> int | str:
 @given(st.integers(1, 3),
        st.sampled_from([None] * 5 + ["", "c0,", "c0,c1", '"c0"', "c0 "]),
        st.sampled_from([b"\n", b"\n", b"\r\n", b""]),
-       st.lists(st.tuples(st.lists(st.sampled_from([b"", b"a", " éa".encode()]),
-                                   min_size=3, max_size=3),
+       st.lists(st.tuples(st.lists(st.sampled_from(_FIELDS), min_size=3, max_size=3),
                           st.sampled_from([b"\n", b"\r\n"])), max_size=6),
        st.booleans(),
        st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_PIECES)),
@@ -183,12 +227,17 @@ def _opened(table, path) -> int | str:
 @example(1, None, b"\n", [([b"a"] * 3, b"\n")] * 2, True, [(3, b'"')], 4, 131072)
 @example(2, None, b"\r\n", [([b"a"] * 3, b"\r\n")] * 2, True, [(8, b"\xff")], 2, 131072)
 @example(2, None, b"\n", [([b"a"] * 3, b"\n")] * 2, False, [(7, b"\r")], 5, 131072)
+@example(2, None, b"\n", [([b'"A,"B",C"', b"D", b""], b"\n")], True, [], 8, 131072)
+@example(2, None, b"\n", [([b'"a\nb"', b"c", b""], b"\n")], True, [], 64, 131072)
 def test_vouched_count_agrees_with_csv_reader(opened_dir, width, header, header_end,
                                               rows, last_end, planted, chunk, limit):
     # a file the byte checks vouch for has the row count csv.reader gives;
     # any other opens through csv.reader, with the same count or message.
     # Clean lines, none empty, under the right header (None) in most
-    # examples, with up to two pieces planted anywhere; chunks of a few
+    # examples, some quoted, with up to two pieces planted anywhere. The
+    # line '"A,"B",C",D', which csv reads as three fields, looks like two
+    # once the quoted fields one pass finds after commas and those a second
+    # pass finds at line starts are dropped. Chunks of a few
     # bytes put their edges everywhere, and planting passes a field size
     # limit of 3.
     columns = [f"c{p}" for p in range(width)]
