@@ -27,10 +27,9 @@ per row, so that the groups a text index builds from a block of child
 documents each get their own counters. The column functions are the only
 builder: when one fails on a block (a NULL key value, a ``#`` in a key
 component, an embedded group whose build failed, a one-object aggregate
-over several children) or the reader typed the block row by row, each row
-is built alone, as a block of one row, through the same functions
-(``_Builder.alone``), so that the first failing row fails with its file,
-its row and its own message.
+over several children), the block's halves are built in turn through the
+same functions, down to single rows (``_Builder.runs``), so that the first
+failing row fails with its file, its row and its own message.
 
 Every collection is compiled before any runs, which plans the indexes they
 probe, each at its level (``texts_on``); each file's planned indexes are
@@ -93,7 +92,7 @@ import threading
 import time
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring
 from operator import is_, is_not, itemgetter
 from pathlib import Path
@@ -116,11 +115,12 @@ from unimig.source import (
     _Block,
     _Counted,
     _GroupDocs,
+    _Runs,
     _keys,
     _TableFile,
     _Texts,
     _add,
-    _one_row,
+    _halves,
     fmt_id,
     read_entity_all,  # noqa: F401  (re-exported: the benchmark wraps it here)
     separator_message,
@@ -211,7 +211,7 @@ def _float_text(value: object) -> str:
 
 class _BadKey(MigrationError):
     """A NULL or colliding key value, or several children of a one-object
-    aggregate; ``_Builder.alone`` adds file and row."""
+    aggregate; ``_Builder.runs`` adds file and row."""
 
 
 def _column(p: int) -> _Column:
@@ -271,31 +271,30 @@ class _Builder(NamedTuple):
     block: Callable[[_Block], tuple[Iterator[str], _Counted]]
     name: str
 
-    def alone(self, row: tuple, n: int) -> tuple[Iterator[str], _Counted]:
-        """``block`` over typed row ``n`` alone, failing as that row
-        fails, with its file and row named."""
-        try:
-            return self.block(_one_row(row, n))
-        except _BadKey as exc:
-            raise MigrationError(f"{self.name} (row {n + 1}), {exc}") from exc
+    def runs(self, block: _Block) -> _Runs:
+        """``block`` over a block's rows in runs (``_halves``), a
+        ``_BadKey`` of a row that fails alone named by file and row."""
+        def build(first: int, end: int) -> tuple[Iterator[str], _Counted]:
+            return self.block(block.part(first, end))
+
+        for first, end, built in _halves(len(block.numbers), build, MigrationError):
+            if isinstance(built, _BadKey):
+                built = MigrationError(f"{self.name} (row {block.numbers[first] + 1}), "
+                                       f"{built}")
+            yield first, end, built
 
     def documents(self, block: _Block, stats: EntityStats) -> Iterator[str]:
-        """The JSON texts of a block's rows, adding what building them
-        counts to ``stats``: built a column at a time, or each row alone
-        when the block is typed row by row or building it fails, so that a
-        failing row fails as it does alone."""
-        return chain.from_iterable(self._built(block, vars(stats)))
-
-    def _built(self, block: _Block, counts: dict[str, int]
-               ) -> Iterator[Iterator[str]]:
-        """The texts of ``documents``, all at once or a row at a time."""
+        """The JSON texts of a block's rows, built a column at a time,
+        adding what building them counts to ``stats``. When building the
+        block fails, it fails with the error of its first failing row
+        (``runs``)."""
         try:
-            built = [self.block(block)] if block.columns is not None else None
-        except MigrationError:
-            built = None
-        for docs, counted in built or map(self.alone, block, block.numbers):
-            _add(counts, counted)
-            yield docs
+            docs, counted = self.block(block)
+        except MigrationError as exc:
+            raise next(built for *_, built in self.runs(block)
+                       if isinstance(built, MigrationError)) from exc
+        _add(vars(stats), counted)
+        return docs
 
 
 def compile_plan(session: SourceSession, t2: TraceStore, te: DocumentType
@@ -453,7 +452,7 @@ def _group_text(many: bool, build: _Builder, session: SourceSession
         return (joined, size, size + counts.get("rows_read", 0),
                 counts.get("nulls_omitted", 0), counts.get("dangling_refs", 0))
 
-    return _GroupDocs(build.block, build.alone, text)
+    return _GroupDocs(build.runs, text)
 
 
 def _embedded(many: bool, texts: _Texts, file: _TableFile,
@@ -483,12 +482,23 @@ def _embedded(many: bool, texts: _Texts, file: _TableFile,
 
 # --- writing --------------------------------------------------------------------
 
-def write_batch(handle: TextIO, lines: list[str]) -> int:
+#: Documents joined per write: joining a whole block held it twice, which
+#: cost megabytes on blocks of large documents; 32 at a time write as fast.
+_WRITE_CHUNK = 32
+#: Bytes buffered per system call: with the default 8 KiB, about every chunk
+#: of small documents made one, ~8 % of writing 40,000 of ~250 B (2 vCPU).
+_WRITE_BUFFER = 1 << 16
+
+
+def write_batch(handle: TextIO, lines: Iterable[str]) -> int:
     """Write encoded documents to an open text handle, one JSON text per
-    line; returns how many were written."""
-    if lines:
-        handle.write("\n".join(lines) + "\n")
-    return len(lines)
+    line, ``_WRITE_CHUNK`` at a time; returns how many were written."""
+    written, lines = 0, iter(lines)
+    while chunk := list(islice(lines, _WRITE_CHUNK)):
+        written += len(chunk)
+        chunk.append("")  # the last line's end
+        handle.write("\n".join(chunk))
+    return written
 
 
 @record
@@ -514,7 +524,7 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
         with open(file.path, "rb") as handle:
             for block in file.blocks(handle, *c.spans[i]):
                 c.stats.docs_written += write_batch(
-                    out, list(c.build.documents(block, c.stats)))
+                    out, c.build.documents(block, c.stats))
     except Exception as exc:
         raise MigrationError(
             f"while migrating collection {c.name!r}: {exc}") from exc
@@ -729,7 +739,7 @@ def _write_step(source: SourceSession, target_dir: Path, c: _Collection,
     if part is not None:
         vars(c.stats).update(vars(EntityStats()))  # this slice's counts only
     with open(target_dir / f"{c.name}.jsonl" if part is None else part, "w",
-              encoding="utf-8", closefd=part is None) as out:
+              buffering=_WRITE_BUFFER, encoding="utf-8", closefd=part is None) as out:
         _write_slice(source, c, i, out)
     return {"stats": vars(c.stats).copy(), "peak": source.peak_live_records}
 

@@ -29,13 +29,14 @@ converted, a numeric cell must be ASCII with no digit-group ``_`` or
 surrounding whitespace (which ``int`` and ``float`` accept and SQL loaders
 do not), integers are range-checked against their declared SQL type, a float
 must be finite, and ``""`` is NULL in every column. A kernel checks a whole
-column with calls that run in C and accepts only cells it can vouch for; on
-any doubt the block is typed row by row (``_TableFile.typed``), as its rows
-are taken, and a value that does not convert names its file, row and column,
-at the row and in the order typing row by row fails. Joins probe two
-indexes by typed key. The covering id index (``ids_on``) maps a key to the
-identifiers of the matching rows, so a reference reads no row of the table
-it points at. The text index (``texts_on``) maps a key to one entry, the
+column with calls that run in C and accepts only cells it can vouch for. On
+any doubt the block's halves are typed in turn, down to single rows
+(``_halves``): the rows before the first bad one come as blocks, then the
+row fails with the message ``_TableFile.typed`` gives, naming its file, row
+and column, at the row and in the order typing row by row fails. Joins probe
+two indexes by typed key. The covering id index (``ids_on``) maps a key to
+the identifiers of the matching rows, so a reference reads no row of the
+table it points at. The text index (``texts_on``) maps a key to one entry, the
 spill offset and length of a record that holds the text a caller's function
 built from the key's group of rows, sorted by the group's order columns, and
 the counters it returned. The records lie in one unnamed spill file per
@@ -83,21 +84,21 @@ it compiles its executor over these files.
 
 After open, the index pass, collection writes, ``related_by_name`` and
 ``read_entity_all`` get data rows from one reader, which reads a
-contiguous row slice (``spans``) in blocks of ``_BLOCK`` rows; a pass over
-clustered lines reads those the same way. The index pass and the writes
-take the blocks (``blocks``) and keep them as columns, typed, down to the
-JSON text of their documents; the others take the rows of the blocks
-(``rows``), typed and numbered, as tuples. The index pass checks the key
-columns and fills the id indexes a column at a time; a text index cuts a
-block's key column into runs and joins each group's text from the
-documents of its rows, built for the whole block at once (``_GroupDocs``);
-a group that goes on past a slice's end takes each row after it as a
-block of one row, built the same way. When building a block fails, a
-group with rows in it sorts its rows and builds each alone, so the group
-fails with its first failing row in sorted order. A block the kernels
-could not vouch for, or whose key columns hold a NULL or a ``#``, is
-checked row by row, so the first bad row fails as typing and checking each
-row in turn would.
+contiguous row slice (``spans``) in blocks of ``_BLOCK`` rows (``blocks``);
+a pass over clustered lines reads those the same way. Every stage keeps a
+block as columns, typed, down to the JSON text of its documents, and has
+no other path. The index pass checks the key columns and fills the id
+indexes a column at a time; a text index cuts a block's key column into
+runs and joins each group's text from the documents of its rows, built
+for the whole block at once (``_GroupDocs``); a group that goes on past a
+slice's end takes the rows at the start of each block after it that go
+on with it, as a block of their own. When building a block fails, its
+halves are built in turn, down to single rows (``_halves``), and each row
+that fails keeps its error in place of its document, so a group fails
+with its first failing row in sorted order. A block fails exactly when
+one of its rows fails alone, so within a row typing comes before the key
+check and the key check before the build, and the first bad row fails as
+typing, checking and building each row in turn would.
 
 The session counts the records read and the most held at once
 (``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
@@ -119,9 +120,9 @@ from array import array
 from collections import Counter, defaultdict, deque
 from contextlib import ExitStack
 from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat, starmap
+from itertools import accumulate, chain, compress, islice, repeat
 from math import isfinite
-from operator import contains, itemgetter, ne, not_
+from operator import add, contains, itemgetter, ne, not_
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -152,8 +153,6 @@ _INT_RANGES = {base: (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
 _ACCESS_ROLES = {rule: (AGGREGATE_CHILD, REL_TYPE_SIDE) for rule in ("R5", "R6")} | {
     rule: (REF_FORWARD, REF_REVERSE) for rule in ("R7.1", "R7.2")}
 
-#: Checks one typed row of an index pass, given its number.
-_Check = Callable[[tuple, int], None]
 #: Types one column of a block of rows at once: its cells -> its values,
 #: raising ``ValueError`` or ``KeyError`` on any cell it cannot vouch for.
 _Kernel = Callable[[tuple], Sequence]
@@ -336,33 +335,59 @@ _HEADER = struct.Struct("<4q")
 #: What building each row of a block counted, as (counter, one value per
 #: row) pairs; the counter is a name its builder gives.
 _Counted = list[tuple[str, Sequence[int]]]
+#: A block built in runs (``_halves``): each run's documents and what
+#: building them counted, or the error of a row that fails alone.
+_Runs = Iterator[tuple[int, int, tuple[Iterator[str], _Counted] | MigrationError]]
 
 
 class _Block:
-    """Data rows ``numbers`` of a file, typed: their ``columns`` (one
-    sequence of values per column), None while the rows are typed one by
-    one as they are taken (``typed_block``), and the rows, made from the
-    columns when first asked for."""
+    """Data rows ``numbers`` of a file, typed: their ``columns``, one
+    sequence of values per column. Iterating gives the rows."""
 
-    __slots__ = ("numbers", "columns", "_rows")
+    __slots__ = ("numbers", "columns")
 
-    def __init__(self, numbers: Sequence[int], columns: list[Sequence] | None,
-                 rows: Iterable[tuple] | None = None):
-        self.numbers, self.columns, self._rows = numbers, columns, rows
-
-    @property
-    def rows(self) -> Iterable[tuple]:
-        if self._rows is None:
-            self._rows = list(zip(*self.columns))
-        return self._rows
+    def __init__(self, numbers: Sequence[int], columns: list[Sequence]):
+        self.numbers, self.columns = numbers, columns
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
+        return zip(*self.columns)
+
+    def part(self, first: int, end: int) -> _Block:
+        """Rows ``first`` to ``end`` of the block, as a block."""
+        if first == 0 and end == len(self.numbers):
+            return self
+        return _Block(self.numbers[first:end],
+                      [column[first:end] for column in self.columns])
 
 
-def _one_row(row: tuple, n: int) -> _Block:
-    """Typed data row ``n`` alone as a block with columns."""
-    return _Block((n,), [(value,) for value in row])
+def _halves(size: int, build: Callable[[int, int], object],
+            fails: type[Exception] | tuple[type[Exception], ...]
+            ) -> Iterator[tuple[int, int, object]]:
+    """Runs ``(first, end, built)`` covering rows 0 to ``size`` of a block
+    in row order: ``build(first, end)`` of the whole block or, where it
+    raises ``fails``, of each half in turn, down to single rows, which give
+    the error they raise. Each ``build`` fails on a block exactly when one
+    of its rows fails alone, so the first error is the first failing row's."""
+    todo = [(0, size)]
+    while todo:
+        first, end = todo.pop()
+        try:
+            built = build(first, end)
+        except fails as exc:
+            if end - first > 1:
+                middle = (first + end) // 2
+                todo += [(middle, end), (first, middle)]
+                continue
+            built = exc.with_traceback(None)  # kept as data, its frames freed
+        yield first, end, built
+
+
+def _raised(doc: str | MigrationError) -> str:
+    """A document, or its row's error raised anew: the kept one stays out of
+    the traceback's frames, which hold it (a reference cycle)."""
+    if isinstance(doc, MigrationError):
+        raise MigrationError(str(doc))
+    return doc
 
 
 def _add(counts: dict[str, int], counted: _Counted, first: int = 0,
@@ -380,17 +405,14 @@ def _keys(columns: list[Sequence], positions: list[int]) -> list[tuple]:
 
 
 class _GroupDocs(NamedTuple):
-    """How a text index builds its groups: ``docs`` gives the text of each
-    row of a block, from its columns, as an iterator, and what building
-    them counted, raising ``MigrationError`` when a row fails; ``alone``
-    does the same for typed row ``n`` alone, with the error that row fails
-    with; ``text`` joins the ``size`` texts of a group's rows, sorted, into
-    the group's text and counters (group rows, rows read, NULLs omitted,
-    dangling references), summing the counters it is given (``counts``,
-    complete once the texts are taken)."""
+    """How a text index builds its groups: ``docs`` gives the texts of a
+    block's rows, from its columns, in runs (``_Runs``); ``text`` joins the
+    ``size`` texts of a group's rows, sorted, into the group's text and
+    counters (group rows, rows read, NULLs omitted, dangling references),
+    summing the counters it is given (``counts``, complete once the texts
+    are taken)."""
 
-    docs: Callable[[_Block], tuple[Iterator[str], _Counted]]
-    alone: Callable[[tuple, int], tuple[Iterator[str], _Counted]]
+    docs: Callable[[_Block], _Runs]
     text: Callable[[int, Iterable[str], dict[str, int]],
                    tuple[str, int, int, int, int]]
 
@@ -416,8 +438,6 @@ class _Texts:
                  spill: BinaryIO):
         self.columns, self.order = columns, order
         self.key_at, self.order_at = file.positions(columns), file.positions(order)
-        self.key_of = file.getter(columns)
-        self.order_of = order and itemgetter(*self.order_at)
         self.docs = docs
         self.level, self.spill = level, spill
         self.index: dict[tuple, int] = {}  # key -> entry number
@@ -464,10 +484,9 @@ class _Grouper:
         texts.index.clear()
         texts.entries = array("q")
         self.texts, self.out = texts, out
-        self.last = None if before is None else texts.key_of(before)
-        # the open group, as pieces of blocks: (block, its documents and
-        # counters or None when building it failed, its order keys, first,
-        # end); None: passed over
+        self.last = None if before is None else tuple(before[p] for p in texts.key_at)
+        # the open group, as pieces of blocks: (what ``_docs`` gives for
+        # the block, first, end); None: passed over
         self.pieces: list[tuple] | None = None
 
     def add(self, block: _Block) -> None:
@@ -485,27 +504,38 @@ class _Grouper:
                 if None not in key and not texts.unclustered:
                     self.pieces = []
             if self.pieces is not None:
-                built = built or self._built(block)
-                self.pieces.append((block, *built, first, end))
+                built = built or self._docs(block)
+                self.pieces.append((built, first, end))
 
-    def _built(self, block: _Block) -> tuple:
-        """The documents of a block's rows with what building them counted,
-        or None when building one fails, and their order keys."""
-        texts = self.texts
-        try:
-            docs, counted = texts.docs.docs(block)
-        except MigrationError:
-            return None, None
-        return (list(docs), counted), _keys(block.columns, texts.order_at)
+    def extend(self, block: _Block) -> int:
+        """Take the rows at the start of a block after the slice that go on
+        with the last group, as a block of their own; how many."""
+        keys = _keys(block.columns, self.texts.key_at)
+        end = next(compress(range(len(keys)), map(ne, keys, repeat(self.last))),
+                   len(keys))
+        if end:
+            self.pieces.append((self._docs(block.part(0, end)), 0, end))
+        return end
 
-    def extend(self, row: tuple, n: int) -> bool:
-        """Take a row after the slice, as a block of its own, if it goes on
-        with the last group."""
-        if self.texts.key_of(row) != self.last:
-            return False
-        block = _one_row(row, n)
-        self.pieces.append((block, *self._built(block), 0, 1))
-        return True
+    def _docs(self, block: _Block) -> tuple:
+        """The documents of a block's rows, what building them counted (one
+        value per row of the block), their order keys, and whether building
+        the block failed: then the error building a row alone raised stands
+        in place of each row that failed."""
+        orders = _keys(block.columns, self.texts.order_at)
+        runs = list(self.texts.docs.docs(block))
+        if len(runs) == 1 and not isinstance(built := runs[0][2], MigrationError):
+            return list(built[0]), built[1], orders, False
+        docs, sums = [], {}
+        for first, end, built in runs:
+            if isinstance(built, MigrationError):
+                docs.append(built)
+                continue
+            docs += built[0]
+            for which, values in built[1]:
+                column = sums.setdefault(which, [0] * len(block.numbers))
+                column[first:end] = map(add, column[first:end], values)
+        return docs, list(sums.items()), orders, True
 
     def close(self) -> None:
         """Build and enter the open group, if any, unless its key was met
@@ -520,7 +550,7 @@ class _Grouper:
             text, *counters = self._text(pieces)
             sign = 1
         except MigrationError as exc:
-            size = sum(end - first for *_, first, end in pieces)
+            size = sum(end - first for _, first, end in pieces)
             text, sign, counters = str(exc), -1, (size, 0, 0, 0)
         record = _HEADER.pack(*counters) + text.encode()
         texts.index[self.last] = len(texts.entries) // _ENTRY
@@ -528,34 +558,25 @@ class _Grouper:
         self.out.write(record)
 
     def _text(self, pieces: list[tuple]) -> tuple[str, int, int, int, int]:
-        """The open group's text and counters: joined from the documents
-        of its blocks, sorted by their order keys, or, when building a
-        block failed, from those of its rows built alone in sorted order,
-        so that the first to fail is the first failing row in that order."""
+        """The open group's text and counters, joined from the documents
+        of its rows sorted by their order keys. A row that failed holds its
+        error, raised when its document is taken, so that the group fails
+        with its first failing row in that order."""
         texts = self.texts
         counts: dict[str, int] = {}
-        if all(docs for _, docs, *_ in pieces):
-            made: list[str] = []
-            orders: list[tuple] = []
-            for _, (docs, counted), ordered, first, end in pieces:
-                made += docs[first:end]
-                orders += ordered[first:end]
-                _add(counts, counted, first, end)
-            if texts.order:
-                made = list(map(made.__getitem__, sorted(range(len(made)),
-                                                         key=orders.__getitem__)))
-            return texts.docs.text(len(made), made, counts)
-        group = [pair for block, *_, first, end in pieces
-                 for pair in zip(block.rows[first:end], block.numbers[first:end])]
-        if order_of := texts.order_of:
-            group.sort(key=lambda item: order_of(item[0]))
-
-        def alone(row: tuple, n: int) -> str:
-            docs, counted = texts.docs.alone(row, n)
-            _add(counts, counted)
-            return next(docs)
-
-        return texts.docs.text(len(group), starmap(alone, group), counts)
+        made: list[str] = []
+        orders: list[tuple] = []
+        failed = False
+        for (docs, counted, ordered, some_failed), first, end in pieces:
+            made += docs[first:end]
+            orders += ordered[first:end]
+            _add(counts, counted, first, end)
+            failed = failed or some_failed
+        if texts.order:
+            made = list(map(made.__getitem__, sorted(range(len(made)),
+                                                     key=orders.__getitem__)))
+        return texts.docs.text(len(made), map(_raised, made) if failed else made,
+                               counts)
 
 
 class _TableFile:
@@ -563,7 +584,7 @@ class _TableFile:
     for a file whose quoted fields each lie within a line and by
     ``csv.reader`` for any other, the one
     reader of its rows after open, which parses and types them a block at
-    a time, a column at a time (``rows``, ``typed_block``), and the
+    a time, a column at a time (``blocks``, ``typed_block``), and the
     covering id and text indexes, planned on demand and built together,
     one pass per row slice and level."""
 
@@ -571,12 +592,11 @@ class _TableFile:
         self.table = table
         self.path = path
         self.columns = [c.name for c in table.columns]
-        self._converters, kernels, self.types = zip(*(_converter(c.datatype)
+        converters, self._kernels, self.types = zip(*(_converter(c.datatype)
                                                       for c in table.columns))
         # only non-string cells need converting; "" is NULL in every column
         self._typed_columns = [(p, convert) for p, convert
-                               in enumerate(self._converters) if convert is not str]
-        self._kernels = list(enumerate(kernels))
+                               in enumerate(converters) if convert is not str]
         self.row_count = self._validate_and_count()
         self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
         self._texts: list[_Texts] = []
@@ -715,8 +735,8 @@ class _TableFile:
         """Raw data row ``n`` (0-based), one cell per column (checked at
         open), as typed values in column order, None for NULL; every
         non-string cell is converted, and the first that does not convert
-        fails, naming file, row and column. ``typed_block`` falls back to
-        it."""
+        fails, naming file, row and column. ``typed_block`` gives its
+        messages."""
         try:
             for p, convert in self._typed_columns:
                 cell = row[p]
@@ -728,25 +748,29 @@ class _TableFile:
             return tuple(None if value == "" else value for value in row)
         return tuple(row)
 
-    def typed_block(self, lines: list[bytes], numbers: Sequence[int]) -> _Block:
-        """The block of ``lines``, data rows ``numbers``, whose rows are
-        those ``typed`` gives, typed a column at a time: the lines are
-        parsed and transposed, and each column goes through its type's
-        kernel, which gives the block's columns. When a kernel cannot vouch
-        for a cell, the block has no columns and its rows are typed one by
-        one by ``typed``, as they are taken, so a bad cell fails only when
-        its row is reached."""
-        if not lines:
-            return _Block(numbers, None, ())
+    def typed_block(self, lines: list[bytes], numbers: Sequence[int]
+                    ) -> Iterator[_Block]:
+        """The rows of ``lines``, data rows ``numbers``, as those ``typed``
+        gives, typed a column at a time: the lines are parsed and
+        transposed, and each column goes through its type's kernel, which
+        gives a block's columns. When a kernel cannot vouch for a cell, the
+        rows are typed in halves (``_halves``): this gives the blocks of
+        the rows before the first bad row, then raises the error ``typed``
+        gives for that row, so a bad cell fails only when its row is
+        reached."""
         cells = self._cells(lines)
-        columns = list(cells)
-        try:
-            for p, kernel in self._kernels:
-                columns[p] = kernel(columns[p])
-        except (ValueError, KeyError):
-            return _Block(numbers, None, map(self.typed, map(list, zip(*cells)),
-                                             numbers))
-        return _Block(numbers, columns)
+
+        def columns(first: int, end: int) -> list[Sequence]:
+            part = cells if end - first == len(numbers) else [
+                column[first:end] for column in cells]
+            return [kernel(column) for kernel, column in zip(self._kernels, part)]
+
+        for first, end, values in _halves(len(numbers), columns,
+                                          (ValueError, KeyError)):
+            if isinstance(values, Exception):  # a doubted row: typed alone, it fails
+                values = [(value,) for value in self.typed(
+                    [column[first] for column in cells], numbers[first])]
+            yield _Block(numbers[first:end], values)
 
     def _cells(self, lines: list[bytes]) -> list[Sequence[str]]:
         """The cells of ``lines``, one sequence per column. Lines with no
@@ -765,35 +789,13 @@ class _TableFile:
                 return [cells[p::width] for p in range(width)]
         return list(zip(*csv.reader(map(bytes.decode, lines))))
 
-    def _typed_column(self, p: int, cells: Sequence[str]) -> Sequence:
-        """The values of cells of column ``p`` that convert: through its
-        kernel, or one by one when the kernel cannot vouch for a cell."""
-        try:
-            return self._kernels[p][1](cells)
-        except (ValueError, KeyError):
-            convert = self._converters[p]
-            return [convert(cell) if cell else None for cell in cells]
-
-    def rows(self, handle: BinaryIO, offset: int, first: int,
-             count: int) -> Iterator[tuple[int, tuple]]:
-        """The ``count`` data rows at byte ``offset`` of ``handle``, a
-        binary handle on this file, numbered from ``first`` (a slice of
-        ``spans``): each row's number and its typed values, after one
-        seek."""
-        handle.seek(offset)
-        return self._rows(handle, range(first, first + count))
-
     def blocks(self, handle: BinaryIO, offset: int, first: int,
                count: int) -> Iterator[_Block]:
-        """The same rows as ``rows``, as the blocks ``typed_block`` gives."""
+        """The ``count`` data rows at byte ``offset`` of ``handle``, a
+        binary handle on this file, numbered from ``first`` (a slice of
+        ``spans``), as the blocks ``typed_block`` gives, after one seek."""
         handle.seek(offset)
         return self._blocks(handle, range(first, first + count))
-
-    def _rows(self, lines: Iterator[bytes],
-              numbers: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-        """The rows of ``_blocks``, each with its number."""
-        return chain.from_iterable(zip(block.numbers, block)
-                                   for block in self._blocks(lines, numbers))
 
     def _blocks(self, lines: Iterator[bytes],
                 numbers: Sequence[int]) -> Iterator[_Block]:
@@ -803,7 +805,7 @@ class _TableFile:
         rows."""
         for start in range(0, len(numbers), _BLOCK):
             block = numbers[start:start + _BLOCK]
-            yield self.typed_block(list(islice(lines, len(block))), block)
+            yield from self.typed_block(list(islice(lines, len(block))), block)
 
     def spans(self, k: int) -> list[tuple[int, int, int]]:
         """The data rows cut into ``k`` contiguous slices of about equal
@@ -841,13 +843,6 @@ class _TableFile:
     def positions(self, columns: Iterable[str]) -> list[int]:
         """The position of each of ``columns`` in a row."""
         return [self.columns.index(c) for c in columns]
-
-    def getter(self, columns: Iterable[str]) -> Callable[[tuple], tuple]:
-        """Function from a row to the tuple of its values in ``columns``."""
-        positions = self.positions(columns)
-        if len(positions) == 1:
-            return lambda row, p=positions[0]: (row[p],)
-        return itemgetter(*positions) if positions else lambda row: ()
 
     # -- indexes -------------------------------------------------------------------
 
@@ -913,18 +908,19 @@ class _TableFile:
         the first slice's. One pass numbers rows from the span's first,
         types each row once and checks the key columns the indexes rely on:
         the primary key for covering indexes, the order columns for text
-        indexes. It works a block at a time: a block whose key columns hold
-        no NULL and no ``#`` fills the indexes from its columns, and one
-        typed row by row (``typed_block``) or in doubt is first checked row
-        by row, so that the first bad row fails as typing and checking each
-        row in turn would. A text index takes the groups whose first row
-        lies in the span, whole: it reads on past the span's end, a row at
-        a time, each as a block of its own, while its last group goes on,
-        and passes over the rows at its start that continue the row before
-        it. Each group's text is appended to the spill, or to ``texts_to``
-        (a descriptor) when that is set. While the lines are held clustered,
-        the pass reads them and fills the one text index they are clustered
-        for. A failed pass names what the indexes were planned for."""
+        indexes. It works a block at a time: each block is checked a column
+        at a time (``_key_check``), then fills the indexes from its columns.
+        A block with a bad cell comes as the blocks before its row, then
+        the row's error (``typed_block``), so the first bad row fails as
+        typing and checking each row in turn would. A text index takes the
+        groups whose first row lies in the span, whole: it reads on past
+        the span's end, a block at a time, taking the rows at the start of
+        each that go on with its last group, and passes over the rows at
+        its start that continue the row before it. Each group's text is
+        appended to the spill, or to ``texts_to`` (a descriptor) when that
+        is set. While the lines are held clustered, the pass reads them and
+        fills the one text index they are clustered for. A failed pass names
+        what the indexes were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
         fills, texts = [], []
@@ -939,8 +935,7 @@ class _TableFile:
             else:
                 required.update(dict.fromkeys(key.order))
                 texts.append(key)
-        check = self._key_check(tuple(required), joined) if required else None
-        doubt = self._key_doubt(tuple(required), joined)
+        check = self._key_check(tuple(required), joined)
         offset, first, count = span
         with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
@@ -953,23 +948,18 @@ class _TableFile:
                     groupers = [_Grouper(t, out, before) for t in texts]
                 lines, numbers = self._lines(handle, offset, first)
                 for block in self._blocks(lines, numbers[:count]):
-                    if block.columns is None or doubt(block.columns):
-                        rows = []
-                        for n, row in zip(block.numbers, block):
-                            if check:
-                                check(row, n)
-                            rows.append(row)
-                        block = _Block(block.numbers, list(zip(*rows)), rows)
+                    check(block)
                     for fill in fills:
                         fill(block.columns)
                     for grouper in groupers:
                         grouper.add(block)
-                # a text index reads on past the span
+                # a text index reads on past the span; a block there is
+                # checked whole, as the next slice checks it
                 going = [grouper for grouper in groupers if grouper.pieces]
-                for n, row in self._rows(lines, numbers[count:]) if going else ():
-                    if check:
-                        check(row, n)
-                    if not (going := [g for g in going if g.extend(row, n)]):
+                for block in self._blocks(lines, numbers[count:]) if going else ():
+                    check(block)
+                    size = len(block.numbers)
+                    if not (going := [g for g in going if g.extend(block) == size]):
                         break
                 for grouper in groupers:
                     grouper.close()
@@ -1069,7 +1059,7 @@ class _TableFile:
         lines = io.BytesIO(data)
         for first in range(0, self.row_count, _BLOCK):
             cells = self._cells(list(islice(lines, _BLOCK)))
-            keys = zip(*(self._typed_column(p, cells[p]) for p in texts.key_at))
+            keys = zip(*(self._kernels[p](cells[p]) for p in texts.key_at))
             deque(map(array.append, map(groups.__getitem__, keys),
                       range(first, min(first + _BLOCK, self.row_count))), 0)
         numbers = array("q")
@@ -1089,40 +1079,34 @@ class _TableFile:
             (list(key.index), key.entries.tobytes(), key.unclustered)
             for kind, key in self._planned()])
 
-    def _key_check(self, columns: tuple[str, ...], joined: list[str]) -> _Check:
-        """Row check that fails on a NULL in ``columns``, or on ``#`` in a
-        value of ``joined`` (text components of ``#``-joined identifiers),
-        naming the row."""
-        positions = self.positions(columns)
-        # a slice of one column, as C does it, else a tuple of several
-        values_of = itemgetter(*positions) if len(positions) > 1 else \
-            itemgetter(slice(positions[0], positions[0] + 1))
-        texts_of = self.getter(joined)
-
-        def check(row: tuple, n: int) -> None:
-            if None in (values := values_of(row)):
-                column = columns[values.index(None)]
-                raise SourceError(
-                    f"{self.path.name} (row {n + 1}), column {column!r}: "
-                    f"NULL key value for {self.table.name}.{column}")
-            if joined and KEY_SEPARATOR in "".join(texts := texts_of(row)):
-                raise SourceError(
-                    f"{self.path.name} (row {n + 1}), "
-                    + separator_message(joined, texts))
-
-        return check
-
-    def _key_doubt(self, columns: tuple[str, ...], joined: list[str]
-                   ) -> Callable[[list[Sequence]], bool]:
-        """Whether a block's columns may fail ``_key_check``: a NULL in
-        ``columns``, or ``#`` in a column of ``joined``."""
+    def _key_check(self, columns: tuple[str, ...], joined: list[str]
+                   ) -> Callable[[_Block], None]:
+        """Block check that fails on its first row holding a NULL in
+        ``columns`` or ``#`` in a value of ``joined`` (text components of
+        ``#``-joined identifiers, some of ``columns``), naming the row and,
+        within it, the NULL first: the first NULL of each column, then a
+        ``#`` before the first of them, found a column at a time."""
         required, texts = self.positions(columns), self.positions(joined)
 
-        def doubt(block: list[Sequence]) -> bool:
-            return (any(None in block[p] for p in required)
-                    or any(KEY_SEPARATOR in "".join(block[p]) for p in texts))
+        def check(block: _Block) -> None:
+            values = block.columns
+            # the first row with a NULL, and the first column holding it there
+            end, j = min(((values[p].index(None), j) for j, p in enumerate(required)
+                          if None in values[p]), default=(len(block.numbers), None))
+            if hashed := [next(i for i, value in enumerate(values[p][:end])
+                               if KEY_SEPARATOR in value) for p in texts
+                          if KEY_SEPARATOR in "".join(values[p][:end])]:
+                row = min(hashed)
+                raise SourceError(
+                    f"{self.path.name} (row {block.numbers[row] + 1}), "
+                    + separator_message(joined, [values[p][row] for p in texts]))
+            if j is not None:
+                column = columns[j]
+                raise SourceError(
+                    f"{self.path.name} (row {block.numbers[end] + 1}), column "
+                    f"{column!r}: NULL key value for {self.table.name}.{column}")
 
-        return doubt
+        return check
 
     def _ids_fill(self, columns: tuple[str, ...]
                   ) -> Callable[[list[Sequence]], None]:
@@ -1394,21 +1378,20 @@ class SourceCursor:
         record = self.record()
         link = self.session.link(self.type_name, self.table, feature_name)
         file, probe = link.file, tuple(record[c] for c in link.probe)
-        key_of = file.getter(link.index)
-        check = file._key_check(link.order, []) if link.order else None
+        index_at, check = file.positions(link.index), file._key_check(link.order, [])
         group = []
         try:
             with open(file.path, "rb") as handle:
-                for n, row in file.rows(handle, *file.spans(1)[0]):
-                    if check:
-                        check(row, n)
-                    if key_of(row) == probe and None not in probe:
-                        group.append(row)
+                for block in file.blocks(handle, *file.spans(1)[0]):
+                    check(block)
+                    if None not in probe:
+                        group += compress(block, map(probe.__eq__,
+                                                     _keys(block.columns, index_at)))
         except SourceError as exc:
             raise SourceError(f"while indexing for feature {self.type_name}."
                               f"{feature_name}: {exc}") from exc
         if link.order:
-            group.sort(key=file.getter(link.order))
+            group.sort(key=itemgetter(*file.positions(link.order)))
         records = [dict(zip(file.columns, row)) for row in group]
         self.session._records_born(len(records))
         return SourceCursor(self.session, link.type_name, link.file.table,
@@ -1425,7 +1408,7 @@ def read_entity_all(session: SourceSession, schema_type: SchemaType | str) -> So
 
     def records() -> Iterator[dict[str, object]]:
         with open(file.path, "rb") as handle:
-            for _, row in file.rows(handle, *file.spans(1)[0]):
+            for row in chain.from_iterable(file.blocks(handle, *file.spans(1)[0])):
                 yield dict(zip(file.columns, row))
 
     return SourceCursor(session, name, table, records())

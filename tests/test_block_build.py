@@ -1,12 +1,16 @@
 """Documents built a block at a time, a column at a time, against the same
-rows built one by one.
+rows built one by one, and clean data against the differential oracle.
 
 ``_Builder.documents`` builds a block of typed rows from its columns, and
 each text index builds the child groups of a block from the documents of
-its rows (``_GroupDocs``); when building a block fails, each of its rows,
-or of the group's, is built alone as a block of one row. Whatever the
-data, the output bytes, every counter and the first error (its message and
-row) must be those of building every row alone."""
+its rows (``_GroupDocs``); when building a block fails, its halves are
+built in turn, down to single rows (``_halves``), so the block fails with
+its first failing row, and a group with its first in sorted order.
+Whatever the data, the output bytes, every counter and the first error
+(its message and row) must be those of building every row alone, as a
+block of one row; on clean data the documents and counters must be those
+``test_oracle.Oracle`` rebuilds from plain ``csv``, sharing no code with
+the column functions."""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_oracle import Oracle
 from test_output_digests import MINI, NORTHWIND_1X
 from util import FIXTURES
 
@@ -33,7 +38,7 @@ from unimig.document.model import DocType
 from unimig.errors import MigrationError
 from unimig.migrator import _BadKey, _id_of, _index_levels, compile_plan, migrate
 from unimig.relational.ddl import parse_ddl
-from unimig.source import _TableFile, open_source
+from unimig.source import _Block, _TableFile, open_source
 from unimig.transforms.rel_to_us import rel_to_uschema
 from unimig.transforms.us_to_doc import uschema_to_document
 from unimig.uschema.model import Aggregate
@@ -153,19 +158,32 @@ def _migrated(root: Path, out: Path) -> tuple:
             error)
 
 
+def _row_runs(builder, block):
+    """``_Builder.runs`` building every row of a block alone, as a block
+    of one row through the compiled function: a run per row, of its
+    documents or of the error it fails with, a ``_BadKey`` named by file
+    and row."""
+    for i, n in enumerate(block.numbers):
+        try:
+            built = builder.block(_Block((n,), [column[i:i + 1]
+                                                for column in block.columns]))
+        except _BadKey as exc:
+            built = MigrationError(f"{builder.name} (row {n + 1}), {exc}")
+        except MigrationError as exc:
+            built = exc
+        yield i, i + 1, built
+
+
 def _row_by_row(builder, block, stats):
-    """``_Builder.documents`` building every row of a block alone."""
-    for n, row in zip(block.numbers, block):
-        docs, counted = builder.alone(row, n)
+    """``_Builder.documents`` building every row of a block alone
+    (``_row_runs``), failing with the first row that fails."""
+    for _, _, built in _row_runs(builder, block):
+        if isinstance(built, MigrationError):
+            raise built
+        docs, counted = built
         for which, values in counted:
             setattr(stats, which, getattr(stats, which) + sum(values))
         yield from docs
-
-
-def _unbuilt(grouper, block):
-    """``_Grouper._built`` as for a block whose build failed, so that every
-    group is built from its rows alone."""
-    return None, None
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,11 +202,20 @@ def test_blocks_built_as_rows_are(size, seed, dirty, shuffled):
         by_blocks = _migrated(root, Path(tmp) / "blocks")
         with mock.patch.object(unimig.migrator._Builder, "documents",
                                _row_by_row), \
-                mock.patch.object(unimig.source._Grouper, "_built", _unbuilt):
+                mock.patch.object(unimig.migrator._Builder, "runs", _row_runs):
             by_rows = _migrated(root, Path(tmp) / "rows")
-    assert by_blocks == by_rows
-    if dirty is None:
-        assert by_blocks[-1] is None  # clean data migrates
+        assert by_blocks == by_rows
+        if dirty is None:
+            files, counters, *_, error = by_blocks
+            assert error is None  # clean data migrates
+            oracle = Oracle(_SCHEMA, _STEP1.trace, _STEP2.trace, root)
+            for te in _STEP2.target.documents:
+                oracle.nulls = oracle.dangling = 0
+                lines = files[f"{te.name}.jsonl"].decode().splitlines()
+                assert list(map(json.loads, lines)) == oracle.collection(te), te.name
+                assert (counters[te.name]["nullsOmitted"],
+                        counters[te.name]["danglingRefs"]) == (
+                    oracle.nulls, oracle.dangling), te.name
 
 
 def _digest(data: bytes) -> str:
@@ -201,11 +228,19 @@ def _digest(data: bytes) -> str:
     (FIXTURES / "northwind" / "data_1x", NORTHWIND_1X)], ids=["mini", "northwind"])
 def test_clean_blocks_never_built_row_by_row(tmp_path, monkeypatch, source,
                                              digests, k):
-    # every block of these datasets, and every row read past a slice's end,
-    # is built a column at a time: with the one-row build failing, they
-    # still migrate to their pinned bytes in any number of slices
-    monkeypatch.setattr(unimig.migrator._Builder, "alone", lambda self, row, n:
-                        pytest.fail(f"row {n} of {self.name} built alone"))
+    # every block of these datasets, and every block read past a slice's
+    # end, is typed and built whole, a column at a time: with any split of
+    # a block failing, they still migrate to their pinned bytes in any
+    # number of slices
+    def unsplit(size, build, fails):
+        try:
+            built = build(0, size)
+        except fails as exc:
+            pytest.fail(f"a block of {size} rows split: {exc!r}")
+        yield 0, size, built
+
+    monkeypatch.setattr(unimig.source, "_halves", unsplit)
+    monkeypatch.setattr(unimig.migrator, "_halves", unsplit)
     monkeypatch.setattr(unimig.migrator, "_cpus", lambda: k)
     out = tmp_path / "out"
     assert dispatch(["migrate", "--source", str(source), "--out", str(out)]) == 0

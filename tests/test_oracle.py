@@ -157,6 +157,17 @@ class Oracle:
                     for row in csv.DictReader(handle)]
         # properties left out for NULL, forward references left dangling
         self.nulls = self.dangling = 0
+        self._by: dict[tuple, dict[tuple, list[dict]]] = {}
+
+    def _matching(self, table: str, columns, key: tuple) -> list[dict]:
+        """The rows of ``table`` whose values in ``columns`` equal ``key``,
+        in file order: one scan per table and columns, kept as a dict."""
+        by = self._by.get((table, tuple(columns)))
+        if by is None:
+            by = self._by[table, tuple(columns)] = {}
+            for r in self.rows[table]:
+                by.setdefault(tuple(r[c] for c in columns), []).append(r)
+        return by.get(key, [])
 
     def _back(self, store, element: str, rule: str | None = None):
         links = store.lookup(element, "backward")
@@ -205,9 +216,8 @@ class Oracle:
                         continue
                     target = self.schema.table(fk.ref_table)
                     hits = sorted(
-                        (tuple(r[c] for c in target.primary_key().columns)
-                         for r in self.rows[target.name]
-                         if tuple(r[c] for c in fk.ref_columns) == probe))
+                        tuple(r[c] for c in target.primary_key().columns)
+                        for r in self._matching(target.name, fk.ref_columns, probe))
                     if hits:
                         doc[prop.name] = _ident(hits[0])
                     else:
@@ -217,8 +227,8 @@ class Oracle:
                     pk = holder.primary_key().columns
                     doc[prop.name] = [] if None in probe else [
                         _ident(k) for k in sorted(
-                            tuple(r[c] for c in pk) for r in self.rows[holder.name]
-                            if tuple(r[c] for c in fk.columns) == probe)]
+                            tuple(r[c] for c in pk)
+                            for r in self._matching(holder.name, fk.columns, probe))]
             elif isinstance(prop, DocReference):  # a relationship side (R7)
                 side = next(l for l in self._back(self.t1, rules["R7"].sources[0])
                             if l.role == "REL_TYPE_SIDE")
@@ -236,8 +246,7 @@ class Oracle:
                 order = [c for c in child.primary_key().columns
                          if c not in fk.columns]
                 rows = [] if None in probe else sorted(
-                    (r for r in self.rows[child.name]
-                     if tuple(r[c] for c in fk.columns) == probe),
+                    self._matching(child.name, fk.columns, probe),
                     key=lambda r: tuple(r[c] for c in order))
                 docs = [self.document(prop.aggregates,
                                       path + [(prop.name, True)], child, r)

@@ -72,7 +72,8 @@ def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
     """The numbered typed rows of ``span``, or of the whole file, through
     the reader."""
     with open(file.path, "rb") as handle:
-        return list(file.rows(handle, *(span or file.spans(1)[0])))
+        return [pair for block in file.blocks(handle, *(span or file.spans(1)[0]))
+                for pair in zip(block.numbers, block)]
 
 
 def _check_spans(file: _TableFile, k: int) -> list:
@@ -96,10 +97,10 @@ def _text_of(group: list) -> tuple:
 
 
 #: Builds each group as ``_text_of`` does, from its rows' documents: each
-#: row's number and values as text
+#: row's number and values as text, a block in one run
 _GROUP_DOCS = _GroupDocs(
-    lambda block: (map(repr, zip(block.numbers, block.rows)), []),
-    lambda row, n: (iter([repr((n, row))]), []),
+    lambda block: iter([(0, len(block.numbers),
+                         (map(repr, zip(block.numbers, block)), []))]),
     lambda size, docs, counts: ("[" + ", ".join(docs) + "]", size, 0, 0, 0))
 
 
@@ -145,10 +146,10 @@ def _text_indexes(file: _TableFile, k: int,
 def _groups(file: _TableFile, columns: tuple[str, ...]) -> dict:
     """Each key's text as ``_text_of`` gives it for the rows holding the
     key in ``columns``, in file order (``id`` order), NULL keys left out."""
-    key_of, groups = file.getter(columns), {}
+    positions, groups = file.positions(columns), {}
     for n, row in _read(file):
-        if None not in key_of(row):
-            groups.setdefault(key_of(row), []).append((n, row))
+        if None not in (key := tuple(row[p] for p in positions)):
+            groups.setdefault(key, []).append((n, row))
     return {key: _text_of(group) for key, group in groups.items()}
 
 
@@ -716,14 +717,81 @@ def test_index_failure_ends_as_serial_run(tmp_path, monkeypatch, bad, message):
 
 
 def test_null_key_before_a_bad_cell_of_the_same_block(tmp_path, monkeypatch):
-    # rows 5 and 10 are typed in one block: its bad cell sends the block
-    # back to typing row by row, as the rows are taken, so the index pass
-    # checks row 5's key before row 10 is typed
+    # rows 5 and 10 are typed in one block: its bad cell splits the block,
+    # and the rows before it come first, so the index pass checks row 5's
+    # key before row 10 is typed
     root = _indexed_dataset(tmp_path / "data", {("c", 5): ",y5,5",
                                                 ("c", 10): "x10,y10,q"})
     serial = _run(root, tmp_path / "out1", 1, monkeypatch)
     assert serial == ({}, _INDEXING + "c.csv (row 5), column 'x': NULL key "
                       "value for c.x")
+    for k in (2, 3):
+        assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == serial
+
+
+_WRITING = "while migrating collection 't': t.csv "
+_SEPARATOR = "column 'a': key value 'k#{:02d}' holds the identifier separator '#'"
+_NOT_INT = "column 'v': invalid literal for int() with base 10: '1x{:02d}'"
+
+
+@pytest.mark.parametrize("faults,failing", [
+    ({5: "a", 9: "v"}, (5, _SEPARATOR)),
+    ({5: "v", 9: "a"}, (5, _NOT_INT)),
+    ({7: "av"}, (7, _NOT_INT)),
+    ({256: "a", 257: "v"}, (256, _SEPARATOR)),
+    ({256: "v", 257: "a"}, (256, _NOT_INT)),
+    ({150: "a", 151: "v"}, (150, _SEPARATOR)),
+    ({150: "v", 151: "a"}, (150, _NOT_INT)),
+], ids=["key-then-cell", "cell-then-key", "one-row", "key-then-cell-at-256",
+        "cell-then-key-at-256", "key-then-cell-at-cut", "cell-then-key-at-cut"])
+def test_writes_fail_at_the_first_bad_row_typing_first(tmp_path, monkeypatch,
+                                                       faults, failing):
+    # t is written without an index pass: a "#" in its derived key's text
+    # component fails when the document is built, a bad cell when its row
+    # is typed. The first faulty row fails, and a row with both faults
+    # fails on its cell, whatever the blocks (rows 256 and 257 lie in two)
+    # and slices (the cut of 2 lies between rows 150 and 151)
+    root = tmp_path / "data"
+    root.mkdir()
+    ddl = "CREATE TABLE t (a VARCHAR(9), b INT, v INT, PRIMARY KEY (a, b));"
+    (root / "schema.sql").write_text(ddl)
+    lines = ["a,b,v"]
+    for row in range(1, 301):
+        # every line as long as the others, so the cut of 2 is at row 151
+        fault = faults.get(row, "")
+        a = ("k#" if "a" in fault else "kk") + f"{row % 100:02d}"
+        v = f"1x{row % 100:02d}" if "v" in fault else str(1000 + row)
+        lines.append(f"{a},{1000 + row},{v}")
+    (root / "t.csv").write_text("\n".join(lines) + "\n")
+    assert _TableFile(parse_ddl(ddl).table("t"), root / "t.csv").spans(2)[1][1] == 150
+    row, message = failing
+    expected = ({}, _WRITING + f"(row {row}), " + message.format(row % 100))
+    for k in (1, 2, 3):
+        assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("owner", [2, 3], ids=["embedded", "orphan"])
+def test_group_of_one_failing_row(tmp_path, monkeypatch, owner):
+    # the last child row, a block of its own in slice 1 of 2 or 3, fails
+    # to build: its group fails where a parent embeds it, and nothing
+    # fails where none does
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "schema.sql").write_text(
+        "CREATE TABLE parent (id INT PRIMARY KEY);"
+        "CREATE TABLE child (pid INT, tag VARCHAR(9), n INT, PRIMARY KEY (pid, tag, n),"
+        " FOREIGN KEY (pid) REFERENCES parent (id));")
+    (root / "parent.csv").write_text("id\n1\n2\n")
+    (root / "child.csv").write_text(f"pid,tag,n\n1,x,1\n1,y,2\n{owner},x#y,1\n")
+    serial = _run(root, tmp_path / "out1", 1, monkeypatch)
+    if owner == 2:
+        assert serial == ({}, "while migrating collection 'parent': child.csv "
+                          "(row 3), column 'tag': key value 'x#y' holds the "
+                          "identifier separator '#'")
+    else:
+        assert serial[0]["parent.jsonl"] == (
+            b'{"id":1,"childs":[{"tag":"x","n":1,"_id":"1#x#1"},'
+            b'{"tag":"y","n":2,"_id":"1#y#2"}]}\n{"id":2,"childs":[]}\n')
     for k in (2, 3):
         assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == serial
 

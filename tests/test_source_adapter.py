@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import shutil
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from unittest import mock
 
 import pytest
@@ -576,7 +576,8 @@ def test_block_typed_as_row_by_row(kinds_file, rows, planted, first):
     lines = text.getvalue().encode().splitlines(keepends=True)
     numbers = range(first, first + len(cells))
     expected = _taken(map(kinds_file.typed, cells, numbers))
-    assert _taken(kinds_file.typed_block(lines, numbers)) == expected
+    assert _taken(chain.from_iterable(kinds_file.typed_block(lines, numbers))
+                  ) == expected
 
 
 def test_valid_block_not_typed_row_by_row(kinds_file, monkeypatch):
@@ -590,7 +591,8 @@ def test_valid_block_not_typed_row_by_row(kinds_file, monkeypatch):
     expected = list(map(kinds_file.typed, map(list, rows), range(len(rows))))
     monkeypatch.setattr(kinds_file, "typed", lambda row, n: pytest.fail(
         f"row {n} typed row by row"))
-    assert list(kinds_file.typed_block(lines, range(len(rows)))) == expected
+    assert list(chain.from_iterable(kinds_file.typed_block(
+        lines, range(len(rows))))) == expected
 
 
 @settings(max_examples=200, deadline=None)
