@@ -50,36 +50,38 @@ raised when a document embeds it, as the error of that document's
 collection, so child rows that no parent embeds fail nothing and count
 nothing. A child file not clustered by the key is clustered by it in
 memory and its group texts built again by the same pass, at the same level
-and in the same slices (``_TableFile._cluster``), so every embedded object
+and in as many slices (``_TableFile._cluster``), so every embedded object
 is copied from a text index.
 
 Both phases cut each file they read once into ``k`` contiguous row slices,
-one per CPU this process may run on (``_TableFile.spans``), read a slice
+one per CPU this process may run on (``_TableFile.spans``; a child file is
+cut where its groups end, so a slice reads no row outside it), read a slice
 through the source's one reader, a block at a time (``_TableFile.blocks``),
-and run slice ``i``
-in process ``i``, kept on the ``i``-th CPU while the phase runs: the
-parent runs slice 0 and forks a worker per other slice (horizontal
-partitioning of a scan: DeWitt & Gray, "Parallel Database Systems", CACM
-1992). One step function per phase runs every slice: a worker's into its
-unnamed part file, the parent's slice 0 in place. Each level of the index
-pass is such a phase (``_index_step``): the parent fills the indexes of
-every file of the level from its slice, and spills its texts, each worker
-fills partial indexes, writes its texts and the indexes to its part file,
-and the parent appends the texts to the spill and joins the indexes on in
-slice order (``_build_indexes``). Once the indexes are built, a document
-depends only on its own row and on read-only indexes and spilled texts,
-so the writers are forked next: each process writes its slice of every
-collection in schema order, one document per line and one ``write_batch``
-call per block (``_write_step``): the parent straight into
+and run slice ``i`` in process ``i``, kept on the ``i``-th CPU while the
+phase runs: the parent runs slice 0 and forks a worker per other slice
+(horizontal partitioning of a scan: DeWitt & Gray, "Parallel Database
+Systems", CACM 1992). One step function per phase runs every slice: a
+worker's into its unnamed part file, the parent's slice 0 in place. Each
+level of the index pass is such a phase (``_index_step``): the parent fills
+the indexes of every file of the level from its slice, and spills its
+texts, each worker fills partial indexes, writes its texts and the indexes
+to its part file, and the parent appends the texts to the spill and joins
+the indexes on in slice order (``_build_indexes``). Once the indexes are
+built, a document depends only on its own row and on read-only indexes and
+spilled texts, so the writers are forked next: each process writes its
+slice of every collection in schema order, one document per line and one
+``write_batch`` call per block (``_write_step``): the parent straight into
 ``<collection>.jsonl``, a worker into its part file, which the parent
-appends, in slice order, once every worker is done. With one CPU nothing
-is forked. A failure ends as the serial run would: the error of the first
-failing level, file or collection and, within it, of the first failing
-row; an index failure leaves nothing on disk, a write failure only the
-collections before it. The manifest's counters are sums over slices; its
-total ``elapsedMs`` is the wall time of the whole ``migrate``, and a
-collection's ``elapsedMs`` is its compile time plus the write times of its
-slices.
+appends, in slice order, once every worker is done. With one CPU nothing is
+forked. A failure ends as the serial run would: the error of the first
+failing level, file or collection and, within it, of the first failing row;
+an index failure leaves nothing on disk, a write failure only the
+collections before it. The manifest's counters are sums over slices; the
+session's ``records_read`` adds their rows once the run ends (a failed
+run's partial sums), and its ``peak_live_records`` is the most records any
+process held at once. The manifest's total ``elapsedMs`` is the wall time
+of the whole ``migrate``, and a collection's ``elapsedMs`` is its compile
+time plus the write times of its slices.
 """
 
 from __future__ import annotations
@@ -518,7 +520,7 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     """Write the documents of row slice ``i`` of ``c`` to ``out``, adding
     to its stats; the parent and every worker run this."""
     started = time.monotonic()
-    docs_before, rows_before = c.stats.docs_written, c.stats.rows_read
+    docs_before = c.stats.docs_written
     file = c.file
     try:
         with open(file.path, "rb") as handle:
@@ -531,7 +533,6 @@ def _write_slice(source: SourceSession, c: _Collection, i: int,
     # each document read its own row, held alone, and the embedded steps
     # counted the rows of the groups they copied
     written = c.stats.docs_written - docs_before
-    source.records_read += written + c.stats.rows_read - rows_before
     c.stats.rows_read += written
     if written:
         source.peak_live_records = max(source.peak_live_records,
@@ -676,7 +677,8 @@ def _in_slices(k: int, target_dir: Path, steps: list[_Step], labels: list[str],
             os.sched_setaffinity(0, cpus)
 
 
-def _index_step(file: _TableFile, spans: list[tuple[int, int, int]], i: int,
+def _index_step(source: SourceSession, file: _TableFile,
+                spans: list[tuple[int, int, int]], i: int,
                 part: int | None) -> dict:
     if part is None:
         file.index_slice(spans[i])
@@ -687,7 +689,8 @@ def _index_step(file: _TableFile, spans: list[tuple[int, int, int]], i: int,
     texts = os.lseek(part, 0, os.SEEK_END) - start
     with open(part, "ab", closefd=False) as out:
         out.write(file.encode_slice())
-    return {"texts": texts}
+    # the most records this worker held at once: its largest child group
+    return {"texts": texts, "peak": source.peak_live_records}
 
 
 def _build_indexes(source: SourceSession, files: list[_TableFile],
@@ -699,12 +702,14 @@ def _build_indexes(source: SourceSession, files: list[_TableFile],
     the indexes and its group texts into the session's spill, forked
     workers the others and send their texts and partial indexes back
     through their part files, and once all are done each file's texts are
-    appended to the spill and its indexes joined on, in slice order. A
-    failure raises the serial run's error before anything is written."""
+    appended to the spill and its indexes joined on, in slice order, and
+    the session's peak raised to the workers'. A failure raises the serial
+    run's error before anything is written."""
     with _in_slices(
             k, target_dir,
-            [partial(_index_step, file, spans[file] if file.clustered is None
-                     else file.spans(k)) for file in files],
+            [partial(_index_step, source, file, spans[file]
+                     if file.clustered is None else file.spans(k))
+             for file in files],
             [f"while indexing for {file.planned_for}" for file in files],
             "indexing", SourceError) as (workers, reports, failure):
         if failure is not None:
@@ -713,6 +718,8 @@ def _build_indexes(source: SourceSession, files: list[_TableFile],
             later, shifts = [], []
             for worker, messages in zip(workers, reports):
                 start, end = worker.output(j)
+                source.peak_live_records = max(source.peak_live_records,
+                                               messages[j]["peak"])
                 shifts.append(0)
                 if (texts := start + messages[j]["texts"]) > start:
                     spill = source.spill().fileno()
@@ -787,10 +794,6 @@ def _write_collections(source: SourceSession, collections: list[_Collection],
             for c, message in zip(collections, messages):
                 for key, value in message["stats"].items():
                     setattr(c.stats, key, getattr(c.stats, key) + value)
-                # each record a worker reads is a row of a slice it writes
-                # or of a child group embedded there, so its rows_read
-                # count them all
-                source.records_read += message["stats"]["rows_read"]
                 source.peak_live_records = max(source.peak_live_records,
                                                message["peak"])
         done = collections if failure is None else collections[:failure[0]]
@@ -849,6 +852,9 @@ def migrate(target_schema: DocumentSchema, t2: TraceStore,
         _write_manifest(target_dir, report, trace_refs or {})
         return report
     finally:
+        # each record read is a row written or one of a child group copied
+        # into a document, which the collections' rows_read count, once
+        source.records_read += report.total_rows
         source.close()
 
 

@@ -60,22 +60,24 @@ slice in a pass that types each row once, and ``merge_indexes`` joins the
 partial indexes of the later slices onto the first's in slice order
 (identifier lists concatenated, then sorted and ``#``-joined once; text
 entries appended), so any number of slices builds the index one slice
-gives. A text index's slice owns each group whose first row it holds: it
-reads on past its end while its last group goes on and passes over the
-rows at its start that continue the row before it. A text index that meets
-a key a second time, within a slice or across slices, stops grouping and
-stays planned; once its level is merged, the file's lines are clustered by
-its key and the same pass builds it again, at the same level, from slices
-cut by row count over those lines, which are dropped afterwards. A file
-with two unclustered text indexes is clustered and passed over once per
-index. The migrator indexes the later slices in forked workers, which
-inherit any clustered lines, append their texts to their part files and
-send their partial indexes back flat (``encode_slice``). A pass fails,
-naming file, row and column and what the indexes were planned for, on a
-bad cell, a NULL primary key value (which a covering index would store),
-a text component of a composite primary key holding ``#`` (two stored
-identifiers could collide) or a NULL order value (which groups are sorted
-by); the first pass over a file runs every check, in file order.
+gives. A file with a text index is cut where a run of equal key cells
+ends, so each slice holds its groups whole and reads no row outside it.
+Cells are compared untyped: a key spelled two ways (``2``, ``02``) may
+still lie in two slices, and output never depends on where a cut lands. A
+text index that meets a key a second time, within a slice or across
+slices, stops grouping and stays planned; once its level is merged, the
+file's lines are clustered by its key and the same pass builds it again,
+at the same level, from slices of those lines cut at group ends, which
+are dropped afterwards. A file with two unclustered text indexes is
+clustered and passed over once per index. The migrator indexes the later
+slices in forked workers, which inherit any clustered lines, append their
+texts to their part files and send their partial indexes back flat
+(``encode_slice``). A pass fails, naming file, row and column and what
+the indexes were planned for, on a bad cell, a NULL primary key value
+(which a covering index would store), a text component of a composite
+primary key holding ``#`` (two stored identifiers could collide) or a NULL
+order value (which groups are sorted by); the first pass over a file runs
+every check, in file order.
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
@@ -90,18 +92,17 @@ block as columns, typed, down to the JSON text of its documents, and has
 no other path. The index pass checks the key columns and fills the id
 indexes a column at a time; a text index cuts a block's key column into
 runs and joins each group's text from the documents of its rows, built
-for the whole block at once (``_GroupDocs``); a group that goes on past a
-slice's end takes the rows at the start of each block after it that go
-on with it, as a block of their own. When building a block fails, its
-halves are built in turn, down to single rows (``_halves``), and each row
-that fails keeps its error in place of its document, so a group fails
+for the whole block at once (``_GroupDocs``). When building a block fails,
+its halves are built in turn, down to single rows (``_halves``), and each
+row that fails keeps its error in place of its document, so a group fails
 with its first failing row in sorted order. A block fails exactly when
 one of its rows fails alone, so within a row typing comes before the key
 check and the key check before the build, and the first bad row fails as
 typing, checking and building each row in turn would.
 
 The session counts the records read and the most held at once
-(``peak_live_records``). ``SourceCursor`` and ``read_entity_all`` serve an
+(``peak_live_records``); the migrator adds its rows and its largest child
+group to them. ``SourceCursor`` and ``read_entity_all`` serve an
 entity's records and the records a feature reaches from one, with one scan
 of the reached file per call; the migrator does not use them, and they stay
 only while the benchmark's traced mode wraps them by name.
@@ -117,6 +118,7 @@ import re
 import struct
 import tempfile
 from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from contextlib import ExitStack
 from functools import partial
@@ -473,18 +475,18 @@ class _Texts:
 class _Grouper:
     """Groups the consecutive rows of one slice that hold a key of text
     index ``texts`` (none with a NULL in it), a block at a time, writes each
-    group's text to ``out`` and enters it. Rows that hold the key of
-    ``before``, the row before the slice, at its start belong to an earlier
-    slice's group. A key met in a second group marks the index unclustered,
-    and no group is built after it."""
+    group's text to ``out`` and enters it. The slice ends where a group
+    ends (``spans``), so it reads no row of another slice. A key met in a
+    second group marks the index unclustered, and no group is built after
+    it."""
 
     __slots__ = ("texts", "out", "last", "pieces")
 
-    def __init__(self, texts: _Texts, out: BinaryIO, before: tuple | None):
+    def __init__(self, texts: _Texts, out: BinaryIO):
         texts.index.clear()
         texts.entries = array("q")
         self.texts, self.out = texts, out
-        self.last = None if before is None else tuple(before[p] for p in texts.key_at)
+        self.last = None
         # the open group, as pieces of blocks: (what ``_docs`` gives for
         # the block, first, end); None: passed over
         self.pieces: list[tuple] | None = None
@@ -506,16 +508,6 @@ class _Grouper:
             if self.pieces is not None:
                 built = built or self._docs(block)
                 self.pieces.append((built, first, end))
-
-    def extend(self, block: _Block) -> int:
-        """Take the rows at the start of a block after the slice that go on
-        with the last group, as a block of their own; how many."""
-        keys = _keys(block.columns, self.texts.key_at)
-        end = next(compress(range(len(keys)), map(ne, keys, repeat(self.last))),
-                   len(keys))
-        if end:
-            self.pieces.append((self._docs(block.part(0, end)), 0, end))
-        return end
 
     def _docs(self, block: _Block) -> tuple:
         """The documents of a block's rows, what building them counted (one
@@ -604,8 +596,9 @@ class _TableFile:
         self._unbuilt: dict[tuple[str, object], dict[str, None]] = {}
         self.texts_to: int | None = None  # where a worker appends texts
         # while a text index is built again: it, the data lines, the byte
-        # offset of each in them and the row numbers clustered by its key
-        self.clustered: tuple[_Texts, bytes, array, array] | None = None
+        # offset of each in them, the row numbers clustered by its key and
+        # the end of each group in those, after a 0
+        self.clustered: tuple[_Texts, bytes, array, array, array] | None = None
 
     # -- reading -----------------------------------------------------------------
 
@@ -793,9 +786,17 @@ class _TableFile:
                count: int) -> Iterator[_Block]:
         """The ``count`` data rows at byte ``offset`` of ``handle``, a
         binary handle on this file, numbered from ``first`` (a slice of
-        ``spans``), as the blocks ``typed_block`` gives, after one seek."""
-        handle.seek(offset)
-        return self._blocks(handle, range(first, first + count))
+        ``spans``), as the blocks ``typed_block`` gives, after one seek;
+        while the lines are held clustered, the ``count`` of those from
+        position ``first`` on."""
+        if self.clustered is None:
+            handle.seek(offset)
+            return self._blocks(handle, range(first, first + count))
+        _, data, starts, numbers, _ = self.clustered
+        numbers = numbers[first:first + count]
+        ends = map(starts.__getitem__, map((1).__add__, numbers))
+        return self._blocks(map(data.__getitem__, map(
+            slice, map(starts.__getitem__, numbers), ends)), numbers)
 
     def _blocks(self, lines: Iterator[bytes],
                 numbers: Sequence[int]) -> Iterator[_Block]:
@@ -812,12 +813,17 @@ class _TableFile:
         size, as (byte offset, first row, row count); a slice may be empty.
         Each cut is the first line start at or after a byte ``k``-ile: a
         record is one line (checked at open), and a line feed never occurs
-        inside a UTF-8 sequence. Rows before each cut are counted in bounded
-        chunks. While the lines are held clustered, the slices are of those
-        lines instead, cut by row count, at offset 0."""
+        inside a UTF-8 sequence. In a file with a text index, the cut then
+        moves on to the end of the group of the line there (``_group_end``),
+        so that a slice holds each group of equal key cells whole. Rows
+        before each cut are counted in bounded chunks. While the lines are
+        held clustered, the slices are of those lines instead, at offset 0,
+        each cut at the first group end at or after a row-count
+        ``k``-ile."""
         if self.clustered is not None:
-            held = len(self.clustered[3])
-            firsts = [held * i // k for i in range(k + 1)]
+            ends = self.clustered[4]
+            firsts = [0, *(ends[bisect_left(ends, ends[-1] * i // k)]
+                           for i in range(1, k)), ends[-1]]
             return [(0, first, after - first)
                     for first, after in zip(firsts, firsts[1:])]
         with open(self.path, "rb") as handle:
@@ -828,7 +834,8 @@ class _TableFile:
                 if target > cuts[-1]:
                     handle.seek(target - 1)
                     handle.readline()
-                    cuts.append(handle.tell())
+                    cuts.append(self._group_end(handle) if self._texts
+                                else handle.tell())
                 else:  # the last cut is already the first line start after it
                     cuts.append(cuts[-1])
             firsts = [0]
@@ -839,6 +846,24 @@ class _TableFile:
         firsts.append(self.row_count)
         return [(cut, first, after - first)
                 for cut, first, after in zip(cuts, firsts, firsts[1:])]
+
+    def _group_end(self, handle: BinaryIO) -> int:
+        """The byte offset of the first line, from the line start
+        ``handle`` is at, whose key cells differ from those of the line
+        before it for every text index of the file: the end of the groups
+        that the line at the start lies in. Key cells are compared as
+        ``_cells`` parses them, untyped, so this never fails."""
+        offset, last = handle.tell(), None
+        while lines := list(islice(handle, _BLOCK)):
+            cells = self._cells(lines)
+            keys = list(zip(*(_keys(cells, t.key_at) for t in self._texts)))
+            changed = map(all, map(partial(map, ne), keys,
+                                   [last or keys[0], *keys]))
+            if (end := next(compress(range(len(keys)), changed), None)) is not None:
+                return offset + sum(map(len, lines[:end]))
+            offset += sum(map(len, lines))
+            last = keys[-1]
+        return offset
 
     def positions(self, columns: Iterable[str]) -> list[int]:
         """The position of each of ``columns`` in a row."""
@@ -912,15 +937,13 @@ class _TableFile:
         at a time (``_key_check``), then fills the indexes from its columns.
         A block with a bad cell comes as the blocks before its row, then
         the row's error (``typed_block``), so the first bad row fails as
-        typing and checking each row in turn would. A text index takes the
-        groups whose first row lies in the span, whole: it reads on past
-        the span's end, a block at a time, taking the rows at the start of
-        each that go on with its last group, and passes over the rows at
-        its start that continue the row before it. Each group's text is
-        appended to the spill, or to ``texts_to`` (a descriptor) when that
-        is set. While the lines are held clustered, the pass reads them and
-        fills the one text index they are clustered for. A failed pass names
-        what the indexes were planned for."""
+        typing and checking each row in turn would. A text index groups the
+        span's rows; the span holds its groups whole (``spans``), so the
+        pass reads no row outside it. Each group's text is appended to the
+        spill, or to ``texts_to`` (a descriptor) when that is set. While the
+        lines are held clustered, the pass reads them and fills the one text
+        index they are clustered for. A failed pass names what the indexes
+        were planned for."""
         required: dict[str, None] = {}
         joined: list[str] = []  # text components of #-joined identifiers
         fills, texts = [], []
@@ -936,7 +959,6 @@ class _TableFile:
                 required.update(dict.fromkeys(key.order))
                 texts.append(key)
         check = self._key_check(tuple(required), joined)
-        offset, first, count = span
         with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
                 groupers = []
@@ -944,62 +966,18 @@ class _TableFile:
                     out = stack.enter_context(open(
                         texts[0].spill.fileno() if self.texts_to is None
                         else self.texts_to, "ab", closefd=False))
-                    before = self._row_before(handle, offset, first)
-                    groupers = [_Grouper(t, out, before) for t in texts]
-                lines, numbers = self._lines(handle, offset, first)
-                for block in self._blocks(lines, numbers[:count]):
+                    groupers = [_Grouper(t, out) for t in texts]
+                for block in self.blocks(handle, *span):
                     check(block)
                     for fill in fills:
                         fill(block.columns)
                     for grouper in groupers:
                         grouper.add(block)
-                # a text index reads on past the span; a block there is
-                # checked whole, as the next slice checks it
-                going = [grouper for grouper in groupers if grouper.pieces]
-                for block in self._blocks(lines, numbers[count:]) if going else ():
-                    check(block)
-                    size = len(block.numbers)
-                    if not (going := [g for g in going if g.extend(block) == size]):
-                        break
                 for grouper in groupers:
                     grouper.close()
             except SourceError as exc:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
-
-    def _lines(self, handle: BinaryIO, offset: int, first: int
-               ) -> tuple[Iterator[bytes], Sequence[int]]:
-        """The data lines from the start of a slice (byte ``offset`` of
-        ``handle``, row ``first``) on, or from position ``first`` of the
-        lines held clustered, and their row numbers."""
-        if self.clustered is None:
-            handle.seek(offset)
-            return handle, range(first, self.row_count)
-        _, data, starts, numbers = self.clustered
-        numbers = numbers[first:]
-        ends = map(starts.__getitem__, map((1).__add__, numbers))
-        return map(data.__getitem__, map(slice, map(starts.__getitem__, numbers),
-                                         ends)), numbers
-
-    def _row_before(self, handle: BinaryIO, offset: int,
-                    first: int) -> tuple | None:
-        """The typed row before the start of a slice (as ``_lines``), or
-        None for the first row."""
-        if not first:
-            return None
-        if self.clustered is not None:
-            lines, numbers = self._lines(handle, offset, first - 1)
-            return self.typed(next(csv.reader([next(lines).decode()])),
-                              numbers[0])
-        size = 256
-        while True:  # the header's line feed comes before it
-            start = max(0, offset - 1 - size)
-            handle.seek(start)
-            chunk = handle.read(offset - start)
-            if (cut := chunk.rfind(b"\n", 0, -1)) >= 0:
-                line = chunk[cut + 1:].decode()
-                return self.typed(next(csv.reader([line])), first - 1)
-            size *= 4
 
     def merge_indexes(self, later: list[bytes], shifts: list[int] = ()) -> None:
         """Finish every planned index that ``index_slice`` fills: join onto
@@ -1044,13 +1022,14 @@ class _TableFile:
             self._cluster(again[0])
 
     def _cluster(self, texts: _Texts) -> None:
-        """Hold the data lines with the byte offset of each in them, and
-        the row numbers sorted by the key of ``texts``, stably, those with a
-        NULL in it left out, for the next ``index_slice`` to build ``texts``
-        from: its groups are then runs. One read gathers each key's row
-        numbers, keys in the order of their first rows (a counting sort). It
-        types only the key's columns, a block at a time: the first pass
-        has typed and checked every row already."""
+        """Hold the data lines with the byte offset of each in them, the
+        row numbers sorted by the key of ``texts``, stably, those with a
+        NULL in it left out, and the end of each group in them, for the
+        next ``index_slice`` to build ``texts`` from: its groups are then
+        runs, and ``spans`` cuts at their ends. One read gathers each key's
+        row numbers, keys in the order of their first rows (a counting
+        sort). It types only the key's columns, a block at a time: the
+        first pass has typed and checked every row already."""
         with open(self.path, "rb") as handle:
             handle.readline()  # the header
             data = handle.read()
@@ -1062,11 +1041,12 @@ class _TableFile:
             keys = zip(*(self._kernels[p](cells[p]) for p in texts.key_at))
             deque(map(array.append, map(groups.__getitem__, keys),
                       range(first, min(first + _BLOCK, self.row_count))), 0)
-        numbers = array("q")
+        numbers, ends = array("q"), array("q", [0])
         for key, rows in groups.items():  # in the order of their first rows
             if None not in key:
                 numbers.extend(rows)
-        self.clustered = (texts, data, starts, numbers)
+                ends.append(len(numbers))
+        self.clustered = (texts, data, starts, numbers, ends)
         texts.unclustered = False
 
     def encode_slice(self) -> bytes:

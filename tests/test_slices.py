@@ -13,6 +13,7 @@ import shutil
 import tempfile
 import threading
 import time
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,22 @@ def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
     with open(file.path, "rb") as handle:
         return [pair for block in file.blocks(handle, *(span or file.spans(1)[0]))
                 for pair in zip(block.numbers, block)]
+
+
+def _check_group_cuts(file: _TableFile, k: int) -> None:
+    """With a text index planned on ``s``, the slices of ``file`` still
+    cover every row once, in order, and when ``s`` clusters the file, no
+    key lies in two slices."""
+    with tempfile.TemporaryFile() as spill:
+        file.texts_on(("s",), ("id",), _GROUP_DOCS, 0, spill, "a test")
+        spans = _check_spans(file, k)
+    keys = [row[1] for _, row in _read(file)]
+    runs = [key for key, _ in groupby(keys) if key is not None]
+    if len(runs) == len(set(runs)):  # clustered by s
+        owner = {}
+        slices = [i for i, (_, _, count) in enumerate(spans) for _ in range(count)]
+        for key, i in zip(keys, slices):
+            assert key is None or owner.setdefault(key, i) == i
 
 
 def _check_spans(file: _TableFile, k: int) -> list:
@@ -187,11 +204,14 @@ def test_file_clustered_once_per_unclustered_text_index(tmp_path, k):
 @example(["a", "b", "c"], 2, "\n", False)
 @example(["a", "a", "é", "é", "é", "", "a"], 3, "\r\n", False)  # not clustered
 @example(["b", "a", "a", "a", "c", "a", "b", "a"], 2, "\n", True)  # cut in a group
+@example(["a", "b", "b", "b", "b", "b", "c"], 2, "\n", True)  # clustered, cut in b
+@example(["x", 'q"é,', 'q"é,', 'q"é,', 'q"é,', "", "", "y"], 3, "\r\n", False)
 def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
                                              line_end, last_line_end):
     root = tmp_path_factory.mktemp("t")
     file = _table_file(root, texts, line_end, last_line_end)
     _check_spans(file, k)
+    _check_group_cuts(_TableFile(file.table, file.path), k)
     _check_texts(file, k)
 
 
@@ -270,6 +290,20 @@ def _sparse_mini(root: Path) -> Path:
     return root
 
 
+def _respelled(root: Path) -> Path:
+    """``_straddling`` with parent 2's child rows spelling its id ``2``,
+    ``02`` and ``+2`` in turn: the cells of each row differ from those of
+    the row before, so a slice's cut inside the group does not move past
+    it, and the group lies in two slices."""
+    _straddling(root)
+    path = root / "child.csv"
+    header, *lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(
+        ["2", "02", "+2"][n % 3] + line[1:] if line.startswith("2,") else line
+        for n, line in enumerate(lines)))
+    return root
+
+
 def _shuffled(root: Path) -> Path:
     """``_straddling`` with child.csv's rows in a fixed random order: a
     parent's children lie in several runs, within a slice and across."""
@@ -303,18 +337,30 @@ def _orphans(root: Path) -> Path:
 
 
 @pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling",
-                                     "shuffled", "orphans"])
+                                     "shuffled", "orphans", "respelled"])
 def test_output_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
     root = {"mini": FIXTURES / "music_streaming" / "mini_data",
             "northwind": FIXTURES / "northwind" / "data_1x"}.get(dataset)
     if root is None:
         root = {"sparse": _sparse_mini, "straddling": _straddling,
-                "shuffled": _shuffled, "orphans": _orphans}[dataset](
-            tmp_path / dataset)
+                "shuffled": _shuffled, "orphans": _orphans,
+                "respelled": _respelled}[dataset](tmp_path / dataset)
     serial, error = _run(root, tmp_path / "out1", 1, monkeypatch)
     assert error is None and "manifest.json" in serial
     for k in (2, 3):
         assert _run(root, tmp_path / f"out{k}", k, monkeypatch) == (serial, None)
+    if dataset == "respelled":
+        # a cut splits parent 2's group, which is built again from the
+        # lines clustered by parent: the same text as for one spelling
+        child = _TableFile(parse_ddl((root / "schema.sql").read_text()).table(
+            "child"), root / "child.csv")
+        with tempfile.TemporaryFile() as spill:
+            child.texts_on(("parent_id",), ("pos",), _GROUP_DOCS, 0, spill, "a test")
+            assert all(any(2 < first < 18 for _, first, _ in child.spans(k))
+                       for k in (2, 3))
+        straddling = _run(_straddling(tmp_path / "straddling"),
+                          tmp_path / "straddling-out", 1, monkeypatch)
+        assert serial == straddling[0]
     if dataset == "orphans":
         # the orphans are neither embedded nor counted, and the '#' in
         # one's key fails nothing
@@ -399,9 +445,9 @@ def test_separator_in_scattered_group_fails_as_serial_run(tmp_path, monkeypatch,
                                                           where):
     # a '#' in a text component of a child's derived key, on a row of a
     # parent's scattered group, of an orphan's, or on the row of parent
-    # 2's group that the clustered lines are cut at for 2 slices, or at
-    # the second cut for 3: the first slice builds that group, reading on
-    # past its end, and the later slices pass over the rest of it
+    # 2's group at the row-count k-ile of the clustered lines for 2 slices,
+    # or at the second for 3: the cut moves on to the group's end, so one
+    # slice builds that group whole
     rows, clustered = _scattered_rows()
     if where.startswith("cut"):
         k = int(where[-1])
@@ -605,38 +651,66 @@ def _indexes(session: SourceSession) -> dict:
     return built
 
 
-def _straddling(root: Path) -> Path:
-    """parent 2's 16 child rows hold the byte midpoint of child.csv, so
-    its run straddles the cut of 2 slices (and of 3)."""
+def _children(root: Path, children: list[tuple[int, int]]) -> Path:
+    """Parents 1 to the highest of ``children``, the (parent, pos) of each
+    child row, in that order."""
     root.mkdir()
     (root / "schema.sql").write_text(
         "CREATE TABLE parent (id INT PRIMARY KEY);"
         "CREATE TABLE child (parent_id INT, pos INT, PRIMARY KEY (parent_id, pos),"
         " FOREIGN KEY (parent_id) REFERENCES parent (id));")
-    (root / "parent.csv").write_text("id\n1\n2\n3\n")
-    children = [1, 1] + [2] * 16 + [3, 3]
+    (root / "parent.csv").write_text("id\n" + "".join(
+        f"{n}\n" for n in range(1, max(children)[0] + 1)))
     (root / "child.csv").write_text("parent_id,pos\n" + "".join(
-        f"{parent},{n}\n" for n, parent in enumerate(children)))
+        f"{parent},{pos}\n" for parent, pos in children))
     return root
 
 
+def _straddling(root: Path) -> Path:
+    """parent 2's 16 child rows hold the byte midpoint of child.csv, so
+    its run straddles the byte cut of 2 slices (and both of 3)."""
+    return _children(root, [(parent, n) for n, parent in
+                            enumerate([1, 1] + [2] * 16 + [3, 3])])
+
+
+def _one_big_group(root: Path) -> Path:
+    """20 one-row child groups, then parent 21's 16 rows, which lie in the
+    last slice of 2 and in the second of 3: the first groups' rows are the
+    longer, so that the byte cut of 2 lies among them."""
+    return _children(root, [(n, 100 + n) for n in range(1, 21)]
+                     + [(21, n) for n in range(16)])
+
+
 @pytest.mark.parametrize("dataset", ["mini", "sparse", "northwind", "straddling",
-                                     "shuffled"])
+                                     "shuffled", "big-group"])
 def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
     root = {"mini": FIXTURES / "music_streaming" / "mini_data",
             "northwind": FIXTURES / "northwind" / "data_1x"}.get(dataset)
     if root is None:
         root = {"sparse": _sparse_mini, "straddling": _straddling,
-                "shuffled": _shuffled}[dataset](tmp_path / dataset)
+                "shuffled": _shuffled, "big-group": _one_big_group}[dataset](
+            tmp_path / dataset)
     session, error = _migrate(root, tmp_path / "out1", 1, monkeypatch)
-    serial = _indexes(session)
+    serial, peak = _indexes(session), session.peak_live_records
     assert error is None and serial
+    if dataset == "big-group":
+        assert (peak, session.records_read) == (16, 21 + 36)
     for k in (2, 3):
         session, error = _migrate(root, tmp_path / f"out{k}", k, monkeypatch)
         assert error is None and _indexes(session) == serial
+        # a worker's largest child group counts too
+        assert session.peak_live_records == peak
+        if dataset == "big-group":
+            # the largest group is built in a worker
+            first, count = session.file_for("child").spans(k)[1][1:]
+            assert first <= 20 and first + count == 36
         if dataset == "straddling":
             child = session.file_for("child")
-            assert any(2 < first < 18 for _, first, _ in child.spans(k))
+            # a byte cut falls inside parent 2's rows 2 to 17, and each cut
+            # moves on to the end of the group
+            assert any(2 < first < 18 for _, first, _ in
+                       _TableFile(child.table, child.path).spans(k))
+            assert {first for _, first, _ in child.spans(k)} <= {0, 2, 18, 20}
     if dataset in ("straddling", "shuffled"):
         # one text per parent, the straddling one built whole, and the
         # shuffled file's built from its lines clustered by parent: a
