@@ -684,8 +684,7 @@ def _index_step(source: SourceSession, file: _TableFile,
         file.index_slice(spans[i])
         return {}
     start = os.lseek(part, 0, os.SEEK_END)
-    file.texts_to = part
-    file.index_slice(spans[i])
+    file.index_slice(spans[i], part)
     texts = os.lseek(part, 0, os.SEEK_END) - start
     with open(part, "ab", closefd=False) as out:
         out.write(file.encode_slice())

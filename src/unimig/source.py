@@ -52,16 +52,20 @@ as in Graefe, "Query Evaluation Techniques for Large Databases", ACM CSUR
 1993).
 
 Every index is planned first (``plan_for`` names what needs it), at a
-level: an id index at 0, a text index at 0 if its function probes no index,
-else at one more than the highest level of those it probes. They are then
+level: an id index (``_Ids``) at 0, a text index (``_Texts``) at 0 if its
+function probes no index, else at one more than the highest level of those
+it probes. Both kinds have one interface: their ``level``, the columns a
+pass must find non-NULL (``required``) and free of ``#`` (``joined``), and
+``start``, ``add`` (a block), ``close``, ``encode`` and ``merge``. They are
 built level by level, lowest first, from a file's row slices (see below):
 ``index_slice`` fills a file's indexes of its lowest unbuilt level from one
-slice in a pass that types each row once, and ``merge_indexes`` joins the
-partial indexes of the later slices onto the first's in slice order
-(identifier lists concatenated, then sorted and ``#``-joined once; text
-entries appended), so any number of slices builds the index one slice
-gives. A file with a text index is cut where a run of equal key cells
-ends, so each slice holds its groups whole and reads no row outside it.
+slice in a pass that types each row once and hands each block to every
+index, and ``merge_indexes`` has each index join the partial indexes of the
+later slices onto the first's in slice order (identifier lists
+concatenated, then sorted and ``#``-joined once; text entries appended),
+so any number of slices builds the index one slice gives. A file with a
+text index is cut where a run of equal key cells ends, so each slice holds
+its groups whole and reads no row outside it.
 Cells are compared untyped: a key spelled two ways (``2``, ``02``) may
 still lie in two slices, and output never depends on where a cut lands. A
 text index that meets a key a second time, within a slice or across
@@ -71,13 +75,13 @@ at the same level, from slices of those lines cut at group ends, which
 are dropped afterwards. A file with two unclustered text indexes is
 clustered and passed over once per index. The migrator indexes the later
 slices in forked workers, which inherit any clustered lines, append their
-texts to their part files and send their partial indexes back flat
-(``encode_slice``). A pass fails, naming file, row and column and what
-the indexes were planned for, on a bad cell, a NULL primary key value
-(which a covering index would store), a text component of a composite
-primary key holding ``#`` (two stored identifiers could collide) or a NULL
-order value (which groups are sorted by); the first pass over a file runs
-every check, in file order.
+texts to their part files (``index_slice``'s ``out``) and send their
+partial indexes back flat (``encode_slice``). A pass fails, naming file,
+row and column and what the indexes were planned for, on a bad cell, a
+NULL primary key value (which a covering index would store), a text
+component of a composite primary key holding ``#`` (two stored identifiers
+could collide) or a NULL order value (which groups are sorted by); the
+first pass over a file runs every check, in file order.
 
 The session resolves pivot-model features (attributes, keys, references,
 aggregates) to tables, columns and foreign keys by looking them up in the
@@ -119,7 +123,7 @@ import struct
 import tempfile
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from contextlib import ExitStack
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
@@ -419,10 +423,66 @@ class _GroupDocs(NamedTuple):
                    tuple[str, int, int, int, int]]
 
 
-def _level(planned: tuple[str, object]) -> int:
-    """The level of a planned index: a text index's own, else 0."""
-    kind, key = planned
-    return key.level if kind == "texts" else 0
+class _Ids:
+    """The covering index on ``columns`` of ``file``: ``index`` maps a key,
+    their typed values, to the identifiers (``record_id``) of the rows
+    holding it, in primary key order; a row with a NULL in ``columns`` is
+    left out. A pass (``_TableFile.index_slice``) requires the primary key
+    columns non-NULL and its text components (``joined``, for a composite
+    key) free of ``#``. Its level is 0: filling it probes no index."""
+
+    level = 0
+    unclustered = False
+
+    def __init__(self, file: _TableFile, columns: tuple[str, ...]):
+        pk = file.table.primary_key().columns
+        self.required = pk
+        self.joined = [c for c in pk if len(pk) > 1
+                       and file.types[file.columns.index(c)] is str]
+        self.key_at, self.pk_at = file.positions(columns), file.positions(pk)
+        self.index: dict[tuple, list] = {}
+
+    def start(self, out: BinaryIO | None) -> None:
+        """Empty the index for a pass; it writes nothing to ``out``."""
+        self.index.clear()
+
+    def add(self, block: _Block) -> None:
+        """Fill the index from a block's columns, in C: each key not holding
+        a NULL gets the primary key of its rows, in row order."""
+        columns, key_at, pk_at = block.columns, self.key_at, self.pk_at
+        keys = _keys(columns, key_at)
+        # a single-column key is held as its bare value, which is its
+        # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
+        pks = columns[pk_at[0]] if len(pk_at) == 1 else _keys(columns, pk_at)
+        if any(None in columns[p] for p in key_at):
+            keep = list(map(not_, map(contains, keys, repeat(None))))
+            keys, pks = compress(keys, keep), compress(pks, keep)
+        # a new empty list per row, kept where the key is new
+        deque(map(list.append, map(self.index.setdefault, keys, iter(list, None)),
+                  pks), 0)
+
+    def close(self) -> None:
+        """End the pass: the index holds its slice's part."""
+
+    def encode(self) -> dict[tuple, list]:
+        """The slice's part, for ``marshal``: the index as it is."""
+        return self.index
+
+    def merge(self, parts: list[dict[tuple, list]], shifts: list[int]) -> None:
+        """Join the later slices' ``parts`` onto this slice's, in slice order:
+        a key's primary keys are concatenated, then sorted in primary key
+        order and, for a composite key, ``#``-joined (``record_id``)."""
+        index = self.index
+        for part in parts:
+            for key, pks in part.items():
+                if (mine := index.get(key)) is None:
+                    index[key] = pks
+                else:
+                    mine.extend(pks)
+        for pks in index.values():
+            pks.sort()  # as key tuples: (1, 9) before (1, 10)
+            if len(self.pk_at) > 1:
+                pks[:] = map(record_id, pks)
 
 
 class _Texts:
@@ -430,33 +490,27 @@ class _Texts:
     whose text, built once from the key's group of rows in ``order``, lies
     in ``spill``, an unnamed file, by ``docs``. Building may fail; the
     error is kept as the text and raised when the text is read, so a group
-    that is never read never fails. ``unclustered`` is set when a key is
-    met in a second group, which ends the grouping: the index is then built
-    again from the file's lines clustered by the key
-    (``_TableFile._cluster``)."""
+    that is never read never fails. A pass (``_TableFile.index_slice``)
+    requires the ``order`` columns non-NULL; it groups the consecutive rows
+    of one slice that hold a key (none with a NULL in it), a block at a
+    time, and writes each group's text to the pass's writer. The slice ends
+    where a group ends (``_TableFile.spans``), so it reads no row of
+    another slice. ``unclustered`` is set when a key is met in a second
+    group, which ends the grouping: the index is then built again from the
+    file's lines clustered by the key (``_TableFile._cluster``)."""
+
+    joined = ()
 
     def __init__(self, file: _TableFile, columns: tuple[str, ...],
                  order: tuple[str, ...], docs: _GroupDocs, level: int,
                  spill: BinaryIO):
-        self.columns, self.order = columns, order
+        self.columns, self.order, self.required = columns, order, order
         self.key_at, self.order_at = file.positions(columns), file.positions(order)
         self.docs = docs
         self.level, self.spill = level, spill
         self.index: dict[tuple, int] = {}  # key -> entry number
         self.entries = array("q")
         self.unclustered = False
-
-    def add(self, keys: list[tuple], entries: bytes, shift: int) -> bool:
-        """Append the entries of ``keys``, in order, as ``array`` bytes,
-        their offsets moved by ``shift``; whether a key was there."""
-        start = len(self.entries)
-        self.entries.frombytes(entries)
-        for j in range(start, len(self.entries), _ENTRY):
-            self.entries[j] += shift
-        before = len(self.index)
-        base = start // _ENTRY
-        self.index.update(zip(keys, range(base, base + len(keys))))
-        return len(self.index) < before + len(keys)
 
     def text(self, key: tuple) -> tuple[str, int, int, int, int] | None:
         """The text of ``key``'s group and its counters, as ``docs.text``
@@ -471,51 +525,66 @@ class _Texts:
             raise MigrationError(text)
         return (text, *_HEADER.unpack_from(record))
 
-
-class _Grouper:
-    """Groups the consecutive rows of one slice that hold a key of text
-    index ``texts`` (none with a NULL in it), a block at a time, writes each
-    group's text to ``out`` and enters it. The slice ends where a group
-    ends (``spans``), so it reads no row of another slice. A key met in a
-    second group marks the index unclustered, and no group is built after
-    it."""
-
-    __slots__ = ("texts", "out", "last", "pieces")
-
-    def __init__(self, texts: _Texts, out: BinaryIO):
-        texts.index.clear()
-        texts.entries = array("q")
-        self.texts, self.out = texts, out
-        self.last = None
-        # the open group, as pieces of blocks: (what ``_docs`` gives for
-        # the block, first, end); None: passed over
-        self.pieces: list[tuple] | None = None
+    def start(self, out: BinaryIO) -> None:
+        """Empty the index for a pass that appends its texts to ``out``."""
+        self.index.clear()
+        self.entries = array("q")
+        # the pass's writer, the last key it met and its open group, as
+        # pieces of blocks: (what ``_docs`` gives for the block, first,
+        # end); None: passed over
+        self.out, self.last, self.pieces = out, None, None
 
     def add(self, block: _Block) -> None:
         """Take a block: each run of one key in it goes on with the open
         group, or closes it and opens the next."""
-        texts = self.texts
-        keys = _keys(block.columns, texts.key_at)
+        keys = _keys(block.columns, self.key_at)
         cuts = [0, *compress(range(1, len(keys)), map(ne, keys[1:], keys)),
                 len(keys)]
         built = None
         for first, end in zip(cuts, cuts[1:]):
             if (key := keys[first]) != self.last:
-                self.close()
+                self._enter()
                 self.last = key
-                if None not in key and not texts.unclustered:
+                if None not in key and not self.unclustered:
                     self.pieces = []
             if self.pieces is not None:
                 built = built or self._docs(block)
                 self.pieces.append((built, first, end))
+
+    def close(self) -> None:
+        """End the pass: enter the open group, and drop the writer and the
+        last key."""
+        self._enter()
+        self.out = self.last = None
+
+    def encode(self) -> tuple[list[tuple], bytes, bool]:
+        """The slice's part, for ``marshal``: its keys, its entries as
+        ``array`` bytes and whether it met a key in a second group."""
+        return list(self.index), self.entries.tobytes(), self.unclustered
+
+    def merge(self, parts: list[tuple[list[tuple], bytes, bool]],
+              shifts: list[int]) -> None:
+        """Append the later slices' ``parts`` to this slice's, in slice
+        order, each entry's offset moved by its slice's ``shifts`` entry
+        (where its texts now lie in the spill); a key met again, here or in
+        a part, marks the index unclustered."""
+        for (keys, entries, unclustered), shift in zip(parts, shifts, strict=True):
+            start = len(self.entries)
+            self.entries.frombytes(entries)
+            for j in range(start, len(self.entries), _ENTRY):
+                self.entries[j] += shift
+            before, base = len(self.index), start // _ENTRY
+            self.index.update(zip(keys, range(base, base + len(keys))))
+            self.unclustered = (self.unclustered or unclustered
+                                or len(self.index) < before + len(keys))
 
     def _docs(self, block: _Block) -> tuple:
         """The documents of a block's rows, what building them counted (one
         value per row of the block), their order keys, and whether building
         the block failed: then the error building a row alone raised stands
         in place of each row that failed."""
-        orders = _keys(block.columns, self.texts.order_at)
-        runs = list(self.texts.docs.docs(block))
+        orders = _keys(block.columns, self.order_at)
+        runs = list(self.docs.docs(block))
         if len(runs) == 1 and not isinstance(built := runs[0][2], MigrationError):
             return list(built[0]), built[1], orders, False
         docs, sums = [], {}
@@ -529,14 +598,14 @@ class _Grouper:
                 column[first:end] = map(add, column[first:end], values)
         return docs, list(sums.items()), orders, True
 
-    def close(self) -> None:
+    def _enter(self) -> None:
         """Build and enter the open group, if any, unless its key was met
         before: then mark the index unclustered."""
-        pieces, self.pieces, texts = self.pieces, None, self.texts
+        pieces, self.pieces = self.pieces, None
         if not pieces:
             return
-        if self.last in texts.index:
-            texts.unclustered = True
+        if self.last in self.index:
+            self.unclustered = True
             return
         try:
             text, *counters = self._text(pieces)
@@ -545,8 +614,8 @@ class _Grouper:
             size = sum(end - first for _, first, end in pieces)
             text, sign, counters = str(exc), -1, (size, 0, 0, 0)
         record = _HEADER.pack(*counters) + text.encode()
-        texts.index[self.last] = len(texts.entries) // _ENTRY
-        texts.entries.extend((self.out.tell(), sign * len(record)))
+        self.index[self.last] = len(self.entries) // _ENTRY
+        self.entries.extend((self.out.tell(), sign * len(record)))
         self.out.write(record)
 
     def _text(self, pieces: list[tuple]) -> tuple[str, int, int, int, int]:
@@ -554,7 +623,6 @@ class _Grouper:
         of its rows sorted by their order keys. A row that failed holds its
         error, raised when its document is taken, so that the group fails
         with its first failing row in that order."""
-        texts = self.texts
         counts: dict[str, int] = {}
         made: list[str] = []
         orders: list[tuple] = []
@@ -564,11 +632,11 @@ class _Grouper:
             orders += ordered[first:end]
             _add(counts, counted, first, end)
             failed = failed or some_failed
-        if texts.order:
+        if self.order:
             made = list(map(made.__getitem__, sorted(range(len(made)),
                                                      key=orders.__getitem__)))
-        return texts.docs.text(len(made), map(_raised, made) if failed else made,
-                               counts)
+        return self.docs.text(len(made), map(_raised, made) if failed else made,
+                              counts)
 
 
 class _TableFile:
@@ -590,11 +658,10 @@ class _TableFile:
         self._typed_columns = [(p, convert) for p, convert
                                in enumerate(converters) if convert is not str]
         self.row_count = self._validate_and_count()
-        self._id_indexes: dict[tuple[str, ...], dict[tuple, list]] = {}
+        self._ids: dict[tuple[str, ...], _Ids] = {}
         self._texts: list[_Texts] = []
-        # planned, not yet filled: (kind, key) -> who planned it, in order
-        self._unbuilt: dict[tuple[str, object], dict[str, None]] = {}
-        self.texts_to: int | None = None  # where a worker appends texts
+        # planned, not yet filled: index -> who planned it, in order
+        self._unbuilt: dict[_Ids | _Texts, dict[str, None]] = {}
         # while a text index is built again: it, the data lines, the byte
         # offset of each in them, the row numbers clustered by its key and
         # the end of each group in those, after a 0
@@ -672,7 +739,8 @@ class _TableFile:
         """The data row count, after checking the header, that each line
         holds one record with one field per column, and that lines end with
         a line feed; a file ``_vouched_count`` cannot vouch for is read with
-        ``csv.reader``, which names the first line or row at fault."""
+        ``csv.reader`` in one pass, which names the first line or row at
+        fault, in file order."""
         count = self._vouched_count()
         if count is not None:
             return count
@@ -686,17 +754,22 @@ class _TableFile:
                     raise SourceError(
                         f"{self.path.name}: header {header} does not match "
                         f"columns {self.columns} of table {self.table.name!r}")
-                widths = Counter(map(len, reader))
+                count = 0
+                for count, row in enumerate(reader, 1):
+                    if reader.line_num != count + 1:
+                        raise SourceError(
+                            f"{self.path.name} (row {count}): a quoted field holds "
+                            f"a line break (lines {count + 1}-{reader.line_num}); "
+                            "fields must not contain line breaks")
+                    if len(row) != len(self.columns):
+                        raise SourceError(
+                            f"{self.path.name} (row {count}): expected "
+                            f"{len(self.columns)} fields, found {len(row)}")
             except csv.Error as exc:
                 raise SourceError(
                     f"{self.path.name} (line {reader.line_num}): {exc}") from exc
             except UnicodeDecodeError:  # found in a chunk: name its line
                 raise _not_utf8(self.path) from None
-            count = sum(widths.values())
-            # One record per line, each with one field per column; the
-            # record-by-record pass runs only to name the culprit.
-            if widths.keys() - {len(self.columns)} or reader.line_num != count + 1:
-                self._find_malformed_record()
             # csv also ends lines at a bare carriage return, but row slices
             # are cut at line feeds and their lines read as rows.
             seen = handle.newlines
@@ -705,24 +778,6 @@ class _TableFile:
                     f"{self.path.name}: a line ends with a bare carriage "
                     "return; lines must end with a line feed")
             return count
-
-    def _find_malformed_record(self) -> None:
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            line = 1
-            for n, row in enumerate(reader):
-                if reader.line_num != line + 1:
-                    raise SourceError(
-                        f"{self.path.name} (row {n + 1}): a quoted field holds a "
-                        f"line break (lines {line + 1}-{reader.line_num}); fields "
-                        "must not contain line breaks")
-                line = reader.line_num
-                if len(row) != len(self.columns):
-                    raise SourceError(
-                        f"{self.path.name} (row {n + 1}): expected "
-                        f"{len(self.columns)} fields, found {len(row)}")
-        raise SourceError(f"{self.path.name}: records and lines disagree")
 
     def typed(self, row: list[str], n: int) -> tuple:
         """Raw data row ``n`` (0-based), one cell per column (checked at
@@ -814,7 +869,7 @@ class _TableFile:
         Each cut is the first line start at or after a byte ``k``-ile: a
         record is one line (checked at open), and a line feed never occurs
         inside a UTF-8 sequence. In a file with a text index, the cut then
-        moves on to the end of the group of the line there (``_group_end``),
+        moves on to the first line that starts a group (``_group_end``),
         so that a slice holds each group of equal key cells whole. Rows
         before each cut are counted in bounded chunks. While the lines are
         held clustered, the slices are of those lines instead, at offset 0,
@@ -834,7 +889,7 @@ class _TableFile:
                 if target > cuts[-1]:
                     handle.seek(target - 1)
                     handle.readline()
-                    cuts.append(self._group_end(handle) if self._texts
+                    cuts.append(self._group_end(handle, cuts[0]) if self._texts
                                 else handle.tell())
                 else:  # the last cut is already the first line start after it
                     cuts.append(cuts[-1])
@@ -847,22 +902,32 @@ class _TableFile:
         return [(cut, first, after - first)
                 for cut, first, after in zip(cuts, firsts, firsts[1:])]
 
-    def _group_end(self, handle: BinaryIO) -> int:
-        """The byte offset of the first line, from the line start
-        ``handle`` is at, whose key cells differ from those of the line
-        before it for every text index of the file: the end of the groups
-        that the line at the start lies in. Key cells are compared as
-        ``_cells`` parses them, untyped, so this never fails."""
-        offset, last = handle.tell(), None
-        while lines := list(islice(handle, _BLOCK)):
+    def _group_end(self, handle: BinaryIO, header: int) -> int:
+        """The byte offset of the first line at or after the line start
+        ``handle`` is at whose key cells differ from those of the line
+        before it for every text index of the file: the start itself when
+        the line before ends its groups, else the end of the groups that
+        line lies in. The line before is found by a backward scan to the
+        line feed before it, which stops at byte ``header``, the end of the
+        header. Key cells are compared as ``_cells`` parses them, untyped,
+        so this never fails."""
+        offset = handle.tell()
+        start, feed = offset - 1, -1  # back from the line feed before it
+        while feed < 0 and start > header:
+            handle.seek(back := max(header, start - _COUNT_CHUNK))
+            feed, start = handle.read(start - back).rfind(b"\n"), back
+        handle.seek(start + feed + 1)
+        # the line before, then a block of lines; each block after the
+        # first carries the last line of the one before it
+        lines = [handle.readline(), *islice(handle, _BLOCK)]
+        while len(lines) > 1:
             cells = self._cells(lines)
             keys = list(zip(*(_keys(cells, t.key_at) for t in self._texts)))
-            changed = map(all, map(partial(map, ne), keys,
-                                   [last or keys[0], *keys]))
-            if (end := next(compress(range(len(keys)), changed), None)) is not None:
-                return offset + sum(map(len, lines[:end]))
-            offset += sum(map(len, lines))
-            last = keys[-1]
+            changed = map(all, map(partial(map, ne), keys[1:], keys))
+            if (end := next(compress(range(1, len(keys)), changed), None)) is not None:
+                return offset + sum(map(len, lines[1:end]))
+            offset += sum(map(len, lines[1:]))
+            lines = [lines[-1], *islice(handle, _BLOCK)]
         return offset
 
     def positions(self, columns: Iterable[str]) -> list[int]:
@@ -873,14 +938,18 @@ class _TableFile:
 
     def ids_on(self, columns: tuple[str, ...], plan_for: str) -> dict[tuple, list]:
         """Covering index: typed values of ``columns`` -> identifiers
-        (``record_id``) of the matching rows, in primary key order. Rows
-        with a NULL in ``columns`` are left out; a NULL primary key value
-        fails. The index is planned for ``plan_for``, which names what needs
-        it: it stays empty until ``index_slice`` fills it together with
-        the file's other indexes of its level (level 0)."""
+        (``record_id``) of the matching rows, in primary key order (see
+        ``_Ids``). The index is planned for ``plan_for``, which names what
+        needs it: it stays empty until ``index_slice`` fills it together
+        with the file's other indexes of its level (level 0)."""
         if self.table.primary_key() is None:
             raise SourceError(f"table {self.table.name!r} has no primary key")
-        return self._index(self._id_indexes, "ids", columns, plan_for)
+        if (ids := self._ids.get(columns)) is None:
+            ids = self._ids[columns] = _Ids(self, columns)
+            self._unbuilt[ids] = {}
+        if ids in self._unbuilt:
+            self._unbuilt[ids][plan_for] = None
+        return ids.index
 
     def texts_on(self, columns: tuple[str, ...], order: tuple[str, ...],
                  docs: _GroupDocs, level: int, spill: BinaryIO,
@@ -893,132 +962,85 @@ class _TableFile:
         its texts probes must be built at lower levels."""
         texts = _Texts(self, columns, order, docs, level, spill)
         self._texts.append(texts)
-        self._unbuilt[("texts", texts)] = {plan_for: None}
+        self._unbuilt[texts] = {plan_for: None}
         return texts
-
-    def _index(self, indexes: dict, kind: str, key: tuple, plan_for: str) -> dict:
-        index = indexes.get(key)
-        if index is None:
-            index = indexes[key] = {}
-            self._unbuilt[(kind, key)] = {}
-        if (kind, key) in self._unbuilt:
-            self._unbuilt[(kind, key)][plan_for] = None
-        return index
 
     @property
     def level(self) -> int:
         """The lowest level of the indexes still unbuilt (0 if none)."""
-        return min(map(_level, self._unbuilt), default=0)
+        return min((index.level for index in self._unbuilt), default=0)
 
-    def _planned(self) -> list[tuple[str, object]]:
+    def _planned(self) -> list[_Ids | _Texts]:
         """The indexes still unbuilt at the lowest level, in planning order,
         or the text index the lines are held clustered for: those the next
         ``index_slice`` fills."""
         if self.clustered is not None:
-            return [("texts", self.clustered[0])]
+            return [self.clustered[0]]
         level = self.level
-        return [planned for planned in self._unbuilt if _level(planned) == level]
+        return [index for index in self._unbuilt if index.level == level]
 
     @property
     def planned_for(self) -> str:
         """What the indexes the next ``index_slice`` fills were planned for."""
-        return ", ".join(dict.fromkeys(name for planned in self._planned()
-                                       for name in self._unbuilt[planned]))
+        return ", ".join(dict.fromkeys(name for index in self._planned()
+                                       for name in self._unbuilt[index]))
 
-    def index_slice(self, span: tuple[int, int, int]) -> None:
+    def index_slice(self, span: tuple[int, int, int], out: int | None = None) -> None:
         """Fill every planned index still unbuilt at the lowest level,
         emptied first, from the data rows of ``span`` (one of ``spans``)
         alone: the first slice's part of each index, or in a forked worker
         the partial indexes of its slice, which ``merge_indexes`` joins onto
         the first slice's. One pass numbers rows from the span's first,
-        types each row once and checks the key columns the indexes rely on:
-        the primary key for covering indexes, the order columns for text
-        indexes. It works a block at a time: each block is checked a column
-        at a time (``_key_check``), then fills the indexes from its columns.
-        A block with a bad cell comes as the blocks before its row, then
-        the row's error (``typed_block``), so the first bad row fails as
-        typing and checking each row in turn would. A text index groups the
-        span's rows; the span holds its groups whole (``spans``), so the
-        pass reads no row outside it. Each group's text is appended to the
-        spill, or to ``texts_to`` (a descriptor) when that is set. While the
-        lines are held clustered, the pass reads them and fills the one text
-        index they are clustered for. A failed pass names what the indexes
-        were planned for."""
-        required: dict[str, None] = {}
-        joined: list[str] = []  # text components of #-joined identifiers
-        fills, texts = [], []
-        for kind, key in self._planned():
-            if kind == "ids":
-                pk = self.table.primary_key().columns
-                required.update(dict.fromkeys(pk))
-                if len(pk) > 1:
-                    joined = [c for c in pk
-                              if self.types[self.columns.index(c)] is str]
-                fills.append(self._ids_fill(key))
-            else:
-                required.update(dict.fromkeys(key.order))
-                texts.append(key)
-        check = self._key_check(tuple(required), joined)
+        types each row once and checks the key columns every index requires
+        (``_key_check``), a block at a time, then hands the block to each
+        index (``add``). A block with a bad cell comes as the blocks before
+        its row, then the row's error (``typed_block``), so the first bad
+        row fails as typing and checking each row in turn would. Text
+        indexes append their groups' texts through one writer, to the spill
+        or to ``out`` (a worker's part file descriptor) when given. While
+        the lines are held clustered, the pass reads them and fills the one
+        text index they are clustered for. A failed pass names what the
+        indexes were planned for."""
+        planned = self._planned()
+        check = self._key_check(
+            tuple(dict.fromkeys(c for index in planned for c in index.required)),
+            list(dict.fromkeys(c for index in planned for c in index.joined)))
         with open(self.path, "rb") as handle, ExitStack() as stack:
             try:
-                groupers = []
-                if texts:
-                    out = stack.enter_context(open(
-                        texts[0].spill.fileno() if self.texts_to is None
-                        else self.texts_to, "ab", closefd=False))
-                    groupers = [_Grouper(t, out) for t in texts]
+                writer = stack.enter_context(open(
+                    self._texts[0].spill.fileno() if out is None else out, "ab",
+                    closefd=False)) if self._texts else None
+                for index in planned:
+                    index.start(writer)
                 for block in self.blocks(handle, *span):
                     check(block)
-                    for fill in fills:
-                        fill(block.columns)
-                    for grouper in groupers:
-                        grouper.add(block)
-                for grouper in groupers:
-                    grouper.close()
+                    for index in planned:
+                        index.add(block)
+                for index in planned:
+                    index.close()
             except SourceError as exc:
                 raise SourceError(
                     f"while indexing for {self.planned_for}: {exc}") from exc
 
     def merge_indexes(self, later: list[bytes], shifts: list[int] = ()) -> None:
-        """Finish every planned index that ``index_slice`` fills: join onto
-        the first slice's part of it those of the later slices, each
-        slice's partial indexes as ``encode_slice`` encoded them, in slice
-        order. A key's identifier lists are concatenated, then sorted in
-        primary key order and, for a composite key, ``#``-joined; text
-        entries are added, their offsets moved by the slice's ``shifts``
-        entry (where its texts now lie in the spill). The result is the
-        index one slice over the whole file gives. Lines held clustered are
-        dropped. A text index whose key has more than one group, within a
-        slice or across slices, stays planned unless it was built from
-        clustered lines, and the lines are clustered by the key of the
-        first such index (``_cluster``)."""
+        """Finish every planned index that ``index_slice`` fills: each joins
+        onto the first slice's part of it those of the later slices, as
+        ``encode_slice`` encoded them, in slice order (``merge``), texts
+        moved by the slice's ``shifts`` entry, so that it is the index one
+        slice over the whole file gives. Lines held clustered are dropped. A
+        text index whose key has more than one group, within a slice or
+        across slices, stays planned unless it was built from clustered
+        lines, and the lines are clustered by the key of the first such
+        index (``_cluster``)."""
         planned = self._planned()
         slices = [marshal.loads(data) for data in later]
-        for p, (kind, key) in enumerate(planned):
-            if kind == "texts":
-                for (keys, entries, unclustered), shift in zip(
-                        (parts[p] for parts in slices), shifts, strict=True):
-                    key.unclustered = (key.unclustered or unclustered
-                                       or key.add(keys, entries, shift))
-                continue
-            index = self._id_indexes[key]
-            for part in (parts[p] for parts in slices):
-                for ids_key, pks in part.items():
-                    if (mine := index.get(ids_key)) is None:
-                        index[ids_key] = pks
-                    else:
-                        mine.extend(pks)
-            composite = len(self.table.primary_key().columns) > 1
-            for pks in index.values():
-                pks.sort()  # as key tuples: (1, 9) before (1, 10)
-                if composite:
-                    pks[:] = map(record_id, pks)
+        for p, index in enumerate(planned):
+            index.merge([parts[p] for parts in slices], shifts)
         held, self.clustered = self.clustered is not None, None
-        for kind, key in planned:  # a text index is clustered at most once
-            if kind == "ids" or held or not key.unclustered:
-                del self._unbuilt[kind, key]
-        if again := [key for kind, key in self._planned() if kind == "texts"
-                     and key.unclustered]:
+        for index in planned:  # a text index is clustered at most once
+            if held or not index.unclustered:
+                del self._unbuilt[index]
+        if again := [index for index in self._planned() if index.unclustered]:
             self._cluster(again[0])
 
     def _cluster(self, texts: _Texts) -> None:
@@ -1051,13 +1073,9 @@ class _TableFile:
 
     def encode_slice(self) -> bytes:
         """The planned indexes that ``index_slice`` fills, as it filled them
-        from one slice, in a flat ``marshal`` encoding: a text index as its
-        keys, its entries as ``array`` bytes and whether it met a key in a
-        second group; an id index as it is."""
-        return marshal.dumps([
-            self._id_indexes[key] if kind == "ids" else
-            (list(key.index), key.entries.tobytes(), key.unclustered)
-            for kind, key in self._planned()])
+        from one slice, each as its ``encode`` gives it, in one flat
+        ``marshal`` encoding."""
+        return marshal.dumps([index.encode() for index in self._planned()])
 
     def _key_check(self, columns: tuple[str, ...], joined: list[str]
                    ) -> Callable[[_Block], None]:
@@ -1087,29 +1105,6 @@ class _TableFile:
                     f"{column!r}: NULL key value for {self.table.name}.{column}")
 
         return check
-
-    def _ids_fill(self, columns: tuple[str, ...]
-                  ) -> Callable[[list[Sequence]], None]:
-        """Fills the covering index on ``columns`` from a block's columns,
-        in C: each key not holding a NULL gets the primary key of its
-        rows, in row order."""
-        groups, key_at = self._id_indexes[columns], self.positions(columns)
-        groups.clear()
-        pk = self.positions(self.table.primary_key().columns)
-
-        def fill(block: list[Sequence]) -> None:
-            keys = _keys(block, key_at)
-            # a single-column key is held as its bare value, which is its
-            # record_id: a 1-tuple per row would cost ~4 MB on Northwind 39x
-            pks = block[pk[0]] if len(pk) == 1 else _keys(block, pk)
-            if any(None in block[p] for p in key_at):
-                keep = list(map(not_, map(contains, keys, repeat(None))))
-                keys, pks = compress(keys, keep), compress(pks, keep)
-            # a new empty list per row, kept where the key is new
-            deque(map(list.append, map(groups.setdefault, keys, iter(list, None)),
-                      pks), 0)
-
-        return fill
 
 
 @record(frozen=True)

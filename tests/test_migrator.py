@@ -605,9 +605,9 @@ def test_indexes_built_per_file_not_per_row(mini, tmp_path, monkeypatch):
     index_slice = unimig.source._TableFile.index_slice
     counts = []  # index passes by file, one dict per dataset
 
-    def counted(self, span):
+    def counted(self, span, *out):
         counts[-1][self.path.name] = counts[-1].get(self.path.name, 0) + 1
-        return index_slice(self, span)
+        return index_slice(self, span, *out)
 
     monkeypatch.setattr(unimig.source._TableFile, "index_slice", counted)
     monkeypatch.setattr(unimig.migrator, "_cpus", lambda: 1)  # one slice

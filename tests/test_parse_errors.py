@@ -1,5 +1,6 @@
 """Exact error messages, with line and column, for malformed DDL and Athena
-text. Each case names the first fault a reader of the text would meet."""
+text, and with the row for a malformed CSV file. Each case names the first
+fault a reader of the text would meet."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import pytest
 from util import FIXTURES
 
 from unimig.cli import dispatch
-from unimig.errors import TextParseError
+from unimig.errors import SourceError, TextParseError
 from unimig.relational.ddl import parse_ddl
+from unimig.source import _TableFile
 from unimig.uschema.athena import parse_athena
 
 DDL_ERRORS = [
@@ -190,3 +192,17 @@ def test_migrate_reports_a_bad_type_size_without_a_traceback(tmp_path, capsys):
     assert err.startswith("error: line 4, column 25: type size must be an unsigned "
                           "integer, found '1.2.3'")
     assert "Traceback" not in err
+
+
+def test_csv_error_names_the_first_defect_in_file_order(tmp_path):
+    # a short row 2, then a byte that is not UTF-8 well past the first
+    # 64 KiB: one csv.reader pass meets the short row first
+    path = tmp_path / "t.csv"
+    rows = [b"1,x", b"2", *(b"%d,y" % n for n in range(3, 20_000)),
+            b"20000,\xff"]
+    path.write_bytes(b"a,b\n" + b"\n".join(rows) + b"\n")
+    assert path.stat().st_size > 2 * 65536
+    table = parse_ddl("CREATE TABLE t (a INT, b VARCHAR(9));").table("t")
+    with pytest.raises(SourceError) as err:
+        _TableFile(table, path)
+    assert str(err.value) == "t.csv (row 2): expected 2 fields, found 1"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from util import FIXTURES
 
 import unimig.migrator
+import unimig.source
 from unimig.errors import MigrationError, SourceError
 from unimig.migrator import migrate
 from unimig.relational.ddl import parse_ddl
@@ -79,12 +80,24 @@ def _read(file: _TableFile, span: tuple[int, int, int] | None = None) -> list:
 
 def _check_group_cuts(file: _TableFile, k: int) -> None:
     """With a text index planned on ``s``, the slices of ``file`` still
-    cover every row once, in order, and when ``s`` clusters the file, no
-    key lies in two slices."""
+    cover every row once, in order, each cut is the first group start at or
+    after the first line start at or after its byte ``k``-ile (or the cut
+    before it, when that lies further on), and when ``s`` clusters the
+    file, no key lies in two slices."""
     with tempfile.TemporaryFile() as spill:
         file.texts_on(("s",), ("id",), _GROUP_DOCS, 0, spill, "a test")
         spans = _check_spans(file, k)
     keys = [row[1] for _, row in _read(file)]
+    starts = _line_starts(file)
+    # where a row's s differs from the row before it, and the file's end
+    group_starts = [start for start, key, before in zip(starts[1:], keys[1:], keys)
+                    if key != before] + starts[-1:]
+    cut = starts[0]
+    for i, (offset, _, _) in enumerate(spans[1:], 1):
+        if (target := starts[0] + (starts[-1] - starts[0]) * i // k) > cut:
+            line = min(start for start in starts if start >= target)
+            cut = min(start for start in group_starts if start >= line)
+        assert offset == cut
     runs = [key for key, _ in groupby(keys) if key is not None]
     if len(runs) == len(set(runs)):  # clustered by s
         owner = {}
@@ -123,15 +136,17 @@ _GROUP_DOCS = _GroupDocs(
 
 def _text_indexes(file: _TableFile, k: int,
                   keys: list[tuple[str, ...]]) -> tuple[list[dict], int]:
-    """Each key's text in a text index on each of ``keys`` (columns),
-    ordered by ``id``, built in ``k`` slices as ``migrate`` builds them: a
-    worker per later slice, which appends its texts to a part file of its
-    own and inherits any clustered lines, then the first slice, then the
-    join; again over clustered lines for an index whose key does not
-    cluster the file. Also the number of passes over the file."""
+    """A covering index on ``s`` then each key's text in a text index on
+    each of ``keys`` (columns), ordered by ``id``, all planned on the one
+    file and built in ``k`` slices as ``migrate`` builds them: a worker per
+    later slice, which appends its texts to a part file of its own and
+    inherits any clustered lines, then the first slice, then the join;
+    again over clustered lines for an index whose key does not cluster the
+    file. Also the number of passes over the file."""
     spill = tempfile.TemporaryFile()
     indexes = [file.texts_on(key, ("id",), _GROUP_DOCS, 0, spill, "a test")
                for key in keys]
+    ids = file.ids_on(("s",), "a test")
     passes = 0
     while file._unbuilt:
         passes += 1
@@ -142,6 +157,7 @@ def _text_indexes(file: _TableFile, k: int,
             with tempfile.TemporaryFile() as part:
                 mine = [worker.texts_on(key, ("id",), _GROUP_DOCS, 0, part,
                                         "a test") for key in keys]
+                worker.ids_on(("s",), "a test")
                 if file.clustered is not None:
                     worker.clustered = (
                         mine[indexes.index(file.clustered[0])],
@@ -154,10 +170,20 @@ def _text_indexes(file: _TableFile, k: int,
         file.index_slice(spans[0])
         file.merge_indexes(later, shifts)
     assert file.clustered is None  # the clustered lines are dropped
-    built = [{key: texts.text(key) for key in texts.index}
-             for texts in indexes]
+    built = [ids] + [{key: texts.text(key) for key in texts.index}
+                     for texts in indexes]
     spill.close()
     return built, passes
+
+
+def _ids(file: _TableFile) -> dict:
+    """Each ``s`` value's ``id``s, in file order (``id`` order), NULLs left
+    out."""
+    ids = {}
+    for _, (n, s, *_) in _read(file):
+        if s is not None:
+            ids.setdefault((s,), []).append(n)
+    return ids
 
 
 def _groups(file: _TableFile, columns: tuple[str, ...]) -> dict:
@@ -174,11 +200,11 @@ def _check_texts(file: _TableFile, k: int) -> None:
     """A text index on column ``s`` built in ``k`` slices must be what one
     slice gives: one text per non-NULL key, of its rows in order, each
     with its number in the file, whether the file is clustered by ``s`` or
-    not."""
+    not; so must a covering index on ``s`` built in the same passes."""
     built = _text_indexes(file, k, [("s",)])[0]
     assert built == _text_indexes(_TableFile(file.table, file.path), 1,
                                   [("s",)])[0]
-    assert built == [_groups(file, ("s",))]
+    assert built == [_ids(file), _groups(file, ("s",))]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -193,7 +219,7 @@ def test_file_clustered_once_per_unclustered_text_index(tmp_path, k):
                       path)
     built, passes = _text_indexes(file, k, [("s",), ("u",)])
     assert passes == 3
-    assert built == [_groups(file, ("s",)), _groups(file, ("u",))]
+    assert built == [_ids(file), _groups(file, ("s",)), _groups(file, ("u",))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +239,20 @@ def test_spans_cover_every_row_once_in_order(tmp_path_factory, texts, k,
     _check_spans(file, k)
     _check_group_cuts(_TableFile(file.table, file.path), k)
     _check_texts(file, k)
+
+
+@pytest.mark.parametrize("texts", [
+    ["a", "b", "b", "b", "b", "b", "c"],
+    ["b", "a", "a", "a", "c", "a", "b", "a"],
+    ["x" * 9, "y" * 9, "y", "y", "z" * 20, "z" * 20],
+])
+def test_group_cuts_read_back_over_several_chunks(tmp_path, monkeypatch, texts):
+    # the line before a cut is found in chunks of 3 bytes, most lines
+    # longer than one
+    monkeypatch.setattr(unimig.source, "_COUNT_CHUNK", 3)
+    file = _table_file(tmp_path, texts)
+    for k in (2, 3, 5):
+        _check_group_cuts(_TableFile(file.table, file.path), k)
 
 
 def test_cut_on_a_line_start(tmp_path):
@@ -642,8 +682,8 @@ def _indexes(session: SourceSession) -> dict:
     appended)."""
     built = {}
     for name, file in session._files.items():
-        for key, ids in file._id_indexes.items():
-            built[name, "ids", key] = ids
+        for key, ids in file._ids.items():
+            built[name, "ids", key] = ids.index
         for texts in file._texts:
             lengths = texts.entries[1::_ENTRY]
             built[name, "texts", (texts.columns, texts.order)] = {
@@ -675,9 +715,8 @@ def _straddling(root: Path) -> Path:
 
 def _one_big_group(root: Path) -> Path:
     """20 one-row child groups, then parent 21's 16 rows, which lie in the
-    last slice of 2 and in the second of 3: the first groups' rows are the
-    longer, so that the byte cut of 2 lies among them."""
-    return _children(root, [(n, 100 + n) for n in range(1, 21)]
+    last slice of 2 and in the second of 3."""
+    return _children(root, [(n, 1) for n in range(1, 21)]
                      + [(21, n) for n in range(16)])
 
 
@@ -701,9 +740,13 @@ def test_indexes_identical_for_any_slice_count(tmp_path, monkeypatch, dataset):
         # a worker's largest child group counts too
         assert session.peak_live_records == peak
         if dataset == "big-group":
-            # the largest group is built in a worker
-            first, count = session.file_for("child").spans(k)[1][1:]
-            assert first <= 20 and first + count == 36
+            # the largest group is built in a worker; the line start after
+            # the byte cut of 2 is parent 21's first row, and that after
+            # the first cut of 3 is parent 15's: each starts a group, and
+            # the cut stays there
+            assert session.file_for("child").spans(k) == {
+                2: [(14, 0, 20), (105, 20, 16)],
+                3: [(14, 0, 14), (75, 14, 22), (191, 36, 0)]}[k]
         if dataset == "straddling":
             child = session.file_for("child")
             # a byte cut falls inside parent 2's rows 2 to 17, and each cut
@@ -753,7 +796,7 @@ def test_indexed_dataset_plans_both_index_kinds(tmp_path, monkeypatch):
     assert error is None
     assert list(_indexes(session)) == [
         ("b", "texts", (("a_id",), ("pos",))), ("c", "ids", ("a_id",))]
-    assert session.file_for("c")._id_indexes["a_id",][(3,)] == ["x3#y3"]
+    assert session.file_for("c")._ids["a_id",].index[(3,)] == ["x3#y3"]
 
 
 _INDEXING = "while indexing for collection 'a': "
@@ -875,12 +918,12 @@ def test_each_slice_runs_on_its_own_cpu(tmp_path, monkeypatch):
     index_slice = _TableFile.index_slice
     seen = []  # this process's CPUs while it indexes slice 0
 
-    def where(self, span):
+    def where(self, span, *out):
         cpus = sorted(os.sched_getaffinity(0))
         if span[1]:
             raise SourceError(f"slice from row {span[1]} on {cpus}")
         seen.append(cpus)
-        return index_slice(self, span)
+        return index_slice(self, span, *out)
 
     monkeypatch.setattr(_TableFile, "index_slice", where)
     error = _run(_indexed_dataset(tmp_path / "data", {}), tmp_path / "out", 2,
@@ -893,10 +936,10 @@ def test_each_slice_runs_on_its_own_cpu(tmp_path, monkeypatch):
 def test_index_worker_that_dies_is_named(tmp_path, monkeypatch):
     index_slice = _TableFile.index_slice
 
-    def dying(self, span):
+    def dying(self, span, *out):
         if span[1] and self.table.name == "c":
             os._exit(3)
-        return index_slice(self, span)
+        return index_slice(self, span, *out)
 
     monkeypatch.setattr(_TableFile, "index_slice", dying)
     files, error = _run(_indexed_dataset(tmp_path / "data", {}),
@@ -909,7 +952,7 @@ def test_index_worker_that_dies_is_named(tmp_path, monkeypatch):
 def test_interrupted_parent_reaps_its_index_workers(tmp_path, monkeypatch):
     index_slice = _TableFile.index_slice
 
-    def interrupted(self, span):
+    def interrupted(self, span, *out):
         if span[1]:
             time.sleep(60)  # killed long before
         raise KeyboardInterrupt
