@@ -178,10 +178,7 @@ def test_cli_import_loads_no_numeric_packages():
     loaded = set(subprocess.run([sys.executable, "-c", probe], env=env,
                                 check=True, capture_output=True,
                                 text=True).stdout.split())
-    assert "unimig.migrator" in loaded
     assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
-    # model classes are built without dataclasses (unimig.record)
-    assert not loaded & {"dataclasses", "inspect"}
     # modules only other verbs use: those verbs import them themselves
     assert not loaded & {
         "unimig.compare", "unimig.evolution", "unimig.datagen",

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from util import FIXTURES
 
+import unimig
 from unimig.compare import MatchReport
 from unimig.errors import ModelError
 from unimig.evolution import DeleteFeature, RenameEntity
@@ -18,6 +23,17 @@ from unimig.trace import TraceStore
 from unimig.uschema.athena import parse_athena
 from unimig.uschema.model import Key, Reference, USDataType
 from unimig.uschema.validate import Diagnostic
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(unimig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, unimig.cli; print(*sys.modules)"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.split())
+    assert "unimig.migrator" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_arguments_positional_keyword_and_default():
